@@ -5,11 +5,15 @@ These are the golden models every kernel in :mod:`repro.core` and
 deep-learning libraries it compares with), "convolution" here means
 cross-correlation: filters are not flipped.
 
-The implementation is a tap-loop over (dy, dx) with a ``tensordot``
-across channels, which is exact, simple to audit, and fast enough to act
-as a golden model for multi-megapixel tests.  It handles every problem
-axis — stride, dilation, groups, and both layouts — and at the default
-axes it reduces to the historical dense path operation-for-operation.
+The implementation is one tap-loop over (dy, dx) for a stack of images:
+a single image is a batch of one, so batched serving and single calls
+share one arithmetic.  Each tap is a float32 elementwise product when a
+group has one input channel, and otherwise one ``np.matmul`` over the
+(batch, group) stack, which hands BLAS the same per-image call
+``tensordot`` makes; a float64 accumulator adds the taps in order.  Every
+output is therefore bit-identical to the per-image tap loop, whatever
+the batch.  It handles every problem axis — stride, dilation, groups,
+and both layouts.
 
 :func:`conv2d_oracle` is the deliberately-naive seven-loop scalar model
 (filters, rows, cols, channels, taps) the generalized reference is
@@ -23,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.conv.tensors import ConvProblem, Padding
+from repro.conv.tensors import ConvProblem, Layout, Padding
 from repro.errors import ShapeError
 
 __all__ = ["conv2d_reference", "conv2d_single_channel", "conv2d_oracle"]
@@ -35,26 +39,33 @@ def conv2d_reference(
     padding: Padding = Padding.VALID,
     problem: Optional[ConvProblem] = None,
 ) -> np.ndarray:
-    """Multi-channel 2-D cross-correlation.
+    """Multi-channel 2-D cross-correlation of one image or a batch.
 
     Parameters
     ----------
     image:
         ``(C, H, W)`` array (a 2-D array is promoted to one channel);
-        ``(H, W, C)`` when ``problem.layout`` is NHWC.
+        ``(H, W, C)`` when ``problem.layout`` is NHWC.  With ``problem``
+        given, a ``(B, *problem.image_shape)`` array is a batch of B
+        images.
     filters:
-        ``(F, C/groups, K, K)`` array (2-D/3-D arrays are promoted).
+        ``(F, C/groups, K, K)`` array (2-D/3-D arrays are promoted); a
+        batch takes one filter bank per image,
+        ``(B, *problem.filter_shape)``.
     padding:
         Boundary mode; 'same' zero-pads so the output matches the input
         extent.  Ignored when ``problem`` is given.
     problem:
         Full problem description carrying stride/dilation/groups/layout.
         When omitted, the problem is inferred from the array shapes with
-        default axes (stride 1, dilation 1, one group, NCHW).
+        default axes (stride 1, dilation 1, one group, NCHW), and the
+        call takes a single image.
 
     Returns
     -------
-    ``(F, OH, OW)`` float32 array (``(OH, OW, F)`` for NHWC problems).
+    ``(F, OH, OW)`` float32 array (``(OH, OW, F)`` for NHWC problems);
+    ``(B, *problem.output_shape)`` for a batch, where each item is
+    bit-identical to the single call on that image.
     """
     if problem is None:
         img = np.asarray(image, dtype=np.float32)
@@ -86,30 +97,60 @@ def conv2d_reference(
         image = img
         filters = flt
 
-    img = problem.padded_image(image)
-    flt = problem.check_filters(filters)
+    batched = np.ndim(image) == len(problem.image_shape) + 1
+    if batched:
+        images = np.asarray(image, dtype=np.float32)
+        filters = np.asarray(filters, dtype=np.float32)
+        if (images.shape[1:] != problem.image_shape
+                or filters.shape != images.shape[:1] + problem.filter_shape):
+            raise ShapeError(
+                "batch shapes %s and %s do not match (B, %s) images and "
+                "(B, %s) filters of %s"
+                % (images.shape, filters.shape, problem.image_shape,
+                   problem.filter_shape, problem.describe()))
+    else:
+        images = problem.check_image(image)[np.newaxis]
+        filters = problem.check_filters(filters)[np.newaxis]
 
+    # One tap loop over the (B, ...) stacks.  Each tap's float32 products
+    # are summed by the BLAS call np.dot makes for one image, with the
+    # same operand layouts, and the float64 accumulator starts at +0.0
+    # and adds the taps in (dy, dx) order: hence bit-identical batches.
+    b = images.shape[0]
     k = problem.kernel_size
     s, d, g = problem.stride, problem.dilation, problem.groups
     oh, ow = problem.out_height, problem.out_width
     cpg, fpg = problem.channels_per_group, problem.filters_per_group
-    out = np.zeros((problem.filters, oh, ow), dtype=np.float64)
+    if problem.layout is Layout.NHWC:
+        images = np.moveaxis(images, 3, 1)
+    p = problem.pad
+    if p:
+        images = np.pad(images, ((0, 0), (0, 0), (p, p), (p, p)))
+    images = images.reshape(b, g, cpg, *images.shape[2:])
+    filters = filters.reshape(b, g, fpg, cpg, k, k)
+    out = np.zeros((b, g, fpg, oh * ow), dtype=np.float64)
     for dy in range(k):
         for dx in range(k):
-            window = img[:,
-                         dy * d : dy * d + (oh - 1) * s + 1 : s,
-                         dx * d : dx * d + (ow - 1) * s + 1 : s]
-            taps = flt[:, :, dy, dx]
-            if g == 1:
-                out += np.tensordot(taps, window, axes=([1], [0]))
-            else:
-                for gi in range(g):
-                    out[gi * fpg : (gi + 1) * fpg] += np.tensordot(
-                        taps[gi * fpg : (gi + 1) * fpg],
-                        window[gi * cpg : (gi + 1) * cpg],
-                        axes=([1], [0]),
-                    )
-    return problem.layout_output(out.astype(np.float32))
+            window = np.ascontiguousarray(images[
+                ...,
+                dy * d : dy * d + (oh - 1) * s + 1 : s,
+                dx * d : dx * d + (ow - 1) * s + 1 : s,
+            ]).reshape(b, g, cpg, oh * ow)
+            taps = filters[..., dy, dx]
+            if cpg == 1:
+                # One channel per group: a BLAS sum of one product is
+                # that product rounded to float32, as multiplied here.
+                out += taps * window
+                continue
+            if fpg > 1:
+                # np.dot copies a tap matrix before its sgemm but reads a
+                # single tap row in place (sgemv/sdot with its stride).
+                taps = np.ascontiguousarray(taps)
+            out += np.matmul(taps, window)
+    out = out.reshape(b, problem.filters, oh, ow).astype(np.float32)
+    if problem.layout is Layout.NHWC:
+        out = np.ascontiguousarray(np.moveaxis(out, 1, 3))
+    return out if batched else out[0]
 
 
 def conv2d_single_channel(image: np.ndarray, filters: np.ndarray,

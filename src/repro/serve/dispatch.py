@@ -81,19 +81,15 @@ class KernelPlan:
         return self.launch_s + self.busy_s * batch_size
 
 
-def _serve_request(
-    executor: str, kernel, naive, request: ConvRequest
+def _serve_kernel(
+    kernel, naive, request: ConvRequest
 ) -> Tuple[np.ndarray, bool]:
-    """Serve one request; module-level so batch fan-out can pickle it.
+    """Run one request on a kernel; module-level so fan-out can pickle it.
 
-    Returns (output, fell_back).  The kernel path degrades to the naive
+    Returns (output, fell_back): the request degrades to the naive
     backend when the planned kernel's functional execution raises.
     """
     problem = request.problem
-    if executor == "reference":
-        return conv2d_reference(
-            request.image, request.filters, problem.padding, problem=problem
-        ), False
     try:
         return kernel.run(
             request.image, request.filters, problem.padding, problem=problem
@@ -102,6 +98,23 @@ def _serve_request(
         return naive.run(
             request.image, request.filters, problem.padding, problem=problem
         ), True
+
+
+def _serve_reference(
+    problem: ConvProblem, requests: Sequence[ConvRequest]
+) -> List[np.ndarray]:
+    """Serve a same-shape batch with one batched reference call."""
+    if not requests:
+        return []
+    if any(r.problem != problem for r in requests):
+        raise ReproError(
+            "reference batch mixes shapes; every request must be %s"
+            % problem.describe())
+    return list(conv2d_reference(
+        np.stack([r.image for r in requests]),
+        np.stack([r.filters for r in requests]),
+        problem=problem,
+    ))
 
 
 class Dispatcher:
@@ -129,8 +142,8 @@ class Dispatcher:
                 "unknown backends %s; registered backends: %s"
                 % (sorted(unknown), ", ".join(sorted(self.kernels.names()))))
         self.arch = arch
-        # Worker degree for per-request batch execution; None honors
-        # the REPRO_JOBS environment variable at execute time.
+        # Worker degree for kernel-executor batch execution; None
+        # honors the REPRO_JOBS environment variable at execute time.
         self.jobs = jobs
         self.cache = cache if cache is not None else PlanCache(
             registry=registry)
@@ -282,7 +295,11 @@ class Dispatcher:
         """
         if executor not in ("reference", "kernel"):
             raise ReproError("unknown executor %r" % executor)
-        return _serve_request(executor, plan.kernel, self._naive, request)
+        if executor == "reference":
+            return conv2d_reference(
+                request.image, request.filters, problem=request.problem
+            ), False
+        return _serve_kernel(plan.kernel, self._naive, request)
 
     def execute(
         self,
@@ -297,12 +314,15 @@ class Dispatcher:
         batch is one modeled launch of the planned backend; requests that
         fell back are re-priced as a second, naive launch.
 
-        ``jobs`` (falling back to the dispatcher's degree, then the
-        ``REPRO_JOBS`` environment variable) fans the per-request
-        functional execution out over worker processes; outputs, flags,
-        and accounting are identical to the serial path.  Fallback
-        counting stays in this process, so the dispatcher's registry
-        series are complete regardless of degree.
+        ``executor="reference"`` stacks the batch into one batched
+        :func:`conv2d_reference` call, whose outputs are bit-identical
+        to per-request calls.  ``executor="kernel"`` runs each request
+        on the planned kernel; ``jobs`` (falling back to the
+        dispatcher's degree, then the ``REPRO_JOBS`` environment
+        variable) fans those runs out over worker processes, with
+        outputs, flags, and accounting identical to the serial path.
+        Fallback counting stays in this process, so the dispatcher's
+        registry series are complete regardless of degree.
         """
         if executor not in ("reference", "kernel"):
             raise ReproError("unknown executor %r" % executor)
@@ -314,16 +334,20 @@ class Dispatcher:
         else:
             span = nullcontext({})
         with span as span_args:
-            degree = resolve_jobs(jobs if jobs is not None else self.jobs)
-            if degree <= 1 or len(requests) < 2:
-                pairs = [self.run_one(plan, request, executor)
-                         for request in requests]
+            if executor == "reference":
+                outputs = _serve_reference(plan.problem, requests)
+                fell = [False] * len(requests)
             else:
-                serve = functools.partial(
-                    _serve_request, executor, plan.kernel, self._naive)
-                pairs = parallel_map(serve, requests, jobs=degree)
-            outputs = [out for out, _ in pairs]
-            fell = [fb for _, fb in pairs]
+                degree = resolve_jobs(jobs if jobs is not None else self.jobs)
+                if degree <= 1 or len(requests) < 2:
+                    pairs = [self.run_one(plan, request, executor)
+                             for request in requests]
+                else:
+                    serve = functools.partial(
+                        _serve_kernel, plan.kernel, self._naive)
+                    pairs = parallel_map(serve, requests, jobs=degree)
+                outputs = [out for out, _ in pairs]
+                fell = [fb for _, fb in pairs]
             n_fallback = sum(fell)
             n_planned = len(requests) - n_fallback
             seconds = plan.batch_seconds(n_planned) if n_planned else 0.0

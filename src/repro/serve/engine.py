@@ -75,7 +75,7 @@ class ServeEngine:
         self.batcher = DynamicBatcher(
             deadline_s=deadline_s, max_batch=max_batch,
             registry=self.registry)
-        # `jobs` is the batch-execution fan-out degree (see
+        # `jobs` is the kernel executor's batch fan-out degree (see
         # repro.parallel); it only applies to the dispatcher the engine
         # builds itself — an injected dispatcher keeps its own degree.
         self.dispatcher = dispatcher or Dispatcher(

@@ -2,10 +2,9 @@
 
 The executor's headline guarantee: every sweep produces bit-identical
 results for any ``jobs`` degree, and telemetry totals merge losslessly.
+Wall-clock speed-ups are host-dependent, so they are measured in
+``benchmarks/bench_parallel_dse.py``, not asserted here.
 """
-
-import os
-import time
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from repro.core.special import SpecialCaseKernel
 from repro.baselines.im2col import Im2colKernel
 from repro.gpu.arch import KEPLER_K40M
 from repro.obs.metrics import get_registry, reset_registry
-from repro.parallel import parallel_map, shutdown_pools
+from repro.parallel import shutdown_pools
 from repro.serve.dispatch import Dispatcher
 from repro.serve.request import ConvRequest
 
@@ -50,6 +49,12 @@ class TestDSEParity:
         configs = general_subset()
         serial = explore_general(3, configs=configs, jobs=1)
         fanned = explore_general(3, configs=configs, jobs=3)
+        assert serial == fanned
+
+    def test_full_general_sweep_identical_rankings(self):
+        configs = enumerate_general_configs(3, 2, KEPLER_K40M)
+        serial = explore_general(3, configs=configs, jobs=1)
+        fanned = explore_general(3, configs=configs, jobs=2)
         assert serial == fanned
 
     def test_candidate_counter_totals_match_serial(self):
@@ -127,19 +132,3 @@ class TestDispatchParity:
         for a, b in zip(out1, out2):
             assert np.array_equal(a, b)
 
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                    reason="speedup needs at least 2 cores")
-class TestSpeedup:
-    def test_parallel_dse_sweep_is_faster_than_serial(self):
-        configs = enumerate_general_configs(3, 2, KEPLER_K40M)
-        # Warm the pool so fork cost doesn't count against the sweep.
-        parallel_map(abs, [1, 2, 3, 4], jobs=2)
-        start = time.perf_counter()
-        serial = explore_general(3, configs=configs, jobs=1)
-        serial_s = time.perf_counter() - start
-        start = time.perf_counter()
-        fanned = explore_general(3, configs=configs, jobs=2)
-        fanned_s = time.perf_counter() - start
-        assert serial == fanned
-        assert fanned_s < serial_s

@@ -6,12 +6,15 @@ import pytest
 from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem
 from repro.errors import ReproError
+from repro.serve import dispatch
 from repro.serve.dispatch import DEFAULT_BACKENDS, Dispatcher, KernelPlan
 from repro.serve.plan_cache import PlanCache
 from repro.serve.request import ConvRequest
 
 SPECIAL = ConvProblem.square(48, 3, channels=1, filters=4)
 GENERAL = ConvProblem.square(32, 3, channels=8, filters=16)
+DEPTHWISE = ConvProblem.square(24, 3, channels=6, filters=12, groups=6,
+                               stride=2)
 
 #: Sentinel planted in an image to make FlakyMarkerKernel fail on it.
 POISON = -1.0e30
@@ -150,28 +153,60 @@ class TestExecution:
         naive = dispatcher.fallback_plan(GENERAL)
         assert seconds == pytest.approx(naive.batch_seconds(3))
 
-    def test_partial_fallback_prices_both_launches(self, monkeypatch):
+    def test_partial_fallback_prices_both_launches(self):
         dispatcher = Dispatcher()
         plan = dispatcher.plan(GENERAL)
         requests = [make_request(GENERAL, i) for i in range(4)]
-
-        calls = []
-        real = dispatcher.run_one
-
-        def flaky(p, request, executor="reference"):
-            calls.append(request.req_id)
-            if request.req_id == 2:
-                return real(p, request, executor="reference")[0], True
-            return real(p, request, executor="reference")
-
-        monkeypatch.setattr(dispatcher, "run_one", flaky)
-        # jobs=1 pins the serial path: the fan-out path serves requests
-        # in worker processes and cannot see this monkeypatched hook.
-        _, fell, seconds = dispatcher.execute(plan, requests, jobs=1)
+        requests[2].image.flat[0] = POISON
+        flaky_plan = KernelPlan(
+            problem=GENERAL, backend=plan.backend,
+            kernel=FlakyMarkerKernel(), breakdown=plan.breakdown,
+            config=plan.config,
+        )
+        _, fell, seconds = dispatcher.execute(
+            flaky_plan, requests, executor="kernel")
         assert fell == [False, False, True, False]
         naive = dispatcher.fallback_plan(GENERAL)
         assert seconds == pytest.approx(
             plan.batch_seconds(3) + naive.batch_seconds(1))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("problem", [SPECIAL, GENERAL, DEPTHWISE],
+                             ids=["special", "general", "depthwise"])
+    def test_reference_batch_is_one_reference_call(self, monkeypatch,
+                                                   problem, jobs):
+        dispatcher = Dispatcher(jobs=jobs)
+        plan = dispatcher.plan(problem)
+        requests = [make_request(problem, i) for i in range(5)]
+        singles = [dispatcher.run_one(plan, r)[0] for r in requests]
+
+        shapes = []
+        real = dispatch.conv2d_reference
+
+        def counting(image, filters, *args, **kwargs):
+            shapes.append(np.shape(image))
+            return real(image, filters, *args, **kwargs)
+
+        monkeypatch.setattr(dispatch, "conv2d_reference", counting)
+        outputs, fell, seconds = dispatcher.execute(plan, requests, jobs=jobs)
+        assert shapes == [(5,) + problem.image_shape]
+        assert fell == [False] * 5
+        assert seconds == pytest.approx(plan.batch_seconds(5))
+        for output, single in zip(outputs, singles):
+            assert np.array_equal(output.view(np.uint32),
+                                  single.view(np.uint32))
+
+    def test_reference_batch_rejects_mixed_shapes(self):
+        dispatcher = Dispatcher()
+        plan = dispatcher.plan(GENERAL)
+        requests = [make_request(GENERAL, 0), make_request(SPECIAL, 1)]
+        with pytest.raises(ReproError):
+            dispatcher.execute(plan, requests)
+
+    def test_empty_batch_serves_nothing(self):
+        dispatcher = Dispatcher()
+        plan = dispatcher.plan(GENERAL)
+        assert dispatcher.execute(plan, []) == ([], [], 0.0)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_mixed_batch_fallback_accounting(self, jobs):

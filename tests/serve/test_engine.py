@@ -47,6 +47,21 @@ class TestServeTrace:
         assert snap["mean_batch_size"] > 1.0
         assert snap["batches"] < len(TRACE)
 
+    def test_one_reference_call_per_batch(self, monkeypatch):
+        from repro.serve import dispatch
+
+        calls = []
+        real = dispatch.conv2d_reference
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dispatch, "conv2d_reference", counting)
+        engine = ServeEngine(deadline_s=1e-3, max_batch=16)
+        engine.serve_trace(TRACE)
+        assert len(calls) == engine.stats()["batches"] < len(TRACE)
+
     def test_unbatched_engine_serves_singletons(self):
         engine = ServeEngine(deadline_s=0.0, max_batch=1)
         engine.serve_trace(TRACE)
