@@ -26,7 +26,7 @@ Modeling notes (see DESIGN.md):
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -95,12 +95,17 @@ class ImplicitGemmKernel:
         """Pick the palette tile with the best predicted time."""
         if self._tiling is not None:
             return self._tiling
+        return self._select(problem)[0]
+
+    def _select(self, problem: ConvProblem) -> Tuple[GemmTiling, KernelCost]:
+        """The best palette tile and the traced cost that ranked it."""
         model = TimingModel(self.arch)
         best, best_time = None, float("inf")
         for tiling in self.palette:
-            t = model.evaluate(self._cost_with(problem, tiling)).total
+            cost = self._cost_with(problem, tiling)
+            t = model.evaluate(cost).total
             if t < best_time:
-                best, best_time = tiling, t
+                best, best_time = (tiling, cost), t
         return best
 
     # ------------------------------------------------------------------
@@ -145,7 +150,9 @@ class ImplicitGemmKernel:
 
     # ------------------------------------------------------------------
     def cost(self, problem: ConvProblem) -> KernelCost:
-        return self._cost_with(problem, self.select_tiling(problem))
+        if self._tiling is not None:
+            return self._cost_with(problem, self._tiling)
+        return self._select(problem)[1]
 
     def _cost_with(self, problem: ConvProblem, t: GemmTiling) -> KernelCost:
         valid = problem.as_valid()

@@ -20,7 +20,7 @@ no dispatcher, DSE, bench or CLI edits.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.baselines.direct_naive import NaiveDirectKernel
 from repro.baselines.fft_conv import FFTConvolution
@@ -88,11 +88,16 @@ class _TunedBackend(ConvBackend):
         except ConfigurationError:
             return None
 
-    def feasible(self, problem: ConvProblem,
-                 arch: GPUArchitecture) -> bool:
+    def admit(self, problem: ConvProblem,
+              arch: GPUArchitecture = KEPLER_K40M
+              ) -> Tuple[bool, Optional[object]]:
         # The explorer already enforces the smem/register/thread budgets
-        # per candidate, so feasibility is "the search is non-empty".
-        return self.configure(problem, arch) is not None
+        # per candidate, so feasibility is "the search is non-empty" and
+        # the one search that decides it also yields the configuration.
+        if not self._gates_ok(problem, arch):
+            return False, None
+        config = self.configure(problem, arch)
+        return config is not None, config
 
 
 class SpecialBackend(_TunedBackend):

@@ -26,6 +26,9 @@ be exactly as strong as ``build`` — a backend admitted for a problem
 must construct without raising (the registry parity suite enforces
 this) — and should reject problems whose launch would violate the
 architecture's shared-memory / register / thread budgets.
+:meth:`ConvBackend.admit` answers the first two questions in one pass,
+``(ok, config)``, so a backend whose feasibility *is* its configuration
+search (the paper kernels) searches once per admission.
 
 Since the problem model grew stride / dilation / groups / layout axes,
 every backend also declares which of those generalized axes it serves
@@ -38,7 +41,7 @@ dilated, grouped or NHWC problem.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -83,17 +86,36 @@ class ConvBackend(ABC):
         """Whether this backend can serve ``problem`` on ``arch``.
 
         ``supports() is True`` guarantees :meth:`build` succeeds for the
-        same ``(problem, arch)`` pair.  The default chains the axis gate
-        (:meth:`axes_ok`) with the cheap structural test
-        (:meth:`capability`) and the resource test (:meth:`feasible`).
+        same ``(problem, arch)`` pair.  It is the verdict half of
+        :meth:`admit`.
         """
+        return self.admit(problem, arch)[0]
+
+    def admit(self, problem: ConvProblem,
+              arch: GPUArchitecture = KEPLER_K40M
+              ) -> Tuple[bool, Optional[object]]:
+        """Admission and configuration in one pass: ``(ok, config)``.
+
+        The default chains the axis gate (:meth:`axes_ok`) with the
+        cheap structural test (:meth:`capability`) and the resource test
+        (:meth:`feasible`), then asks an admitted backend for its
+        :meth:`configure` answer; a filtered backend's config is
+        ``None``.  A :class:`~repro.errors.ReproError` raised by
+        ``configure`` propagates.
+        """
+        if not (self._gates_ok(problem, arch)
+                and self.feasible(problem, arch)):
+            return False, None
+        return True, self.configure(problem, arch)
+
+    def _gates_ok(self, problem: ConvProblem, arch: GPUArchitecture) -> bool:
+        """The cheap gates: a valid problem inside :attr:`AXES` that
+        :meth:`capability` accepts."""
         try:
             problem.as_valid()
         except ReproError:
             return False
-        return (self.axes_ok(problem)
-                and self.capability(problem, arch)
-                and self.feasible(problem, arch))
+        return self.axes_ok(problem) and self.capability(problem, arch)
 
     def axes_ok(self, problem: ConvProblem) -> bool:
         """Whether ``problem``'s generalized axes fall inside
@@ -129,7 +151,7 @@ class ConvBackend(ABC):
         and, when the kernel exposes a ``launch_config(problem)`` probe,
         validates the launch against the architecture's per-block
         limits.  Backends whose configurations come from the DSE
-        override this to ask :meth:`configure` instead.
+        override :meth:`admit` to ask :meth:`configure` instead.
         """
         try:
             kernel = self.build(problem, arch)

@@ -8,7 +8,8 @@ under its name and answers the two questions the consumer layers ask:
   names*, so a CLI typo is self-explaining);
 * :meth:`BackendRegistry.available` — the ordered candidate portfolio
   for one ``(problem, arch)`` pair, filtered through each backend's
-  ``supports`` predicate.
+  :meth:`~repro.kernels.protocol.ConvBackend.admit` and paired with the
+  configuration that admission found.
 
 The registry enforces the serving layer's degradation invariant: the
 fallback backend (``naive`` by default) is appended to every
@@ -25,10 +26,10 @@ the stack actually considered.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.conv.tensors import ConvProblem
-from repro.errors import BackendError
+from repro.errors import BackendError, ReproError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.kernels.protocol import ConvBackend
 
@@ -135,27 +136,40 @@ class BackendRegistry:
         arch: GPUArchitecture = KEPLER_K40M,
         names: Optional[Sequence[str]] = None,
         ensure_fallback: bool = True,
-    ) -> List[ConvBackend]:
-        """The candidate portfolio for ``(problem, arch)``, in order.
+        on_error: Optional[Callable[[str, ReproError], None]] = None,
+    ) -> List[Tuple[ConvBackend, object]]:
+        """The candidate portfolio for ``(problem, arch)``, in order, as
+        ``(backend, config)`` pairs.
 
         ``names`` restricts (and orders) the considered subset; the
         default is every registered backend in registration order.  Each
-        candidate passes through its own ``supports`` predicate, and —
-        unless ``ensure_fallback=False`` — the registry's fallback
-        backend is appended even when filtered or absent from ``names``,
+        candidate passes through its own ``admit``, whose configuration
+        rides along in the pair, and — unless ``ensure_fallback=False``
+        — the registry's fallback backend is appended (with config
+        ``None``) even when filtered or absent from ``names``,
         preserving the "naive always enabled" degradation invariant.
+
+        A backend whose ``admit`` raises a
+        :class:`~repro.errors.ReproError` is left out, counted with
+        outcome ``error`` and reported to ``on_error(name, error)``.
         """
         order = self.names() if names is None else tuple(names)
         counter = _candidate_counter()
-        admitted: List[ConvBackend] = []
+        admitted: List[Tuple[ConvBackend, object]] = []
         for name in order:
             backend = self.get(name)
-            ok = backend.supports(problem, arch)
+            try:
+                ok, config = backend.admit(problem, arch)
+            except ReproError as err:
+                counter.inc(backend=name, outcome="error")
+                if on_error is not None:
+                    on_error(name, err)
+                continue
             counter.inc(backend=name, outcome="admitted" if ok else "filtered")
             if ok:
-                admitted.append(backend)
+                admitted.append((backend, config))
         if (ensure_fallback and self.fallback in self._backends
-                and all(b.name != self.fallback for b in admitted)):
+                and all(b.name != self.fallback for b, _ in admitted)):
             counter.inc(backend=self.fallback, outcome="fallback")
-            admitted.append(self._backends[self.fallback])
+            admitted.append((self._backends[self.fallback], None))
         return admitted

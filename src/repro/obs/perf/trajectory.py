@@ -41,6 +41,7 @@ deterministic for a given tree, so the gate flags any drift.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -112,22 +113,31 @@ def calibrate(reps: int = 24) -> float:
     making wall-clock comparisons portable across hosts while a genuine
     code regression (which does not slow the calibration) still trips
     the budget.  The work amount is fixed — never adaptive — so the
-    measurement itself is comparable between runs.
+    measurement itself is comparable between runs.  The cyclic garbage
+    collector is paused while timing, as :mod:`timeit` does: a full
+    collection walks the caller's whole heap, so where one lands would
+    make the yardstick measure the calling process rather than the host.
     """
     rng = np.random.default_rng(0)
     a = rng.standard_normal((96, 96)).astype(np.float32)
     b = rng.standard_normal((96, 96)).astype(np.float32)
     acc = 0.0
-    start = time.perf_counter()
-    for _ in range(reps):
-        c = a @ b
-        acc += float(c[0, 0])
-        total = 0
-        for i in range(20_000):          # the Python-interpreter share
-            total += i & 7
-        acc += total
-        a = np.roll(a, 1, axis=0)
-    elapsed = time.perf_counter() - start
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for _ in range(reps):
+            c = a @ b
+            acc += float(c[0, 0])
+            total = 0
+            for i in range(20_000):      # the Python-interpreter share
+                total += i & 7
+            acc += total
+            a = np.roll(a, 1, axis=0)
+        elapsed = time.perf_counter() - start
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     if acc == float("inf"):              # keep the work observable
         raise ObservabilityError("calibration overflowed")
     return elapsed

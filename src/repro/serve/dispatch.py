@@ -2,20 +2,23 @@
 
 For each distinct problem shape the dispatcher builds a
 :class:`KernelPlan`: it asks the kernel-backend registry for the
-admissible portfolio (``registry.available(problem, arch)``), lets each
-backend autotune itself via ``configure``, prices every candidate with
-the traced cost + timing models, and routes to the cheapest.  Plans are
-memoized in the :class:`~repro.serve.plan_cache.PlanCache`, so the
-design-space exploration is paid once per shape.
+admissible portfolio (``registry.available(problem, arch)``), whose
+admission pass already autotuned each backend via ``configure``, builds
+every candidate from that configuration, prices it with the traced
+cost + timing models, and routes to the cheapest.  Plans are memoized
+in the :class:`~repro.serve.plan_cache.PlanCache`, so the design-space
+exploration is paid once per shape, and once per backend within it.
 
 The dispatcher holds no per-backend knowledge: any backend registered
 with :func:`repro.kernels.default_registry` — including FFT and
 Winograd — is servable by name.
 
-Degradation is graceful at both stages: a backend whose planning or
-prediction raises is skipped (the naive-direct backend always plans), and
-a backend whose *functional* execution raises falls back to the naive
-backend for that request, which is re-priced accordingly.
+Degradation is graceful at both stages: a backend whose ``configure``,
+``build`` or ``predict`` raises is skipped and counted in
+``dispatch_backend_rejections_total`` by backend and stage (the
+naive-direct backend always plans), and a backend whose *functional*
+execution raises falls back to the naive backend for that request,
+which is re-priced accordingly.
 
 Transient build failures get a third, distinct treatment: a plan build
 that raises :class:`~repro.errors.TransientBackendError` — a modeled
@@ -139,6 +142,11 @@ class Dispatcher:
         self._plan_retries = self.registry.counter(
             "dispatch_plan_retries_total",
             "Plan builds retried after a transient backend failure")
+        self._rejections = self.registry.counter(
+            "dispatch_backend_rejections_total",
+            "Backends dropped from a plan build because configure, build "
+            "or predict raised, by backend and stage",
+            labelnames=("backend", "stage"))
         if plan_retries < 0:
             raise ReproError("plan_retries must be >= 0, got %d"
                              % plan_retries)
@@ -177,19 +185,23 @@ class Dispatcher:
         """Yield (backend name, kernel, winning config) triples.
 
         The portfolio comes from the kernel-backend registry: each
-        enabled backend passes its own ``supports`` predicate, tunes
-        itself through ``configure``, and builds its kernel — no
-        per-backend branches live here.
+        enabled backend passes its own ``admit``, which hands back the
+        configuration its one search found, and builds its kernel from
+        it — no per-backend branches live here.
         """
-        for backend in self.kernels.available(
-                problem, self.arch, names=self.backends):
+        def configure_failed(name, err):
+            self._rejections.inc(backend=name, stage="configure")
+
+        for backend, config in self.kernels.available(
+                problem, self.arch, names=self.backends,
+                on_error=configure_failed):
             if backend.name == self.kernels.fallback:
                 yield backend.name, self._naive, None
                 continue
             try:
-                config = backend.configure(problem, self.arch)
                 kernel = backend.build(problem, self.arch, config)
             except ReproError:
+                self._rejections.inc(backend=backend.name, stage="build")
                 continue
             yield backend.name, kernel, config
 
@@ -225,6 +237,7 @@ class Dispatcher:
             try:
                 breakdown = kernel.predict(problem, self.model)
             except ReproError:
+                self._rejections.inc(backend=name, stage="predict")
                 continue
             candidates[name] = breakdown.total
             if best is None or breakdown.total < best.breakdown.total:

@@ -75,6 +75,43 @@ class TestCostShape:
         kernel.launch_config_ok = kernel.cost(p)  # must not raise
 
 
+class TestTracing:
+    """Tile selection traces each palette tile once, and ``cost`` reuses
+    the winner's trace instead of tracing it again."""
+
+    P = ConvProblem.square(64, 3, channels=16, filters=64)
+
+    @staticmethod
+    def _traced():
+        from repro.obs.metrics import get_registry
+
+        metric = get_registry().get("gpu_kernel_costs_total")
+        return metric.total() if metric is not None else 0.0
+
+    def test_unfixed_cost_traces_each_palette_tile_once(self, kernel):
+        before = self._traced()
+        kernel.cost(self.P)
+        assert self._traced() - before == len(DEFAULT_TILE_PALETTE)
+
+    def test_fixed_tiling_traces_once(self):
+        kern = ImplicitGemmKernel(tiling=DEFAULT_TILE_PALETTE[2])
+        before = self._traced()
+        kern.cost(self.P)
+        assert self._traced() - before == 1
+
+    @pytest.mark.parametrize("problem", [
+        ConvProblem.square(64, 3, channels=16, filters=64),
+        ConvProblem.square(512, 3, channels=1, filters=8),
+        ConvProblem.square(33, 5, channels=4, filters=8, stride=2),
+    ], ids=["mid", "small-f", "strided"])
+    def test_cost_equals_a_fresh_trace_of_the_selected_tile(self, kernel,
+                                                           problem):
+        tiling = kernel.select_tiling(problem)
+        assert kernel.cost(problem) == kernel._cost_with(problem, tiling)
+        fixed = ImplicitGemmKernel(tiling=tiling)
+        assert fixed.cost(problem) == kernel.cost(problem)
+
+
 class TestVersusPaper:
     def test_loses_to_special_kernel_generally(self):
         from repro.core.special import SpecialCaseKernel

@@ -80,15 +80,15 @@ class TestParity:
         admitted = registry.available(problem, KEPLER_K40M,
                                       ensure_fallback=False)
         assert admitted, "no backend admitted %r" % (problem,)
-        for backend in admitted:
-            out = backend.run(image, filters, problem.padding)
+        for backend, config in admitted:
+            out = backend.run(image, filters, problem.padding, config=config)
             rtol, atol = LOOSE.get(backend.name, TIGHT)
             np.testing.assert_allclose(
                 out, reference, rtol=rtol, atol=atol,
                 err_msg="backend %r diverges on %r" % (backend.name, problem))
 
     def test_naive_admitted_everywhere(self, problem):
-        names = [b.name for b in default_registry().available(
+        names = [b.name for b, _ in default_registry().available(
             problem, KEPLER_K40M)]
         assert "naive" in names
 
@@ -106,8 +106,8 @@ class TestExtendedAxisParity:
         admitted = registry.available(problem, KEPLER_K40M,
                                       ensure_fallback=False)
         assert admitted, "no backend admitted %s" % problem.describe()
-        for backend in admitted:
-            out = backend.run(image, filters, problem=problem)
+        for backend, config in admitted:
+            out = backend.run(image, filters, config=config, problem=problem)
             rtol, atol = LOOSE.get(backend.name, TIGHT)
             np.testing.assert_allclose(
                 out, reference, rtol=rtol, atol=atol,
@@ -116,14 +116,14 @@ class TestExtendedAxisParity:
 
     def test_depthwise_admitted_for_depthwise_shapes(self, extended_problem):
         problem = extended_problem
-        names = [b.name for b in default_registry().available(
+        names = [b.name for b, _ in default_registry().available(
             problem, KEPLER_K40M, ensure_fallback=False)]
         is_depthwise = (problem.groups == problem.channels
                         and problem.channels > 1)
         assert ("depthwise" in names) == is_depthwise
 
     def test_transform_backends_never_admitted(self, extended_problem):
-        names = [b.name for b in default_registry().available(
+        names = [b.name for b, _ in default_registry().available(
             extended_problem, KEPLER_K40M, ensure_fallback=False)]
         assert "fft" not in names and "winograd" not in names
 

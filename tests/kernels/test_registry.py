@@ -82,44 +82,86 @@ class TestLookup:
 class TestAvailable:
     def test_multi_channel_excludes_special(self, registry):
         p = ConvProblem.square(32, 3, channels=8, filters=8)
-        names = [b.name for b in registry.available(p, KEPLER_K40M)]
+        names = [b.name for b, _ in registry.available(p, KEPLER_K40M)]
         assert "special" not in names
         assert "general" in names and "naive" in names
 
     def test_single_channel_admits_special(self, registry):
         p = ConvProblem.square(64, 3, channels=1, filters=4)
-        names = [b.name for b in registry.available(p, KEPLER_K40M)]
+        names = [b.name for b, _ in registry.available(p, KEPLER_K40M)]
         assert names[0] == "special"
 
     def test_winograd_requires_3x3(self, registry):
         p = ConvProblem.square(32, 5, channels=4, filters=8)
-        names = [b.name for b in registry.available(p, KEPLER_K40M)]
+        names = [b.name for b, _ in registry.available(p, KEPLER_K40M)]
         assert "winograd" not in names
 
     def test_fallback_always_appended(self, registry):
         # A subset that filters to nothing still yields the fallback.
         p = ConvProblem.square(32, 3, channels=8, filters=8)
-        backends = registry.available(p, KEPLER_K40M, names=("special",))
-        assert [b.name for b in backends] == ["naive"]
+        pairs = registry.available(p, KEPLER_K40M, names=("special",))
+        assert [(b.name, config) for b, config in pairs] == [("naive", None)]
 
     def test_ensure_fallback_off(self, registry):
         p = ConvProblem.square(32, 3, channels=8, filters=8)
-        backends = registry.available(p, KEPLER_K40M, names=("special",),
-                                      ensure_fallback=False)
-        assert backends == []
+        pairs = registry.available(p, KEPLER_K40M, names=("special",),
+                                   ensure_fallback=False)
+        assert pairs == []
 
     def test_names_subset_preserves_order(self, registry):
         p = ConvProblem.square(64, 3, channels=1, filters=4)
         subset = ("general", "special", "naive")
-        names = [b.name for b in registry.available(p, KEPLER_K40M,
-                                                    names=subset)]
+        names = [b.name for b, _ in registry.available(p, KEPLER_K40M,
+                                                       names=subset)]
         assert names == list(subset)
 
     def test_available_on_pascal(self, registry):
         # supports() runs against the non-Kepler preset too.
         p = ConvProblem.square(64, 3, channels=1, filters=4)
-        names = [b.name for b in registry.available(p, PASCAL_P100)]
+        names = [b.name for b, _ in registry.available(p, PASCAL_P100)]
         assert "special" in names and "naive" in names
+
+    def test_pairs_carry_the_configure_answer(self, registry):
+        p = ConvProblem.square(64, 3, channels=1, filters=4)
+        configs = {b.name: config
+                   for b, config in registry.available(p, KEPLER_K40M)}
+        for name in ("special", "general"):
+            assert configs[name] is not None
+            assert configs[name] == registry.get(name).configure(
+                p, KEPLER_K40M)
+        assert configs["im2col"] is None and configs["naive"] is None
+
+    def test_admit_matches_supports(self, registry):
+        p = ConvProblem.square(32, 3, channels=8, filters=8)
+        for backend in registry:
+            ok, config = backend.admit(p, KEPLER_K40M)
+            assert ok == backend.supports(p, KEPLER_K40M)
+            if not ok:
+                assert config is None
+
+    def test_admission_error_is_reported_and_skipped(self, registry):
+        from repro.obs.metrics import get_registry, reset_registry
+
+        class RaisesInConfigure(NaiveBackend):
+            name = "raises-in-configure"
+
+            def configure(self, problem, arch=KEPLER_K40M):
+                raise ReproError("configure exploded")
+
+        registry.register(RaisesInConfigure())
+        reset_registry()
+        errors = []
+        p = ConvProblem.square(32, 3, channels=8, filters=8)
+        pairs = registry.available(
+            p, KEPLER_K40M, names=("raises-in-configure", "general"),
+            on_error=lambda name, err: errors.append((name, str(err))))
+        assert [b.name for b, _ in pairs] == ["general", "naive"]
+        assert errors == [("raises-in-configure", "configure exploded")]
+        counter = get_registry().counter(
+            "kernel_backend_candidates_total", "", ("backend", "outcome"))
+        assert counter.value(backend="raises-in-configure",
+                             outcome="error") == 1
+        reset_registry()
 
 
 class TestObservability:

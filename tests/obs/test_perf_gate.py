@@ -2,7 +2,6 @@
 
 import copy
 
-import numpy as np
 import pytest
 
 from repro.errors import ObservabilityError
@@ -131,33 +130,10 @@ class TestCompare:
 
 
 class TestHandicapInjector:
-    """The deliberate-slowdown hook the acceptance criterion leans on."""
+    """The deliberate-slowdown hook the acceptance criterion leans on.
 
-    def _run_block_seconds(self, handicap=None):
-        import time
-
-        from repro.gpu.arch import KEPLER_K40M
-        from repro.gpu.device import DeviceExecutor
-
-        ex = DeviceExecutor(KEPLER_K40M, handicap=handicap)
-        buf = ex.alloc_global(np.zeros(64, np.float32), "buf")
-
-        def program(block, buf):
-            deadline = time.perf_counter() + 0.02
-            while time.perf_counter() < deadline:
-                pass
-            for warp in block.warps():
-                warp.gload(buf, np.arange(32), site="gm.load")
-                break
-
-        start = time.perf_counter()
-        ex.run_block(program, (0, 0), 32, buf)
-        return time.perf_counter() - start
-
-    def test_handicap_slows_run_block(self):
-        base = self._run_block_seconds()
-        slowed = self._run_block_seconds(handicap=3.0)
-        assert slowed > base * 1.8
+    That the handicap stretches wall time is a host-dependent claim; it
+    lives in ``benchmarks/bench_handicap.py``, outside tier-1."""
 
     def test_env_handicap_applies(self, monkeypatch):
         from repro.gpu.device import DeviceExecutor, HANDICAP_ENV
@@ -180,7 +156,8 @@ class TestHandicapInjector:
         with pytest.raises(TraceError):
             DeviceExecutor(KEPLER_K40M)
 
-    def test_handicap_slows_simulator_workload_end_to_end(self, monkeypatch):
+    def test_handicap_leaves_simulator_modeled_metrics_unchanged(
+            self, monkeypatch):
         from repro.gpu.device import HANDICAP_ENV
         from repro.obs.perf.suite import run_workload
 
@@ -191,7 +168,6 @@ class TestHandicapInjector:
         # Modeled metrics are untouched; only the host clock stretches.
         assert slowed["modeled_total_s"] == base["modeled_total_s"]
         assert slowed["flops"] == base["flops"]
-        assert slowed["wall_s"] > base["wall_s"] * 2.0
 
 
 class TestSuite:

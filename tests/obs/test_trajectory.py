@@ -114,6 +114,19 @@ class TestCalibration:
         # Same machine, same work: within an order of magnitude.
         assert 0.1 < a / b < 10.0
 
+    def test_collector_paused_only_while_timing(self):
+        import gc
+
+        assert gc.isenabled()
+        calibrate(reps=1)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            calibrate(reps=1)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
 
 class TestNormalizeBenchServe:
     def test_checked_in_document_normalizes(self, repo_root):

@@ -5,11 +5,19 @@ import pytest
 
 from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem
+from repro.core.bankwidth import matched_vector
+from repro.core.dse import _general_palette, enumerate_special_configs
 from repro.errors import ReproError
+from repro.gpu.arch import FERMI_M2090, KEPLER_K40M
+from repro.kernels import (
+    BackendRegistry, NaiveBackend, register_builtin_backends,
+)
+from repro.obs.metrics import get_registry, reset_registry
 from repro.serve import dispatch
 from repro.serve.dispatch import DEFAULT_BACKENDS, Dispatcher, KernelPlan
 from repro.serve.plan_cache import PlanCache
 from repro.serve.request import ConvRequest
+from repro.serve.trace import SHAPE_FAMILIES
 
 SPECIAL = ConvProblem.square(48, 3, channels=1, filters=4)
 GENERAL = ConvProblem.square(32, 3, channels=8, filters=16)
@@ -229,3 +237,187 @@ class TestExecution:
         for request, output in zip(requests, outputs):
             assert np.array_equal(
                 output, conv2d_reference(request.image, request.filters))
+
+
+#: The backends whose configuration comes from the design-space search.
+TUNED = ("special", "general", "depthwise")
+
+
+def _churn_style_shapes(count=32, seed=7):
+    """Plain, strided, dilated and depthwise shapes in turn, H 16-64,
+    K 3/5, C 1-16, F 4-16: the mix a cold serving engine plans."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    for i in range(count):
+        h = int(rng.integers(16, 65))
+        c = int(rng.integers(1, 17))
+        f = int(rng.integers(4, 17))
+        kind, kwargs = i % 4, {}
+        if kind == 1:
+            kwargs["stride"] = 2
+        elif kind == 2:
+            kwargs["dilation"] = 2
+        elif kind == 3:
+            c = f = kwargs["groups"] = max(c, 2)
+        shapes.append(ConvProblem.square(h, (3, 5)[(i // 4) % 2],
+                                         channels=c, filters=f, **kwargs))
+    return shapes
+
+
+PALETTE_SHAPES = list(dict.fromkeys(
+    p for family in ("classic", "generalized", "mixed")
+    for p in SHAPE_FAMILIES[family]))
+CHURN_STYLE_SHAPES = _churn_style_shapes()
+
+
+def _candidate_series():
+    metric = get_registry().get("kernel_backend_candidates_total")
+    return sorted((tuple(sorted(labels.items())), value)
+                  for labels, value in metric.series())
+
+
+def _two_pass_plan(dispatcher, problem):
+    """The plan build before admission returned configurations: a
+    ``supports`` pass over the portfolio, then ``configure`` again for
+    each admitted backend, ``build`` and ``predict``.  Returns
+    ``((backend, config, breakdown), candidates)``."""
+    kernels, arch = dispatcher.kernels, dispatcher.arch
+    counter = get_registry().counter(
+        "kernel_backend_candidates_total", "", ("backend", "outcome"))
+    admitted = []
+    for name in dispatcher.backends:
+        backend = kernels.get(name)
+        ok = backend.supports(problem, arch)
+        counter.inc(backend=name, outcome="admitted" if ok else "filtered")
+        if ok:
+            admitted.append(backend)
+    if all(b.name != kernels.fallback for b in admitted):
+        counter.inc(backend=kernels.fallback, outcome="fallback")
+        admitted.append(kernels.get(kernels.fallback))
+    best, candidates = None, {}
+    for backend in admitted:
+        try:
+            config = backend.configure(problem, arch)
+            kernel = backend.build(problem, arch, config)
+            breakdown = kernel.predict(problem, dispatcher.model)
+        except ReproError:
+            continue
+        candidates[backend.name] = breakdown.total
+        if best is None or breakdown.total < best[2].total:
+            best = (backend.name, config, breakdown)
+    return best, candidates
+
+
+@pytest.fixture
+def fresh_obs():
+    reset_registry()
+    yield get_registry()
+    reset_registry()
+
+
+class TestOnePassAdmission:
+    """Admission hands each backend's configuration to the dispatcher,
+    so a plan build runs each tuned backend's search once."""
+
+    @staticmethod
+    def _palette_size(name, problem, arch):
+        if name == "general":
+            return len(_general_palette(problem.kernel_size,
+                                        matched_vector(arch).n))
+        return len(enumerate_special_configs())
+
+    @pytest.mark.parametrize("problem", [SPECIAL, GENERAL, DEPTHWISE],
+                             ids=["special", "general", "depthwise"])
+    def test_each_admitted_tuned_backend_searches_once(
+            self, monkeypatch, fresh_obs, problem):
+        kernels = register_builtin_backends(BackendRegistry())
+        calls = dict.fromkeys(TUNED, 0)
+        for name in TUNED:
+            backend = kernels.get(name)
+
+            def counting(p, arch=KEPLER_K40M, _name=name,
+                         _real=backend.configure):
+                calls[_name] += 1
+                return _real(p, arch)
+
+            monkeypatch.setattr(backend, "configure", counting)
+        plan = Dispatcher(kernels=kernels).build_plan(problem)
+        searched = [name for name in TUNED if name in plan.candidates]
+        assert searched
+        assert calls == {name: int(name in searched) for name in TUNED}
+        evaluated = fresh_obs.get("dse_candidates_total").total()
+        assert evaluated == sum(self._palette_size(name, problem, KEPLER_K40M)
+                                for name in searched)
+
+    @pytest.mark.parametrize("arch", [KEPLER_K40M, FERMI_M2090],
+                             ids=["kepler", "fermi"])
+    def test_plans_match_the_two_pass_loop(self, fresh_obs, arch):
+        for problem in PALETTE_SHAPES + CHURN_STYLE_SHAPES:
+            dispatcher = Dispatcher(arch=arch)
+            reset_registry()
+            (backend, config, breakdown), candidates = _two_pass_plan(
+                dispatcher, problem)
+            old_series = _candidate_series()
+            reset_registry()
+            plan = dispatcher.build_plan(problem)
+            label = problem.describe()
+            assert plan.source == "cost-model", label
+            assert plan.backend == backend, label
+            assert plan.config == config, label
+            assert plan.candidates == candidates, label
+            assert plan.breakdown == breakdown, label
+            assert _candidate_series() == old_series, label
+
+
+class _RaisingBackend(NaiveBackend):
+    """Admissible everywhere; raises a ReproError at one plan stage
+    once it is configured."""
+
+    name = "raising"
+
+    def __init__(self, stage):
+        self.stage = stage
+
+    def configure(self, problem, arch=KEPLER_K40M):
+        if self.stage == "configure":
+            raise ReproError("configure exploded")
+        return "tuned"
+
+    def build(self, problem, arch=KEPLER_K40M, config=None, **kwargs):
+        if config == "tuned" and self.stage == "build":
+            raise ReproError("build exploded")
+        kernel = super().build(problem, arch, **kwargs)
+        if config == "tuned" and self.stage == "predict":
+            def predict(problem, model=None):
+                raise ReproError("predict exploded")
+
+            kernel.predict = predict
+        return kernel
+
+
+class TestRejectionAccounting:
+    """A backend dropped from a plan build is counted by stage in
+    ``dispatch_backend_rejections_total``, and the plan still succeeds
+    on the rest of the portfolio."""
+
+    @pytest.mark.parametrize("stage", ["configure", "build", "predict"])
+    def test_raising_backend_is_counted_and_skipped(self, stage):
+        kernels = register_builtin_backends(BackendRegistry())
+        kernels.register(_RaisingBackend(stage))
+        dispatcher = Dispatcher(kernels=kernels,
+                                backends=("raising", "general"))
+        plan = dispatcher.plan(GENERAL)
+        assert plan.source == "cost-model"
+        assert set(plan.candidates) == {"general", "naive"}
+        rejections = dispatcher.registry.get(
+            "dispatch_backend_rejections_total")
+        assert rejections.series() == [
+            ({"backend": "raising", "stage": stage}, 1.0)]
+
+    def test_healthy_portfolio_rejects_nothing(self):
+        dispatcher = Dispatcher()
+        for problem in (SPECIAL, GENERAL, DEPTHWISE):
+            dispatcher.plan(problem)
+        rejections = dispatcher.registry.get(
+            "dispatch_backend_rejections_total")
+        assert rejections.total() == 0
