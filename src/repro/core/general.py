@@ -42,6 +42,7 @@ from repro.gpu.trace import (
     KernelTracer,
     cross_block_reuse,
     prepare_batch,
+    prepare_rows,
 )
 
 __all__ = ["GeneralCaseKernel", "default_config_for", "SMALL_IMAGE_CONFIGS"]
@@ -320,11 +321,18 @@ class GeneralCaseKernel:
         c_total = valid.channels
         chunks = math.ceil(c_total / cfg.csh)
 
+        # Every site's warp requests depend only on the configuration and
+        # a few problem dimensions, never on how often they run, so each
+        # site is a prepared batch cached per geometry and folded with
+        # this problem's counts.  The fold order and each row's
+        # ``mult * scale`` are part of the model: the counts are not all
+        # integers, so regrouping them would change the ledger's float
+        # sums (docs/SIMULATOR.md).
         tracer = KernelTracer(self.arch, self.bank_policy)
         warp_lanes = self.arch.warp_size
-        lanes = np.arange(warp_lanes, dtype=np.int64)
         elem = self.elem_bytes
         unit = n * elem
+        row_bytes = tracer.smem_batch_mod()
 
         halo = d * (k - 1)
         img_row_floats = (cfg.w - 1) * s + halo + 1
@@ -334,86 +342,52 @@ class GeneralCaseKernel:
         # Each footprint row is one contiguous run; runs are strided by the
         # image pitch, so they are traced per-row.  The row base is aligned
         # to W floats (blocks start at multiples of W).
-        row_lanes = min(warp_lanes, math.ceil(img_row_floats / n))
-        row_pattern = np.arange(row_lanes, dtype=np.int64) * unit
         full_row_reqs = math.ceil(img_row_floats / (n * warp_lanes))
         # The TBX filter-group blocks at the same image location stream
         # the same pixels; the footprint is tiny, so the L2 serves the
         # repeats (symmetric with the credit the cuDNN baseline gets).
         img_slab = valid.channels * valid.height * valid.width * elem
-        tracer.gmem_read(
-            row_pattern,
+        tracer.gmem_read_prepared(
+            _lane_batch(min(warp_lanes, math.ceil(img_row_floats / n)),
+                        unit, tracer.gmem_batch_mod(unit)),
             unit,
-            count=float(full_row_reqs) * img_rows * c_total * blocks,
+            scale=float(full_row_reqs) * img_rows * c_total * blocks,
             site="gm.load_image",
             l2_reuse=cross_block_reuse(self.arch, img_slab, fgroups),
         )
 
         # --- global loads: filter chunk (FTB runs of CSH*K*K floats) -------
-        run_floats = cfg.csh * k * k
-        stride = c_total * k * k * elem
         flt_reuse = cross_block_reuse(
             self.arch,
             valid.filters * c_total * k * k * elem,
             grid.total_blocks,
         )
-        # The run base alignment cycles with the filter index and the
-        # channel-chunk offset; enumerate the actual distinct alignments
-        # and weight them by frequency (this makes the sector count
-        # exact, as the interpreter audit verifies).
-        seg = KernelTracer.SECTOR_BYTES
-        base_values, base_freqs = _filter_base_alignments(
-            cfg.ftb, stride, cfg.csh * k * k * elem, chunks, seg)
-        scalar_lanes = lanes * elem
-        full_reqs, rem = divmod(run_floats, warp_lanes)
-        for base, freq in zip(base_values, base_freqs):
-            # A run of CSH*K*K scalars splits into full-warp requests
-            # plus one remainder request with the leftover lanes.
-            if full_reqs:
-                tracer.gmem_read(
-                    base + scalar_lanes, elem,
-                    count=float(full_reqs) * freq * blocks,
-                    site="gm.load_filter", l2_reuse=flt_reuse,
-                )
-            if rem:
-                rem_base = base + full_reqs * warp_lanes * elem
-                tracer.gmem_read(
-                    rem_base + scalar_lanes[:rem], elem,
-                    count=float(freq) * blocks,
-                    site="gm.load_filter", l2_reuse=flt_reuse,
-                )
+        tracer.gmem_read_prepared(
+            _filter_load_batch(warp_lanes, cfg.ftb, c_total * k * k * elem,
+                               cfg.csh * k * k, chunks, elem),
+            elem, scale=blocks, site="gm.load_filter", l2_reuse=flt_reuse,
+        )
 
         # --- shared-memory staging ------------------------------------------
         img_units = cfg.csh * img_rows * math.ceil(img_row_floats / n)
-        tracer.smem_write(
-            lanes * unit,
+        tracer.smem_write_prepared(
+            _lane_batch(warp_lanes, unit, row_bytes),
             unit,
-            count=img_units / warp_lanes * chunks * blocks,
+            scale=img_units / warp_lanes * chunks * blocks,
             site="sm.store_image",
         )
-        # Transposed filter store: lane l writes shFlt[tap][f] with the
-        # filter index fastest; scalar stores (the transpose defeats
-        # vectorization).  Padding keeps successive tap rows off the same
-        # banks.
-        flt_row_stride = (cfg.ftb + cfg.smem_filter_pad(n)) * elem
-        t_of_lane = lanes // min(cfg.ftb, warp_lanes)
-        f_of_lane = lanes % min(cfg.ftb, warp_lanes)
-        store_pattern = t_of_lane * flt_row_stride + f_of_lane * elem
         flt_values = cfg.csh * k * k * cfg.ftb
-        tracer.smem_write(
-            store_pattern,
+        tracer.smem_write_prepared(
+            _flt_store_batch(warp_lanes, cfg.ftb, cfg.smem_filter_pad(n),
+                             elem, row_bytes),
             elem,
-            count=flt_values / warp_lanes * chunks * blocks,
+            scale=flt_values / warp_lanes * chunks * blocks,
             site="sm.store_filter",
         )
 
         # --- shared-memory reads: image register rows (line 12) -------------
         # Address depends only on ty; TX lanes broadcast.  A warp holds
-        # warp/TX distinct ty values.  The batch geometry depends only on
-        # the config's tiling (not the problem), so the canonicalized
-        # batch is built once per geometry and folded with this
-        # problem's execution count.
-        row_bytes = tracer.smem_batch_mod()
+        # warp/TX distinct ty values.
         tracer.smem_read_prepared(
             _img_row_read_batch(warp_lanes, cfg.tx, cfg.ty, cfg.wt, cfg.w,
                                 k, elem, n, row_bytes, s, d),
@@ -515,28 +489,55 @@ def _writeback_batch(warp_lanes, tx, ty, ft, wt, map_stride, elem, n):
 
 
 @functools.lru_cache(maxsize=4096)
-def _filter_base_alignments(ftb, stride, chunk_step, chunks, seg):
-    """Distinct filter-run base alignments mod ``seg`` and their counts.
+def _lane_batch(lanes, unit, mod):
+    """Prepared single request in which lane ``l`` accesses unit ``l``
+    (an image footprint row load, the image staging store)."""
+    return prepare_batch(np.arange(lanes, dtype=np.int64) * unit, mod)
 
-    The run base walks ``f * stride + chunk * chunk_step``; only its
-    residue mod the sector matters to the coalescer, and a whole config
-    sweep shares a handful of (ftb, stride, chunk_step, chunks) tuples,
-    so the enumeration is memoized.
+
+@functools.lru_cache(maxsize=4096)
+def _filter_load_batch(warp_lanes, ftb, stride, run_floats, chunks, elem):
+    """Prepared filter-chunk loads, in trace order, with per-row counts.
+
+    Filter ``f``'s run for channel chunk ``c`` starts at byte
+    ``f * stride + c * run_floats * elem``; only its residue mod the
+    sector matters to the coalescer, so the distinct residues are
+    enumerated and weighted by frequency (which makes the sector count
+    exact, as the interpreter audit verifies).  Each run of
+    ``run_floats`` scalars splits into full-warp requests plus one
+    remainder request with the leftover lanes.  The rows stay unmerged
+    (:func:`prepare_rows`): the site divides every row's bytes by its
+    L2 reuse, so merging equal rows would change the float sum.
     """
+    seg = KernelTracer.SECTOR_BYTES
     base_grid = (
         np.arange(ftb, dtype=np.int64)[:, np.newaxis] * stride
-        + np.arange(chunks, dtype=np.int64) * chunk_step
+        + np.arange(chunks, dtype=np.int64) * (run_floats * elem)
     ) % seg
     values, freqs = np.unique(base_grid, return_counts=True)
-    return tuple(values.tolist()), tuple(freqs.tolist())
+    scalar_lanes = np.arange(warp_lanes, dtype=np.int64) * elem
+    full_reqs, rem = divmod(run_floats, warp_lanes)
+    rows, mults = [], []
+    for base, freq in zip(values.tolist(), freqs.tolist()):
+        if full_reqs:
+            rows.append(base + scalar_lanes)
+            mults.append(float(full_reqs) * freq)
+        if rem:
+            rem_base = base + full_reqs * warp_lanes * elem
+            rows.append(rem_base + scalar_lanes[:rem])
+            mults.append(float(freq))
+    return prepare_rows(rows, mults, math.lcm(elem, seg))
 
 
-def rows_of_ty_addr(cfg: GeneralCaseConfig, k: int, ty_ids: np.ndarray) -> np.ndarray:
-    """Shared-memory float offsets of each ty group's current image row."""
-    rows = (ty_ids * cfg.wt) // cfg.w
-    return rows * (cfg.w + k - 1)
+@functools.lru_cache(maxsize=4096)
+def _flt_store_batch(warp_lanes, ftb, pad, elem, row_bytes):
+    """Prepared transposed filter store.
 
-
-def cols_addr(cfg: GeneralCaseConfig, ty_ids: np.ndarray) -> np.ndarray:
-    """Shared-memory float offsets of each ty group's starting column."""
-    return (ty_ids * cfg.wt) % cfg.w
+    Lane ``l`` writes ``shFlt[tap][f]`` with the filter index fastest;
+    the stores are scalar (the transpose defeats vectorization), and
+    ``pad`` keeps successive tap rows off the same banks.
+    """
+    lanes = np.arange(warp_lanes, dtype=np.int64)
+    per_row = min(ftb, warp_lanes)
+    pattern = ((lanes // per_row) * (ftb + pad) + lanes % per_row) * elem
+    return prepare_batch(pattern, row_bytes)

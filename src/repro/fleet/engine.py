@@ -468,8 +468,9 @@ class FleetEngine:
                     res = _serve_replica_shard(
                         replica, engine_kwargs, shard, seed, directives)
                     reason = res.get("failed")
-                except Exception:
+                except Exception as exc:
                     reason = "error"
+                    self.health.record_error(replica, exc)
                 if reason is not None:
                     self.health.record_failure(replica, reason, now)
                     failed.append((replica, shard, seed, reason))

@@ -28,6 +28,10 @@ series operators page on:
 * ``fleet_hedges_total`` / ``fleet_obs_dropped_total`` — hedged
   straggler dispatches and tolerated telemetry losses.
 
+A shard that raised also leaves its ``"<type>: <message>"`` text as the
+replica's latest error, shown under ``last_errors`` in :meth:`stats`
+once any replica has one.
+
 The **degradation level** summarizes all of it for the SLO surface:
 ``healthy`` (no open breakers, nothing failed over in the last replay),
 ``degraded`` (failovers happened or a minority of breakers are open),
@@ -161,6 +165,7 @@ class HealthTracker:
             "fleet_obs_dropped_total",
             "Replica telemetry snapshots dropped and tolerated")
         self._failovers_last_replay = 0
+        self._last_errors: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     def begin_replay(self) -> None:
@@ -179,6 +184,10 @@ class HealthTracker:
         self._failures.inc(replica=replica, reason=reason)
         transition = self.breakers[replica].record_failure(now_s)
         self._note_transition(replica, transition, now_s)
+
+    def record_error(self, replica: int, error: BaseException) -> None:
+        """Keep the text of the exception a replica's shard raised."""
+        self._last_errors[replica] = "%s: %s" % (type(error).__name__, error)
 
     def record_failover(self, reason: str) -> None:
         self._failovers.inc(reason=reason)
@@ -234,7 +243,7 @@ class HealthTracker:
 
     def stats(self, now_s: float) -> dict:
         """JSON-serializable health snapshot for the SLO surface."""
-        return {
+        snap = {
             "degradation": self.degradation(now_s),
             "breakers": {str(replica): state
                          for replica, state in self.states(now_s).items()},
@@ -252,3 +261,9 @@ class HealthTracker:
             "hedges": self.hedges,
             "obs_dropped": self.obs_dropped,
         }
+        if self._last_errors:
+            snap["last_errors"] = {
+                str(replica): text
+                for replica, text in sorted(self._last_errors.items())
+            }
+        return snap

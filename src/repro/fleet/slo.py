@@ -196,6 +196,8 @@ def format_fleet_stats(snap: dict) -> str:
                      % (health["degradation"], open_breakers,
                         health["failures"], health["failovers"],
                         health["hedges"]))
+        for replica, text in health.get("last_errors", {}).items():
+            lines.append("  replica %s last error: %s" % (replica, text))
     for replica, block in sorted(snap["replicas"].items(),
                                  key=lambda kv: int(kv[0])):
         lines.append(

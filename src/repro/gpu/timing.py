@@ -79,6 +79,20 @@ ETA_MAX = 0.92
 COMPUTE_EFFICIENCY = 0.70
 
 
+def _timing_counters(reg) -> tuple:
+    """The counters :meth:`TimingModel.evaluate` writes, in creation order."""
+    return (
+        reg.counter(
+            "gpu_modeled_seconds_total",
+            "Modeled execution seconds, by kernel and roofline component",
+            labelnames=("kernel", "component")),
+        reg.counter(
+            "gpu_timing_evaluations_total",
+            "Timing-model evaluations, by kernel",
+            labelnames=("kernel",)),
+    )
+
+
 @dataclass(frozen=True)
 class TimingBreakdown:
     """Component times (seconds) and derived totals for one launch."""
@@ -147,16 +161,10 @@ class TimingModel:
         """Mirror an evaluation into the metrics registry per component."""
         reg = self.registry if self.registry is not None \
             else _metrics.get_registry()
-        seconds = reg.counter(
-            "gpu_modeled_seconds_total",
-            "Modeled execution seconds, by kernel and roofline component",
-            labelnames=("kernel", "component"))
+        seconds, evaluations = reg.handles(_timing_counters)
         for component, value in components.items():
             seconds.inc_key((kernel, component), value)
-        reg.counter(
-            "gpu_timing_evaluations_total",
-            "Timing-model evaluations, by kernel",
-            labelnames=("kernel",)).inc_key((kernel,))
+        evaluations.inc_key((kernel,))
 
     # ------------------------------------------------------------------
     def evaluate(self, cost: KernelCost) -> TimingBreakdown:

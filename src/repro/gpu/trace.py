@@ -39,6 +39,7 @@ __all__ = [
     "KernelTracer",
     "PreparedBatch",
     "prepare_batch",
+    "prepare_rows",
     "cross_block_reuse",
     "publish_kernel_cost",
     "access_cache_stats",
@@ -130,29 +131,85 @@ def prepare_batch(matrix, mod: int) -> PreparedBatch:
     global memory).  Raises :class:`TraceError` on malformed input or
     negative addresses, exactly like the batch tracer methods.
     """
+    return _canonical_batch(matrix, None, mod)
+
+
+def _canonical_batch(matrix, counts, mod: int) -> PreparedBatch:
+    """:func:`prepare_batch` with optional per-row ``counts`` summed per
+    distinct pattern (the batch tracer methods' weights)."""
     m = np.ascontiguousarray(np.asarray(matrix, dtype=np.int64))
     if m.ndim == 1:
         m = m[np.newaxis, :]
     if m.ndim != 2 or m.size == 0:
         raise TraceError("batch address matrix must be (warps, lanes)")
+    if counts is None:
+        weights = None
+    else:
+        weights = np.asarray(counts, dtype=np.float64)
+        if weights.shape != (m.shape[0],):
+            raise TraceError(
+                "counts must have one entry per warp request row")
+        if np.any(weights < 0):
+            raise TraceError("count cannot be negative")
     lo = m.min(axis=1)
     if np.any(lo < 0):
         raise TraceError("negative address in batch request")
     shift = (lo // mod) * mod
     canon = m - shift[:, np.newaxis]
+    # Row dedup via a dict of raw row bytes: np.unique(axis=0)'s
+    # void-view machinery costs more than the model calls it saves on
+    # typical batch sizes.  Insertion order keeps the fold
+    # deterministic; integer-valued weights keep it exact.  The raw row
+    # bytes double as the cache key downstream, so each pattern is
+    # canonicalized and serialized exactly once.
     groups: Dict[bytes, float] = {}
     rows: Dict[bytes, np.ndarray] = {}
     for i in range(canon.shape[0]):
         key = canon[i].tobytes()
+        weight = 1.0 if weights is None else weights[i]
         if key in groups:
-            groups[key] += 1.0
+            groups[key] += weight
         else:
-            groups[key] = 1.0
+            groups[key] = weight
             rows[key] = canon[i]
     return PreparedBatch(
         [rows[key] for key in groups], list(groups),
-        [groups[key] for key in groups],
+        [float(groups[key]) for key in groups],
     )
+
+
+def prepare_rows(rows, mults, mod: int) -> PreparedBatch:
+    """Canonicalize an ordered list of warp requests without merging any.
+
+    Each of ``rows`` is one warp request's byte addresses (rows may
+    have different lane counts) and ``mults`` its multiplicity.  Unlike
+    :func:`prepare_batch`, equal patterns stay separate rows in their
+    given order, so a ``*_prepared`` fold performs exactly the model
+    lookups and float accumulations of issuing each row on its own with
+    ``count = mult * scale``.  Sites whose per-row terms are not
+    integers (a global read divided by its ``l2_reuse``) need that to
+    keep their sums.  Raises :class:`TraceError` on an empty row, a
+    negative address or a negative multiplicity.
+    """
+    rows, mults = list(rows), list(mults)
+    if len(rows) != len(mults):
+        raise TraceError("prepare_rows needs one multiplicity per row")
+    canon, keys, weights = [], [], []
+    for row, mult in zip(rows, mults):
+        addrs = np.asarray(row, dtype=np.int64)
+        if addrs.ndim != 1 or addrs.size == 0:
+            raise TraceError("each prepared row must be one warp request")
+        lo = int(addrs.min())
+        if lo < 0:
+            raise TraceError("negative address in batch request")
+        if mult < 0:
+            raise TraceError("count cannot be negative")
+        shift = (lo // mod) * mod
+        addrs = addrs - shift if shift else addrs
+        canon.append(addrs)
+        keys.append(addrs.tobytes())
+        weights.append(float(mult))
+    return PreparedBatch(canon, keys, weights)
 
 
 @dataclass
@@ -300,6 +357,50 @@ class KernelCost:
         return self.ledger.flops
 
 
+def _kernel_cost_counters(reg) -> tuple:
+    """The counters :func:`publish_kernel_cost` writes, in creation order."""
+    return (
+        reg.counter(
+            "gpu_gmem_transactions_total",
+            "Modeled global-memory transactions, by kernel and direction",
+            labelnames=("kernel", "op")),
+        reg.counter(
+            "gpu_gmem_bytes_moved_total",
+            "Modeled DRAM bytes moved, by kernel and direction",
+            labelnames=("kernel", "op")),
+        reg.counter(
+            "gpu_smem_cycles_total",
+            "Modeled shared-memory serialized cycles, by kernel",
+            labelnames=("kernel",)),
+        reg.counter(
+            "gpu_smem_bank_conflict_cycles_total",
+            "Shared-memory cycles beyond the conflict-free floor, by kernel",
+            labelnames=("kernel",)),
+        reg.counter(
+            "gpu_cmem_cycles_total",
+            "Modeled constant-memory serialization cycles, by kernel",
+            labelnames=("kernel",)),
+        reg.counter(
+            "gpu_flops_total", "Modeled floating-point operations, by kernel",
+            labelnames=("kernel",)),
+        reg.counter(
+            "gpu_kernel_costs_total", "Kernel costs traced, by kernel",
+            labelnames=("kernel",)),
+        reg.counter(
+            "gpu_site_executions_total",
+            "Warp-level requests issued, by kernel and access site",
+            labelnames=("kernel", "site")),
+        reg.counter(
+            "gpu_site_transactions_total",
+            "Global-memory segments moved, by kernel and access site",
+            labelnames=("kernel", "site")),
+        reg.counter(
+            "gpu_site_cycles_total",
+            "Serialized smem/cmem cycles, by kernel and access site",
+            labelnames=("kernel", "site")),
+    )
+
+
 def publish_kernel_cost(cost: KernelCost, registry=None) -> None:
     """Publish a finished kernel cost's ledger to a metrics registry.
 
@@ -310,54 +411,25 @@ def publish_kernel_cost(cost: KernelCost, registry=None) -> None:
     per-site breakdowns.  ``registry=None`` publishes to the
     process-wide registry (:func:`repro.obs.metrics.get_registry`).
     Counter values are exactly the ledger's return values, so the
-    telemetry surface and the cost model can never disagree.
+    telemetry surface and the cost model can never disagree.  The
+    counters are resolved once per registry (:meth:`Registry.handles`).
     """
     reg = registry if registry is not None else _metrics.get_registry()
+    (gmem_tx, gmem_bytes, smem_cycles, conflict_cycles, cmem_cycles, flops,
+     costs, site_exec, site_tx, site_cycles) = reg.handles(
+         _kernel_cost_counters)
     led = cost.ledger
     k = cost.name
-    gmem_tx = reg.counter(
-        "gpu_gmem_transactions_total",
-        "Modeled global-memory transactions, by kernel and direction",
-        labelnames=("kernel", "op"))
     gmem_tx.inc_key((k, "read"), led.gmem_read_transactions)
     gmem_tx.inc_key((k, "write"), led.gmem_write_transactions)
-    gmem_bytes = reg.counter(
-        "gpu_gmem_bytes_moved_total",
-        "Modeled DRAM bytes moved, by kernel and direction",
-        labelnames=("kernel", "op"))
     gmem_bytes.inc_key((k, "read"), led.gmem_read_bytes_moved)
     gmem_bytes.inc_key((k, "write"), led.gmem_write_bytes_moved)
-    reg.counter(
-        "gpu_smem_cycles_total",
-        "Modeled shared-memory serialized cycles, by kernel",
-        labelnames=("kernel",)).inc_key((k,), led.smem_cycles)
-    reg.counter(
-        "gpu_smem_bank_conflict_cycles_total",
-        "Shared-memory cycles beyond the conflict-free floor, by kernel",
-        labelnames=("kernel",)).inc_key(
-            (k,), max(0.0, led.smem_cycles - led.smem_min_cycles))
-    reg.counter(
-        "gpu_cmem_cycles_total",
-        "Modeled constant-memory serialization cycles, by kernel",
-        labelnames=("kernel",)).inc_key((k,), led.cmem_cycles)
-    reg.counter(
-        "gpu_flops_total", "Modeled floating-point operations, by kernel",
-        labelnames=("kernel",)).inc_key((k,), led.flops)
-    reg.counter(
-        "gpu_kernel_costs_total", "Kernel costs traced, by kernel",
-        labelnames=("kernel",)).inc_key((k,))
-    site_exec = reg.counter(
-        "gpu_site_executions_total",
-        "Warp-level requests issued, by kernel and access site",
-        labelnames=("kernel", "site"))
-    site_tx = reg.counter(
-        "gpu_site_transactions_total",
-        "Global-memory segments moved, by kernel and access site",
-        labelnames=("kernel", "site"))
-    site_cycles = reg.counter(
-        "gpu_site_cycles_total",
-        "Serialized smem/cmem cycles, by kernel and access site",
-        labelnames=("kernel", "site"))
+    smem_cycles.inc_key((k,), led.smem_cycles)
+    conflict_cycles.inc_key(
+        (k,), max(0.0, led.smem_cycles - led.smem_min_cycles))
+    cmem_cycles.inc_key((k,), led.cmem_cycles)
+    flops.inc_key((k,), led.flops)
+    costs.inc_key((k,))
     for site, stats in led.sites.items():
         site_exec.inc_key((k, site), stats.executions)
         if stats.transactions:
@@ -454,16 +526,15 @@ class KernelTracer:
         if count < 0:
             raise TraceError("count cannot be negative")
         res = self._smem_access(addresses, size)
-        self._smem_fold(res, count, site, kind)
+        self._smem_fold(res, count, self._site(site, kind))
         return res
 
-    def _smem_fold(self, res, count, site, kind):
+    def _smem_fold(self, res, count, st):
         led = self.ledger
         led.smem_requests += count
         led.smem_cycles += res.cycles * count
         led.smem_min_cycles += res.phases * count
         led.smem_request_bytes += res.request_bytes * count
-        st = self._site(site, kind)
         st.executions += count
         st.cycles += res.cycles * count
         st.request_bytes += res.request_bytes * count
@@ -490,12 +561,12 @@ class KernelTracer:
             raise TraceError("l2_reuse must be >= 1")
         sector = self.SECTOR_BYTES
         res = self._gmem_access(addresses, size, sector)
-        self._gmem_fold(res, count, site, write, l2_reuse)
+        kind = "gmem.write" if write else "gmem.read"
+        self._gmem_fold(res, count, self._site(site, kind), write, l2_reuse)
         return res
 
-    def _gmem_fold(self, res, count, site, write, l2_reuse=1.0):
+    def _gmem_fold(self, res, count, st, write, l2_reuse=1.0):
         led = self.ledger
-        kind = "gmem.write" if write else "gmem.read"
         # Every transaction passes through the L2; only 1/l2_reuse of
         # them miss to DRAM (temporal reuse within the cache's reach,
         # declared by the kernel's cost model and audited in tests).
@@ -508,7 +579,6 @@ class KernelTracer:
             led.gmem_read_transactions += res.transactions * count
             led.gmem_read_request_bytes += res.request_bytes * count
             led.gmem_read_bytes_moved += res.bytes_moved * count / l2_reuse
-        st = self._site(site, kind)
         st.executions += count
         st.transactions += res.transactions * count
         st.request_bytes += res.request_bytes * count
@@ -519,13 +589,12 @@ class KernelTracer:
         if count < 0:
             raise TraceError("count cannot be negative")
         res = self._cmem_access(addresses)
-        self._cmem_fold(res, count, site)
+        self._cmem_fold(res, count, self._site(site, "cmem.read"))
         return res
 
-    def _cmem_fold(self, res, count, site):
+    def _cmem_fold(self, res, count, st):
         self.ledger.cmem_requests += count
         self.ledger.cmem_cycles += res.serializations * count
-        st = self._site(site, "cmem.read")
         st.executions += count
         st.cycles += res.serializations * count
 
@@ -540,97 +609,44 @@ class KernelTracer:
     # to issuing every row individually — the fast trace generators in
     # :mod:`repro.gpu.fastsim` rely on exactly that.
 
-    def _batch_rows(self, matrix, counts, mod):
-        m = np.ascontiguousarray(np.asarray(matrix, dtype=np.int64))
-        if m.ndim == 1:
-            m = m[np.newaxis, :]
-        if m.ndim != 2 or m.size == 0:
-            raise TraceError("batch address matrix must be (warps, lanes)")
-        if counts is None:
-            weights = None
-        else:
-            weights = np.asarray(counts, dtype=np.float64)
-            if weights.shape != (m.shape[0],):
-                raise TraceError(
-                    "counts must have one entry per warp request row")
-            if np.any(weights < 0):
-                raise TraceError("count cannot be negative")
-        lo = m.min(axis=1)
-        if np.any(lo < 0):
-            raise TraceError("negative address in batch request")
-        shift = (lo // mod) * mod
-        canon = m - shift[:, np.newaxis]
-        # Row dedup via a dict of raw row bytes: np.unique(axis=0)'s
-        # void-view machinery costs more than the model calls it saves
-        # on typical batch sizes.  Insertion order keeps the fold
-        # deterministic; integer-valued weights keep it exact.  The raw
-        # row bytes double as the cache key downstream, so the batch
-        # path canonicalizes and serializes each pattern exactly once.
-        groups: Dict[bytes, float] = {}
-        rows: Dict[bytes, np.ndarray] = {}
-        for i in range(canon.shape[0]):
-            key = canon[i].tobytes()
-            if key in groups:
-                groups[key] += 1.0 if weights is None else weights[i]
-            else:
-                groups[key] = 1.0 if weights is None else weights[i]
-                rows[key] = canon[i]
-        return [(rows[key], key, groups[key]) for key in groups]
-
     def smem_read_batch(self, matrix, size: int, counts=None,
                         site: str = "smem") -> None:
-        self._smem_batch(matrix, size, counts, site, "smem.read")
+        self._smem_prepared(
+            _canonical_batch(matrix, counts, self._smem_row_bytes),
+            size, 1.0, site, "smem.read")
 
     def smem_write_batch(self, matrix, size: int, counts=None,
                          site: str = "smem") -> None:
-        self._smem_batch(matrix, size, counts, site, "smem.write")
-
-    def _smem_batch(self, matrix, size, counts, site, kind):
-        cache = self._smem_cache
-        access = self.smem.access
-        args = (size,)
-        for row, rowbytes, mult in self._batch_rows(
-                matrix, counts, self._smem_row_bytes):
-            if mult:
-                res = self._lookup(cache, access, row, args, rowbytes)
-                self._smem_fold(res, float(mult), site, kind)
+        self._smem_prepared(
+            _canonical_batch(matrix, counts, self._smem_row_bytes),
+            size, 1.0, site, "smem.write")
 
     def gmem_read_batch(self, matrix, size: int, counts=None,
                         site: str = "gmem", l2_reuse: float = 1.0) -> None:
         if l2_reuse < 1.0:
             raise TraceError("l2_reuse must be >= 1")
-        self._gmem_batch(matrix, size, counts, site, False, l2_reuse)
+        self._gmem_prepared(
+            _canonical_batch(matrix, counts, self.gmem_batch_mod(size)),
+            size, 1.0, site, False, l2_reuse)
 
     def gmem_write_batch(self, matrix, size: int, counts=None,
                          site: str = "gmem") -> None:
-        self._gmem_batch(matrix, size, counts, site, True, 1.0)
-
-    def _gmem_batch(self, matrix, size, counts, site, write, l2_reuse):
-        if size <= 0:
-            raise TraceError("access size must be positive")
-        mod = math.lcm(int(size), self.SECTOR_BYTES)
-        cache = self._gmem_cache
-        access = self.gmem.access
-        args = (size, self.SECTOR_BYTES)
-        for row, rowbytes, mult in self._batch_rows(matrix, counts, mod):
-            if mult:
-                res = self._lookup(cache, access, row, args, rowbytes)
-                self._gmem_fold(res, float(mult), site, write, l2_reuse)
+        self._gmem_prepared(
+            _canonical_batch(matrix, counts, self.gmem_batch_mod(size)),
+            size, 1.0, site, True, 1.0)
 
     def cmem_read_batch(self, matrix, counts=None,
                         site: str = "cmem") -> None:
-        cache = self._cmem_cache
-        access = self.cmem.access
-        for row, rowbytes, mult in self._batch_rows(matrix, counts, 1):
-            if mult:
-                res = self._lookup(cache, access, row, (), rowbytes)
-                self._cmem_fold(res, float(mult), site)
+        self.cmem_read_prepared(_canonical_batch(matrix, counts, 1),
+                                1.0, site)
 
     # --- prepared batches ---------------------------------------------------
     # The same folds as the batch API, but over a :class:`PreparedBatch`
     # whose canonicalization/dedup already happened (and was typically
-    # cached across kernels sharing the geometry).  Each distinct row
-    # executes ``row multiplicity * scale`` times.
+    # cached across kernels sharing the geometry).  Each row executes
+    # ``row multiplicity * scale`` times; the batch API above folds its
+    # freshly prepared rows here with ``scale=1``, which leaves every
+    # multiplicity bit-for-bit unchanged.
 
     def smem_batch_mod(self) -> int:
         """The period to :func:`prepare_batch` shared-memory batches with."""
@@ -651,16 +667,8 @@ class KernelTracer:
         self._smem_prepared(prep, size, scale, site, "smem.write")
 
     def _smem_prepared(self, prep, size, scale, site, kind):
-        if scale < 0:
-            raise TraceError("count cannot be negative")
-        cache = self._smem_cache
-        access = self.smem.access
-        args = (size,)
-        for row, rowbytes, m in zip(prep.rows, prep.keys, prep.mults):
-            mult = m * scale
-            if mult:
-                res = self._lookup(cache, access, row, args, rowbytes)
-                self._smem_fold(res, mult, site, kind)
+        self._fold_prepared(prep, scale, self._smem_cache, self.smem.access,
+                            (size,), site, kind, self._smem_fold)
 
     def gmem_read_prepared(self, prep: PreparedBatch, size: int,
                            scale: float = 1.0, site: str = "gmem",
@@ -674,30 +682,35 @@ class KernelTracer:
         self._gmem_prepared(prep, size, scale, site, True, 1.0)
 
     def _gmem_prepared(self, prep, size, scale, site, write, l2_reuse):
-        if scale < 0:
-            raise TraceError("count cannot be negative")
         if size <= 0:
             raise TraceError("access size must be positive")
-        cache = self._gmem_cache
-        access = self.gmem.access
-        args = (size, self.SECTOR_BYTES)
+        self._fold_prepared(prep, scale, self._gmem_cache, self.gmem.access,
+                            (size, self.SECTOR_BYTES), site,
+                            "gmem.write" if write else "gmem.read",
+                            self._gmem_fold, write, l2_reuse)
+
+    def cmem_read_prepared(self, prep: PreparedBatch, scale: float = 1.0,
+                           site: str = "cmem") -> None:
+        self._fold_prepared(prep, scale, self._cmem_cache, self.cmem.access,
+                            (), site, "cmem.read", self._cmem_fold)
+
+    def _fold_prepared(self, prep, scale, cache, access, args, site, kind,
+                       fold, *fold_args):
+        """Fold every non-zero row of ``prep`` in order.
+
+        The site's :class:`SiteStats` is resolved once per call, on the
+        first non-zero row, so an all-zero batch leaves no site behind.
+        """
+        if scale < 0:
+            raise TraceError("count cannot be negative")
+        st = None
         for row, rowbytes, m in zip(prep.rows, prep.keys, prep.mults):
             mult = m * scale
             if mult:
                 res = self._lookup(cache, access, row, args, rowbytes)
-                self._gmem_fold(res, mult, site, write, l2_reuse)
-
-    def cmem_read_prepared(self, prep: PreparedBatch, scale: float = 1.0,
-                           site: str = "cmem") -> None:
-        if scale < 0:
-            raise TraceError("count cannot be negative")
-        cache = self._cmem_cache
-        access = self.cmem.access
-        for row, rowbytes, m in zip(prep.rows, prep.keys, prep.mults):
-            mult = m * scale
-            if mult:
-                res = self._lookup(cache, access, row, (), rowbytes)
-                self._cmem_fold(res, mult, site)
+                if st is None:
+                    st = self._site(site, kind)
+                fold(res, mult, st, *fold_args)
 
     # --- compute / control ------------------------------------------------------
     def flops(self, count: float) -> None:

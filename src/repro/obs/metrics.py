@@ -376,6 +376,7 @@ class Registry:
 
     def __init__(self):
         self._metrics: "OrderedDict[str, Metric]" = OrderedDict()
+        self._handles: Dict[object, object] = {}
 
     # ------------------------------------------------------------------
     def _get_or_create(self, cls, name, help, labelnames, **kwargs):
@@ -409,6 +410,21 @@ class Registry:
         return self._get_or_create(Histogram, name, help, labelnames,
                                    buckets=buckets, max_samples=max_samples)
 
+    def handles(self, resolve):
+        """``resolve(self)``, computed once and kept until :meth:`clear`.
+
+        Publishers on hot paths (the kernel-cost ledger mirror, the
+        timing model) resolve their metric objects through this once
+        per registry instead of one get-or-create lookup per metric per
+        event.  ``resolve`` is the memo key, so pass a module-level
+        function.
+        """
+        try:
+            return self._handles[resolve]
+        except KeyError:
+            handles = self._handles[resolve] = resolve(self)
+            return handles
+
     # ------------------------------------------------------------------
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
@@ -432,6 +448,7 @@ class Registry:
     def clear(self) -> None:
         """Drop every metric (a fresh registry without replacing the object)."""
         self._metrics.clear()
+        self._handles.clear()
 
 
 # ----------------------------------------------------------------------

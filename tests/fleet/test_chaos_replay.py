@@ -115,13 +115,20 @@ class TestFailover:
                 raise RuntimeError("replica 1 shard blew up")
             return real(replica, *args)
 
-        baseline = digests(fleet().serve_trace(trace(60)))
+        clean = fleet()
+        baseline = digests(clean.serve_trace(trace(60)))
+        assert "last_errors" not in clean.stats()["health"]
         monkeypatch.setattr(fleet_engine, "_serve_replica_shard",
                             raise_once_on_replica_1)
         engine = fleet()
         result = engine.serve_trace(trace(60))
         assert raised == [1]
         assert result.failovers == 1
+        # The exception's text survives next to the counted reason.
+        assert engine.stats()["health"]["last_errors"] == {
+            "1": "RuntimeError: replica 1 shard blew up"}
+        assert ("replica 1 last error: RuntimeError: replica 1 shard blew up"
+                in engine.format_stats())
         failures = engine.registry.get("fleet_replica_failures_total")
         assert failures.total() == 1.0
         assert failures.value(replica=1, reason="error") == 1.0

@@ -1,15 +1,27 @@
 """Tests for the traffic ledger and kernel tracer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import TraceError
 from repro.gpu.simt import Dim3, LaunchConfig
+from repro.gpu.timing import TimingModel
 from repro.gpu.trace import (
     KernelTracer,
     SiteStats,
     TrafficLedger,
     cross_block_reuse,
+    prepare_batch,
+    prepare_rows,
+    publish_kernel_cost,
+)
+from repro.obs.metrics import (
+    Registry,
+    get_registry,
+    reset_registry,
+    set_registry,
 )
 
 
@@ -136,3 +148,266 @@ class TestCrossBlockReuse:
 
     def test_zero_slab(self, kepler):
         assert cross_block_reuse(kepler, 0, 10) == 1.0
+
+
+# ----------------------------------------------------------------------
+# Prepared batches: geometry built once, folded with a per-use scale
+# ----------------------------------------------------------------------
+
+def _ledger_state(tracer):
+    """Every ledger field and per-site field, plus the site order."""
+    return dataclasses.asdict(tracer.ledger), list(tracer.ledger.sites)
+
+
+def _fold_one_by_one(tracer, kind, prep, scale, site, size=None, l2_reuse=1.0):
+    """Issue each non-zero row of ``prep`` as its own single-row call."""
+    for row, mult in zip(prep.rows, prep.mults):
+        count = mult * scale
+        if not count:
+            continue
+        if kind == "smem.read":
+            tracer.smem_read(row, size, count=count, site=site)
+        elif kind == "smem.write":
+            tracer.smem_write(row, size, count=count, site=site)
+        elif kind == "gmem.read":
+            tracer.gmem_read(row, size, count=count, site=site,
+                             l2_reuse=l2_reuse)
+        elif kind == "gmem.write":
+            tracer.gmem_write(row, size, count=count, site=site)
+        else:
+            tracer.cmem_read(row, count=count, site=site)
+
+
+def _fold_prepared(tracer, kind, prep, scale, site, size=None, l2_reuse=1.0):
+    if kind == "smem.read":
+        tracer.smem_read_prepared(prep, size, scale=scale, site=site)
+    elif kind == "smem.write":
+        tracer.smem_write_prepared(prep, size, scale=scale, site=site)
+    elif kind == "gmem.read":
+        tracer.gmem_read_prepared(prep, size, scale=scale, site=site,
+                                  l2_reuse=l2_reuse)
+    elif kind == "gmem.write":
+        tracer.gmem_write_prepared(prep, size, scale=scale, site=site)
+    else:
+        tracer.cmem_read_prepared(prep, scale=scale, site=site)
+
+
+def _smem_matrix():
+    lanes = np.arange(32, dtype=np.int64)
+    # Rows 0 and 2 repeat after canonicalization (256 B = one bank row
+    # apart), row 1 has a 2-way conflict.
+    return np.stack([lanes * 8, (lanes % 16) * 16, lanes * 8 + 256])
+
+
+def _gmem_rows():
+    lanes = np.arange(32, dtype=np.int64) * 4
+    # Ragged rows (full warp, remainder), one repeating a canonical
+    # pattern, with non-integer multiplicities.
+    return [lanes + 12, lanes[:7] + 140, lanes + 44, lanes + 12], \
+        [2.5, 1.0, 3.0, 0.75]
+
+
+class TestPreparedFolds:
+    @pytest.mark.parametrize("kind", ["smem.read", "smem.write"])
+    def test_smem_prepared_equals_rows_one_by_one(self, kepler, kind):
+        prepared, single = KernelTracer(kepler), KernelTracer(kepler)
+        prep = prepare_batch(_smem_matrix(), prepared.smem_batch_mod())
+        assert prep.mults == [2.0, 1.0]
+        for site, scale in (("b", 3.7), ("a", 0.3), ("b", 11.0)):
+            _fold_prepared(prepared, kind, prep, scale, site, size=8)
+            _fold_one_by_one(single, kind, prep, scale, site, size=8)
+        assert _ledger_state(prepared) == _ledger_state(single)
+        assert list(prepared.ledger.sites) == [
+            "b[%s]" % kind, "a[%s]" % kind]
+
+    @pytest.mark.parametrize("kind", ["gmem.read", "gmem.write"])
+    def test_gmem_prepared_equals_rows_one_by_one(self, kepler, kind):
+        prepared, single = KernelTracer(kepler), KernelTracer(kepler)
+        rows, mults = _gmem_rows()
+        prep = prepare_rows(rows, mults, prepared.gmem_batch_mod(4))
+        assert len(prep.rows) == 4 and prep.mults == mults
+        for site, scale, reuse in (("f", 7.0, 3.3), ("i", 0.1, 1.0),
+                                   ("f", 13.0, 2.9)):
+            _fold_prepared(prepared, kind, prep, scale, site, size=4,
+                           l2_reuse=reuse)
+            _fold_one_by_one(single, kind, prep, scale, site, size=4,
+                             l2_reuse=reuse)
+        assert _ledger_state(prepared) == _ledger_state(single)
+        assert prepared.ledger.gmem_l2_bytes > 0
+
+    def test_cmem_prepared_equals_rows_one_by_one(self, kepler):
+        prepared, single = KernelTracer(kepler), KernelTracer(kepler)
+        matrix = np.stack([np.zeros(32, dtype=np.int64),
+                           np.arange(32, dtype=np.int64) % 4 * 4])
+        prep = prepare_batch(matrix, 1)
+        for site, scale in (("w", 5.0), ("v", 0.5)):
+            _fold_prepared(prepared, "cmem.read", prep, scale, site)
+            _fold_one_by_one(single, "cmem.read", prep, scale, site)
+        assert _ledger_state(prepared) == _ledger_state(single)
+        assert prepared.ledger.cmem_cycles == 5.0 * 1 + 5.0 * 4 + 0.5 * 5
+
+    def test_prepare_rows_keeps_order_and_duplicates(self, kepler):
+        rows, mults = _gmem_rows()
+        prep = prepare_rows(rows, mults, 32)
+        assert prep.keys[0] == prep.keys[3]
+        assert [len(r) for r in prep.rows] == [32, 7, 32, 32]
+        # Canonical rows are translated down by whole 32-byte periods.
+        assert prep.rows[1][0] == 140 % 32
+        assert all(key == row.tobytes()
+                   for key, row in zip(prep.keys, prep.rows))
+
+    @pytest.mark.parametrize("kind", ["smem.read", "smem.write", "gmem.read",
+                                      "gmem.write", "cmem.read"])
+    def test_zero_multiplicity_and_zero_scale_create_no_site(self, kepler,
+                                                             kind):
+        tracer = KernelTracer(kepler)
+        lanes = np.arange(32, dtype=np.int64) * 8
+        prep = prepare_rows([lanes, lanes + 8], [0.0, 2.0], 256)
+        _fold_prepared(tracer, kind, prep, 0.0, "zero", size=8)
+        _fold_prepared(tracer, kind, prepare_rows([lanes], [0.0], 256), 4.0,
+                       "zero_rows", size=8)
+        assert tracer.ledger.sites == {}
+        assert _ledger_state(tracer) == _ledger_state(KernelTracer(kepler))
+        _fold_prepared(tracer, kind, prep, 1.0, "one", size=8)
+        assert list(tracer.ledger.sites) == ["one[%s]" % kind]
+        assert tracer.ledger.sites["one[%s]" % kind].executions == 2.0
+
+    def test_negative_scale_rejected(self, kepler):
+        tracer = KernelTracer(kepler)
+        prep = prepare_batch(np.arange(32) * 4, 32)
+        with pytest.raises(TraceError):
+            tracer.smem_read_prepared(prep, 4, scale=-1.0)
+        with pytest.raises(TraceError):
+            tracer.smem_write_prepared(prep, 4, scale=-1.0)
+        with pytest.raises(TraceError):
+            tracer.gmem_read_prepared(prep, 4, scale=-1.0)
+        with pytest.raises(TraceError):
+            tracer.gmem_write_prepared(prep, 4, scale=-1.0)
+        with pytest.raises(TraceError):
+            tracer.cmem_read_prepared(prep, scale=-1.0)
+        assert tracer.ledger.sites == {}
+
+    def test_non_positive_gmem_size_rejected(self, kepler):
+        tracer = KernelTracer(kepler)
+        prep = prepare_batch(np.arange(32) * 4, 32)
+        for size in (0, -4):
+            with pytest.raises(TraceError):
+                tracer.gmem_read_prepared(prep, size)
+            with pytest.raises(TraceError):
+                tracer.gmem_write_prepared(prep, size)
+            with pytest.raises(TraceError):
+                tracer.gmem_batch_mod(size)
+
+    def test_l2_reuse_below_one_rejected(self, kepler):
+        tracer = KernelTracer(kepler)
+        prep = prepare_batch(np.arange(32) * 4, 32)
+        with pytest.raises(TraceError):
+            tracer.gmem_read_prepared(prep, 4, l2_reuse=0.99)
+        assert tracer.ledger.sites == {}
+
+    def test_prepare_rows_rejects_bad_rows(self):
+        lanes = np.arange(32, dtype=np.int64)
+        with pytest.raises(TraceError):
+            prepare_rows([lanes], [-1.0], 32)
+        with pytest.raises(TraceError):
+            prepare_rows([lanes - 1], [1.0], 32)
+        with pytest.raises(TraceError):
+            prepare_rows([lanes[:0]], [1.0], 32)
+        with pytest.raises(TraceError):
+            prepare_rows([lanes, lanes], [1.0], 32)
+
+
+# ----------------------------------------------------------------------
+# Publishers resolve their counters once per registry
+# ----------------------------------------------------------------------
+
+def _small_cost(kepler):
+    tracer = KernelTracer(kepler, registry=Registry())
+    tracer.gmem_read(np.arange(32) * 4, 4, count=3.0, site="in")
+    tracer.smem_read(np.arange(32) * 8, 8, count=5.0, site="row")
+    tracer.flops(640.0)
+    return tracer.finish(name="tiny", launch=_launch())
+
+
+def _series(registry, name):
+    for metric in registry.collect():
+        if metric["name"] == name:
+            return {tuple(sorted(s["labels"].items())): s["value"]
+                    for s in metric["series"]}
+    return None
+
+
+def _assert_published_once(registry, cost):
+    led = cost.ledger
+    tx = _series(registry, "gpu_gmem_transactions_total")
+    assert tx[(("kernel", "tiny"), ("op", "read"))] == \
+        led.gmem_read_transactions
+    assert _series(registry, "gpu_smem_cycles_total") == {
+        (("kernel", "tiny"),): led.smem_cycles}
+    assert _series(registry, "gpu_flops_total") == {
+        (("kernel", "tiny"),): led.flops}
+    assert _series(registry, "gpu_kernel_costs_total") == {
+        (("kernel", "tiny"),): 1.0}
+    assert _series(registry, "gpu_site_executions_total")[
+        (("kernel", "tiny"), ("site", "row[smem.read]"))] == 5.0
+    assert _series(registry, "gpu_timing_evaluations_total") == {
+        (("kernel", "tiny"),): 1.0}
+    seconds = _series(registry, "gpu_modeled_seconds_total")
+    assert seconds[(("component", "total"), ("kernel", "tiny"))] > 0
+
+
+class TestPublisherHandles:
+    def test_private_registry_clear(self, kepler):
+        cost = _small_cost(kepler)
+        registry = Registry()
+        model = TimingModel(kepler, registry=registry)
+        publish_kernel_cost(cost, registry=registry)
+        model.evaluate(cost)
+        _assert_published_once(registry, cost)
+        registry.clear()
+        assert registry.collect() == []
+        publish_kernel_cost(cost, registry=registry)
+        model.evaluate(cost)
+        _assert_published_once(registry, cost)
+
+    def test_global_registry_reset_set_and_clear(self, kepler):
+        cost = _small_cost(kepler)
+        model = TimingModel(kepler)
+
+        def set_fresh():
+            set_registry(Registry())
+            return get_registry()
+
+        def clear_current():
+            get_registry().clear()
+            return get_registry()
+
+        previous = get_registry()
+        try:
+            publish_kernel_cost(cost)
+            model.evaluate(cost)
+            for swap in (reset_registry, set_fresh, clear_current):
+                registry = swap()
+                assert registry is get_registry()
+                assert _series(registry, "gpu_flops_total") is None
+                publish_kernel_cost(cost)
+                model.evaluate(cost)
+                _assert_published_once(registry, cost)
+        finally:
+            set_registry(previous)
+
+    def test_handles_resolve_once_until_clear(self):
+        registry = Registry()
+        calls = []
+
+        def resolve(reg):
+            calls.append(reg)
+            return reg.counter("c_total", "a counter")
+
+        first = registry.handles(resolve)
+        assert registry.handles(resolve) is first
+        assert calls == [registry]
+        registry.clear()
+        second = registry.handles(resolve)
+        assert second is not first and calls == [registry, registry]
+        assert registry.get("c_total") is second
