@@ -5,11 +5,21 @@ are the best found by exploration for each filter size.  Our model's
 explored best need not coincide exactly (the hardware and the model
 weigh resources differently), but the paper's configurations must be
 competitive — and every explored configuration must be resident-valid.
+
+``TestQuickPalette`` holds a wall-clock bound, which depends on the
+host, so it stays out of the deterministic tier-1 suite.  Run it with
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_table1_dse.py
 """
 
+import time
+
 from repro.bench.figures import table1
+from repro.conv.tensors import ConvProblem
 from repro.core.config import TABLE1_CONFIGS
-from repro.core.dse import enumerate_general_configs, explore_general
+from repro.core.dse import (
+    best_config, enumerate_general_configs, explore_general,
+)
 
 
 def test_table1_reproduction(benchmark, save_experiment):
@@ -38,3 +48,12 @@ def test_exploration_ranking_quality(benchmark):
 
     ranked = benchmark.pedantic(explore, rounds=1, iterations=1)
     assert ranked[0].gflops > 1.5 * ranked[-1].gflops
+
+
+class TestQuickPalette:
+    def test_quick_palette_is_fast(self):
+        p = ConvProblem.square(48, 5, channels=4, filters=8)
+        start = time.monotonic()
+        ranked = best_config(p)
+        assert time.monotonic() - start < 2.0
+        ranked.config.validate(p.kernel_size, 2)

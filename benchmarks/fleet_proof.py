@@ -82,11 +82,11 @@ def latency_percentiles(responses):
     }
 
 
-def leg_table1(jobs=None):
+def leg_table1():
     from repro.core.dse import reproduce_table1
 
     start = time.perf_counter()
-    rows = reproduce_table1(jobs=jobs)
+    rows = reproduce_table1()
     wall_s = time.perf_counter() - start
     return {"wall_s": round(wall_s, 3), "rows": len(rows)}
 
@@ -177,9 +177,6 @@ def main(argv=None):
                         "nothing is shed, so bit-identity must hold)")
     parser.add_argument("--overload-rate", type=float, default=500_000.0)
     parser.add_argument("--seed", type=int, default=9)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="table1 DSE leg fan-out degree (default: "
-                        "REPRO_JOBS); the serving legs run in one process")
     parser.add_argument("--skip-table1", action="store_true")
     parser.add_argument("--output", default="BENCH_serve.json")
     args = parser.parse_args(argv)
@@ -190,7 +187,7 @@ def main(argv=None):
     }
     if not args.skip_table1:
         print("leg 1/3: table1 DSE wall-clock ...", flush=True)
-        doc["legs"]["table1"] = leg_table1(jobs=args.jobs)
+        doc["legs"]["table1"] = leg_table1()
     print("leg 2/3: %d-request proof point, %d replicas ..."
           % (args.requests, args.replicas), flush=True)
     doc["legs"]["proof"] = leg_proof(

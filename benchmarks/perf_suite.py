@@ -42,8 +42,6 @@ def main(argv=None):
                         help="write the run's collapsed-stack flamegraph")
     parser.add_argument("--note", metavar="TEXT",
                         help="free-form note stored in the point's meta")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="sweep fan-out degree (default: REPRO_JOBS)")
     parser.add_argument("--audit", action="store_true",
                         help="set REPRO_AUDIT=1 for the run: the simulator "
                         "workload re-runs the interpreted SIMT oracle and "
@@ -61,7 +59,7 @@ def main(argv=None):
     obs.reset_registry()
     tracer = obs.reset_tracer()
     point = perf_suite.run_suite(
-        scale=scale, jobs=args.jobs, note=args.note,
+        scale=scale, note=args.note,
         progress=lambda msg: print(msg, flush=True))
 
     if args.flamegraph:

@@ -11,7 +11,7 @@ benchmark suite and the CLI-style examples.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Union
+from typing import Dict
 
 import numpy as np
 
@@ -140,8 +140,7 @@ _PAPER_FIG7 = {1: "6.16x average gain", 3: "6.43x average gain; unmatched "
 
 
 def fig7_special(kernel_size: int,
-                 arch: GPUArchitecture = KEPLER_K40M,
-                 jobs: Optional[Union[int, str]] = None) -> Experiment:
+                 arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
     """Special-case convolution performance (paper Fig. 7a/b/c)."""
     registry = default_registry()
     kernels: Dict[str, object] = {
@@ -159,8 +158,7 @@ def fig7_special(kernel_size: int,
         columns=list(kernels),
         paper_expectation=_PAPER_FIG7[kernel_size],
     )
-    exp.rows = compare_on_sweep(kernels, special_case_sweep(kernel_size),
-                                jobs=jobs)
+    exp.rows = compare_on_sweep(kernels, special_case_sweep(kernel_size))
     return exp
 
 
@@ -173,8 +171,7 @@ _PAPER_FIG8 = {3: "30.5% average improvement", 5: "45.3% average improvement",
 
 
 def fig8_general(kernel_size: int,
-                 arch: GPUArchitecture = KEPLER_K40M,
-                 jobs: Optional[Union[int, str]] = None) -> Experiment:
+                 arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
     """General-case convolution performance (paper Fig. 8a/b/c)."""
     registry = default_registry()
     kernels = {
@@ -189,8 +186,7 @@ def fig8_general(kernel_size: int,
         columns=list(kernels),
         paper_expectation=_PAPER_FIG8[kernel_size] + "; may lose only at 32x32",
     )
-    exp.rows = compare_on_sweep(kernels, general_case_sweep(kernel_size),
-                                jobs=jobs)
+    exp.rows = compare_on_sweep(kernels, general_case_sweep(kernel_size))
     return exp
 
 
@@ -198,8 +194,7 @@ def fig8_general(kernel_size: int,
 # Table 1 — best general-case configurations by exploration
 # ----------------------------------------------------------------------
 
-def table1(arch: GPUArchitecture = KEPLER_K40M,
-           jobs: Optional[Union[int, str]] = None) -> Experiment:
+def table1(arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
     """Design-space exploration versus the paper's Table 1."""
     from repro.core.dse import default_general_problem, reproduce_table1
 
@@ -214,7 +209,7 @@ def table1(arch: GPUArchitecture = KEPLER_K40M,
         ),
     )
     notes = []
-    for row in reproduce_table1(arch, jobs=jobs):
+    for row in reproduce_table1(arch):
         exp.add(
             "K=%d" % row.kernel_size,
             {"paper config": row.paper_gflops, "explored best": row.ours_gflops},
@@ -388,8 +383,7 @@ def extension_short_dtypes() -> Experiment:
     return exp
 
 
-def extension_all_methods(arch: GPUArchitecture = KEPLER_K40M,
-                          jobs: Optional[Union[int, str]] = None) -> Experiment:
+def extension_all_methods(arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
     """All convolution methods on VGG-like layers (related-work context:
     FFT and Winograd win only in their niches; direct stays general)."""
     display = {"general": "ours", "implicit-gemm": "cuDNN-like",
@@ -405,7 +399,7 @@ def extension_all_methods(arch: GPUArchitecture = KEPLER_K40M,
         paper_expectation="direct (ours) competitive everywhere; FFT pays "
         "padded-filter transforms at batch 1; Winograd strong on 3x3",
     )
-    exp.rows = compare_on_sweep(kernels, vgg_layers(), jobs=jobs)
+    exp.rows = compare_on_sweep(kernels, vgg_layers())
     return exp
 
 
@@ -653,12 +647,12 @@ def extension_arch_port() -> Experiment:
 ALL_EXPERIMENTS = {
     "fig1": fig1_bank_patterns,
     "fig2": fig2_gemm,
-    "fig7a": lambda arch=KEPLER_K40M, jobs=None: fig7_special(1, arch, jobs),
-    "fig7b": lambda arch=KEPLER_K40M, jobs=None: fig7_special(3, arch, jobs),
-    "fig7c": lambda arch=KEPLER_K40M, jobs=None: fig7_special(5, arch, jobs),
-    "fig8a": lambda arch=KEPLER_K40M, jobs=None: fig8_general(3, arch, jobs),
-    "fig8b": lambda arch=KEPLER_K40M, jobs=None: fig8_general(5, arch, jobs),
-    "fig8c": lambda arch=KEPLER_K40M, jobs=None: fig8_general(7, arch, jobs),
+    "fig7a": lambda arch=KEPLER_K40M: fig7_special(1, arch),
+    "fig7b": lambda arch=KEPLER_K40M: fig7_special(3, arch),
+    "fig7c": lambda arch=KEPLER_K40M: fig7_special(5, arch),
+    "fig8a": lambda arch=KEPLER_K40M: fig8_general(3, arch),
+    "fig8b": lambda arch=KEPLER_K40M: fig8_general(5, arch),
+    "fig8c": lambda arch=KEPLER_K40M: fig8_general(7, arch),
     "table1": table1,
     "ablation-unmatched": ablation_unmatched,
     "ablation-bank-policy": ablation_bank_policy,

@@ -6,15 +6,13 @@ figure.  Experiments serialize to CSV and JSON so downstream analysis
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.conv.workloads import WorkloadPoint
 from repro.errors import ReproError
-from repro.parallel import parallel_map
 
 __all__ = ["ComparisonRow", "Experiment", "compare_on_sweep",
            "registry_kernels"]
@@ -138,35 +136,20 @@ def registry_kernels(
     return kernels
 
 
-def _gflops_metric(kernel, problem) -> float:
-    """Default sweep metric (module-level so workers can pickle it)."""
-    return kernel.gflops(problem)
-
-
-def _sweep_row(kernels: Dict[str, object], metric: Callable,
-               point: WorkloadPoint) -> ComparisonRow:
-    """Evaluate every kernel on one sweep point."""
-    values = {
-        name: metric(kernel, point.problem) for name, kernel in kernels.items()
-    }
-    return ComparisonRow(label=point.label, values=values)
-
-
 def compare_on_sweep(
     kernels: Mapping[str, object],
     points: Sequence[WorkloadPoint],
     metric: Optional[Callable] = None,
-    jobs: Optional[Union[int, str]] = None,
 ) -> List[ComparisonRow]:
-    """Evaluate every kernel on every sweep point.
+    """Evaluate every kernel on every sweep point, in sweep order.
 
     ``metric`` defaults to the kernel's modeled GFlop/s (normalized by
-    the nominal operation count, as the paper reports).  ``jobs`` fans
-    the points out over worker processes (``None`` honors the
-    ``REPRO_JOBS`` environment variable); rows come back in sweep order
-    and are identical to the serial result for any degree.  An
-    unpicklable ``metric`` (a lambda, say) quietly stays serial.
+    the nominal operation count, as the paper reports).
     """
-    metric = metric or _gflops_metric
-    evaluate = functools.partial(_sweep_row, dict(kernels), metric)
-    return parallel_map(evaluate, points, jobs=jobs)
+    metric = metric or (lambda kernel, problem: kernel.gflops(problem))
+    return [
+        ComparisonRow(label=point.label,
+                      values={name: metric(kernel, point.problem)
+                              for name, kernel in kernels.items()})
+        for point in points
+    ]

@@ -23,8 +23,8 @@ Fault kinds (:class:`FaultKind`):
   version token and must be treated as unreachable.
 * ``build-fail`` — a backend's plan construction fails transiently;
   bounded retry with backoff must recover.
-* ``obs-drop`` — a replica's telemetry snapshot is dropped in transit;
-  serving must continue and the loss must be counted.
+* ``obs-drop`` — a replica attempt's telemetry is dropped before the
+  fleet folds it; serving must continue and the loss must be counted.
 
 Spec grammar (the ``REPRO_CHAOS`` environment variable and every
 ``--chaos`` flag accept it)::

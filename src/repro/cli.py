@@ -16,8 +16,6 @@
     python -m repro backends --arch pascal --json
     python -m repro serve --synthetic 50 --emit-trace out.json   # Perfetto trace
     python -m repro obs --format prometheus  # telemetry registry dump
-    python -m repro run table1 --jobs 4      # sweep on 4 worker processes
-    REPRO_JOBS=auto python -m repro summary  # parallel on every core
     python -m repro perf record --scale full # run the perf suite, append
     python -m repro perf report              # trajectory points + deltas
     python -m repro perf diff -- -2 -1       # delta between two points
@@ -51,15 +49,6 @@ __all__ = ["main", "build_parser"]
 SLOW_EXPERIMENTS = ("table1",)
 
 
-def _add_jobs_flag(subparser) -> None:
-    subparser.add_argument(
-        "--jobs", metavar="N", default=None,
-        help="worker processes for sweep evaluation (an integer, or "
-        "'auto' for the CPU count; default: the REPRO_JOBS environment "
-        "variable, else serial). Results are identical for any degree; "
-        "see docs/PARALLEL.md")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -81,13 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--emit-trace", metavar="PATH",
                      help="write a Chrome trace-event JSON of the run "
                      "(load in Perfetto / chrome://tracing)")
-    _add_jobs_flag(run)
 
     summary = sub.add_parser(
         "summary", help="print the headline paper-vs-measured lines")
     summary.add_argument("--json", action="store_true",
                          help="emit machine-readable JSON records")
-    _add_jobs_flag(summary)
 
     serve = sub.add_parser(
         "serve", help="serve a convolution trace through the serving engine")
@@ -267,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "simulator workload re-runs the interpreted SIMT "
                         "oracle and fails on any divergence")
     _add_trajectory_flag(record)
-    _add_jobs_flag(record)
 
     report = perf_sub.add_parser(
         "report", help="list trajectory points and render the deltas "
@@ -315,20 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
                       "simulator workload re-runs the interpreted SIMT "
                       "oracle and fails on any divergence")
     _add_trajectory_flag(gate)
-    _add_jobs_flag(gate)
     return parser
 
 
-def _resolve_jobs_arg(args) -> Optional[int]:
-    """Validate a --jobs flag up front (argparse-style exit on typos)."""
-    from repro.parallel import resolve_jobs
-
-    if getattr(args, "jobs", None) is None:
-        return None
-    return resolve_jobs(args.jobs)
-
-
-def _build(exp_id: str, arch_name: str, jobs: Optional[int] = None):
+def _build(exp_id: str, arch_name: str):
     builder = ALL_EXPERIMENTS[exp_id]
     arch = ARCHITECTURES[arch_name]
     try:
@@ -338,8 +314,6 @@ def _build(exp_id: str, arch_name: str, jobs: Optional[int] = None):
     kwargs = {}
     if "arch" in params:
         kwargs["arch"] = arch
-    if "jobs" in params:
-        kwargs["jobs"] = jobs
     return builder(**kwargs)
 
 
@@ -362,10 +336,9 @@ def _cmd_run(args) -> int:
         print("unknown experiment %r; try: python -m repro list"
               % args.experiment, file=sys.stderr)
         return 2
-    jobs = _resolve_jobs_arg(args)
     for exp_id in ids:
         with obs.instrument("experiment." + exp_id, category="experiment"):
-            exp = _build(exp_id, args.arch, jobs=jobs)
+            exp = _build(exp_id, args.arch)
         print(format_experiment(exp, precision=args.precision))
         print()
     if args.emit_trace:
@@ -375,24 +348,24 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _summary_entries(jobs: Optional[int] = None):
+def _summary_entries():
     """(experiment, numerator, denominator, paper value) headline tuples."""
     from repro.bench.figures import fig2_gemm, fig7_special, fig8_general
 
     entries = [(fig2_gemm(), "MAGMA", "cuBLAS", "2.4x")]
     for k in (1, 3, 5):
         paper = {1: "6.16x", 3: "6.43x", 5: "2.90x"}[k]
-        entries.append((fig7_special(k, jobs=jobs), "ours", "cuDNN", paper))
+        entries.append((fig7_special(k), "ours", "cuDNN", paper))
     for k in (3, 5, 7):
         paper = {3: "+30.5%", 5: "+45.3%", 7: "+30.8%"}[k]
-        entries.append((fig8_general(k, jobs=jobs), "ours", "cuDNN", paper))
+        entries.append((fig8_general(k), "ours", "cuDNN", paper))
     return entries
 
 
 def _cmd_summary(args) -> int:
     from repro.bench.report import summary_record
 
-    entries = _summary_entries(jobs=_resolve_jobs_arg(args))
+    entries = _summary_entries()
     if args.json:
         print(json.dumps(
             [summary_record(exp, num, den, paper)
@@ -1007,7 +980,7 @@ def _perf_record(args) -> int:
     tracer = obs.reset_tracer()
     with _audit_env(args.audit):
         point = perf_suite.run_suite(
-            scale=args.scale, jobs=_resolve_jobs_arg(args), note=args.note,
+            scale=args.scale, note=args.note,
             progress=lambda msg: print(msg, file=sys.stderr))
     if args.flamegraph:
         with open(args.flamegraph, "w") as fh:
@@ -1146,7 +1119,7 @@ def _perf_gate(args) -> int:
 
         with _audit_env(args.audit):
             current = perf_suite.run_suite(
-                scale=args.scale, jobs=_resolve_jobs_arg(args),
+                scale=args.scale,
                 progress=lambda msg: print(msg, file=sys.stderr))
         if args.flamegraph:
             with open(args.flamegraph, "w") as fh:
@@ -1197,33 +1170,27 @@ def _cmd_perf(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.errors import ParallelError
-
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "summary":
-            return _cmd_summary(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "chaos":
-            return _cmd_chaos(args)
-        if args.command == "obs":
-            return _cmd_obs(args)
-        if args.command == "backends":
-            return _cmd_backends(args)
-        if args.command == "claims":
-            return _cmd_claims(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "perf":
-            return _cmd_perf(args)
-    except ParallelError as exc:
-        print("bad --jobs / REPRO_JOBS value: %s" % exc, file=sys.stderr)
-        return 2
+    if args.command == "list":
+        return _cmd_list()
+    if args.command == "run":
+        return _cmd_run(args)
+    if args.command == "summary":
+        return _cmd_summary(args)
+    if args.command == "serve":
+        return _cmd_serve(args)
+    if args.command == "chaos":
+        return _cmd_chaos(args)
+    if args.command == "obs":
+        return _cmd_obs(args)
+    if args.command == "backends":
+        return _cmd_backends(args)
+    if args.command == "claims":
+        return _cmd_claims(args)
+    if args.command == "audit":
+        return _cmd_audit(args)
+    if args.command == "perf":
+        return _cmd_perf(args)
     return 2
 
 

@@ -13,10 +13,9 @@ configuration next to the paper's.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.conv.tensors import ConvProblem
 from repro.core.config import GeneralCaseConfig, SpecialCaseConfig, TABLE1_CONFIGS
@@ -26,7 +25,6 @@ from repro.gpu.timing import TimingModel
 from repro.obs.metrics import get_registry
 from repro.obs.perf.profiler import maybe_profile
 from repro.obs.tracing import get_tracer
-from repro.parallel import parallel_map
 
 __all__ = [
     "RankedConfig",
@@ -116,12 +114,7 @@ def enumerate_general_configs(
 # ----------------------------------------------------------------------
 
 def _evaluate_candidate(case, arch, problem, cfg) -> Optional[RankedConfig]:
-    """Evaluate one configuration (module-level so workers can pickle it).
-
-    Telemetry goes to the process-local obs surface: the live one when
-    called in-process, a worker's snapshot-bound one under
-    :func:`repro.parallel.parallel_map` fan-out.
-    """
+    """Evaluate one configuration, reporting to the live obs surface."""
     from repro.core.general import GeneralCaseKernel
     from repro.core.special import SpecialCaseKernel
 
@@ -157,20 +150,13 @@ def _evaluate_candidate(case, arch, problem, cfg) -> Optional[RankedConfig]:
     )
 
 
-def _rank(configs, problem, arch, case: str = "general",
-          jobs: Optional[Union[int, str]] = None) -> List[RankedConfig]:
-    """Evaluate candidates (fanned out over ``jobs`` workers) and sort.
-
-    The parallel path evaluates the same candidates in the same item
-    order within contiguous shards and reassembles shard results in
-    input order, so the stable sort below sees exactly the sequence the
-    serial path produces — rankings are bit-identical for any ``jobs``.
-    """
-    evaluate = functools.partial(_evaluate_candidate, case, arch, problem)
+def _rank(configs, problem, arch, case: str = "general") -> List[RankedConfig]:
+    """Evaluate candidates in order and sort them, best first (stable)."""
     # Opt-in sampling (REPRO_PROFILE=1): the candidate loop is the hot
     # planning path; the profiler shows which Python frames dominate it.
     with maybe_profile("dse.rank"):
-        results = parallel_map(evaluate, configs, jobs=jobs)
+        results = [_evaluate_candidate(case, arch, problem, cfg)
+                   for cfg in configs]
     ranked = [r for r in results if r is not None]
     ranked.sort(key=lambda r: r.gflops, reverse=True)
     return ranked
@@ -180,12 +166,11 @@ def explore_special(
     arch: GPUArchitecture = KEPLER_K40M,
     problem: Optional[ConvProblem] = None,
     configs: Optional[Sequence[SpecialCaseConfig]] = None,
-    jobs: Optional[Union[int, str]] = None,
 ) -> List[RankedConfig]:
     """Rank special-case blocks; the paper's answer is W=256, H=8."""
     problem = problem or DEFAULT_SPECIAL_PROBLEM
     configs = configs if configs is not None else enumerate_special_configs()
-    return _rank(configs, problem, arch, case="special", jobs=jobs)
+    return _rank(configs, problem, arch, case="special")
 
 
 def explore_general(
@@ -193,7 +178,6 @@ def explore_general(
     arch: GPUArchitecture = KEPLER_K40M,
     problem: Optional[ConvProblem] = None,
     configs: Optional[Sequence[GeneralCaseConfig]] = None,
-    jobs: Optional[Union[int, str]] = None,
 ) -> List[RankedConfig]:
     """Rank general-case configurations for one filter size (Table 1)."""
     from repro.core.bankwidth import matched_vector
@@ -202,7 +186,7 @@ def explore_general(
     problem = problem or default_general_problem(kernel_size)
     if configs is None:
         configs = enumerate_general_configs(kernel_size, n, arch)
-    return _rank(configs, problem, arch, case="general", jobs=jobs)
+    return _rank(configs, problem, arch, case="general")
 
 
 def _general_palette(kernel_size: int, n: int) -> List[GeneralCaseConfig]:
@@ -227,7 +211,6 @@ def best_config(
     arch: GPUArchitecture = KEPLER_K40M,
     case: Optional[str] = None,
     full: bool = False,
-    jobs: Optional[Union[int, str]] = None,
 ) -> RankedConfig:
     """The winning configuration for one concrete problem.
 
@@ -246,10 +229,6 @@ def best_config(
         For the general case, search the whole Table 1 axis space (the
         slow path ``reproduce_table1`` uses) instead of the shippable
         palette of known-good configurations.
-    jobs:
-        Worker processes for candidate evaluation (``None`` honors
-        ``REPRO_JOBS``, default serial); the ranking is identical for
-        every degree.
 
     Raises
     ------
@@ -271,8 +250,7 @@ def best_config(
     # the ConvBackend DSE hook, and this entry point delegates.
     from repro.kernels import default_registry
 
-    return default_registry().get(case).tune(problem, arch, full=full,
-                                             jobs=jobs)
+    return default_registry().get(case).tune(problem, arch, full=full)
 
 
 @dataclass(frozen=True)
@@ -294,21 +272,15 @@ class Table1Row:
 def reproduce_table1(
     arch: GPUArchitecture = KEPLER_K40M,
     kernel_sizes: Sequence[int] = (3, 5, 7),
-    jobs: Optional[Union[int, str]] = None,
 ) -> List[Table1Row]:
-    """Regenerate Table 1 by exploration and compare with the paper's.
-
-    ``jobs`` fans the per-filter-size candidate evaluation out over
-    worker processes; the produced rows are identical for any degree.
-    """
+    """Regenerate Table 1 by exploration and compare with the paper's."""
     from repro.core.general import GeneralCaseKernel
 
     rows = []
     model = TimingModel(arch)
     for k in kernel_sizes:
         problem = default_general_problem(k)
-        best = best_config(problem, arch, case="general", full=True,
-                           jobs=jobs)
+        best = best_config(problem, arch, case="general", full=True)
         paper_cfg = TABLE1_CONFIGS[k]
         paper_kernel = GeneralCaseKernel(arch=arch, config=paper_cfg)
         paper_gflops = paper_kernel.predict(problem, model).gflops(problem.flops)

@@ -52,7 +52,3 @@ class AuditMismatchError(TraceError):
 
 class ObservabilityError(ReproError):
     """A telemetry operation (metric, span, exporter) is invalid."""
-
-
-class ParallelError(ReproError):
-    """A parallel-execution request (job count, sharding) is invalid."""

@@ -55,7 +55,6 @@ from repro.errors import ReproError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.obs.exporters import write_chrome_trace
 from repro.obs.metrics import Registry
-from repro.obs.snapshot import merge_registry_snapshot, worker_snapshot
 from repro.obs.tracing import Tracer, VIRTUAL_TRACK
 from repro.serve.dispatch import Dispatcher
 from repro.serve.engine import ServeEngine
@@ -211,16 +210,18 @@ def _serve_replica_shard(replica: int, engine_kwargs: dict,
     """Replay one replica's sub-trace on a fresh engine.
 
     Runs against a replica-private registry/tracer and hands both back
-    as a snapshot, which the fleet merges under the replica's name.
+    as ``obs``, which the fleet folds under the replica's name only if
+    the attempt succeeds: a failed attempt leaves no telemetry behind.
 
     ``directives`` (from an installed fault injector) simulate this
     attempt's share of the chaos plan: a ``crash`` serves ``after``
     requests and then loses the whole attempt, a ``wedge`` returns
     nothing at all (the modeled worker-timeout), ``slow`` inflates the
-    reported clock, and ``drop_obs`` loses the telemetry snapshot in
-    transit.  Injected failures come back as *structured outcomes* (a
-    dict with a ``failed`` reason); the fleet's failover loop owns
-    recovery from those and from any exception raised here.
+    reported clock, and ``drop_obs`` drops the attempt's telemetry
+    before the fleet folds it.  Injected failures come back as
+    *structured outcomes* (a dict with a ``failed`` reason); the fleet's
+    failover loop owns recovery from those and from any exception
+    raised here.
     """
     directives = directives or {}
     fault = directives.get("fault")
@@ -250,8 +251,7 @@ def _serve_replica_shard(replica: int, engine_kwargs: dict,
         "clock_s": clock_s,
         "slow": fault == "slow",
         "stats": engine.stats(),
-        "obs": (None if directives.get("drop_obs")
-                else worker_snapshot(registry, tracer)),
+        "obs": None if directives.get("drop_obs") else (registry, tracer),
     }
 
 
@@ -406,9 +406,8 @@ class FleetEngine:
         engine_kwargs = self.config.engine_kwargs()
         work = [(replica, shard, seeds[replica])
                 for replica, shard in enumerate(shards) if shard]
-        region_start_s = self.tracer.now_s() if self.tracer else 0.0
         responses_by_id, makespan, abandoned = self._replay_with_failover(
-            work, engine_kwargs, by_req_id, region_start_s)
+            work, engine_kwargs, by_req_id)
 
         # Phase 4: account the leftovers and reassemble.
         for request in abandoned:
@@ -426,8 +425,7 @@ class FleetEngine:
         )
 
     # ------------------------------------------------------------------
-    def _replay_with_failover(self, work, engine_kwargs, by_req_id,
-                              region_start_s):
+    def _replay_with_failover(self, work, engine_kwargs, by_req_id):
         """Phase 3: dispatch shards, absorbing failures round by round.
 
         Returns ``(responses_by_id, makespan, abandoned_requests)``.
@@ -464,6 +462,10 @@ class FleetEngine:
             for replica, shard, seed in pending:
                 directives = (self.chaos.replica_directives(replica)
                               if self.chaos is not None else None)
+                # Where this attempt starts on the fleet's wall clock:
+                # its replica tracer's spans are shifted by this much.
+                started_s = (self.tracer.now_s()
+                             if self.tracer is not None else 0.0)
                 try:
                     res = _serve_replica_shard(
                         replica, engine_kwargs, shard, seed, directives)
@@ -477,7 +479,7 @@ class FleetEngine:
                     continue
                 self.health.record_success(replica, now)
                 self._absorb_result(res, by_req_id, responses_by_id,
-                                    region_start_s)
+                                    started_s)
                 succeeded.append((replica, shard, seed, res))
             makespan = max(
                 [makespan]
@@ -544,16 +546,16 @@ class FleetEngine:
         return min(candidates, key=lambda r: (loads.get(r, 0), r))
 
     def _absorb_result(self, res, by_req_id, responses_by_id,
-                       region_start_s) -> None:
+                       started_s) -> None:
         """Fold one successful shard attempt into the fleet surfaces."""
         replica = res["replica"]
         if res["obs"] is None:
-            # The snapshot was lost in transit (obs-drop fault): count
-            # it and keep serving — telemetry loss must never fail a
-            # request.
+            # The attempt's telemetry was dropped (obs-drop fault):
+            # count it and keep serving — telemetry loss must never
+            # fail a request.
             self.health.record_obs_drop()
         else:
-            self._merge_replica_obs(replica, res["obs"], region_start_s)
+            self._merge_replica_obs(replica, *res["obs"], started_s)
         self._last_engine_stats[replica] = res["stats"]
         for response in res["responses"]:
             if response.req_id in responses_by_id:
@@ -564,29 +566,30 @@ class FleetEngine:
             self.slo.record_response(replica, request, response)
             responses_by_id[response.req_id] = response
 
-    def _merge_replica_obs(self, replica: int, snapshot: dict,
-                           offset_s: float) -> None:
-        """Fold a replica's telemetry into the fleet surfaces.
+    def _merge_replica_obs(self, replica: int, registry: Registry,
+                           tracer: Tracer, offset_s: float) -> None:
+        """Fold a replica attempt's telemetry into the fleet surfaces.
 
-        Counters/histograms sum into fleet-wide totals; virtual spans
-        land on per-replica track names (``replica3/kernel``) so the
-        Perfetto export shows each replica's modeled timeline.
+        The registry folds in with :meth:`Registry.merge`, so counters
+        and histograms sum into fleet-wide totals.  Wall spans shift by
+        ``offset_s``, the fleet-tracer time the attempt started at;
+        virtual spans land on per-replica track names
+        (``replica3/kernel``) so the Perfetto export shows each
+        replica's modeled timeline.
         """
-        merge_registry_snapshot(snapshot["registry"], registry=self.registry)
+        self.registry.merge(registry)
         if self.tracer is None:
             return
-        for entry in snapshot["tracer"].get("spans", ()):
-            virtual = entry["track"] == VIRTUAL_TRACK
-            category = entry["category"]
+        for span in tracer.spans:
+            virtual = span.track == VIRTUAL_TRACK
+            category = span.category
             if virtual:
                 category = "replica%d/%s" % (replica, category)
-            args = dict(entry.get("args", {}))
-            args["replica"] = replica
             self.tracer.add_span(
-                entry["name"], category,
-                entry["start_s"] + (0.0 if virtual else offset_s),
-                entry["duration_s"], track=entry["track"],
-                args=args, depth=entry.get("depth", 0),
+                span.name, category,
+                span.start_s + (0.0 if virtual else offset_s),
+                span.duration_s, track=span.track,
+                args={**span.args, "replica": replica}, depth=span.depth,
             )
 
     # ------------------------------------------------------------------

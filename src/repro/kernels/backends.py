@@ -59,16 +59,15 @@ class _TunedBackend(ConvBackend):
 
     def tune(self, problem: ConvProblem,
              arch: GPUArchitecture = KEPLER_K40M,
-             full: bool = False, jobs=None):
+             full: bool = False):
         """Rank configurations and return the winning
         :class:`~repro.core.dse.RankedConfig` (raises
         :class:`ConfigurationError` when no candidate is valid).
 
         ``full`` searches the whole Table 1 axis space instead of the
-        shippable palette (general case only); ``jobs`` fans candidate
-        evaluation out over worker processes.
+        shippable palette (general case only).
         """
-        ranked = self._explore(problem, arch, full=full, jobs=jobs)
+        ranked = self._explore(problem, arch, full=full)
         if not ranked:
             raise ConfigurationError(
                 "no valid %s-case configuration for %r on %s"
@@ -76,15 +75,13 @@ class _TunedBackend(ConvBackend):
             )
         return ranked[0]
 
-    def _explore(self, problem, arch, full, jobs):
+    def _explore(self, problem, arch, full):
         raise NotImplementedError
 
     def configure(self, problem: ConvProblem,
                   arch: GPUArchitecture = KEPLER_K40M) -> Optional[object]:
-        # Serial on purpose: configure runs once per shape on the plan
-        # path, where a process pool costs more than the sweep saves.
         try:
-            return self.tune(problem, arch, jobs=1).config
+            return self.tune(problem, arch).config
         except ConfigurationError:
             return None
 
@@ -121,10 +118,10 @@ class SpecialBackend(_TunedBackend):
         cm_bytes = valid.filters * valid.kernel_size ** 2 * FLOAT_BYTES
         return cm_bytes <= arch.const_memory_size
 
-    def _explore(self, problem, arch, full, jobs):
+    def _explore(self, problem, arch, full):
         from repro.core.dse import explore_special
 
-        return explore_special(arch, problem=problem, jobs=jobs)
+        return explore_special(arch, problem=problem)
 
     def build(self, problem, arch=KEPLER_K40M, config=None, **kwargs):
         if config is not None:
@@ -145,7 +142,7 @@ class GeneralBackend(_TunedBackend):
         "layouts": ("nchw",),
     }
 
-    def _explore(self, problem, arch, full, jobs):
+    def _explore(self, problem, arch, full):
         from repro.core.bankwidth import matched_vector
         from repro.core.dse import _general_palette, explore_general
 
@@ -153,8 +150,7 @@ class GeneralBackend(_TunedBackend):
         configs = None
         if not full:
             configs = _general_palette(k, matched_vector(arch).n)
-        return explore_general(k, arch, problem=problem, configs=configs,
-                               jobs=jobs)
+        return explore_general(k, arch, problem=problem, configs=configs)
 
     def build(self, problem, arch=KEPLER_K40M, config=None, **kwargs):
         if config is not None:
@@ -184,11 +180,11 @@ class DepthwiseBackend(_TunedBackend):
         cm_bytes = valid.filters * valid.kernel_size ** 2 * FLOAT_BYTES
         return cm_bytes <= arch.const_memory_size
 
-    def _explore(self, problem, arch, full, jobs):
+    def _explore(self, problem, arch, full):
         from repro.core.dse import explore_special
 
         return explore_special(
-            arch, problem=DepthwiseKernel.group_problem(problem), jobs=jobs)
+            arch, problem=DepthwiseKernel.group_problem(problem))
 
     def build(self, problem, arch=KEPLER_K40M, config=None, **kwargs):
         if config is not None:

@@ -14,9 +14,6 @@ docs/OBSERVABILITY.md for the metric-name catalog and span taxonomy):
   validators for round-trip testing.
 * :mod:`~repro.obs.instrument` — ``instrument()`` decorator/context
   manager for one-line span + histogram coverage of any code path.
-* :mod:`~repro.obs.snapshot` — serializable registry/tracer snapshots
-  and lossless merging, so :mod:`repro.parallel` workers report
-  complete telemetry back to the parent process.
 
 Quick start::
 
@@ -39,15 +36,6 @@ from repro.obs.exporters import (
     write_chrome_trace,
 )
 from repro.obs.instrument import instrument
-from repro.obs.snapshot import (
-    SNAPSHOT_VERSION,
-    merge_registry_snapshot,
-    merge_tracer_snapshot,
-    merge_worker_snapshot,
-    registry_snapshot,
-    tracer_snapshot,
-    worker_snapshot,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -91,11 +79,4 @@ __all__ = [
     "to_prometheus",
     "parse_prometheus",
     "registry_to_json",
-    "SNAPSHOT_VERSION",
-    "registry_snapshot",
-    "merge_registry_snapshot",
-    "tracer_snapshot",
-    "merge_tracer_snapshot",
-    "worker_snapshot",
-    "merge_worker_snapshot",
 ]

@@ -212,6 +212,19 @@ class _HistogramSeries:
             self._stride *= 2
             self._skip = self._stride - 1
 
+    def merge(self, other: "_HistogramSeries", max_samples: int) -> None:
+        """Add ``other``'s observations: aggregates exactly, retained
+        samples appended and re-decimated past ``max_samples``."""
+        self.count += other.count
+        self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        self.samples.extend(other.samples)
+        self._stride = max(self._stride, other._stride)
+        while len(self.samples) > max_samples:
+            self.samples = self.samples[::2]
+            self._stride *= 2
+
 
 class Histogram(Metric):
     """Distribution metric with exact-sample quantiles and value counts."""
@@ -232,15 +245,14 @@ class Histogram(Metric):
         self.max_samples = max_samples
 
     # ------------------------------------------------------------------
-    def _get(self, labels) -> _HistogramSeries:
-        key = self._key(labels)
+    def _get_key(self, key: Tuple[str, ...]) -> _HistogramSeries:
         data = self._series.get(key)
         if data is None:
             data = self._series[key] = _HistogramSeries()
         return data
 
     def observe(self, value: float, **labels) -> None:
-        self._get(labels).observe(value, self.max_samples)
+        self._get_key(self._key(labels)).observe(value, self.max_samples)
 
     # ------------------------------------------------------------------
     def count(self, **labels) -> int:
@@ -449,6 +461,36 @@ class Registry:
         """Drop every metric (a fresh registry without replacing the object)."""
         self._metrics.clear()
         self._handles.clear()
+
+    def merge(self, other: "Registry") -> None:
+        """Fold every series of ``other`` into this registry.
+
+        Counters add, gauges take ``other``'s value (last write wins),
+        and histograms add count and sum, take the min and max, and
+        append ``other``'s retained samples, re-decimating past
+        ``max_samples``.  Zero counters and empty histogram series add
+        no series; a metric missing here is created with ``other``'s
+        help, labels, buckets and sample bound.
+        """
+        for metric in other:
+            if isinstance(metric, Counter):
+                target = self.counter(metric.name, metric.help,
+                                      metric.labelnames)
+                for key, value in metric._series.items():
+                    if value:
+                        target.inc_key(key, value)
+            elif isinstance(metric, Gauge):
+                target = self.gauge(metric.name, metric.help,
+                                    metric.labelnames)
+                for key, value in metric._series.items():
+                    target._series[key] = float(value)
+            else:
+                target = self.histogram(
+                    metric.name, metric.help, metric.labelnames,
+                    buckets=metric.buckets, max_samples=metric.max_samples)
+                for key, data in metric._series.items():
+                    if data.count:
+                        target._get_key(key).merge(data, target.max_samples)
 
 
 # ----------------------------------------------------------------------

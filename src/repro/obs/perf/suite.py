@@ -57,7 +57,7 @@ def _check_scale(scale: str) -> str:
 # Workloads
 # ----------------------------------------------------------------------
 
-def _workload_table1(scale: str, jobs=None) -> Dict[str, float]:
+def _workload_table1(scale: str) -> Dict[str, float]:
     from repro.core.dse import (
         enumerate_general_configs, explore_general, reproduce_table1,
     )
@@ -66,7 +66,7 @@ def _workload_table1(scale: str, jobs=None) -> Dict[str, float]:
 
     start = time.perf_counter()
     if scale == "full":
-        rows = reproduce_table1(jobs=jobs)
+        rows = reproduce_table1()
         wall_s = time.perf_counter() - start
         return {
             "wall_s": wall_s,
@@ -80,7 +80,7 @@ def _workload_table1(scale: str, jobs=None) -> Dict[str, float]:
     configs = enumerate_general_configs(
         3, n, KEPLER_K40M, widths=widths, heights=(2, 4),
         ftbs=(16, 32), wts=(4, 8), fts=(2, 4), cshs=(1, 2))
-    ranked = explore_general(3, configs=configs, jobs=jobs)
+    ranked = explore_general(3, configs=configs)
     wall_s = time.perf_counter() - start
     if not ranked:
         raise ObservabilityError("table1_dse ranked no candidates")
@@ -91,7 +91,7 @@ def _workload_table1(scale: str, jobs=None) -> Dict[str, float]:
     }
 
 
-def _workload_serve(scale: str, jobs=None) -> Dict[str, float]:
+def _workload_serve(scale: str) -> Dict[str, float]:
     from repro.obs.tracing import get_tracer
     from repro.serve import ServeEngine, synthetic_trace
 
@@ -112,7 +112,7 @@ def _workload_serve(scale: str, jobs=None) -> Dict[str, float]:
     }
 
 
-def _workload_fleet(scale: str, jobs=None) -> Dict[str, float]:
+def _workload_fleet(scale: str) -> Dict[str, float]:
     from repro.fleet import FleetConfig, FleetEngine
     from repro.obs.tracing import get_tracer
     from repro.serve import synthetic_trace
@@ -135,7 +135,7 @@ def _workload_fleet(scale: str, jobs=None) -> Dict[str, float]:
     }
 
 
-def _workload_simulator(scale: str, jobs=None) -> Dict[str, float]:
+def _workload_simulator(scale: str) -> Dict[str, float]:
     from repro.gpu.arch import KEPLER_K40M
     from repro.gpu.fastsim import FastSpecialKernel
     from repro.gpu.timing import TimingModel
@@ -178,7 +178,7 @@ WORKLOADS = {
 }
 
 
-def run_workload(name: str, scale: str = "ci", jobs=None) -> Dict[str, float]:
+def run_workload(name: str, scale: str = "ci") -> Dict[str, float]:
     """Run one canonical workload; returns its metric dict."""
     _check_scale(scale)
     if name not in WORKLOADS:
@@ -186,7 +186,7 @@ def run_workload(name: str, scale: str = "ci", jobs=None) -> Dict[str, float]:
             "unknown workload %r; expected one of %s"
             % (name, sorted(WORKLOADS)))
     with instrument("perf.%s" % name, category="perf") as span:
-        metrics = WORKLOADS[name](scale, jobs=jobs)
+        metrics = WORKLOADS[name](scale)
         span.annotate(scale=scale, **{
             k: v for k, v in metrics.items() if k == "wall_s"})
     return metrics
@@ -194,7 +194,6 @@ def run_workload(name: str, scale: str = "ci", jobs=None) -> Dict[str, float]:
 
 def run_suite(
     scale: str = "ci",
-    jobs=None,
     note: Optional[str] = None,
     workloads: Optional[Sequence[str]] = None,
     progress: Optional[callable] = None,
@@ -213,7 +212,7 @@ def run_suite(
     for name in names:
         if progress:
             progress("perf suite [%s]: %s ..." % (scale, name))
-        results[name] = run_workload(name, scale=scale, jobs=jobs)
+        results[name] = run_workload(name, scale=scale)
         if progress:
             progress("perf suite [%s]: %s done in %.3fs"
                      % (scale, name, results[name]["wall_s"]))

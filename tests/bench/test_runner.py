@@ -4,9 +4,11 @@ import pytest
 
 from repro.bench.report import format_experiment, format_summary_line, summarize_ratio
 from repro.bench.runner import ComparisonRow, Experiment, compare_on_sweep
-from repro.conv.workloads import WorkloadPoint
+from repro.conv.workloads import WorkloadPoint, special_case_sweep
 from repro.conv.tensors import ConvProblem
+from repro.core.special import SpecialCaseKernel
 from repro.errors import ReproError
+from repro.gpu.arch import KEPLER_K40M
 
 
 def make_experiment():
@@ -67,6 +69,16 @@ class TestCompareOnSweep:
         rows = compare_on_sweep({"k": object()}, pts,
                                 metric=lambda kern, p: 42.0)
         assert rows[0].values["k"] == 42.0
+
+    def test_custom_lambda_metric_still_works(self):
+        kernels = {"ours": SpecialCaseKernel(KEPLER_K40M)}
+        points = special_case_sweep(3)[:3]
+        rows = compare_on_sweep(
+            kernels, points,
+            metric=lambda kernel, problem: float(problem.width))
+        assert [r.label for r in rows] == [p.label for p in points]
+        assert [r.values["ours"] for r in rows] == [
+            float(p.problem.width) for p in points]
 
 
 class TestReport:

@@ -123,7 +123,7 @@ class TestBestConfig:
             best_config(p, case="special")
 
     def test_quick_palette_is_valid(self):
-        # Its wall-clock bound lives in benchmarks/bench_parallel_dse.py.
+        # Its wall-clock bound lives in benchmarks/bench_table1_dse.py.
         p = ConvProblem.square(48, 5, channels=4, filters=8)
         ranked = best_config(p)
         ranked.config.validate(p.kernel_size, 2)

@@ -1,5 +1,7 @@
 """Tests for the fleet engine: determinism, shedding, SLOs, telemetry."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,7 @@ from repro.fleet import (
     check_replicas,
 )
 from repro.obs.metrics import Registry
-from repro.obs.tracing import Tracer
-from repro.parallel import JOBS_ENV_VAR, executor, shutdown_pools
+from repro.obs.tracing import WALL_TRACK, Tracer
 from repro.serve import ServeEngine, synthetic_trace
 
 
@@ -56,12 +57,7 @@ class TestValidation:
 
 
 class TestOneProcess:
-    """Serving never fans out, so a bad REPRO_JOBS cannot reach it."""
-
-    @pytest.fixture(autouse=True)
-    def _bad_jobs_env(self, monkeypatch):
-        shutdown_pools()
-        monkeypatch.setenv(JOBS_ENV_VAR, "nope")
+    """A cold engine and a cold fleet answer like the reference."""
 
     def check(self, requests, responses, exact=True):
         assert len(responses) == len(requests)
@@ -74,15 +70,14 @@ class TestOneProcess:
             else:
                 assert np.allclose(response.output, want,
                                    rtol=1e-4, atol=1e-5)
-        assert executor._POOLS == {}
 
     @pytest.mark.parametrize("executor_name", ["reference", "kernel"])
-    def test_cold_engine_ignores_repro_jobs(self, executor_name):
+    def test_cold_engine_matches_reference(self, executor_name):
         reqs = trace(24)
         responses = ServeEngine(executor=executor_name).serve_trace(reqs)
         self.check(reqs, responses, exact=executor_name == "reference")
 
-    def test_cold_fleet_ignores_repro_jobs(self):
+    def test_cold_fleet_matches_reference(self):
         reqs = trace(24)
         self.check(reqs, fleet(replicas=4).serve_trace(reqs).responses)
 
@@ -251,3 +246,48 @@ class TestTelemetry:
         engine.serve_trace(trace(40))
         served = engine.registry.get("serve_requests_total")
         assert served is not None and served.total() == 40
+
+    def test_replica_wall_spans_land_where_they_ran(self):
+        tracer = Tracer()
+        engine = fleet(replicas=4, tracer=tracer)
+        before = tracer.now_s()
+        result = engine.serve_trace(trace(60))
+        after = tracer.now_s()
+        wall = [span for span in tracer.spans
+                if span.track == WALL_TRACK and "replica" in span.args]
+        assert wall
+        assert all(before <= span.start_s and span.end_s <= after
+                   for span in wall)
+        # No fault: one attempt per replica, run one after another, so
+        # the attempts' wall intervals never overlap.
+        intervals = {}
+        for span in wall:
+            lo, hi = intervals.get(span.args["replica"],
+                                   (math.inf, -math.inf))
+            intervals[span.args["replica"]] = (min(lo, span.start_s),
+                                               max(hi, span.end_s))
+        assert set(intervals) == set(result.assignments) - {None}
+        assert len(intervals) > 1
+        ordered = sorted(intervals.values())
+        assert all(a_hi <= b_lo
+                   for (_, a_hi), (b_lo, _) in zip(ordered, ordered[1:]))
+
+    @pytest.mark.parametrize("chaos, requests_total, dropped", [
+        (None, 60, 0),
+        # The crashed attempt's served prefix never reaches the fleet;
+        # only the failover attempt's telemetry does.
+        ("crash:replica=1,after=5", 60, 0),
+        # Replica 1's attempt serves 9 requests; its telemetry is
+        # dropped before the fold, and the drop is counted.
+        ("obs-drop:replica=1", 51, 1),
+    ])
+    def test_fleet_registry_under_faults(self, monkeypatch, chaos,
+                                         requests_total, dropped):
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        engine = FleetEngine(FleetConfig(replicas=4, queue_depth=512),
+                             chaos=chaos)
+        result = engine.serve_trace(trace(60))
+        assert result.served == 60
+        registry = engine.registry
+        assert registry.get("serve_requests_total").total() == requests_total
+        assert registry.get("fleet_obs_dropped_total").total() == dropped

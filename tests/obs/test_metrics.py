@@ -234,6 +234,81 @@ class TestRegistry:
         assert reg.names() == ["a", "b"]
 
 
+def populated_registry():
+    registry = Registry()
+    requests = registry.counter("snap_requests_total", "requests",
+                                labelnames=("backend",))
+    requests.inc(3, backend="special")
+    requests.inc(2.5, backend="general")
+    registry.gauge("snap_queue_depth", "depth").set(7)
+    lat = registry.histogram("snap_latency_seconds", "latency")
+    for v in (0.001, 0.002, 0.004, 0.008):
+        lat.observe(v)
+    return registry
+
+
+class TestRegistryMerge:
+    def test_merge_into_empty_reproduces_counters(self):
+        merged = Registry()
+        merged.merge(populated_registry())
+        counter = merged.get("snap_requests_total")
+        assert counter.value(backend="special") == 3.0
+        assert counter.value(backend="general") == 2.5
+        assert merged.get("snap_queue_depth").value() == 7.0
+        assert merged.collect() == populated_registry().collect()
+
+    def test_counters_merge_by_summation(self):
+        target = populated_registry()
+        target.merge(populated_registry())
+        assert target.get("snap_requests_total").total() == 11.0
+
+    def test_gauges_take_the_last_write(self):
+        target = populated_registry()
+        other = Registry()
+        other.gauge("snap_queue_depth", "depth").set(2)
+        target.merge(other)
+        assert target.get("snap_queue_depth").value() == 2.0
+
+    def test_histogram_aggregates_merge_exactly(self):
+        target = populated_registry()
+        target.merge(populated_registry())
+        hist = target.get("snap_latency_seconds")
+        assert hist.count() == 8
+        assert hist.sum() == pytest.approx(2 * 0.015)
+        series = hist.collect()["series"][0]["value"]
+        assert series["min"] == 0.001
+        assert series["max"] == 0.008
+
+    def test_histogram_samples_append_and_redecimate(self):
+        target, other = Registry(), Registry()
+        for registry, start in ((target, 0), (other, 100)):
+            hist = registry.histogram("snap_sizes", max_samples=4)
+            for v in range(start, start + 3):
+                hist.observe(v)
+        target.merge(other)
+        hist = target.get("snap_sizes")
+        assert hist.count() == 6
+        assert hist.is_estimated()
+        # 6 retained samples exceed the bound of 4: keep every other one.
+        assert hist.value_counts() == {0.0: 2, 2.0: 2, 101.0: 2}
+
+    def test_empty_series_merge_is_noop(self):
+        registry = Registry()
+        registry.counter("snap_zero_total", "z", labelnames=("k",)).inc(
+            0, k="a")
+        registry.histogram("snap_empty_seconds", "e")
+        merged = Registry()
+        merged.merge(registry)
+        assert merged.get("snap_zero_total").series() == []
+        assert merged.get("snap_empty_seconds").count() == 0
+
+    def test_type_conflict_rejected(self):
+        target = Registry()
+        target.gauge("snap_requests_total")
+        with pytest.raises(ObservabilityError):
+            target.merge(populated_registry())
+
+
 class TestGlobalRegistry:
     def test_swap_and_restore(self):
         original = get_registry()

@@ -276,39 +276,6 @@ class TestObs:
             validate_chrome_trace(json.load(fh))
 
 
-class TestJobsFlag:
-    def test_run_accepts_jobs(self, capsys):
-        assert main(["run", "fig7a", "--jobs", "2"]) == 0
-        assert "fig7a" in capsys.readouterr().out
-
-    def test_run_jobs_matches_serial_output(self, capsys):
-        assert main(["run", "fig7a", "--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["run", "fig7a", "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
-
-    @pytest.mark.parametrize("command", ["serve", "chaos", "obs"])
-    def test_serving_commands_have_no_jobs_flag(self, command, capsys):
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-        assert "--jobs" not in capsys.readouterr().out
-
-    def test_jobs_auto(self, capsys):
-        assert main(["run", "fig1", "--jobs", "auto"]) == 0
-        assert "fig1" in capsys.readouterr().out
-
-    def test_bad_jobs_value_reports_and_exits_2(self, capsys):
-        assert main(["run", "fig1", "--jobs", "nope"]) == 2
-        assert "REPRO_JOBS" in capsys.readouterr().err
-
-    def test_bad_jobs_env_reports_and_exits_2(self, capsys, monkeypatch):
-        # fig7a runs a DSE sweep, which consults REPRO_JOBS when no
-        # --jobs flag is given; fig1 has no fan-out and never reads it.
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        assert main(["run", "fig7a"]) == 2
-        assert "REPRO_JOBS" in capsys.readouterr().err
-
-
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
