@@ -27,6 +27,8 @@ The modeled (virtual-clock) numbers are deterministic; only the
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -37,22 +39,26 @@ from repro.fleet import FleetConfig, FleetEngine
 from repro.serve import ServeEngine, synthetic_trace
 
 
-def leg_meta():
-    """Provenance stamp for one leg: schema, version, git sha, python.
+def git_sha():
+    """Short HEAD sha of this checkout, or ``"unknown"``."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=5,
+            cwd=os.path.dirname(os.path.abspath(__file__)))
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else "unknown"
 
-    ``repro perf report`` ingests these numbers as a trajectory point
-    (:func:`repro.obs.perf.trajectory.normalize_bench_serve`); the stamp
-    is what lets that ingestion carry real provenance instead of a
-    backfilled guess.
-    """
+
+def leg_meta():
+    """Provenance stamp for one leg: version, git sha, python, time."""
     import platform
 
-    from repro.obs.perf.trajectory import SCHEMA_VERSION, _git_sha
-
     return {
-        "schema_version": SCHEMA_VERSION,
         "version": __version__,
-        "git_sha": _git_sha(),
+        "git_sha": git_sha(),
         "python": platform.python_version(),
         "recorded_unix": round(time.time(), 3),
     }

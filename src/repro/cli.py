@@ -16,25 +16,19 @@
     python -m repro backends --arch pascal --json
     python -m repro serve --synthetic 50 --emit-trace out.json   # Perfetto trace
     python -m repro obs --format prometheus  # telemetry registry dump
-    python -m repro perf record --scale full # run the perf suite, append
-    python -m repro perf report              # trajectory points + deltas
-    python -m repro perf diff -- -2 -1       # delta between two points
-    python -m repro perf gate --tolerance 0.25   # CI regression gate
     python -m repro audit                    # fastsim vs interpreted oracle
     python -m repro audit --arch fermi --case general --trials 8
-    python -m repro perf gate --audit        # gate with the oracle engaged
 
 Tables are printed to stdout (the same renderer the benchmark suite
-uses to fill ``benchmarks/output/``).
+uses to fill ``benchmarks/output/``).  Host performance is measured from
+outside the package by ``benchmarks/e2e`` (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import inspect
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -216,91 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for the shape generator")
     audit.add_argument("--json", action="store_true",
                        help="emit per-trial records as JSON")
-
-    perf = sub.add_parser(
-        "perf", help="performance observatory: record, inspect, and gate "
-        "the perf trajectory (docs/OBSERVABILITY.md)")
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-
-    def _add_trajectory_flag(p):
-        p.add_argument("--trajectory", metavar="PATH",
-                       default="BENCH_trajectory.json",
-                       help="trajectory database (default: "
-                       "BENCH_trajectory.json)")
-
-    record = perf_sub.add_parser(
-        "record", help="run the canonical perf suite and append a "
-        "trajectory point")
-    record.add_argument("--scale", choices=("smoke", "ci", "full"),
-                        default="ci",
-                        help="workload sizing (default: ci)")
-    record.add_argument("--note", metavar="TEXT",
-                        help="free-form note stored in the point's meta")
-    record.add_argument("--flamegraph", metavar="PATH",
-                        help="write the run's collapsed-stack flamegraph "
-                        "(feed to flamegraph.pl / speedscope)")
-    record.add_argument("--emit-trace", metavar="PATH",
-                        help="write the run's Chrome trace-event JSON "
-                        "with the folded profile section")
-    record.add_argument("--point-out", metavar="PATH",
-                        help="also write the recorded point alone to PATH")
-    record.add_argument("--no-append", action="store_true",
-                        help="measure and print only; leave the "
-                        "trajectory file untouched")
-    record.add_argument("--json", action="store_true",
-                        help="emit the recorded point as JSON")
-    record.add_argument("--audit", action="store_true",
-                        help="set REPRO_AUDIT=1 for the suite run: the "
-                        "simulator workload re-runs the interpreted SIMT "
-                        "oracle and fails on any divergence")
-    _add_trajectory_flag(record)
-
-    report = perf_sub.add_parser(
-        "report", help="list trajectory points and render the deltas "
-        "between consecutive ones")
-    report.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
-    _add_trajectory_flag(report)
-
-    diff = perf_sub.add_parser(
-        "diff", help="delta table between two trajectory points")
-    diff.add_argument("indices", nargs="*", type=int, metavar="INDEX",
-                      help="two point indices, negatives count from the "
-                      "end (default: -2 -1)")
-    diff.add_argument("--json", action="store_true",
-                      help="emit the delta rows as JSON")
-    _add_trajectory_flag(diff)
-
-    gate = perf_sub.add_parser(
-        "gate", help="run the suite and fail on perf-budget violations "
-        "against the trajectory baseline")
-    gate.add_argument("--scale", choices=("smoke", "ci", "full"),
-                      default="ci",
-                      help="suite scale; the baseline is the latest "
-                      "point at the same scale (default: ci)")
-    gate.add_argument("--tolerance", type=float, default=0.25,
-                      help="wall-clock noise tolerance; the budget is "
-                      "baseline * (1 + tolerance), calibration-scaled "
-                      "(default: 0.25)")
-    gate.add_argument("--model-tolerance", type=float, default=1e-6,
-                      help="relative drift tolerance for modeled "
-                      "(deterministic) metrics (default: 1e-6)")
-    gate.add_argument("--budget", action="append", metavar="W.M=V",
-                      help="explicit budget override, e.g. "
-                      "simulator.wall_s=30 (repeatable)")
-    gate.add_argument("--point", metavar="PATH",
-                      help="gate a pre-recorded point (from `record "
-                      "--point-out`) instead of re-running the suite")
-    gate.add_argument("--flamegraph", metavar="PATH",
-                      help="write the gate run's collapsed-stack "
-                      "flamegraph")
-    gate.add_argument("--json", action="store_true",
-                      help="emit the comparison result as JSON")
-    gate.add_argument("--audit", action="store_true",
-                      help="set REPRO_AUDIT=1 for the suite run: the "
-                      "simulator workload re-runs the interpreted SIMT "
-                      "oracle and fails on any divergence")
-    _add_trajectory_flag(gate)
     return parser
 
 
@@ -819,6 +728,9 @@ def _cmd_audit(args) -> int:
     from repro.gpu.fastsim import FastGeneralKernel, FastSpecialKernel
     from repro.gpu.memory import BankConflictPolicy
 
+    if args.trials < 1:
+        print("--trials needs a positive trial count", file=sys.stderr)
+        return 2
     arch = ARCHITECTURES[args.arch]
     if args.case == "both":
         cases = ("special", "general")
@@ -832,7 +744,7 @@ def _cmd_audit(args) -> int:
     failures = 0
     for case in cases:
         for policy in policies:
-            for trial in range(max(1, args.trials)):
+            for trial in range(args.trials):
                 k = int(rng.choice((3, 5)))
                 if case == "special":
                     kern = FastSpecialKernel(arch, bank_policy=policy)
@@ -910,265 +822,6 @@ def _cmd_audit(args) -> int:
     return 1 if failures else 0
 
 
-def _perf_delta_rows(baseline: dict, current: dict):
-    """Baseline-vs-current rows over shared metrics, nothing enforced."""
-    from repro.obs import perf
-
-    result = perf.compare_points(current, baseline,
-                                 tolerance=float("inf"),
-                                 model_tolerance=float("inf"))
-    return result.rows
-
-
-def _perf_rows_table(rows) -> List[str]:
-    header = "%-16s %-22s %-8s %12s %12s %9s" % (
-        "workload", "metric", "kind", "baseline", "current", "delta")
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        delta = row.delta_pct
-        finite = delta == delta and abs(delta) != float("inf")
-        delta_text = ("%+8.1f%%" % delta) if finite else "     new"
-        lines.append("%-16s %-22s %-8s %12.6g %12.6g %9s" % (
-            row.workload, row.metric, row.kind, row.baseline, row.current,
-            delta_text))
-    return lines
-
-
-def _perf_point_line(index: int, point: dict) -> str:
-    import time as _time
-
-    meta = point["meta"]
-    when = "?"
-    if "recorded_unix" in meta:
-        when = _time.strftime("%Y-%m-%d %H:%M",
-                              _time.localtime(meta["recorded_unix"]))
-    tags = ""
-    if meta.get("backfilled"):
-        tags += " backfilled"
-    if meta.get("note"):
-        tags += " note=%r" % meta["note"]
-    return ("[%d] %s  source=%-10s scale=%-5s %s@%s%s"
-            % (index, when, meta.get("source", "?"), meta.get("scale", "?"),
-               meta.get("version", "?"), meta.get("git_sha", "?"), tags))
-
-
-@contextlib.contextmanager
-def _audit_env(enabled: bool):
-    """Set REPRO_AUDIT=1 around a suite run, restoring the prior value."""
-    from repro.gpu.fastsim import AUDIT_ENV
-
-    if not enabled:
-        yield
-        return
-    prior = os.environ.get(AUDIT_ENV)
-    os.environ[AUDIT_ENV] = "1"
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop(AUDIT_ENV, None)
-        else:
-            os.environ[AUDIT_ENV] = prior
-
-
-def _perf_record(args) -> int:
-    from repro import obs
-    from repro.obs import perf
-    from repro.obs.perf import suite as perf_suite
-
-    obs.reset_registry()
-    tracer = obs.reset_tracer()
-    with _audit_env(args.audit):
-        point = perf_suite.run_suite(
-            scale=args.scale, note=args.note,
-            progress=lambda msg: print(msg, file=sys.stderr))
-    if args.flamegraph:
-        with open(args.flamegraph, "w") as fh:
-            fh.write(perf.collapsed_stacks(tracer))
-        print("flamegraph written to %s" % args.flamegraph, file=sys.stderr)
-    if args.emit_trace:
-        obs.write_chrome_trace(args.emit_trace, tracer,
-                               registry=obs.get_registry(), profile=True)
-        print("trace written to %s" % args.emit_trace, file=sys.stderr)
-    if args.point_out:
-        with open(args.point_out, "w") as fh:
-            json.dump(point, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print("point written to %s" % args.point_out, file=sys.stderr)
-    if not args.no_append:
-        doc = perf.append_point(args.trajectory, point)
-        print("appended point %d to %s"
-              % (len(doc["points"]) - 1, args.trajectory), file=sys.stderr)
-    if args.json:
-        print(json.dumps(point, indent=2, sort_keys=True))
-        return 0
-    meta = point["meta"]
-    print("recorded scale=%s calibration=%.4fs (%s@%s)"
-          % (meta["scale"], meta.get("calibration_s", 0.0),
-             meta["version"], meta.get("git_sha", "?")))
-    for workload, metrics in sorted(point["workloads"].items()):
-        others = ", ".join(
-            "%s=%.6g" % (k, v) for k, v in sorted(metrics.items())
-            if k != "wall_s")
-        print("  %-14s wall %8.3fs  %s"
-              % (workload, metrics.get("wall_s", 0.0), others))
-    return 0
-
-
-def _perf_report(args) -> int:
-    from repro.obs import perf
-
-    doc = perf.load_trajectory(args.trajectory)
-    points = doc["points"]
-    if args.json:
-        deltas = []
-        for i in range(1, len(points)):
-            rows = _perf_delta_rows(points[i - 1], points[i])
-            deltas.append({
-                "from": i - 1, "to": i,
-                "rows": [{
-                    "workload": r.workload, "metric": r.metric,
-                    "kind": r.kind, "baseline": r.baseline,
-                    "current": r.current, "delta_pct": r.delta_pct,
-                } for r in rows],
-            })
-        print(json.dumps({
-            "path": args.trajectory, "schema": doc["schema"],
-            "points": [p["meta"] for p in points], "deltas": deltas,
-        }, indent=2, sort_keys=True))
-        return 0
-    print("trajectory %s: %d point%s (%s)"
-          % (args.trajectory, len(points), "" if len(points) == 1 else "s",
-             doc["schema"]))
-    for i, point in enumerate(points):
-        print(_perf_point_line(i, point))
-        print("      workloads: %s" % ", ".join(sorted(point["workloads"])))
-    for i in range(1, len(points)):
-        rows = _perf_delta_rows(points[i - 1], points[i])
-        print()
-        print("delta [%d] -> [%d]:" % (i - 1, i))
-        if not rows:
-            print("  (no shared workload metrics)")
-            continue
-        for line in _perf_rows_table(rows):
-            print("  " + line)
-    return 0
-
-
-def _perf_diff(args) -> int:
-    from repro.obs import perf
-
-    doc = perf.load_trajectory(args.trajectory)
-    points = doc["points"]
-    indices = args.indices or [-2, -1]
-    if len(indices) != 2:
-        print("perf diff takes exactly two point indices", file=sys.stderr)
-        return 2
-    resolved = []
-    for index in indices:
-        real = index if index >= 0 else len(points) + index
-        if not 0 <= real < len(points):
-            print("point index %d is out of range (trajectory has %d "
-                  "points)" % (index, len(points)), file=sys.stderr)
-            return 2
-        resolved.append(real)
-    base_i, cur_i = resolved
-    rows = _perf_delta_rows(points[base_i], points[cur_i])
-    if args.json:
-        print(json.dumps([{
-            "workload": r.workload, "metric": r.metric, "kind": r.kind,
-            "baseline": r.baseline, "current": r.current,
-            "delta_pct": r.delta_pct,
-        } for r in rows], indent=2, sort_keys=True))
-        return 0
-    print(_perf_point_line(base_i, points[base_i]))
-    print(_perf_point_line(cur_i, points[cur_i]))
-    if not rows:
-        print("(no shared workload metrics)")
-        return 0
-    for line in _perf_rows_table(rows):
-        print(line)
-    return 0
-
-
-def _perf_gate(args) -> int:
-    from repro import obs
-    from repro.obs import perf
-
-    doc = perf.load_trajectory(args.trajectory)
-    baseline = perf.select_baseline(doc, scale=args.scale)
-    if baseline is None:
-        print("no baseline point at scale %r in %s; record one with "
-              "`repro perf record --scale %s`"
-              % (args.scale, args.trajectory, args.scale), file=sys.stderr)
-        return 2
-    budgets = perf.parse_budgets(args.budget)
-
-    if args.point:
-        try:
-            with open(args.point) as fh:
-                current = perf.validate_point(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            print("cannot load point %s: %s" % (args.point, exc),
-                  file=sys.stderr)
-            return 2
-    else:
-        obs.reset_registry()
-        tracer = obs.reset_tracer()
-        from repro.obs.perf import suite as perf_suite
-
-        with _audit_env(args.audit):
-            current = perf_suite.run_suite(
-                scale=args.scale,
-                progress=lambda msg: print(msg, file=sys.stderr))
-        if args.flamegraph:
-            with open(args.flamegraph, "w") as fh:
-                fh.write(perf.collapsed_stacks(tracer))
-            print("flamegraph written to %s" % args.flamegraph,
-                  file=sys.stderr)
-
-    result = perf.compare_points(
-        current, baseline, tolerance=args.tolerance,
-        model_tolerance=args.model_tolerance, budgets=budgets)
-    if args.json:
-        print(json.dumps({
-            "passed": result.passed,
-            "calibration_ratio": result.calibration_ratio,
-            "baseline_meta": result.baseline_meta,
-            "rows": [{
-                "workload": r.workload, "metric": r.metric, "kind": r.kind,
-                "baseline": r.baseline, "current": r.current,
-                "budget": r.budget, "violated": r.violated,
-                "delta_pct": r.delta_pct,
-            } for r in result.rows],
-            "violations": [{
-                "workload": v.workload, "metric": v.metric,
-                "message": v.message,
-            } for v in result.violations],
-        }, indent=2, sort_keys=True))
-    else:
-        print(perf.format_comparison(result, title="repro perf gate"))
-    return 0 if result.passed else 1
-
-
-def _cmd_perf(args) -> int:
-    from repro.errors import ObservabilityError
-
-    try:
-        if args.perf_command == "record":
-            return _perf_record(args)
-        if args.perf_command == "report":
-            return _perf_report(args)
-        if args.perf_command == "diff":
-            return _perf_diff(args)
-        if args.perf_command == "gate":
-            return _perf_gate(args)
-    except ObservabilityError as exc:
-        print("perf: %s" % exc, file=sys.stderr)
-        return 2
-    return 2
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
@@ -1189,8 +842,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_claims(args)
     if args.command == "audit":
         return _cmd_audit(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
     return 2
 
 

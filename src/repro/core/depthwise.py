@@ -160,7 +160,7 @@ class DepthwiseKernel:
         self,
         image: np.ndarray,
         filters: np.ndarray,
-        audit: Optional[bool] = None,
+        audit: bool = False,
     ) -> Tuple[np.ndarray, KernelCost]:
         """Fast-simulate every group and return (output, executed cost).
 

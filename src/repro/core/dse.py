@@ -23,7 +23,6 @@ from repro.errors import ConfigurationError, LaunchConfigError, ResourceError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.timing import TimingModel
 from repro.obs.metrics import get_registry
-from repro.obs.perf.profiler import maybe_profile
 from repro.obs.tracing import get_tracer
 
 __all__ = [
@@ -152,11 +151,8 @@ def _evaluate_candidate(case, arch, problem, cfg) -> Optional[RankedConfig]:
 
 def _rank(configs, problem, arch, case: str = "general") -> List[RankedConfig]:
     """Evaluate candidates in order and sort them, best first (stable)."""
-    # Opt-in sampling (REPRO_PROFILE=1): the candidate loop is the hot
-    # planning path; the profiler shows which Python frames dominate it.
-    with maybe_profile("dse.rank"):
-        results = [_evaluate_candidate(case, arch, problem, cfg)
-                   for cfg in configs]
+    results = [_evaluate_candidate(case, arch, problem, cfg)
+               for cfg in configs]
     ranked = [r for r in results if r is not None]
     ranked.sort(key=lambda r: r.gflops, reverse=True)
     return ranked

@@ -33,7 +33,6 @@ from repro.gpu.device import DeviceExecutor
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3
 from repro.gpu.trace import KernelCost
-from repro.obs.perf.profiler import maybe_profile
 
 __all__ = ["InterpretedGeneralKernel"]
 
@@ -95,18 +94,15 @@ class InterpretedGeneralKernel:
         blocks_y = oh // cfg.h
         blocks_x = ow // cfg.w
         fgroups = f_total // cfg.ftb
-        # Opt-in sampling (REPRO_PROFILE=1): the per-block interpreter
-        # loop is the simulator's hottest Python path.
-        with maybe_profile("simt.general"):
-            for fg in range(fgroups):
-                for by in range(blocks_y):
-                    for bx in range(blocks_x):
-                        ex.run_block(
-                            self._block_program, (bx, by), cfg.threads,
-                            g_img, g_flt, g_out,
-                            bx * cfg.w, by * cfg.h, fg,
-                            problem, k,
-                        )
+        for fg in range(fgroups):
+            for by in range(blocks_y):
+                for bx in range(blocks_x):
+                    ex.run_block(
+                        self._block_program, (bx, by), cfg.threads,
+                        g_img, g_flt, g_out,
+                        bx * cfg.w, by * cfg.h, fg,
+                        problem, k,
+                    )
 
         cost = ex.finish(
             name=self.name,

@@ -31,7 +31,6 @@ from repro.gpu.device import DeviceExecutor
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3
 from repro.gpu.trace import KernelCost
-from repro.obs.perf.profiler import maybe_profile
 
 __all__ = ["InterpretedSpecialKernel"]
 
@@ -92,17 +91,14 @@ class InterpretedSpecialKernel:
         threads = cfg.threads(n)
         img_w = problem.width
 
-        # Opt-in sampling (REPRO_PROFILE=1): the per-block interpreter
-        # loop is the simulator's hottest Python path.
-        with maybe_profile("simt.special"):
-            for by in range(blocks_y):
-                for bx in range(blocks_x):
-                    ex.run_block(
-                        self._block_program, (bx, by), threads,
-                        g_img, g_out, c_flt,
-                        bx * cfg.block_w, by * cfg.block_h,
-                        img_w, oh, ow, k, f_count,
-                    )
+        for by in range(blocks_y):
+            for bx in range(blocks_x):
+                ex.run_block(
+                    self._block_program, (bx, by), threads,
+                    g_img, g_out, c_flt,
+                    bx * cfg.block_w, by * cfg.block_h,
+                    img_w, oh, ow, k, f_count,
+                )
 
         cost = ex.finish(
             name=self.name,

@@ -17,7 +17,7 @@ It provides:
   executable oracle);
 * :mod:`repro.gpu.fastsim` — vectorized whole-warp trace generation,
   byte-identical to the interpreter and orders of magnitude faster,
-  with the interpreter as its opt-in audit (``REPRO_AUDIT=1``).
+  with the interpreter as its opt-in audit (``run_traced(audit=True)``).
 """
 
 from repro.gpu.arch import (
@@ -34,7 +34,6 @@ from repro.gpu.timing import TimingModel, TimingBreakdown
 from repro.gpu.fastsim import (
     FastSpecialKernel,
     FastGeneralKernel,
-    audit_enabled,
     kernel_cost_diffs,
 )
 
@@ -55,6 +54,5 @@ __all__ = [
     "TimingBreakdown",
     "FastSpecialKernel",
     "FastGeneralKernel",
-    "audit_enabled",
     "kernel_cost_diffs",
 ]

@@ -26,8 +26,6 @@ paper's kernels predicate their halo accesses.)
 
 from __future__ import annotations
 
-import os
-import time
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -45,28 +43,10 @@ __all__ = [
     "Warp",
     "Block",
     "DeviceExecutor",
-    "HANDICAP_ENV",
 ]
 
 #: Alignment of global allocations (matches cudaMalloc's 512 B).
 _GLOBAL_ALIGN = 512
-
-#: Wall-clock multiplier for the interpreter hot path (>= 1 slows every
-#: executed block by that factor).  Exists so the perf gate's failure
-#: mode is testable end-to-end: ``REPRO_SIM_HANDICAP=2 repro perf gate``
-#: injects a deliberate 2x slowdown into the simulator workload, which
-#: the wall budget must catch.  Unset/<=1 is a no-op.
-HANDICAP_ENV = "REPRO_SIM_HANDICAP"
-
-
-def _env_handicap() -> float:
-    raw = os.environ.get(HANDICAP_ENV, "").strip()
-    if not raw:
-        return 1.0
-    try:
-        return max(1.0, float(raw))
-    except ValueError:
-        raise TraceError("%s must be a number, got %r" % (HANDICAP_ENV, raw))
 
 
 class GlobalArray:
@@ -238,13 +218,8 @@ class DeviceExecutor:
         self,
         arch: GPUArchitecture = KEPLER_K40M,
         bank_policy: BankConflictPolicy = BankConflictPolicy.WORD_MERGE,
-        handicap: Optional[float] = None,
     ):
         self.arch = arch
-        # handicap=None reads REPRO_SIM_HANDICAP once; pass 1.0 to pin
-        # an executor immune to the injector (the calibration path).
-        self.handicap = _env_handicap() if handicap is None \
-            else max(1.0, float(handicap))
         self.tracer = KernelTracer(arch, bank_policy)
         self._next_base = _GLOBAL_ALIGN
         self._max_smem = 0
@@ -269,12 +244,7 @@ class DeviceExecutor:
                   threads: int, *args) -> Block:
         """Execute one block program; its accesses accumulate in the ledger."""
         block = Block(self, block_idx, threads)
-        if self.handicap > 1.0:
-            start = time.perf_counter()
-            body(block, *args)
-            time.sleep((time.perf_counter() - start) * (self.handicap - 1.0))
-        else:
-            body(block, *args)
+        body(block, *args)
         self._blocks_run += 1
         self._max_smem = max(self._max_smem, block.smem_bytes)
         if self._threads_per_block is None:

@@ -29,9 +29,8 @@ ledger, same per-site statistics, same launch — because
   same canonical row.
 
 The interpreters stay on as the cross-check oracle: pass ``audit=True``
-to ``run_traced`` (or set ``REPRO_AUDIT=1``, or use the CLI ``--audit``
-flags) and the fast result is compared field-for-field against a full
-interpreted run — any difference raises
+to ``run_traced`` (or run ``repro audit``) and the fast result is
+compared field-for-field against a full interpreted run — any difference raises
 :class:`~repro.errors.AuditMismatchError`.
 
 For *cost-only* queries (`cost()`), the default path is the analytic
@@ -45,46 +44,23 @@ requires the output to tile the block grid exactly.
 from __future__ import annotations
 
 import math
-import os
-import time
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.conv.tensors import ConvProblem
 from repro.errors import AuditMismatchError, ConfigurationError, ShapeError, TraceError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
-from repro.gpu.device import _GLOBAL_ALIGN, _env_handicap
+from repro.gpu.device import _GLOBAL_ALIGN
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.trace import KernelCost, KernelTracer
-from repro.obs.perf.profiler import maybe_profile
 
 __all__ = [
-    "AUDIT_ENV",
-    "audit_enabled",
     "kernel_cost_diffs",
     "FastSpecialKernel",
     "FastGeneralKernel",
 ]
-
-#: Set to ``1`` (or ``true``/``yes``/``on``) to make every fast
-#: ``run_traced`` re-run the interpreted oracle and verify the
-#: generated trace field-for-field.
-AUDIT_ENV = "REPRO_AUDIT"
-
-
-def audit_enabled(override: Optional[bool] = None) -> bool:
-    """Whether the interpreted cross-check oracle should run.
-
-    ``override`` (the ``audit=`` parameter) wins; otherwise the
-    ``REPRO_AUDIT`` environment variable decides.
-    """
-    if override is not None:
-        return bool(override)
-    return os.environ.get(AUDIT_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on")
-
 
 # ----------------------------------------------------------------------
 # KernelCost comparison (the audit contract)
@@ -227,7 +203,6 @@ class FastSpecialKernel:
         config=None,
         matched: bool = True,
         bank_policy: BankConflictPolicy = BankConflictPolicy.WORD_MERGE,
-        handicap: Optional[float] = None,
     ):
         from repro.core.bankwidth import matched_vector
         from repro.core.config import SpecialCaseConfig
@@ -237,10 +212,6 @@ class FastSpecialKernel:
             else SpecialCaseConfig(block_w=64, block_h=4)
         self.matched = matched
         self.bank_policy = bank_policy
-        # Same wall-clock injector contract as DeviceExecutor: None
-        # reads REPRO_SIM_HANDICAP once, 1.0 pins it off.
-        self.handicap = _env_handicap() if handicap is None \
-            else max(1.0, float(handicap))
         self.n = matched_vector(arch).n if matched else 1
         self.name = "special-fastsim[%s,n=%d]" % (arch.name, self.n)
 
@@ -263,13 +234,13 @@ class FastSpecialKernel:
     # ------------------------------------------------------------------
     def run_traced(
         self, image: np.ndarray, filters: np.ndarray,
-        audit: Optional[bool] = None,
+        audit: bool = False,
     ) -> Tuple[np.ndarray, KernelCost]:
         """Convolve and return ``(output, executed-trace cost)``.
 
         Bit-identical to ``InterpretedSpecialKernel.run_traced`` in
-        both values, at batch speed.  ``audit`` (or ``REPRO_AUDIT=1``)
-        additionally runs the interpreter and verifies that claim.
+        both values, at batch speed.  ``audit=True`` additionally runs
+        the interpreter and verifies that claim.
         """
         img = np.asarray(image, dtype=np.float32)
         flt = np.asarray(filters, dtype=np.float32)
@@ -286,21 +257,17 @@ class FastSpecialKernel:
             height=img.shape[0], width=img.shape[1], channels=1,
             filters=f_count, kernel_size=k,
         )
-        start = time.perf_counter()
-        with maybe_profile("fastsim.special"):
-            cost = self.trace_cost(problem)
-            oh, ow = problem.out_height, problem.out_width
-            # Same per-element accumulation order as the interpreter's
-            # FMA loop ((dy, dx) ascending, float32 multiply then add),
-            # so the output matches it bit for bit.
-            acc = np.zeros((f_count, oh, ow), dtype=np.float32)
-            for dy in range(k):
-                for dx in range(k):
-                    acc = acc + flt[:, dy, dx][:, np.newaxis, np.newaxis] \
-                        * img[np.newaxis, dy:dy + oh, dx:dx + ow]
-        if self.handicap > 1.0:
-            time.sleep((time.perf_counter() - start) * (self.handicap - 1.0))
-        if audit_enabled(audit):
+        cost = self.trace_cost(problem)
+        oh, ow = problem.out_height, problem.out_width
+        # Same per-element accumulation order as the interpreter's
+        # FMA loop ((dy, dx) ascending, float32 multiply then add),
+        # so the output matches it bit for bit.
+        acc = np.zeros((f_count, oh, ow), dtype=np.float32)
+        for dy in range(k):
+            for dx in range(k):
+                acc = acc + flt[:, dy, dx][:, np.newaxis, np.newaxis] \
+                    * img[np.newaxis, dy:dy + oh, dx:dx + ow]
+        if audit:
             self._audit(img, flt, acc, cost)
         return acc, cost
 
@@ -481,7 +448,6 @@ class FastGeneralKernel:
         config=None,
         matched: bool = True,
         bank_policy: BankConflictPolicy = BankConflictPolicy.WORD_MERGE,
-        handicap: Optional[float] = None,
     ):
         from repro.core.bankwidth import matched_vector
         from repro.core.config import GeneralCaseConfig
@@ -491,8 +457,6 @@ class FastGeneralKernel:
             else GeneralCaseConfig(w=32, h=4, ftb=16, wt=16, ft=4, csh=2)
         self.matched = matched
         self.bank_policy = bank_policy
-        self.handicap = _env_handicap() if handicap is None \
-            else max(1.0, float(handicap))
         self.n = matched_vector(arch).n if matched else 1
         self.name = "general-fastsim[%s,n=%d]" % (arch.name, self.n)
 
@@ -515,7 +479,7 @@ class FastGeneralKernel:
     # ------------------------------------------------------------------
     def run_traced(
         self, image: np.ndarray, filters: np.ndarray,
-        audit: Optional[bool] = None,
+        audit: bool = False,
     ) -> Tuple[np.ndarray, KernelCost]:
         """Convolve and return ``(output, executed-trace cost)``,
         bit-identical to ``InterpretedGeneralKernel.run_traced``."""
@@ -534,23 +498,19 @@ class FastGeneralKernel:
             height=img.shape[1], width=img.shape[2], channels=c_total,
             filters=f_total, kernel_size=k,
         )
-        start = time.perf_counter()
-        with maybe_profile("fastsim.general"):
-            cost = self.trace_cost(problem)
-            oh, ow = problem.out_height, problem.out_width
-            # The interpreter accumulates over channels ascending
-            # (chunks, then channels within the chunk), then (j, kk)
-            # ascending, float32 multiply then add — replicated here
-            # elementwise so the output matches it bit for bit.
-            acc = np.zeros((f_total, oh, ow), dtype=np.float32)
-            for c in range(c_total):
-                for j in range(k):
-                    for kk in range(k):
-                        acc = acc + flt[:, c, j, kk][:, np.newaxis, np.newaxis] \
-                            * img[np.newaxis, c, j:j + oh, kk:kk + ow]
-        if self.handicap > 1.0:
-            time.sleep((time.perf_counter() - start) * (self.handicap - 1.0))
-        if audit_enabled(audit):
+        cost = self.trace_cost(problem)
+        oh, ow = problem.out_height, problem.out_width
+        # The interpreter accumulates over channels ascending
+        # (chunks, then channels within the chunk), then (j, kk)
+        # ascending, float32 multiply then add — replicated here
+        # elementwise so the output matches it bit for bit.
+        acc = np.zeros((f_total, oh, ow), dtype=np.float32)
+        for c in range(c_total):
+            for j in range(k):
+                for kk in range(k):
+                    acc = acc + flt[:, c, j, kk][:, np.newaxis, np.newaxis] \
+                        * img[np.newaxis, c, j:j + oh, kk:kk + ow]
+        if audit:
             self._audit(img, flt, acc, cost)
         return acc, cost
 

@@ -42,15 +42,8 @@ VIRTUAL_PID = 2
 # Chrome trace events
 # ----------------------------------------------------------------------
 
-def chrome_trace(tracer: Tracer, registry: Optional[Registry] = None,
-                 profile: bool = False) -> dict:
-    """Render the tracer's spans as a Chrome trace-event JSON object.
-
-    With ``profile=True`` the document's ``otherData`` also carries a
-    ``profile`` section — the deterministic span-fold attribution from
-    :func:`repro.obs.perf.span_profile` (self/cumulative time per frame
-    plus the aggregated stack table backing the flamegraph export).
-    """
+def chrome_trace(tracer: Tracer, registry: Optional[Registry] = None) -> dict:
+    """Render the tracer's spans as a Chrome trace-event JSON object."""
     events: List[dict] = [
         {"name": "process_name", "ph": "M", "pid": WALL_PID, "tid": 0,
          "args": {"name": "host (wall clock)"}},
@@ -90,18 +83,13 @@ def chrome_trace(tracer: Tracer, registry: Optional[Registry] = None,
     }
     if registry is not None:
         doc["otherData"]["metrics"] = registry.collect()
-    if profile:
-        from repro.obs.perf.profiler import span_profile
-
-        doc["otherData"]["profile"] = span_profile(tracer)
     return doc
 
 
 def write_chrome_trace(path: str, tracer: Tracer,
-                       registry: Optional[Registry] = None,
-                       profile: bool = False) -> dict:
+                       registry: Optional[Registry] = None) -> dict:
     """Write the trace to ``path``; returns the document written."""
-    doc = chrome_trace(tracer, registry=registry, profile=profile)
+    doc = chrome_trace(tracer, registry=registry)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
     return doc

@@ -28,10 +28,8 @@ from repro.gpu.arch import (
     PASCAL_P100,
 )
 from repro.gpu.fastsim import (
-    AUDIT_ENV,
     FastGeneralKernel,
     FastSpecialKernel,
-    audit_enabled,
     kernel_cost_diffs,
 )
 from repro.gpu.memory.banks import BankConflictPolicy
@@ -167,20 +165,6 @@ class TestErrorParity:
 
 
 class TestAuditMachinery:
-    def test_audit_enabled_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(AUDIT_ENV, raising=False)
-        assert not audit_enabled()
-        for value, expect in (("1", True), ("true", True), ("YES", True),
-                              ("on", True), ("0", False), ("", False),
-                              ("off", False)):
-            monkeypatch.setenv(AUDIT_ENV, value)
-            assert audit_enabled() is expect
-        # The explicit override beats the environment either way.
-        monkeypatch.setenv(AUDIT_ENV, "1")
-        assert audit_enabled(False) is False
-        monkeypatch.delenv(AUDIT_ENV)
-        assert audit_enabled(True) is True
-
     def test_audited_run_passes_clean(self):
         rng = np.random.default_rng(3)
         img = rng.standard_normal((10, 66)).astype(np.float32)

@@ -285,6 +285,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig1", "--arch", "volta"])
 
+    def test_help_lists_exactly_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        out = capsys.readouterr().out
+        listed = out[out.index("{") + 1:out.index("}")].split(",")
+        assert listed == ["list", "run", "summary", "serve", "chaos", "obs",
+                          "backends", "claims", "audit"]
+
     def test_slow_experiments_exist(self):
         from repro.bench.figures import ALL_EXPERIMENTS
 
@@ -307,135 +315,6 @@ class TestRunAll:
         assert "ablation-thread-layout" in out
         assert "table1" not in out  # skipped as slow
 
-
-class TestPerf:
-    """The `repro perf record|report|diff|gate` observatory commands."""
-
-    def _record(self, tmp_path, capsys, scale="smoke", extra=()):
-        traj = str(tmp_path / "traj.json")
-        rc = main(["perf", "record", "--scale", scale,
-                   "--trajectory", traj, *extra])
-        capsys.readouterr()
-        return rc, traj
-
-    def test_record_appends_a_point(self, tmp_path, capsys):
-        import json as _json
-
-        rc, traj = self._record(tmp_path, capsys)
-        assert rc == 0
-        doc = _json.load(open(traj))
-        assert doc["schema"] == "repro.perf-trajectory/v1"
-        assert len(doc["points"]) == 1
-        assert doc["points"][0]["meta"]["scale"] == "smoke"
-        assert set(doc["points"][0]["workloads"]) == {
-            "table1_dse", "serve_engine", "fleet_serve", "simulator"}
-
-    def test_record_artifacts(self, tmp_path, capsys):
-        import json as _json
-
-        from repro.obs import validate_chrome_trace
-        from repro.obs.perf import parse_collapsed
-
-        fg = tmp_path / "perf.folded"
-        pt = tmp_path / "point.json"
-        tr = tmp_path / "trace.json"
-        rc, traj = self._record(
-            tmp_path, capsys,
-            extra=["--no-append", "--flamegraph", str(fg),
-                   "--point-out", str(pt), "--emit-trace", str(tr)])
-        assert rc == 0
-        assert not (tmp_path / "traj.json").exists()   # --no-append
-        stacks = parse_collapsed(fg.read_text())
-        assert stacks                                   # non-empty, well-formed
-        point = _json.load(open(pt))
-        assert point["meta"]["source"] == "perf_suite"
-        doc = _json.load(open(tr))
-        validate_chrome_trace(doc)
-        assert doc["otherData"]["profile"]["span_count"] > 0
-
-    def test_gate_passes_against_own_point_and_fails_on_slowdown(
-            self, tmp_path, capsys):
-        import json as _json
-
-        pt = tmp_path / "point.json"
-        rc, traj = self._record(tmp_path, capsys,
-                                extra=["--point-out", str(pt)])
-        assert rc == 0
-        assert main(["perf", "gate", "--trajectory", traj,
-                     "--scale", "smoke", "--point", str(pt)]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-
-        # Inject a 2x simulator slowdown into the recorded point: the
-        # gate must fail naming the workload and its budget.
-        point = _json.load(open(pt))
-        point["workloads"]["simulator"]["wall_s"] *= 2.0
-        pt.write_text(_json.dumps(point))
-        assert main(["perf", "gate", "--trajectory", traj,
-                     "--scale", "smoke", "--point", str(pt)]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out and "'simulator'" in out and "budget" in out
-
-    def test_gate_explicit_budget_and_json(self, tmp_path, capsys):
-        import json as _json
-
-        pt = tmp_path / "point.json"
-        rc, traj = self._record(tmp_path, capsys,
-                                extra=["--point-out", str(pt)])
-        assert rc == 0
-        assert main(["perf", "gate", "--trajectory", traj,
-                     "--scale", "smoke", "--point", str(pt),
-                     "--budget", "simulator.wall_s=0.000001",
-                     "--json"]) == 1
-        result = _json.loads(capsys.readouterr().out)
-        assert result["passed"] is False
-        assert result["violations"][0]["workload"] == "simulator"
-
-    def test_gate_without_baseline_is_usage_error(self, tmp_path, capsys):
-        rc, traj = self._record(tmp_path, capsys)
-        assert rc == 0
-        assert main(["perf", "gate", "--trajectory", traj,
-                     "--scale", "full"]) == 2
-        assert "no baseline" in capsys.readouterr().err
-
-    def test_gate_missing_trajectory_is_usage_error(self, tmp_path, capsys):
-        assert main(["perf", "gate", "--trajectory",
-                     str(tmp_path / "nope.json")]) == 2
-        assert "perf:" in capsys.readouterr().err
-
-    def test_report_renders_points_and_deltas(self, tmp_path, capsys):
-        rc, traj = self._record(tmp_path, capsys)
-        assert rc == 0
-        rc, _ = self._record(tmp_path, capsys)
-        assert rc == 0
-        assert main(["perf", "report", "--trajectory", traj]) == 0
-        out = capsys.readouterr().out
-        assert "2 points" in out
-        assert "[0]" in out and "[1]" in out
-        assert "delta [0] -> [1]:" in out
-        assert "simulator" in out
-
-    def test_diff_two_points(self, tmp_path, capsys):
-        import json as _json
-
-        rc, traj = self._record(tmp_path, capsys)
-        assert rc == 0
-        rc, _ = self._record(tmp_path, capsys)
-        assert rc == 0
-        assert main(["perf", "diff", "--trajectory", traj]) == 0
-        out = capsys.readouterr().out
-        assert "simulator" in out and "wall_s" in out
-        assert main(["perf", "diff", "--trajectory", traj,
-                     "--json", "--", "0", "1"]) == 0
-        rows = _json.loads(capsys.readouterr().out)
-        assert any(r["workload"] == "simulator" for r in rows)
-
-    def test_diff_index_out_of_range(self, tmp_path, capsys):
-        rc, traj = self._record(tmp_path, capsys)
-        assert rc == 0
-        assert main(["perf", "diff", "--trajectory", traj,
-                     "--", "0", "5"]) == 2
-        assert "out of range" in capsys.readouterr().err
 
 class TestAudit:
     """The `repro audit` fastsim-vs-oracle cross-check command."""
@@ -481,6 +360,13 @@ class TestAudit:
         assert "AUDIT FAIL" in captured.err
         assert "MISMATCH" in captured.out
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_audit_rejects_non_positive_trials(self, capsys, trials):
+        assert main(["audit", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err
+        assert captured.out == ""
+
     def test_audit_depthwise_case(self, capsys):
         assert main(["audit", "--case", "depthwise", "--trials", "1"]) == 0
         out = capsys.readouterr().out
@@ -523,12 +409,6 @@ class TestBackendsMatrix:
             assert rec["stride"] == backend.AXES["stride"]
             assert rec["groups"] == backend.AXES["groups"]
             assert tuple(rec["layouts"]) == tuple(backend.AXES["layouts"])
-
-    def test_perf_record_audit_flag(self, tmp_path, capsys):
-        assert main(["perf", "record", "--scale", "smoke", "--no-append",
-                     "--audit", "--trajectory",
-                     str(tmp_path / "t.json")]) == 0
-        capsys.readouterr()
 
 
 class TestChaosCLI:
