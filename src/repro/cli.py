@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -226,7 +227,7 @@ def _build(exp_id: str, arch_name: str):
     return builder(**kwargs)
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
     for exp_id in ALL_EXPERIMENTS:
         slow = "  (slow)" if exp_id in SLOW_EXPERIMENTS else ""
         print("%s%s" % (exp_id, slow))
@@ -307,11 +308,31 @@ def _parse_priority_mix(spec: str) -> dict:
     return mix
 
 
-def _cmd_serve(args) -> int:
+def _verify(trace, responses, executor: str) -> bool:
+    """Check every served response against ``conv2d_reference``; the
+    first mismatch is named on stderr."""
     import numpy as np
 
-    from repro import obs
     from repro.conv.reference import conv2d_reference
+
+    for request, response in zip(trace, responses):
+        if response is None:
+            continue
+        reference = conv2d_reference(
+            request.image, request.filters, request.problem.padding)
+        if executor == "reference":
+            ok = np.array_equal(response.output, reference)
+        else:
+            ok = np.allclose(response.output, reference, rtol=1e-4, atol=1e-5)
+        if not ok:
+            print("request %d (%s backend) does not match the reference"
+                  % (request.req_id, response.backend), file=sys.stderr)
+            return False
+    return True
+
+
+def _cmd_serve(args) -> int:
+    from repro import obs
     from repro.serve import (
         ServeEngine, format_stats, load_trace, save_trace, synthetic_trace,
     )
@@ -373,20 +394,8 @@ def _cmd_serve(args) -> int:
         print("bad serving configuration: %s" % exc, file=sys.stderr)
         return 2
     responses = engine.serve_trace(trace)
-
-    if args.verify:
-        for request, response in zip(trace, responses):
-            reference = conv2d_reference(
-                request.image, request.filters, request.problem.padding)
-            if args.executor == "reference":
-                ok = np.array_equal(response.output, reference)
-            else:
-                ok = np.allclose(response.output, reference,
-                                 rtol=1e-4, atol=1e-5)
-            if not ok:
-                print("request %d (%s backend) does not match the reference"
-                      % (request.req_id, response.backend), file=sys.stderr)
-                return 1
+    if args.verify and not _verify(trace, responses, args.executor):
+        return 1
 
     if args.emit_trace:
         engine.export_trace(args.emit_trace)
@@ -424,7 +433,6 @@ def _serve_fleet(args, trace) -> int:
     import numpy as np
 
     from repro import obs
-    from repro.conv.reference import conv2d_reference
     from repro.fleet import (
         FleetConfig, FleetEngine, check_queue_depth, check_replicas,
     )
@@ -450,22 +458,8 @@ def _serve_fleet(args, trace) -> int:
         print("bad serving configuration: %s" % exc, file=sys.stderr)
         return 2
     result = fleet.serve_trace(trace)
-
-    if args.verify:
-        for request, response in zip(trace, result.responses):
-            if response is None:
-                continue
-            reference = conv2d_reference(
-                request.image, request.filters, request.problem.padding)
-            if args.executor == "reference":
-                ok = np.array_equal(response.output, reference)
-            else:
-                ok = np.allclose(response.output, reference,
-                                 rtol=1e-4, atol=1e-5)
-            if not ok:
-                print("request %d (%s backend) does not match the reference"
-                      % (request.req_id, response.backend), file=sys.stderr)
-                return 1
+    if args.verify and not _verify(trace, result.responses, args.executor):
+        return 1
 
     mismatches = None
     serial_rps = None
@@ -564,6 +558,10 @@ def _cmd_obs(args) -> int:
     from repro.kernels import default_registry
     from repro.serve import ServeEngine, synthetic_trace
 
+    if args.synthetic < 0:
+        print("--synthetic needs a non-negative request count "
+              "(0 = kernels only)", file=sys.stderr)
+        return 2
     arch = ARCHITECTURES[args.arch]
     registry = obs.reset_registry()
     tracer = obs.reset_tracer()
@@ -822,27 +820,25 @@ def _cmd_audit(args) -> int:
     return 1 if failures else 0
 
 
+_COMMANDS = {
+    "list": _cmd_list, "run": _cmd_run, "summary": _cmd_summary,
+    "serve": _cmd_serve, "chaos": _cmd_chaos, "obs": _cmd_obs,
+    "backends": _cmd_backends, "claims": _cmd_claims, "audit": _cmd_audit,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "summary":
-        return _cmd_summary(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "obs":
-        return _cmd_obs(args)
-    if args.command == "backends":
-        return _cmd_backends(args)
-    if args.command == "claims":
-        return _cmd_claims(args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    return 2
+    # Fail before the work, not after it, on an output file that
+    # cannot be created.
+    for dest in ("emit_trace", "save_trace", "output", "report"):
+        path = getattr(args, dest, None)
+        parent = os.path.dirname(path) if path else ""
+        if parent and not os.path.isdir(parent):
+            print("cannot write %s: directory %s does not exist"
+                  % (path, parent), file=sys.stderr)
+            return 2
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

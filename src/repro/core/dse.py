@@ -112,49 +112,48 @@ def enumerate_general_configs(
 # Ranking
 # ----------------------------------------------------------------------
 
-def _evaluate_candidate(case, arch, problem, cfg) -> Optional[RankedConfig]:
-    """Evaluate one configuration, reporting to the live obs surface."""
+def _rank(configs, problem, arch, case: str = "general") -> List[RankedConfig]:
+    """Price candidates in order and sort them, best first (stable).
+
+    Telemetry is per search: one ``dse:<case>`` wall span summarizing
+    the outcome, and a ``dse_candidates_total`` increment per candidate.
+    """
     from repro.core.general import GeneralCaseKernel
     from repro.core.special import SpecialCaseKernel
 
-    if case == "special":
-        kernel = SpecialCaseKernel(arch=arch, config=cfg)
-    else:
-        kernel = GeneralCaseKernel(arch=arch, config=cfg)
+    kernel_cls = SpecialCaseKernel if case == "special" else GeneralCaseKernel
     model = TimingModel(arch)
-    tracer = get_tracer()
     candidates = get_registry().counter(
         "dse_candidates_total",
         "Design-space candidates evaluated, by kernel case and outcome",
         labelnames=("case", "outcome"))
-    # One wall-clock span per candidate evaluation: the DSE is the
-    # hot planning path, and per-candidate timing is what reveals
-    # where a slow `plan` call actually spent its time.
-    with tracer.span("dse:%s %s" % (case, cfg), category="dse") as span:
-        try:
-            breakdown = kernel.predict(problem, model)
-        except (ConfigurationError, LaunchConfigError, ResourceError) as exc:
-            span["rejected"] = type(exc).__name__
-            candidates.inc(case=case, outcome="rejected")
-            return None
-        gflops = breakdown.gflops(problem.flops)
-        span["gflops"] = gflops
-        span["bound_by"] = breakdown.bound_by
-        candidates.inc(case=case, outcome="ok")
-    return RankedConfig(
-        config=cfg,
-        gflops=gflops,
-        occupancy=breakdown.occupancy_fraction,
-        bound_by=breakdown.bound_by,
-    )
-
-
-def _rank(configs, problem, arch, case: str = "general") -> List[RankedConfig]:
-    """Evaluate candidates in order and sort them, best first (stable)."""
-    results = [_evaluate_candidate(case, arch, problem, cfg)
-               for cfg in configs]
-    ranked = [r for r in results if r is not None]
-    ranked.sort(key=lambda r: r.gflops, reverse=True)
+    ranked: List[RankedConfig] = []
+    rejected: dict = {}
+    with get_tracer().span("dse:%s" % case, category="dse",
+                           args={"problem": problem.describe()}) as span:
+        for cfg in configs:
+            try:
+                breakdown = kernel_cls(arch=arch, config=cfg).predict(
+                    problem, model)
+            except (ConfigurationError, LaunchConfigError,
+                    ResourceError) as exc:
+                name = type(exc).__name__
+                rejected[name] = rejected.get(name, 0) + 1
+                candidates.inc_key((case, "rejected"))
+                continue
+            candidates.inc_key((case, "ok"))
+            ranked.append(RankedConfig(
+                config=cfg,
+                gflops=breakdown.gflops(problem.flops),
+                occupancy=breakdown.occupancy_fraction,
+                bound_by=breakdown.bound_by,
+            ))
+        ranked.sort(key=lambda r: r.gflops, reverse=True)
+        span.update(candidates=len(ranked) + sum(rejected.values()),
+                    ok=len(ranked), rejected=rejected)
+        if ranked:
+            span.update(winner=repr(ranked[0].config),
+                        gflops=ranked[0].gflops, bound_by=ranked[0].bound_by)
     return ranked
 
 

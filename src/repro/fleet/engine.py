@@ -206,12 +206,14 @@ class FleetResult:
 
 def _serve_replica_shard(replica: int, engine_kwargs: dict,
                          requests: Sequence[ConvRequest], seeds,
-                         directives: Optional[dict]) -> dict:
+                         directives: Optional[dict],
+                         traced: bool = False) -> dict:
     """Replay one replica's sub-trace on a fresh engine.
 
-    Runs against a replica-private registry/tracer and hands both back
-    as ``obs``, which the fleet folds under the replica's name only if
-    the attempt succeeds: a failed attempt leaves no telemetry behind.
+    Runs against a replica-private registry (and tracer, if ``traced``)
+    and hands both back as ``obs``, which the fleet folds under the
+    replica's name only if the attempt succeeds: a failed attempt
+    leaves no telemetry behind.
 
     ``directives`` (from an installed fault injector) simulate this
     attempt's share of the chaos plan: a ``crash`` serves ``after``
@@ -228,7 +230,7 @@ def _serve_replica_shard(replica: int, engine_kwargs: dict,
     if fault == "wedge":
         return {"replica": replica, "failed": "wedge"}
     registry = Registry()
-    tracer = Tracer()
+    tracer = Tracer() if traced else None
     engine = ServeEngine(registry=registry, tracer=tracer, **engine_kwargs)
     for key, plan in seeds:
         engine.plan_cache.put(key, plan)
@@ -468,7 +470,8 @@ class FleetEngine:
                              if self.tracer is not None else 0.0)
                 try:
                     res = _serve_replica_shard(
-                        replica, engine_kwargs, shard, seed, directives)
+                        replica, engine_kwargs, shard, seed, directives,
+                        self.tracer is not None)
                     reason = res.get("failed")
                 except Exception as exc:
                     reason = "error"
@@ -513,7 +516,8 @@ class FleetEngine:
         clock bounds the makespan.  Responses are NOT taken from the
         hedge — both attempts are bit-identical by construction, so the
         primary's already-absorbed responses stand and the exactly-once
-        guarantee is never at risk.
+        guarantee is never at risk.  Its telemetry is never merged either,
+        so the hedge runs untraced.
         """
         replica, shard, seed, res = item
         if not self.config.hedge or not res.get("slow"):
@@ -567,7 +571,7 @@ class FleetEngine:
             responses_by_id[response.req_id] = response
 
     def _merge_replica_obs(self, replica: int, registry: Registry,
-                           tracer: Tracer, offset_s: float) -> None:
+                           tracer: Optional[Tracer], offset_s: float) -> None:
         """Fold a replica attempt's telemetry into the fleet surfaces.
 
         The registry folds in with :meth:`Registry.merge`, so counters

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.conv.tensors import ConvProblem
-from repro.core.config import TABLE1_CONFIGS, SpecialCaseConfig
+from repro.core.bankwidth import matched_vector
+from repro.core.config import (
+    TABLE1_CONFIGS, GeneralCaseConfig, SpecialCaseConfig,
+)
 from repro.core.dse import (
+    DEFAULT_SPECIAL_PROBLEM,
     best_config,
     default_general_problem,
     enumerate_general_configs,
@@ -13,8 +17,24 @@ from repro.core.dse import (
     explore_special,
     reproduce_table1,
 )
-from repro.errors import ConfigurationError
-from repro.gpu.arch import KEPLER_K40M
+from repro.core.general import GeneralCaseKernel
+from repro.core.special import SpecialCaseKernel
+from repro.errors import ConfigurationError, LaunchConfigError, ResourceError
+from repro.gpu.arch import ARCHITECTURES, FERMI_M2090, KEPLER_K40M
+from repro.gpu.timing import TimingModel
+from repro.obs import Registry, Tracer, set_registry, set_tracer
+
+
+@pytest.fixture
+def scoped_obs():
+    """Fresh process-wide registry and tracer for one test."""
+    registry, tracer = Registry(), Tracer()
+    old_registry, old_tracer = set_registry(registry), set_tracer(tracer)
+    try:
+        yield registry, tracer
+    finally:
+        set_registry(old_registry)
+        set_tracer(old_tracer)
 
 
 class TestEnumeration:
@@ -127,3 +147,102 @@ class TestBestConfig:
         p = ConvProblem.square(48, 5, channels=4, filters=8)
         ranked = best_config(p)
         ranked.config.validate(p.kernel_size, 2)
+
+
+def _independent_ranking(kernel_cls, configs, problem, arch):
+    """Each candidate priced on its own with a fresh TimingModel, then
+    stable-sorted best first: the per-candidate loop the search replaced."""
+    rows = []
+    for cfg in configs:
+        try:
+            breakdown = kernel_cls(arch=arch, config=cfg).predict(
+                problem, TimingModel(arch))
+        except (ConfigurationError, LaunchConfigError, ResourceError):
+            continue
+        rows.append((cfg, breakdown.gflops(problem.flops),
+                     breakdown.occupancy_fraction, breakdown.bound_by))
+    rows.sort(key=lambda row: row[1], reverse=True)
+    return rows
+
+
+def _rows(ranked):
+    return [(r.config, r.gflops, r.occupancy, r.bound_by) for r in ranked]
+
+
+class TestSearchTelemetry:
+    """One wall span per search, one counter increment per candidate."""
+
+    #: One config each that validation and the launch check reject.
+    BAD_GENERAL = (GeneralCaseConfig(w=16, h=4, ftb=16, wt=16, ft=3, csh=1),
+                   GeneralCaseConfig(w=64, h=8, ftb=128, wt=4, ft=2, csh=4))
+
+    def test_each_search_adds_one_span_matching_its_ranking(self, scoped_obs):
+        _, tracer = scoped_obs
+        configs = enumerate_general_configs(3, 2, KEPLER_K40M)[:30]
+        searches = [
+            (lambda: explore_general(3, configs=configs),
+             default_general_problem(3), len(configs)),
+            (explore_special, DEFAULT_SPECIAL_PROBLEM,
+             len(enumerate_special_configs())),
+        ]
+        for search, problem, candidates in searches:
+            before = len(tracer.by_category("dse"))
+            ranked = search()
+            spans = tracer.by_category("dse")
+            assert len(spans) == before + 1
+            args = spans[-1].args
+            assert args["problem"] == problem.describe()
+            assert args["candidates"] == candidates
+            assert args["ok"] == len(ranked)
+            assert sum(args["rejected"].values()) == candidates - len(ranked)
+            assert args["winner"] == repr(ranked[0].config)
+            assert args["gflops"] == ranked[0].gflops
+            assert args["bound_by"] == ranked[0].bound_by
+        assert [s.name for s in tracer.by_category("dse")] == [
+            "dse:general", "dse:special"]
+
+    def test_rejected_candidates_show_in_span_and_counter(self, scoped_obs):
+        registry, tracer = scoped_obs
+        valid = enumerate_general_configs(3, 2, KEPLER_K40M)[:4]
+        configs = valid[:2] + [self.BAD_GENERAL[0]] + valid[2:]
+        ranked = explore_general(3, configs=configs)
+        assert _rows(ranked) == _independent_ranking(
+            GeneralCaseKernel, valid, default_general_problem(3), KEPLER_K40M)
+        (span,) = tracer.by_category("dse")
+        assert span.args["candidates"] == 5 and span.args["ok"] == 4
+        assert span.args["rejected"] == {"ConfigurationError": 1}
+        counter = registry.get("dse_candidates_total")
+        assert counter.value(case="general", outcome="ok") == 4
+        assert counter.value(case="general", outcome="rejected") == 1
+
+    def test_rejections_are_counted_by_exception_name(self, scoped_obs):
+        registry, tracer = scoped_obs
+        assert explore_general(3, configs=list(self.BAD_GENERAL)) == []
+        (span,) = tracer.by_category("dse")
+        assert span.args["rejected"] == {"ConfigurationError": 1,
+                                         "LaunchConfigError": 1}
+        assert span.args["ok"] == 0
+        assert "winner" not in span.args
+        counter = registry.get("dse_candidates_total")
+        assert counter.value(case="general", outcome="rejected") == 2
+        assert counter.value(case="general", outcome="ok") == 0
+
+
+class TestRankingMatchesIndependentEvaluation:
+    """The search prices every candidate with one shared TimingModel; the
+    rankings must equal pricing each candidate alone, bit for bit."""
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("arch", [KEPLER_K40M, FERMI_M2090],
+                             ids=["kepler", "fermi"])
+    def test_general(self, scoped_obs, arch, k):
+        configs = enumerate_general_configs(k, matched_vector(arch).n, arch)
+        assert _rows(explore_general(k, arch)) == _independent_ranking(
+            GeneralCaseKernel, configs, default_general_problem(k), arch)
+
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
+                             ids=list(ARCHITECTURES))
+    def test_special(self, scoped_obs, arch):
+        assert _rows(explore_special(arch)) == _independent_ranking(
+            SpecialCaseKernel, enumerate_special_configs(),
+            DEFAULT_SPECIAL_PROBLEM, arch)

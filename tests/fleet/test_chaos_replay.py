@@ -13,6 +13,7 @@ from repro.chaos import CHAOS_ENV, FaultInjector, FaultPlan
 from repro.errors import ReproError
 from repro.fleet import FleetConfig, FleetEngine
 from repro.fleet import engine as fleet_engine
+from repro.obs import Tracer
 from repro.serve import synthetic_trace
 
 
@@ -154,6 +155,43 @@ class TestFailover:
         assert hedged_result.hedges == 1
         assert hedged.clock_s < slow.clock_s
         assert digests(hedged_result) == digests(slow_result)
+
+
+class TestReplicaTracing:
+    """A replica attempt traces only when the fleet can fold its spans:
+    inside a traced fleet, and never on a hedge, whose telemetry is
+    never merged."""
+
+    SPEC = "seed=2;crash:replica=1;slow:replica=0,factor=50"
+
+    def _replay(self, monkeypatch, tracer):
+        real = fleet_engine.ServeEngine
+        tracers = []
+
+        def recording(*args, **kwargs):
+            tracers.append(kwargs.get("tracer"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_engine, "ServeEngine", recording)
+        engine = FleetEngine(
+            FleetConfig(replicas=4, queue_depth=256, hedge=True),
+            chaos=self.SPEC, tracer=tracer)
+        result = engine.serve_trace(trace(60))
+        assert (result.served, result.failovers, result.hedges) == (60, 1, 1)
+        return tracers
+
+    def test_untraced_fleet_builds_untraced_replicas(self, monkeypatch):
+        tracers = self._replay(monkeypatch, tracer=None)
+        # Every primary, the crashed one, its failover, and the hedge.
+        assert len(tracers) == 5
+        assert tracers == [None] * 5
+
+    def test_traced_fleet_traces_every_attempt_but_the_hedge(
+            self, monkeypatch):
+        tracers = self._replay(monkeypatch, tracer=Tracer())
+        assert len(tracers) == 5
+        assert sum(t is None for t in tracers) == 1
+        assert all(isinstance(t, Tracer) for t in tracers if t is not None)
 
 
 class TestClockAndConfig:

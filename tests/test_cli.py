@@ -276,6 +276,40 @@ class TestObs:
             validate_chrome_trace(json.load(fh))
 
 
+    def test_obs_rejects_negative_synthetic_count(self, capsys):
+        assert main(["obs", "--synthetic", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--synthetic" in captured.err
+
+
+class TestOutputPaths:
+    """A file-writing flag whose directory is missing is a usage error,
+    reported before the command does any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig1", "--emit-trace"],
+        ["serve", "--synthetic", "4", "--emit-trace"],
+        ["serve", "--synthetic", "4", "--replicas", "2", "--emit-trace"],
+        ["serve", "--synthetic", "4", "--save-trace"],
+        ["obs", "--synthetic", "0", "--output"],
+        ["obs", "--synthetic", "0", "--emit-trace"],
+        ["chaos", "--report"],
+    ], ids=["run-emit-trace", "serve-emit-trace", "fleet-emit-trace",
+            "serve-save-trace", "obs-output", "obs-emit-trace",
+            "chaos-report"])
+    def test_missing_directory_exits_2_before_the_run(self, capsys,
+                                                      tmp_path, argv):
+        missing = tmp_path / "missing"
+        path = str(missing / "out.json")
+        assert main(argv + [path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("cannot write %s: directory %s does not "
+                                "exist\n" % (path, missing))
+        assert not missing.exists()
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
