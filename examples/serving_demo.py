@@ -6,8 +6,8 @@ multi-channel CNN layers), serves it through the dynamic-batching
 engine, and shows the three things the subsystem is for:
 
 * **correctness** — every response is bit-exact against the golden
-  ``conv2d_reference`` (the engine's default executor *is* the golden
-  numeric path; the dispatched backend supplies the modeled cost);
+  ``conv2d_reference`` (the engine computes every batch with it; the
+  dispatched backend supplies the modeled cost);
 * **plan caching** — the design-space explorer runs once per distinct
   shape, so the cache hit rate approaches 1 as shapes repeat;
 * **batching** — coalescing same-shape requests under the latency

@@ -53,7 +53,7 @@ from repro.gpu.arch import (
 )
 from repro.gpu.timing import TimingModel
 from repro.kernels import BackendRegistry, ConvBackend, default_registry
-from repro.serve.engine import AsyncServeEngine, ServeEngine
+from repro.serve.engine import ServeEngine
 from repro.serve.dispatch import Dispatcher
 from repro.serve.plan_cache import PlanCache
 from repro.serve.trace import synthetic_trace
@@ -90,7 +90,6 @@ __all__ = [
     "BackendRegistry",
     "default_registry",
     "ServeEngine",
-    "AsyncServeEngine",
     "Dispatcher",
     "PlanCache",
     "synthetic_trace",

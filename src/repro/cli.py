@@ -93,11 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated backend subset, any names "
                        "from 'repro backends' (default: every registered "
                        "backend; naive is always kept as the fallback)")
-    serve.add_argument("--executor", choices=("reference", "kernel"),
-                       default="reference",
-                       help="functional executor for results (reference = "
-                       "golden bit-exact path; kernel = the planned "
-                       "backend's algorithm)")
     serve.add_argument("--replicas", type=int, default=1, metavar="N",
                        help="serve through a fleet of N engine replicas with "
                        "shape-affinity routing (default: 1 = a single "
@@ -124,10 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--save-trace", metavar="PATH",
                        help="also write the served trace to this JSON file")
     serve.add_argument("--verify", action="store_true",
-                       help="check every response against conv2d_reference")
+                       help="check every response against conv2d_reference, "
+                       "bit for bit")
     serve.add_argument("--compare-unbatched", action="store_true",
-                       help="also serve the trace with batching disabled and "
-                       "report both throughputs")
+                       help="single engine only: also serve the trace with "
+                       "batching disabled and report both throughputs")
     serve.add_argument("--compare-serial", action="store_true",
                        help="with --replicas: also serve the trace through "
                        "one serial engine and check the fleet's responses "
@@ -308,9 +304,31 @@ def _parse_priority_mix(spec: str) -> dict:
     return mix
 
 
-def _verify(trace, responses, executor: str) -> bool:
-    """Check every served response against ``conv2d_reference``; the
-    first mismatch is named on stderr."""
+def _backend_names(spec: Optional[str]):
+    """``--backends`` as a tuple of names, or None for every backend."""
+    if spec is None:
+        return None
+    return tuple(name.strip() for name in spec.split(",") if name.strip())
+
+
+def _serve_flag_error(args) -> Optional[str]:
+    """One line naming the first serve flag that cannot be honoured."""
+    if not args.rate >= 0:
+        return ("--rate must be a non-negative arrival rate, got %g"
+                % args.rate)
+    if args.backends is not None and not _backend_names(args.backends):
+        return "--backends %r names no backend" % args.backends
+    if args.compare_unbatched and (
+            args.replicas != 1 or args.compare_serial or args.chaos):
+        return ("--compare-unbatched needs the single-engine path; it "
+                "cannot be combined with --replicas N>1, --compare-serial "
+                "or --chaos")
+    return None
+
+
+def _verify(trace, responses) -> bool:
+    """Check every served response against ``conv2d_reference`` bit for
+    bit; the first mismatch is named on stderr."""
     import numpy as np
 
     from repro.conv.reference import conv2d_reference
@@ -320,11 +338,7 @@ def _verify(trace, responses, executor: str) -> bool:
             continue
         reference = conv2d_reference(
             request.image, request.filters, request.problem.padding)
-        if executor == "reference":
-            ok = np.array_equal(response.output, reference)
-        else:
-            ok = np.allclose(response.output, reference, rtol=1e-4, atol=1e-5)
-        if not ok:
+        if not np.array_equal(response.output, reference):
             print("request %d (%s backend) does not match the reference"
                   % (request.req_id, response.backend), file=sys.stderr)
             return False
@@ -337,6 +351,10 @@ def _cmd_serve(args) -> int:
         ServeEngine, format_stats, load_trace, save_trace, synthetic_trace,
     )
 
+    error = _serve_flag_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     if args.requests:
         try:
             trace = load_trace(args.requests)
@@ -380,21 +398,16 @@ def _cmd_serve(args) -> int:
         # surface so `--emit-trace` (and a same-process `repro obs`)
         # sees the run; each invocation starts from a fresh surface so
         # repeated in-process `main()` calls do not accumulate.
-        backends = None
-        if args.backends:
-            backends = tuple(
-                name.strip() for name in args.backends.split(",")
-                if name.strip())
         engine = ServeEngine(
             arch=arch, deadline_s=args.deadline, max_batch=args.max_batch,
-            executor=args.executor, backends=backends,
+            backends=_backend_names(args.backends),
             registry=obs.reset_registry(), tracer=obs.reset_tracer(),
         )
     except ReproError as exc:
         print("bad serving configuration: %s" % exc, file=sys.stderr)
         return 2
     responses = engine.serve_trace(trace)
-    if args.verify and not _verify(trace, responses, args.executor):
+    if args.verify and not _verify(trace, responses):
         return 1
 
     if args.emit_trace:
@@ -404,8 +417,7 @@ def _cmd_serve(args) -> int:
     if args.compare_unbatched:
         # Private registry: the comparison run must not pollute the
         # process-wide series the batched engine reported through.
-        unbatched = ServeEngine(arch=arch, deadline_s=0.0, max_batch=1,
-                                executor=args.executor)
+        unbatched = ServeEngine(arch=arch, deadline_s=0.0, max_batch=1)
         unbatched.serve_trace(trace)
         snap["unbatched_throughput_rps"] = unbatched.stats()["throughput_rps"]
         snap["batching_speedup"] = (
@@ -442,15 +454,10 @@ def _serve_fleet(args, trace) -> int:
     try:
         check_replicas(args.replicas)
         check_queue_depth(args.queue_depth)
-        backends = None
-        if args.backends:
-            backends = tuple(
-                name.strip() for name in args.backends.split(",")
-                if name.strip())
         config = FleetConfig(
             arch=arch, replicas=args.replicas, deadline_s=args.deadline,
-            max_batch=args.max_batch, executor=args.executor,
-            backends=backends, queue_depth=args.queue_depth,
+            max_batch=args.max_batch, backends=_backend_names(args.backends),
+            queue_depth=args.queue_depth,
         )
         fleet = FleetEngine(config, registry=obs.reset_registry(),
                             tracer=obs.reset_tracer(), chaos=args.chaos)
@@ -458,7 +465,7 @@ def _serve_fleet(args, trace) -> int:
         print("bad serving configuration: %s" % exc, file=sys.stderr)
         return 2
     result = fleet.serve_trace(trace)
-    if args.verify and not _verify(trace, result.responses, args.executor):
+    if args.verify and not _verify(trace, result.responses):
         return 1
 
     mismatches = None
@@ -468,7 +475,7 @@ def _serve_fleet(args, trace) -> int:
         # telemetry surface.
         serial = ServeEngine(
             arch=arch, deadline_s=args.deadline, max_batch=args.max_batch,
-            executor=args.executor, backends=fleet._planner.backends)
+            backends=fleet._planner.backends)
         serial_responses = {r.req_id: r for r in serial.serve_trace(trace)}
         mismatches = 0
         for response in result.responses:

@@ -238,22 +238,6 @@ class ConvProblem:
             padding=Padding.VALID,
         )
 
-    def single_group(self) -> "ConvProblem":
-        """One group's slice of a grouped problem, as an NCHW problem.
-
-        A grouped convolution is ``groups`` independent convolutions of
-        ``channels/groups`` input channels onto ``filters/groups``
-        outputs; kernels that handle grouping by iteration work on this
-        per-group problem.
-        """
-        return replace(
-            self,
-            channels=self.channels_per_group,
-            filters=self.filters_per_group,
-            groups=1,
-            layout=Layout.NCHW,
-        )
-
     # ------------------------------------------------------------------
     def check_image(self, image: np.ndarray) -> np.ndarray:
         """Validate and canonicalize an image array, in problem layout.

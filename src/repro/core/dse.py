@@ -258,11 +258,6 @@ class Table1Row:
     ours_gflops: float
     paper_gflops: float
 
-    @property
-    def paper_config_rank_gap(self) -> float:
-        """Predicted slowdown of the paper's config versus our best."""
-        return self.ours_gflops / self.paper_gflops if self.paper_gflops else 0.0
-
 
 def reproduce_table1(
     arch: GPUArchitecture = KEPLER_K40M,

@@ -123,7 +123,6 @@ class FleetConfig:
     deadline_s: float = 1e-3
     max_batch: int = 32
     cache_capacity: int = 128
-    executor: str = "reference"
     backends: Optional[Tuple[str, ...]] = None
     queue_depth: int = 64
     failover_retries: int = 2
@@ -168,7 +167,6 @@ class FleetConfig:
             "deadline_s": self.deadline_s,
             "max_batch": self.max_batch,
             "cache_capacity": self.cache_capacity,
-            "executor": self.executor,
             "backends": self.backends,
         }
 
@@ -341,11 +339,6 @@ class FleetEngine:
     # ------------------------------------------------------------------
     # Planning (two cache tiers)
     # ------------------------------------------------------------------
-    @property
-    def cache_token(self) -> str:
-        """Version token the shared tier keys this fleet's plans under."""
-        return self._cache_token
-
     def plan_for(self, problem):
         """Plan one shape: local tier, then shared tier, then the DSE.
 

@@ -117,10 +117,6 @@ class CircuitBreaker:
             return "open"
         return None
 
-    @property
-    def consecutive_failures(self) -> int:
-        return self._consecutive_failures
-
 
 class HealthTracker:
     """Per-replica breakers plus the fleet's failure/recovery series."""

@@ -58,9 +58,6 @@ class GlobalArray:
         self.name = name
         self.elem = 4
 
-    def __len__(self) -> int:
-        return self.data.size
-
     def addresses(self, index, vector: int = 1, site: str = "") -> np.ndarray:
         """Byte addresses of a per-lane access of ``vector`` elements.
 

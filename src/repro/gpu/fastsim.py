@@ -33,12 +33,13 @@ to ``run_traced`` (or run ``repro audit``) and the fast result is
 compared field-for-field against a full interpreted run — any difference raises
 :class:`~repro.errors.AuditMismatchError`.
 
-For *cost-only* queries (`cost()`), the default path is the analytic
-closed-form model of Secs. 3-4 (:class:`~repro.core.special.SpecialCaseKernel`
-/ :class:`~repro.core.general.GeneralCaseKernel`), which covers
-arbitrary problem shapes; ``exact=True`` selects the generated trace,
-which matches the interpreter bit-for-bit but, like the interpreter,
-requires the output to tile the block grid exactly.
+For *cost-only* queries, ``trace_cost(problem)`` generates the trace
+without data; it matches the interpreter bit-for-bit but, like the
+interpreter, requires the output to tile the block grid exactly.  The
+analytic closed-form model of Secs. 3-4
+(:class:`~repro.core.special.SpecialCaseKernel` /
+:class:`~repro.core.general.GeneralCaseKernel` ``.cost``) covers
+arbitrary problem shapes.
 """
 
 from __future__ import annotations
@@ -214,22 +215,6 @@ class FastSpecialKernel:
         self.bank_policy = bank_policy
         self.n = matched_vector(arch).n if matched else 1
         self.name = "special-fastsim[%s,n=%d]" % (arch.name, self.n)
-
-    # ------------------------------------------------------------------
-    def cost(self, problem: ConvProblem, exact: bool = False) -> KernelCost:
-        """Kernel cost for a problem shape (no data).
-
-        ``exact=False`` routes through the Sec. 3 closed-form model,
-        which covers arbitrary shapes; ``exact=True`` generates the
-        byte-identical executed trace (aligned problems only).
-        """
-        if exact:
-            return self.trace_cost(problem)
-        from repro.core.special import SpecialCaseKernel
-
-        return SpecialCaseKernel(
-            arch=self.arch, config=self.config, matched=self.matched,
-            bank_policy=self.bank_policy).cost(problem)
 
     # ------------------------------------------------------------------
     def run_traced(
@@ -459,22 +444,6 @@ class FastGeneralKernel:
         self.bank_policy = bank_policy
         self.n = matched_vector(arch).n if matched else 1
         self.name = "general-fastsim[%s,n=%d]" % (arch.name, self.n)
-
-    # ------------------------------------------------------------------
-    def cost(self, problem: ConvProblem, exact: bool = False) -> KernelCost:
-        """Kernel cost for a problem shape (no data).
-
-        ``exact=False`` routes through the Sec. 4 closed-form model
-        (which prices the staging sites with sampled alignments);
-        ``exact=True`` generates the byte-identical executed trace.
-        """
-        if exact:
-            return self.trace_cost(problem)
-        from repro.core.general import GeneralCaseKernel
-
-        return GeneralCaseKernel(
-            arch=self.arch, config=self.config, matched=self.matched,
-            bank_policy=self.bank_policy).cost(problem)
 
     # ------------------------------------------------------------------
     def run_traced(

@@ -635,11 +635,6 @@ class KernelTracer:
             _canonical_batch(matrix, counts, self.gmem_batch_mod(size)),
             size, 1.0, site, True, 1.0)
 
-    def cmem_read_batch(self, matrix, counts=None,
-                        site: str = "cmem") -> None:
-        self.cmem_read_prepared(_canonical_batch(matrix, counts, 1),
-                                1.0, site)
-
     # --- prepared batches ---------------------------------------------------
     # The same folds as the batch API, but over a :class:`PreparedBatch`
     # whose canonicalization/dedup already happened (and was typically

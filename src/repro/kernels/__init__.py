@@ -30,7 +30,6 @@ __all__ = [
     "ConvBackend",
     "BackendRegistry",
     "default_registry",
-    "reset_default_registry",
     "SpecialBackend",
     "GeneralBackend",
     "DepthwiseBackend",
@@ -53,10 +52,3 @@ def default_registry() -> BackendRegistry:
     if _default is None:
         _default = register_builtin_backends(BackendRegistry())
     return _default
-
-
-def reset_default_registry() -> None:
-    """Discard the process-wide registry (tests that register throwaway
-    backends call this to restore the built-in portfolio)."""
-    global _default
-    _default = None

@@ -10,8 +10,7 @@ convolution method:
 * *can you handle this problem on this device?*  (:meth:`ConvBackend.supports`)
 * *how should you be configured for it?*          (:meth:`ConvBackend.configure`)
 * *give me an executable kernel.*                 (:meth:`ConvBackend.build`)
-* *what does it cost?*                            (:meth:`ConvBackend.cost` /
-  :meth:`ConvBackend.timing`)
+* *what does it cost?*                            (:meth:`ConvBackend.timing`)
 * *run it.*                                       (:meth:`ConvBackend.run`)
 
 A backend is a lightweight, stateless *factory* over one of the kernel
@@ -198,13 +197,6 @@ class ConvBackend(ABC):
     # ------------------------------------------------------------------
     # Costing + execution conveniences
     # ------------------------------------------------------------------
-    def cost(self, problem: ConvProblem,
-             arch: GPUArchitecture = KEPLER_K40M,
-             config: Optional[object] = None):
-        """Traced/analytic :class:`~repro.gpu.trace.KernelCost` for
-        ``problem`` under the default (or given) configuration."""
-        return self.build(problem, arch, config).cost(problem)
-
     def timing(self, problem: ConvProblem,
                model: Optional[TimingModel] = None,
                arch: GPUArchitecture = KEPLER_K40M,

@@ -102,9 +102,6 @@ class Metric:
             for key, data in self._series.items()
         ]
 
-    def clear(self) -> None:
-        self._series.clear()
-
     def collect(self) -> dict:
         """JSON-serializable description of this metric and its series."""
         return {

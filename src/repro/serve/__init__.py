@@ -1,12 +1,13 @@
 """repro.serve — an inference-serving engine for the convolution stack.
 
-Turns the repository's one-shot kernels into a serving layer: an async
-request queue with dynamic same-shape batching under a latency deadline
-(:mod:`~repro.serve.batcher`), an LRU kernel-plan cache that memoizes
-the design-space explorer's winner per problem shape
-(:mod:`~repro.serve.plan_cache`), a cost-model-driven multi-backend
-dispatcher with graceful degradation to the naive-direct backend
-(:mod:`~repro.serve.dispatch`), and a stats surface
+Turns the repository's one-shot kernels into a serving layer: a
+virtual-clock request queue with dynamic same-shape batching under a
+latency deadline (:mod:`~repro.serve.batcher`), an LRU kernel-plan
+cache that memoizes the design-space explorer's winner per problem
+shape (:mod:`~repro.serve.plan_cache`), a cost-model-driven
+multi-backend dispatcher that degrades to the naive-direct backend when
+nothing else plans and executes every batch with one bit-identical
+reference call (:mod:`~repro.serve.dispatch`), and a stats surface
 (:mod:`~repro.serve.stats`).  See docs/SERVING.md.
 
 Quick start::
@@ -20,14 +21,13 @@ Quick start::
 
 from repro.serve.batcher import Batch, DynamicBatcher
 from repro.serve.dispatch import DEFAULT_BACKENDS, Dispatcher, KernelPlan
-from repro.serve.engine import AsyncServeEngine, ServeEngine
+from repro.serve.engine import ServeEngine
 from repro.serve.plan_cache import PlanCache
 from repro.serve.request import (
     PRIORITY_CLASSES,
     ConvRequest,
     ConvResponse,
     plan_key,
-    request_from_arrays,
 )
 from repro.serve.stats import ServeStats, format_stats
 from repro.serve.trace import (
@@ -39,7 +39,6 @@ from repro.serve.trace import (
 
 __all__ = [
     "ServeEngine",
-    "AsyncServeEngine",
     "DynamicBatcher",
     "Batch",
     "Dispatcher",
@@ -50,7 +49,6 @@ __all__ = [
     "ConvRequest",
     "ConvResponse",
     "plan_key",
-    "request_from_arrays",
     "ServeStats",
     "format_stats",
     "DEFAULT_SERVING_SHAPES",

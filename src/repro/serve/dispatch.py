@@ -13,14 +13,16 @@ The dispatcher holds no per-backend knowledge: any backend registered
 with :func:`repro.kernels.default_registry` — including FFT and
 Winograd — is servable by name.
 
-Degradation is graceful at both stages: a backend whose ``configure``,
-``build`` or ``predict`` raises is skipped and counted in
-``dispatch_backend_rejections_total`` by backend and stage (the
-naive-direct backend always plans), and a backend whose *functional*
-execution raises falls back to the naive backend for that request,
-which is re-priced accordingly.
+Execution is one batched :func:`~repro.conv.reference.conv2d_reference`
+call per batch, so every served output is bit-identical to the
+reference; the plan only prices the batch.
 
-Transient build failures get a third, distinct treatment: a plan build
+Degradation is graceful at plan time: a backend whose ``configure``,
+``build`` or ``predict`` raises is skipped and counted in
+``dispatch_backend_rejections_total`` by backend and stage, and the
+naive-direct backend always plans.
+
+Transient build failures get a distinct treatment: a plan build
 that raises :class:`~repro.errors.TransientBackendError` — a modeled
 flaky toolchain/driver hiccup, or an injected ``build-fail`` fault from
 an installed chaos plan — is retried up to ``plan_retries`` times
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,7 +102,7 @@ def _serve_reference(
 
 
 class Dispatcher:
-    """Route requests to the cheapest predicted backend, with fallback."""
+    """Route requests to the cheapest predicted backend."""
 
     def __init__(
         self,
@@ -136,9 +138,6 @@ class Dispatcher:
             "dispatch_executions_total",
             "Batch executions, by planned backend",
             labelnames=("backend",))
-        self._exec_fallbacks = self.registry.counter(
-            "dispatch_fallbacks_total",
-            "Requests whose kernel execution degraded to naive")
         self._plan_retries = self.registry.counter(
             "dispatch_plan_retries_total",
             "Plan builds retried after a transient backend failure")
@@ -158,7 +157,6 @@ class Dispatcher:
         if self.kernels.fallback not in self.backends:
             self.backends += (self.kernels.fallback,)
         self._naive = self.kernels.get(self.kernels.fallback).build(None, arch)
-        self._fallback_plans: Dict[ConvProblem, KernelPlan] = {}
 
     # ------------------------------------------------------------------
     # Planning
@@ -247,74 +245,28 @@ class Dispatcher:
                 )
         if best is None:
             # Every backend failed to even plan — degrade to naive.
-            best = self.fallback_plan(problem)
             best = KernelPlan(
                 problem=problem, backend="naive", kernel=self._naive,
-                breakdown=best.breakdown, source="degraded",
+                breakdown=self._naive.predict(problem, self.model),
+                source="degraded",
             )
         best.candidates = candidates
         self._planned.inc(backend=best.backend)
         return best
 
-    def fallback_plan(self, problem: ConvProblem) -> KernelPlan:
-        """The naive-direct plan used when another backend raises."""
-        plan = self._fallback_plans.get(problem)
-        if plan is None:
-            plan = KernelPlan(
-                problem=problem, backend="naive", kernel=self._naive,
-                breakdown=self._naive.predict(problem, self.model),
-            )
-            self._fallback_plans[problem] = plan
-        return plan
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_one(
-        self, plan: KernelPlan, request: ConvRequest, executor: str = "reference"
-    ) -> Tuple[np.ndarray, bool]:
-        """Serve one request; returns (output, fell_back).
-
-        ``executor="reference"`` computes the result with the golden
-        reference convolution (bit-exact responses; the planned backend
-        still determines the modeled cost).  ``executor="kernel"`` runs
-        the planned backend's functional algorithm; if it raises, the
-        request degrades to the naive backend.
-        """
-        if executor not in ("reference", "kernel"):
-            raise ReproError("unknown executor %r" % executor)
-        problem = request.problem
-        if executor == "reference":
-            return conv2d_reference(
-                request.image, request.filters, problem=problem), False
-        try:
-            return plan.kernel.run(
-                request.image, request.filters, problem.padding, problem=problem
-            ), False
-        except Exception:
-            return self._naive.run(
-                request.image, request.filters, problem.padding, problem=problem
-            ), True
-
     def execute(
-        self,
-        plan: KernelPlan,
-        requests: Sequence[ConvRequest],
-        executor: str = "reference",
-    ) -> Tuple[List[np.ndarray], List[bool], float]:
+        self, plan: KernelPlan, requests: Sequence[ConvRequest]
+    ) -> Tuple[List[np.ndarray], float]:
         """Serve a same-shape batch under one plan.
 
-        Returns (outputs, fallback flags, modeled batch seconds).  The
-        batch is one modeled launch of the planned backend; requests that
-        fell back are re-priced as a second, naive launch.
-
-        ``executor="reference"`` stacks the batch into one batched
-        :func:`conv2d_reference` call, whose outputs are bit-identical
-        to per-request calls.  ``executor="kernel"`` runs each request
-        on the planned kernel in turn.
+        Returns (outputs, modeled batch seconds).  The batch is one
+        batched :func:`conv2d_reference` call, whose outputs are
+        bit-identical to per-request calls, priced as one modeled
+        launch of the planned backend.
         """
-        if executor not in ("reference", "kernel"):
-            raise ReproError("unknown executor %r" % executor)
         if self.tracer is not None:
             span = self.tracer.span(
                 "execute[%s] n=%d" % (plan.backend, len(requests)),
@@ -323,23 +275,8 @@ class Dispatcher:
         else:
             span = nullcontext({})
         with span as span_args:
-            if executor == "reference":
-                outputs = _serve_reference(plan.problem, requests)
-                fell = [False] * len(requests)
-            else:
-                pairs = [self.run_one(plan, request, executor)
-                         for request in requests]
-                outputs = [out for out, _ in pairs]
-                fell = [fb for _, fb in pairs]
-            n_fallback = sum(fell)
-            n_planned = len(requests) - n_fallback
-            seconds = plan.batch_seconds(n_planned) if n_planned else 0.0
-            if n_fallback:
-                seconds += self.fallback_plan(
-                    plan.problem).batch_seconds(n_fallback)
+            outputs = _serve_reference(plan.problem, requests)
+            seconds = plan.batch_seconds(len(requests)) if requests else 0.0
             self._executions.inc(backend=plan.backend)
-            if n_fallback:
-                self._exec_fallbacks.inc(n_fallback)
-            span_args["fallbacks"] = n_fallback
             span_args["modeled_seconds"] = seconds
-        return outputs, fell, seconds
+        return outputs, seconds

@@ -4,17 +4,18 @@
 *virtual clock* in modeled seconds (the unit every timing breakdown
 reports), so a whole traffic trace — arrivals, batching deadlines,
 backend execution — plays out reproducibly with no wall-clock
-dependence.  Three usage styles:
+dependence.  Two usage styles:
 
 * **trace mode** — ``serve_trace(requests)`` replays a list of
   requests with modeled arrival times and returns one response per
   request (the CLI and benchmarks use this);
 * **online mode** — ``submit()`` / ``poll(now)`` / ``flush()`` for
-  incremental virtual-time use;
-* **async mode** — :class:`AsyncServeEngine` wraps an engine behind a
-  real ``asyncio`` interface: ``await submit(...)`` coalesces
-  concurrent same-shape submissions within a wall-clock window into one
-  batched dispatch.
+  incremental virtual-time use.
+
+Every response is computed by one batched
+:func:`~repro.conv.reference.conv2d_reference` call per batch, so
+outputs are bit-identical to the reference; the planned backend
+determines the modeled cost.
 
 Batching amortizes the per-launch overhead of the modeled device: a
 batch of B same-shape requests costs ``launch + B * busy`` modeled
@@ -25,13 +26,9 @@ holds more than one request.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.conv.tensors import Padding
 from repro.errors import ReproError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.obs.exporters import write_chrome_trace
@@ -40,10 +37,10 @@ from repro.obs.tracing import Tracer
 from repro.serve.batcher import Batch, DynamicBatcher
 from repro.serve.dispatch import Dispatcher
 from repro.serve.plan_cache import PlanCache
-from repro.serve.request import ConvRequest, ConvResponse, plan_key, request_from_arrays
+from repro.serve.request import ConvRequest, ConvResponse, plan_key
 from repro.serve.stats import ServeStats, format_stats
 
-__all__ = ["ServeEngine", "AsyncServeEngine"]
+__all__ = ["ServeEngine"]
 
 
 class ServeEngine:
@@ -55,16 +52,12 @@ class ServeEngine:
         deadline_s: float = 1e-3,
         max_batch: int = 32,
         cache_capacity: int = 128,
-        executor: str = "reference",
         backends: Optional[Sequence[str]] = None,
         dispatcher: Optional[Dispatcher] = None,
         registry: Optional[Registry] = None,
         tracer: Optional[Tracer] = None,
     ):
-        if executor not in ("reference", "kernel"):
-            raise ReproError("executor must be 'reference' or 'kernel'")
         self.arch = arch
-        self.executor = executor
         # One registry spans the whole serving stack (stats, batcher,
         # plan cache, dispatcher).  The default is engine-private so
         # concurrent engines stay isolated; pass
@@ -81,7 +74,6 @@ class ServeEngine:
         self._stats = ServeStats(clock_hz=arch.clock_hz,
                                  registry=self.registry)
         self._clock = 0.0            # modeled device-timeline position
-        self._ids = itertools.count()
         self._batch_ids = itertools.count()
 
     # ------------------------------------------------------------------
@@ -93,20 +85,6 @@ class ServeEngine:
     @property
     def plan_cache(self) -> PlanCache:
         return self.dispatcher.cache
-
-    def make_request(
-        self,
-        image: np.ndarray,
-        filters: np.ndarray,
-        padding: Padding = Padding.VALID,
-        arrival_s: float = 0.0,
-        seed: Optional[int] = None,
-    ) -> ConvRequest:
-        """Build a request with an engine-assigned id."""
-        return request_from_arrays(
-            next(self._ids), image, filters, padding,
-            arrival_s=arrival_s, seed=seed,
-        )
 
     # ------------------------------------------------------------------
     # Online mode
@@ -146,20 +124,6 @@ class ServeEngine:
             responses.extend(self._execute_batch(batch, flush_s))
         return responses
 
-    def execute_now(self, requests: Sequence[ConvRequest]) -> List[ConvResponse]:
-        """Serve a same-shape group immediately as one batch (no queue)."""
-        if not requests:
-            return []
-        keys = {plan_key(r.problem, self.arch) for r in requests}
-        if len(keys) != 1:
-            raise ReproError("execute_now needs same-shape requests")
-        batch = Batch(key=keys.pop(), requests=list(requests),
-                      opened_s=min(r.arrival_s for r in requests),
-                      reason="full")
-        return self._execute_batch(
-            batch, max(r.arrival_s for r in requests)
-        )
-
     # ------------------------------------------------------------------
     # Trace mode
     # ------------------------------------------------------------------
@@ -176,9 +140,7 @@ class ServeEngine:
     # ------------------------------------------------------------------
     def _execute_batch(self, batch: Batch, flush_s: float) -> List[ConvResponse]:
         plan = self.dispatcher.plan(batch.problem)
-        outputs, fell, seconds = self.dispatcher.execute(
-            plan, batch.requests, executor=self.executor
-        )
+        outputs, seconds = self.dispatcher.execute(plan, batch.requests)
         start = max(self._clock, flush_s)
         end = start + seconds
         self._clock = end
@@ -192,7 +154,7 @@ class ServeEngine:
                 category="batch", start_s=batch.opened_s,
                 duration_s=end - batch.opened_s,
                 args={"reason": batch.reason, "backend": plan.backend,
-                      "batch_size": n, "fallbacks": sum(fell)},
+                      "batch_size": n},
             )
             kernel_name = getattr(plan.kernel, "name", plan.backend)
             self.tracer.add_span(
@@ -203,22 +165,20 @@ class ServeEngine:
             )
         self._stats.record_batch(
             backend=plan.backend, batch_size=n, seconds=seconds,
-            reason=batch.reason, fallbacks=sum(fell),
-        )
+            reason=batch.reason)
         responses = []
-        for request, output, fb in zip(batch.requests, outputs, fell):
+        for request, output in zip(batch.requests, outputs):
             latency = end - request.arrival_s
             self._stats.record_latency(latency)
             responses.append(ConvResponse(
                 req_id=request.req_id,
                 output=output,
-                backend="naive" if fb else plan.backend,
+                backend=plan.backend,
                 batch_id=batch_id,
                 batch_size=n,
                 modeled_seconds=seconds / n,
                 completed_s=end,
                 latency_s=latency,
-                fallback=fb,
             ))
         return responses
 
@@ -240,69 +200,3 @@ class ServeEngine:
             raise ReproError(
                 "engine has no tracer; construct with tracer=... to trace")
         return write_chrome_trace(path, self.tracer, registry=self.registry)
-
-
-class AsyncServeEngine:
-    """``asyncio`` facade: awaitable submissions, wall-clock batching.
-
-    Concurrent ``await submit(...)`` calls for the same problem shape
-    that land within ``window_s`` real seconds (or that fill
-    ``max_batch``) are dispatched as one batch through the wrapped
-    :class:`ServeEngine`; every submitter gets its own response.
-    """
-
-    def __init__(self, engine: Optional[ServeEngine] = None,
-                 window_s: float = 0.005):
-        self.engine = engine or ServeEngine()
-        self.window_s = window_s
-        self._groups: Dict[tuple, list] = {}
-        self._timers: Dict[tuple, asyncio.Task] = {}
-
-    async def submit(
-        self,
-        image: np.ndarray,
-        filters: np.ndarray,
-        padding: Padding = Padding.VALID,
-    ) -> ConvResponse:
-        loop = asyncio.get_running_loop()
-        request = self.engine.make_request(
-            image, filters, padding, arrival_s=self.engine.clock_s
-        )
-        future = loop.create_future()
-        key = plan_key(request.problem, self.engine.arch)
-        group = self._groups.setdefault(key, [])
-        group.append((request, future))
-        if len(group) >= self.engine.batcher.max_batch:
-            self._flush(key)
-        elif len(group) == 1:
-            self._timers[key] = asyncio.ensure_future(self._flush_later(key))
-        return await future
-
-    async def _flush_later(self, key: tuple) -> None:
-        await asyncio.sleep(self.window_s)
-        # Drop our own timer entry first so _flush does not cancel the
-        # currently-running task.
-        self._timers.pop(key, None)
-        self._flush(key)
-
-    def _flush(self, key: tuple) -> None:
-        group = self._groups.pop(key, [])
-        timer = self._timers.pop(key, None)
-        if timer is not None and not timer.done():
-            timer.cancel()
-        if not group:
-            return
-        requests = [request for request, _ in group]
-        responses = self.engine.execute_now(requests)
-        for (_, future), response in zip(group, responses):
-            if not future.done():
-                future.set_result(response)
-
-    async def drain(self) -> None:
-        """Flush every pending group (e.g. at shutdown)."""
-        for key in list(self._groups):
-            self._flush(key)
-        await asyncio.sleep(0)
-
-    def stats(self) -> dict:
-        return self.engine.stats()

@@ -5,19 +5,19 @@ description, the input arrays, and a *modeled* arrival time (the serving
 engine keeps a virtual clock in modeled seconds, the same unit every
 :class:`~repro.gpu.timing.TimingBreakdown` reports).  A
 :class:`ConvResponse` carries the result plus the serving metadata the
-stats surface aggregates: which backend ran it, in which batch, and the
-modeled cost attributed to it.
+stats surface aggregates: which backend it was routed to, in which batch,
+and the modeled cost attributed to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.conv.tensors import ConvProblem, Padding
-from repro.errors import ReproError, ShapeError
+from repro.conv.tensors import ConvProblem
+from repro.errors import ReproError
 from repro.gpu.arch import GPUArchitecture
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "ConvRequest",
     "ConvResponse",
     "plan_key",
-    "request_from_arrays",
 ]
 
 
@@ -83,44 +82,9 @@ class ConvResponse:
 
     req_id: int
     output: np.ndarray
-    backend: str                 # backend that served it ("naive" on fallback)
+    backend: str                 # planned backend that priced it
     batch_id: int
     batch_size: int
     modeled_seconds: float       # this request's share of the batch cost
     completed_s: float           # virtual-clock completion time
     latency_s: float             # completed_s - arrival_s
-    fallback: bool = False       # True when the planned backend raised
-    extras: dict = field(default_factory=dict)
-
-
-def request_from_arrays(
-    req_id: int,
-    image: np.ndarray,
-    filters: np.ndarray,
-    padding: Padding = Padding.VALID,
-    arrival_s: float = 0.0,
-    seed: Optional[int] = None,
-) -> ConvRequest:
-    """Build a request by inferring the :class:`ConvProblem` from arrays."""
-    img = np.asarray(image, dtype=np.float32)
-    if img.ndim == 2:
-        img = img[np.newaxis]
-    flt = np.asarray(filters, dtype=np.float32)
-    if flt.ndim == 2:
-        flt = flt[np.newaxis, np.newaxis]
-    elif flt.ndim == 3:
-        flt = flt[:, np.newaxis]
-    if img.ndim != 3 or flt.ndim != 4:
-        raise ShapeError("image must be (C,H,W) and filters (F,C,K,K)")
-    problem = ConvProblem(
-        height=img.shape[1],
-        width=img.shape[2],
-        channels=img.shape[0],
-        filters=flt.shape[0],
-        kernel_size=flt.shape[2],
-        padding=padding,
-    )
-    return ConvRequest(
-        req_id=req_id, problem=problem, image=img, filters=flt,
-        arrival_s=arrival_s, seed=seed,
-    )

@@ -52,9 +52,6 @@ class ServeStats:
         self._batches = reg.counter(
             "serve_batches_total", "Batches dispatched, by planned backend",
             labelnames=("backend",))
-        self._fallbacks = reg.counter(
-            "serve_fallbacks_total",
-            "Requests that degraded to the naive backend")
         self._flushes = reg.counter(
             "serve_batch_flushes_total", "Batch flushes, by trigger",
             labelnames=("reason",))
@@ -72,18 +69,10 @@ class ServeStats:
 
     # ------------------------------------------------------------------
     def record_batch(
-        self,
-        backend: str,
-        batch_size: int,
-        seconds: float,
-        reason: str,
-        fallbacks: int = 0,
+        self, backend: str, batch_size: int, seconds: float, reason: str
     ) -> None:
         self._batches.inc(backend=backend)
-        self._requests.inc(batch_size - fallbacks, backend=backend)
-        if fallbacks:
-            self._requests.inc(fallbacks, backend="naive")
-            self._fallbacks.inc(fallbacks)
+        self._requests.inc(batch_size, backend=backend)
         self._busy.inc(seconds)
         self._flushes.inc(reason=reason)
         self._batch_size.observe(batch_size)
@@ -100,10 +89,6 @@ class ServeStats:
     @property
     def batches(self) -> int:
         return int(round(self._batches.total()))
-
-    @property
-    def fallbacks(self) -> int:
-        return int(round(self._fallbacks.total()))
 
     @property
     def busy_s(self) -> float:
@@ -123,9 +108,9 @@ class ServeStats:
     def _cycles_hist(self) -> dict:
         """Log10-bucketed batch-cost histogram (the pre-registry shape).
 
-        Non-positive cycle counts (a zero-cost all-fallback batch, or a
-        defensive guard against a miscalibrated clock) land in a
-        dedicated ``<=0`` bucket instead of feeding ``log10``.
+        Non-positive cycle counts (a defensive guard against a
+        miscalibrated clock) land in a dedicated ``<=0`` bucket instead
+        of feeding ``log10``.
         """
         buckets: dict = {}
         for cycles, count in sorted(self._batch_cycles.value_counts().items()):
@@ -141,7 +126,9 @@ class ServeStats:
         snap = {
             "served": served,
             "batches": self.batches,
-            "fallbacks": self.fallbacks,
+            # Constant 0: serving has no per-request fallback.  The key
+            # stays until benchmarks/e2e/workloads.py stops reading it.
+            "fallbacks": 0,
             "mean_batch_size": self.mean_batch_size,
             "modeled_busy_seconds": self.busy_s,
             "throughput_rps": self.throughput_rps,
@@ -191,7 +178,6 @@ def format_stats(snap: dict) -> str:
         lines.append("latency p50/p95/p99   : %.2e / %.2e / %.2e s"
                      % (snap["latency_p50_s"], snap["latency_p95_s"],
                         snap["latency_p99_s"]))
-    lines.append("fallbacks             : %d" % snap["fallbacks"])
     per_backend = ", ".join(
         "%s=%d" % (name, count)
         for name, count in sorted(snap["requests_per_backend"].items())

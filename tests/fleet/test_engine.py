@@ -59,23 +59,17 @@ class TestValidation:
 class TestOneProcess:
     """A cold engine and a cold fleet answer like the reference."""
 
-    def check(self, requests, responses, exact=True):
+    def check(self, requests, responses):
         assert len(responses) == len(requests)
         for request, response in zip(requests, responses):
             assert response.req_id == request.req_id
             want = conv2d_reference(request.image, request.filters,
                                     problem=request.problem)
-            if exact:
-                assert np.array_equal(response.output, want)
-            else:
-                assert np.allclose(response.output, want,
-                                   rtol=1e-4, atol=1e-5)
+            assert np.array_equal(response.output, want)
 
-    @pytest.mark.parametrize("executor_name", ["reference", "kernel"])
-    def test_cold_engine_matches_reference(self, executor_name):
+    def test_cold_engine_matches_reference(self):
         reqs = trace(24)
-        responses = ServeEngine(executor=executor_name).serve_trace(reqs)
-        self.check(reqs, responses, exact=executor_name == "reference")
+        self.check(reqs, ServeEngine().serve_trace(reqs))
 
     def test_cold_fleet_matches_reference(self):
         reqs = trace(24)

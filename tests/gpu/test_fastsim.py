@@ -218,20 +218,8 @@ class TestAuditMachinery:
         assert any(dropped in d for d in diffs)
 
 
-class TestClosedFormPath:
-    def test_cost_exact_false_matches_analytic_model(self):
-        from repro.conv.tensors import ConvProblem
-        from repro.core.special import SpecialCaseKernel
-
-        fast = FastSpecialKernel()
-        problem = ConvProblem(height=10, width=130, channels=1,
-                              filters=2, kernel_size=3)
-        analytic = SpecialCaseKernel(
-            arch=fast.arch, config=fast.config).cost(problem)
-        modeled = fast.cost(problem)
-        assert kernel_cost_diffs(modeled, analytic) == []
-
-    def test_cost_exact_true_matches_run_traced(self):
+class TestTraceCost:
+    def test_trace_cost_matches_run_traced(self):
         from repro.conv.tensors import ConvProblem
 
         fast = FastSpecialKernel()
@@ -241,8 +229,7 @@ class TestClosedFormPath:
         _, executed = fast.run_traced(img, flt)
         problem = ConvProblem(height=10, width=130, channels=1,
                               filters=2, kernel_size=3)
-        assert kernel_cost_diffs(fast.cost(problem, exact=True),
-                                 executed) == []
+        assert kernel_cost_diffs(fast.trace_cost(problem), executed) == []
 
 
 class TestInheritedBugFixes:

@@ -73,11 +73,3 @@ class TestLimitsBreakdown:
         assert set(limits) == {"threads", "warps", "blocks", "smem",
                                "registers"}
         assert all(v >= 0 for v in limits.values())
-
-    def test_report_names_limiter(self, kepler):
-        from repro.gpu.report import format_occupancy
-
-        text = format_occupancy(kepler, launch(smem=16 * 1024))
-        assert "<- limiter" in text
-        assert "smem" in text
-        assert "occupancy" in text

@@ -15,7 +15,7 @@ from repro.obs import (
     set_tracer,
     validate_chrome_trace,
 )
-from repro.serve import ServeEngine, synthetic_trace
+from repro.serve import ConvRequest, ServeEngine, synthetic_trace
 
 
 @pytest.fixture
@@ -143,7 +143,8 @@ class TestServingTelemetry:
         problem = ConvProblem.square(24, 3, channels=1, filters=2)
         for i in range(3):
             image, filters = problem.random_instance(seed=i)
-            engine.submit(engine.make_request(image, filters))
+            engine.submit(ConvRequest(req_id=i, problem=problem,
+                                      image=image, filters=filters))
         assert registry.get("serve_queue_depth").value() == 3
         engine.flush()
         assert registry.get("serve_queue_depth").value() == 0

@@ -1,5 +1,5 @@
 """End-to-end serving through the registry-only backends: FFT and
-Winograd plan, execute, and return correct outputs via ServeEngine."""
+Winograd plan, price and serve bit-identical outputs via ServeEngine."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,19 @@ import pytest
 from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem
 from repro.serve.engine import ServeEngine
+from repro.serve.request import ConvRequest
 
 
 def _serve_one(engine, problem, seed=3):
+    """Serve one request; assert its output is the reference, bit for bit."""
     image, filters = problem.random_instance(seed=seed)
-    request = engine.make_request(image, filters, problem.padding)
+    request = ConvRequest(req_id=0, problem=problem, image=image,
+                          filters=filters)
     responses = engine.serve_trace([request])
     assert len(responses) == 1
-    return (image, filters), responses[0]
+    assert np.array_equal(responses[0].output,
+                          conv2d_reference(image, filters, problem=problem))
+    return responses[0]
 
 
 class TestFFTServing:
@@ -28,15 +33,9 @@ class TestFFTServing:
         assert plan.backend == "fft"
         assert "fft" in plan.candidates and "naive" in plan.candidates
 
-    def test_round_trip_kernel_executor(self):
-        engine = ServeEngine(backends=("fft",), executor="kernel")
-        (image, filters), response = _serve_one(engine, self.PROBLEM)
-        assert response.backend == "fft"
-        assert not response.fallback
-        np.testing.assert_allclose(
-            response.output,
-            conv2d_reference(image, filters, self.PROBLEM.padding),
-            rtol=1e-3, atol=1e-3)
+    def test_round_trip_is_bit_exact(self):
+        engine = ServeEngine(backends=("fft",))
+        assert _serve_one(engine, self.PROBLEM).backend == "fft"
 
 
 class TestWinogradServing:
@@ -48,24 +47,16 @@ class TestWinogradServing:
         plan = engine.dispatcher.plan(self.PROBLEM)
         assert plan.backend == "winograd"
 
-    def test_round_trip_kernel_executor(self):
-        engine = ServeEngine(backends=("winograd",), executor="kernel")
-        (image, filters), response = _serve_one(engine, self.PROBLEM)
-        assert response.backend == "winograd"
-        assert not response.fallback
-        np.testing.assert_allclose(
-            response.output,
-            conv2d_reference(image, filters, self.PROBLEM.padding),
-            rtol=1e-3, atol=1e-3)
+    def test_round_trip_is_bit_exact(self):
+        engine = ServeEngine(backends=("winograd",))
+        assert _serve_one(engine, self.PROBLEM).backend == "winograd"
 
     def test_non_3x3_degrades_to_naive(self):
         # Winograd cannot serve K=5; the registry's fallback invariant
         # still produces a plan.
-        engine = ServeEngine(backends=("winograd",), executor="kernel")
+        engine = ServeEngine(backends=("winograd",))
         problem = ConvProblem.square(24, 5, channels=4, filters=4)
-        _, response = _serve_one(engine, problem)
-        assert response.backend == "naive"
-        image, filters = problem.random_instance(seed=3)
+        assert _serve_one(engine, problem).backend == "naive"
 
 
 class TestDefaultPortfolio:

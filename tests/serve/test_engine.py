@@ -1,15 +1,18 @@
-"""End-to-end tests of the serving engine (and its asyncio facade)."""
+"""End-to-end tests of the serving engine."""
 
-import asyncio
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem
 from repro.errors import ReproError
 from repro.serve import (
-    AsyncServeEngine,
+    ConvRequest,
     ServeEngine,
     load_trace,
     save_trace,
@@ -17,6 +20,12 @@ from repro.serve import (
 )
 
 TRACE = synthetic_trace(40, seed=5)
+
+
+def _request(problem, req_id, seed=0, arrival_s=0.0):
+    image, filters = problem.random_instance(seed=seed)
+    return ConvRequest(req_id=req_id, problem=problem, image=image,
+                       filters=filters, arrival_s=arrival_s)
 
 
 class TestServeTrace:
@@ -29,15 +38,6 @@ class TestServeTrace:
             reference = conv2d_reference(
                 request.image, request.filters, request.problem.padding)
             assert np.array_equal(response.output, reference)
-
-    def test_kernel_executor_matches_reference(self):
-        engine = ServeEngine(executor="kernel", max_batch=8)
-        responses = engine.serve_trace(synthetic_trace(12, seed=2))
-        for request, response in zip(synthetic_trace(12, seed=2), responses):
-            reference = conv2d_reference(
-                request.image, request.filters, request.problem.padding)
-            np.testing.assert_allclose(response.output, reference,
-                                       rtol=1e-4, atol=1e-5)
 
     def test_batches_coalesce_same_shape(self):
         engine = ServeEngine(deadline_s=1e-3, max_batch=16)
@@ -107,8 +107,7 @@ class TestOnlineMode:
         engine = ServeEngine(deadline_s=1.0, max_batch=64)
         problem = ConvProblem.square(24, 3, channels=1, filters=2)
         for i in range(3):
-            image, filters = problem.random_instance(seed=i)
-            assert engine.submit(engine.make_request(image, filters)) == []
+            assert engine.submit(_request(problem, i, seed=i)) == []
         responses = engine.flush()
         assert len(responses) == 3
         assert {r.batch_size for r in responses} == {3}
@@ -116,71 +115,32 @@ class TestOnlineMode:
     def test_submit_flushes_full_group(self):
         engine = ServeEngine(deadline_s=1.0, max_batch=2)
         problem = ConvProblem.square(24, 3, channels=1, filters=2)
-        image, filters = problem.random_instance(seed=0)
-        assert engine.submit(engine.make_request(image, filters)) == []
-        responses = engine.submit(engine.make_request(image, filters))
+        assert engine.submit(_request(problem, 0)) == []
+        responses = engine.submit(_request(problem, 1))
         assert len(responses) == 2
 
     def test_poll_respects_deadline(self):
         engine = ServeEngine(deadline_s=1e-3, max_batch=64)
         problem = ConvProblem.square(24, 3, channels=1, filters=2)
-        image, filters = problem.random_instance(seed=0)
-        engine.submit(engine.make_request(image, filters, arrival_s=0.0))
+        engine.submit(_request(problem, 0, arrival_s=0.0))
         assert engine.poll(0.5e-3) == []
         responses = engine.poll(2e-3)
         assert len(responses) == 1
         # Deadline-flushed batches start at the deadline, not the poll.
         assert responses[0].completed_s < 2e-3
 
-    def test_execute_now_rejects_mixed_shapes(self):
-        engine = ServeEngine()
-        p1 = ConvProblem.square(24, 3, channels=1, filters=2)
-        p2 = ConvProblem.square(32, 3, channels=1, filters=2)
-        requests = [
-            engine.make_request(*p1.random_instance(seed=0)),
-            engine.make_request(*p2.random_instance(seed=1)),
-        ]
-        with pytest.raises(ReproError):
-            engine.execute_now(requests)
 
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ReproError):
-            ServeEngine(executor="quantum")
-
-
-class TestAsyncEngine:
-    def test_concurrent_submissions_batch_together(self):
-        async def scenario():
-            engine = AsyncServeEngine(
-                ServeEngine(max_batch=8), window_s=0.02)
-            problem = ConvProblem.square(24, 3, channels=1, filters=2)
-            pairs = [problem.random_instance(seed=i) for i in range(4)]
-            responses = await asyncio.gather(*[
-                engine.submit(image, filters) for image, filters in pairs
-            ])
-            await engine.drain()
-            return pairs, responses
-
-        pairs, responses = asyncio.run(scenario())
-        assert [r.batch_size for r in responses] == [4, 4, 4, 4]
-        assert len({r.batch_id for r in responses}) == 1
-        for (image, filters), response in zip(pairs, responses):
-            assert np.array_equal(
-                response.output, conv2d_reference(image, filters))
-
-    def test_full_group_flushes_without_waiting(self):
-        async def scenario():
-            engine = AsyncServeEngine(
-                ServeEngine(max_batch=2), window_s=30.0)
-            problem = ConvProblem.square(24, 3, channels=1, filters=2)
-            pairs = [problem.random_instance(seed=i) for i in range(2)]
-            responses = await asyncio.wait_for(asyncio.gather(*[
-                engine.submit(image, filters) for image, filters in pairs
-            ]), timeout=5.0)
-            return responses
-
-        responses = asyncio.run(scenario())
-        assert [r.batch_size for r in responses] == [2, 2]
+class TestImportCost:
+    def test_import_leaves_asyncio_unloaded(self):
+        # A fresh interpreter: this process may have loaded asyncio
+        # through another test or plugin.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys, repro, repro.serve, repro.fleet, repro.cli; "
+                "print('asyncio' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestTracePersistence:
@@ -197,9 +157,9 @@ class TestTracePersistence:
             assert np.array_equal(copy.filters, original.filters)
 
     def test_unseeded_requests_do_not_persist(self, tmp_path):
-        engine = ServeEngine()
         problem = ConvProblem.square(24, 3, channels=1, filters=2)
-        request = engine.make_request(*problem.random_instance(seed=0))
+        request = _request(problem, 0)
+        assert request.seed is None
         with pytest.raises(ReproError):
             save_trace(str(tmp_path / "t.json"), [request])
 

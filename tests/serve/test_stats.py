@@ -16,14 +16,13 @@ class TestRecordBatch:
     def test_aggregates_match_legacy_contract(self):
         s = _stats()
         s.record_batch("special", 4, 1e-4, "full")
-        s.record_batch("general", 2, 2e-4, "deadline", fallbacks=1)
+        s.record_batch("general", 2, 2e-4, "deadline")
         assert s.served == 6
         assert s.batches == 2
-        assert s.fallbacks == 1
         assert s.busy_s == pytest.approx(3e-4)
         snap = s.snapshot()
-        assert snap["requests_per_backend"] == {
-            "special": 4, "general": 1, "naive": 1}
+        assert snap["fallbacks"] == 0
+        assert snap["requests_per_backend"] == {"special": 4, "general": 2}
         assert snap["batches_per_backend"] == {"special": 1, "general": 1}
         assert snap["flush_reasons"] == {"full": 1, "deadline": 1}
         assert snap["batch_size_hist"] == {"2": 1, "4": 1}

@@ -97,10 +97,30 @@ class TestServe:
         assert main(["serve", "--synthetic", "0"]) == 2
         assert "positive" in capsys.readouterr().err
 
-    def test_serve_kernel_executor(self, capsys):
-        assert main(["serve", "--synthetic", "8", "--executor", "kernel",
-                     "--verify"]) == 0
-        assert "served 8 requests" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv, flag", [
+        (["--rate", "-5"], "--rate"),
+        (["--rate", "nan"], "--rate"),
+        (["--backends", " , "], "--backends"),
+        (["--compare-unbatched", "--replicas", "2"], "--compare-unbatched"),
+        (["--compare-unbatched", "--chaos", "crash"], "--compare-unbatched"),
+    ], ids=["negative-rate", "nan-rate", "empty-backends",
+            "unbatched-fleet", "unbatched-chaos"])
+    def test_serve_rejects_flag_before_work(self, capsys, monkeypatch,
+                                            argv, flag):
+        import repro.serve
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("serving work ran before the flag check")
+
+        monkeypatch.setattr(repro.serve, "synthetic_trace", no_work)
+        assert main(["serve", "--synthetic", "8"] + argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0]
+
+    def test_serve_executor_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "--synthetic", "8", "--executor", "kernel"])
 
 
 class TestServeFleet:
