@@ -3,13 +3,20 @@ functional executors and the tracing/timing pipeline run on the host.
 These are the numbers a user of the library cares about when scaling
 experiments (wall-clock per simulated kernel launch)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.baselines.implicit_gemm import ImplicitGemmKernel
 from repro.conv.tensors import ConvProblem
+from repro.core.dse import best_config, default_general_problem
 from repro.core.general import GeneralCaseKernel
 from repro.core.special import SpecialCaseKernel
+from repro.gpu.arch import KEPLER_K40M
+from repro.gpu.memory.banks import SharedMemoryModel
+from repro.gpu.memory.globalmem import GlobalMemoryModel
+from repro.gpu.trace import clear_access_caches
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +75,40 @@ def test_end_to_end_prediction(benchmark):
     p = ConvProblem.square(128, 5, channels=64, filters=128)
     gflops = benchmark(kern.gflops, p)
     assert gflops > 0
+
+
+# The cost benchmarks above hit the canonical-pattern cache on every
+# lookup after their first round.  A search, a plan build or the
+# interpreter meeting a pattern for the first time pays the memory
+# models themselves; these cases time that cold path on every warp
+# pattern the Table 1 K=3 winner's cost replays.
+
+@pytest.fixture(scope="module")
+def winner_patterns():
+    """``(smem_calls, gmem_calls)``: the model arguments of every
+    distinct pattern the K=3 winner's cost sends to the models."""
+    problem = default_general_problem(3)
+    winner = best_config(problem, KEPLER_K40M, case="general", full=True)
+    kernel = GeneralCaseKernel(arch=KEPLER_K40M, config=winner.config)
+    clear_access_caches()
+    with mock.patch.object(SharedMemoryModel, "access", autospec=True,
+                           side_effect=SharedMemoryModel.access) as smem, \
+            mock.patch.object(GlobalMemoryModel, "access", autospec=True,
+                              side_effect=GlobalMemoryModel.access) as gmem:
+        kernel.cost(problem)
+    return ([call.args[1:] for call in smem.call_args_list],
+            [call.args[1:] for call in gmem.call_args_list])
+
+
+def test_smem_model_cold_path(benchmark, winner_patterns):
+    model = SharedMemoryModel(KEPLER_K40M)
+    calls = winner_patterns[0]
+    results = benchmark(lambda: [model.access(*args) for args in calls])
+    assert len(results) == len(calls) > 0
+
+
+def test_gmem_model_cold_path(benchmark, winner_patterns):
+    model = GlobalMemoryModel(KEPLER_K40M)
+    calls = winner_patterns[1]
+    results = benchmark(lambda: [model.access(*args) for args in calls])
+    assert len(results) == len(calls) > 0

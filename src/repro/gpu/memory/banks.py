@@ -122,9 +122,11 @@ class SharedMemoryModel:
             )
         if size not in _VALID_ACCESS_SIZES:
             raise TraceError("access size must be one of %s" % (_VALID_ACCESS_SIZES,))
-        if np.any(addrs < 0):
+        # At most a warp's worth of lanes: Python sets beat numpy here.
+        lanes = addrs.tolist()
+        if min(lanes) < 0:
             raise TraceError("negative shared-memory address")
-        if np.any(addrs % size):
+        if any(a % size for a in lanes):
             raise TraceError("shared-memory accesses must be %d-byte aligned" % size)
 
         # Wide accesses are split into sub-requests of lane *groups*, as
@@ -132,38 +134,42 @@ class SharedMemoryModel:
         # full bank row (bank_count * bank_width bytes), so a warp of
         # float4 accesses on Kepler is served as two half-warp
         # transactions, each covering all 32 banks conflict-free.
-        row_bytes = self.bank_count * self.bank_width
+        width = self.bank_width
+        row_bytes = self.bank_count * width
         lanes_per_group = max(1, row_bytes // size)
-        words_per_access = max(1, math.ceil(size / self.bank_width))
-        phases = math.ceil(addrs.size / lanes_per_group)
+        word_offsets = range(0, max(1, math.ceil(size / width)) * width, width)
+        phases = math.ceil(len(lanes) / lanes_per_group)
 
         total_cycles = 0
         worst_degree = 1
-        for g in range(phases):
-            group = addrs[g * lanes_per_group : (g + 1) * lanes_per_group]
+        for start in range(0, len(lanes), lanes_per_group):
             # Expand each lane access into its bank words.
-            chunk_addrs = (
-                group[:, np.newaxis]
-                + np.arange(words_per_access) * self.bank_width
-            ).reshape(-1)
-            banks = (chunk_addrs // self.bank_width) % self.bank_count
+            chunks = {a + off for a in lanes[start : start + lanes_per_group]
+                      for off in word_offsets}
             if self.policy is BankConflictPolicy.PAPER:
                 # Distinct addresses hitting the same bank serialize;
                 # identical addresses broadcast.
-                keys = chunk_addrs
+                banks = [c // width % self.bank_count for c in chunks]
             else:
                 # Accesses within one bank word merge (word multicast).
-                keys = chunk_addrs // self.bank_width
-            degree = _max_group_cardinality(banks, keys)
+                words = {c // width for c in chunks}
+                banks = [w % self.bank_count for w in words]
+            # Under either policy a key (the address, or its word) fixes
+            # its bank, so a bank serializes once per distinct key in it.
+            per_bank: dict = {}
+            for bank in banks:
+                per_bank[bank] = per_bank.get(bank, 0) + 1
+            degree = max(per_bank.values())
             worst_degree = max(worst_degree, degree)
             total_cycles += degree
 
-        unique_bytes = _unique_byte_count(addrs, size)
+        # Addresses are size-aligned, so two lane accesses either
+        # coincide or are disjoint: distinct addresses count the bytes.
         return SmemAccessResult(
-            lanes=int(addrs.size),
+            lanes=len(lanes),
             access_size=size,
-            request_bytes=int(addrs.size) * size,
-            unique_bytes=unique_bytes,
+            request_bytes=len(lanes) * size,
+            unique_bytes=len(set(lanes)) * size,
             cycles=total_cycles,
             conflict_degree=worst_degree,
             phases=phases,
@@ -175,19 +181,3 @@ class SharedMemoryModel:
     read = access
     write = access
 
-
-def _max_group_cardinality(banks: np.ndarray, keys: np.ndarray) -> int:
-    """Largest number of *distinct* keys mapped to any single bank."""
-    pairs = np.stack([banks, keys], axis=1)
-    unique_pairs = np.unique(pairs, axis=0)
-    _, counts = np.unique(unique_pairs[:, 0], return_counts=True)
-    return int(counts.max())
-
-
-def _unique_byte_count(addrs: np.ndarray, size: int) -> int:
-    """Number of distinct bytes covered by [a, a + size) over all lanes.
-
-    Because addresses are size-aligned, two accesses either coincide or
-    are disjoint, so distinct addresses suffice.
-    """
-    return int(np.unique(addrs).size) * size

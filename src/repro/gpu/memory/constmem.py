@@ -58,12 +58,10 @@ class ConstantMemoryModel:
                 "a warp request has at most %d lanes, got %d"
                 % (self.arch.warp_size, addrs.size)
             )
-        if np.any(addrs < 0):
+        lanes = addrs.tolist()
+        if min(lanes) < 0:
             raise TraceError("negative constant-memory address")
-        return CmemAccessResult(
-            lanes=int(addrs.size),
-            distinct_addresses=int(np.unique(addrs).size),
-        )
+        return CmemAccessResult(lanes=len(lanes), distinct_addresses=len(set(lanes)))
 
     def hit_rate(self, working_set_bytes: int) -> float:
         """Steady-state constant-cache hit rate for a working set."""

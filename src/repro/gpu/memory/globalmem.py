@@ -77,23 +77,28 @@ class GlobalMemoryModel:
             )
         if size <= 0:
             raise TraceError("access size must be positive")
-        if np.any(addrs < 0):
+        lanes = addrs.tolist()
+        if min(lanes) < 0:
             raise TraceError("negative global-memory address")
-        if np.any(addrs % size):
+        if any(a % size for a in lanes):
             raise TraceError("global-memory accesses must be %d-byte aligned" % size)
 
         seg = segment_size or self.segment_size
-        first = addrs // seg
-        last = (addrs + size - 1) // seg
-        touched = [np.arange(f, l + 1) for f, l in zip(first, last)]
-        segments = np.unique(np.concatenate(touched))
-        unique_bytes = int(np.unique(addrs).size) * size
+        segments = set()
+        for a in lanes:
+            first, last = a // seg, (a + size - 1) // seg
+            if first == last:
+                segments.add(first)
+            else:
+                # A lane that straddles a boundary moves every segment
+                # its bytes touch.
+                segments.update(range(first, last + 1))
         return GmemAccessResult(
-            lanes=int(addrs.size),
+            lanes=len(lanes),
             access_size=size,
-            request_bytes=int(addrs.size) * size,
-            unique_bytes=unique_bytes,
-            transactions=int(segments.size),
+            request_bytes=len(lanes) * size,
+            unique_bytes=len(set(lanes)) * size,
+            transactions=len(segments),
             segment_size=seg,
         )
 

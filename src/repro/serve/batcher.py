@@ -17,9 +17,8 @@ single-request path the benchmarks compare against.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.obs.metrics import Registry
@@ -69,17 +68,21 @@ class DynamicBatcher:
             "serve_queue_depth", "Requests currently buffered in the batcher")
         self._groups_gauge = self.registry.gauge(
             "serve_queue_groups", "Distinct shape groups currently open")
-        self._groups: "OrderedDict[Tuple, _Group]" = OrderedDict()
+        # Hashing a (ConvProblem, arch) key runs Python code, so the
+        # request count is kept running and scans walk ``items()``
+        # rather than looking each key up again.
+        self._groups: Dict[Tuple, _Group] = {}
+        self._pending = 0
 
     def _publish_depth(self) -> None:
-        self._depth.set(self.pending)
+        self._depth.set(self._pending)
         self._groups_gauge.set(len(self._groups))
 
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
         """Requests currently buffered across all shape groups."""
-        return sum(len(g.requests) for g in self._groups.values())
+        return self._pending
 
     def add(self, key: Tuple, request: ConvRequest,
             now: float) -> Optional[Batch]:
@@ -89,9 +92,11 @@ class DynamicBatcher:
             group = _Group(opened_s=now)
             self._groups[key] = group
         group.requests.append(request)
+        self._pending += 1
         self._enqueued.inc()
         if len(group.requests) >= self.max_batch:
             del self._groups[key]
+            self._pending -= len(group.requests)
             self._publish_depth()
             return Batch(key=key, requests=group.requests,
                          opened_s=group.opened_s, reason="full")
@@ -106,15 +111,16 @@ class DynamicBatcher:
 
     def due(self, now: float) -> List[Batch]:
         """Pop every group whose oldest request has waited out the deadline."""
-        batches = []
-        for key in list(self._groups):
-            group = self._groups[key]
-            if now >= group.opened_s + self.deadline_s:
-                del self._groups[key]
-                batches.append(Batch(key=key, requests=group.requests,
-                                     opened_s=group.opened_s,
-                                     reason="deadline"))
+        batches = [
+            Batch(key=key, requests=group.requests, opened_s=group.opened_s,
+                  reason="deadline")
+            for key, group in self._groups.items()
+            if now >= group.opened_s + self.deadline_s
+        ]
         if batches:
+            for batch in batches:
+                del self._groups[batch.key]
+                self._pending -= len(batch.requests)
             self._publish_depth()
         batches.sort(key=lambda b: b.opened_s)
         return batches
@@ -127,6 +133,7 @@ class DynamicBatcher:
             for key, group in self._groups.items()
         ]
         self._groups.clear()
+        self._pending = 0
         self._publish_depth()
         batches.sort(key=lambda b: b.opened_s)
         return batches

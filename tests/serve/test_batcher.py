@@ -1,9 +1,11 @@
 """Tests for the dynamic batcher: deadline flush, size flush, drain."""
 
+import numpy as np
 import pytest
 
 from repro.conv.tensors import ConvProblem
 from repro.errors import ReproError
+from repro.obs.metrics import Registry
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.request import ConvRequest
 
@@ -149,6 +151,64 @@ class TestEdgeCases:
         assert full is not None and full.key == "a"
         assert [r.req_id for r in full.requests] == [0, 2]
         assert batcher.pending == 1
+
+
+class TestRunningDepth:
+    def test_seeded_interleaving_keeps_depth_exact(self):
+        # add, due and drain interleaved over 64 shapes: after every
+        # step the pending count and the depth gauge equal the summed
+        # sizes of a reference model's open groups.
+        rng = np.random.default_rng(2026)
+        shapes = [ConvProblem.square(4 + i, 1, channels=1, filters=1)
+                  for i in range(64)]
+        arrays = [p.random_instance(seed=i) for i, p in enumerate(shapes)]
+        registry = Registry()
+        batcher = DynamicBatcher(deadline_s=5e-3, max_batch=4,
+                                 registry=registry)
+        depth = registry.get("serve_queue_depth")
+        model = {}                      # key -> (opened_s, [req_id, ...])
+
+        def pop(batch):
+            opened_s, ids = model.pop(batch.key)
+            assert batch.opened_s == opened_s
+            assert [r.req_id for r in batch.requests] == ids
+
+        now = 0.0
+        for req_id in range(3000):
+            now += float(rng.exponential(1e-3))
+            op = rng.random()
+            if op < 0.8:
+                i = int(rng.integers(len(shapes)))
+                image, filters = arrays[i]
+                request = ConvRequest(req_id=req_id, problem=shapes[i],
+                                      image=image, filters=filters,
+                                      arrival_s=now)
+                key = (shapes[i], "kepler")
+                model.setdefault(key, (now, []))[1].append(req_id)
+                full = batcher.add(key, request, now)
+                if full is not None:
+                    assert full.reason == "full"
+                    assert len(full) == batcher.max_batch
+                    pop(full)
+            elif op < 0.98:
+                expired = {k for k, (opened_s, _) in model.items()
+                           if now >= opened_s + batcher.deadline_s}
+                batches = batcher.due(now)
+                assert {b.key for b in batches} == expired
+                opened = [b.opened_s for b in batches]
+                assert opened == sorted(opened)
+                for batch in batches:
+                    pop(batch)
+            else:
+                batches = batcher.drain()
+                opened = [b.opened_s for b in batches]
+                assert opened == sorted(opened)
+                for batch in batches:
+                    pop(batch)
+                assert not model
+            expected = sum(len(ids) for _, ids in model.values())
+            assert batcher.pending == expected
+            assert depth.value() == expected
 
 
 class TestValidation:
