@@ -10,7 +10,7 @@ import pytest
 
 from repro.baselines.implicit_gemm import ImplicitGemmKernel
 from repro.conv.tensors import ConvProblem
-from repro.core.dse import best_config, default_general_problem
+from repro.core.dse import best_config, default_general_problem, explore_general
 from repro.core.general import GeneralCaseKernel
 from repro.core.special import SpecialCaseKernel
 from repro.gpu.arch import KEPLER_K40M
@@ -75,6 +75,14 @@ def test_end_to_end_prediction(benchmark):
     p = ConvProblem.square(128, 5, channels=64, filters=128)
     gflops = benchmark(kern.gflops, p)
     assert gflops > 0
+
+
+def test_explore_general_warm(benchmark):
+    """The Table 1 K=3 search on Kepler once its warp patterns are
+    cached: the per-candidate price of cost fold plus timing model."""
+    explore_general(3, KEPLER_K40M)
+    ranked = benchmark(explore_general, 3, KEPLER_K40M)
+    assert len(ranked) == 986
 
 
 # The cost benchmarks above hit the canonical-pattern cache on every

@@ -553,11 +553,11 @@ def _cmd_chaos(args) -> int:
 def _cmd_obs(args) -> int:
     """Run a pinned workload and dump the telemetry registry.
 
-    The workload is deterministic: one traced cost prediction for each
-    of the paper's kernels (so the GM-transaction / bank-conflict /
-    cycle counters are exactly the cost model's return values for those
-    kernels), then an optional synthetic serving leg (so the plan-cache
-    and serving series are populated too).
+    The workload is deterministic: one published prediction for each of
+    the paper's kernels (so the ``gpu_*`` series are exactly those two
+    kernels' ledgers and breakdowns), then an optional synthetic serving
+    leg, which fills the plan-cache and serving series but, like all
+    pricing, publishes no ``gpu_*`` series.
     """
     from repro import obs
     from repro.conv.tensors import ConvProblem
@@ -575,16 +575,16 @@ def _cmd_obs(args) -> int:
 
     # Pinned kernel leg: default-config predictions on fixed shapes,
     # built through the backend registry (so its lookup counters land in
-    # the dump too).
+    # the dump too), each published once.
     kernels = default_registry()
-    model = TimingModel(arch)
+    model = TimingModel(arch, registry=registry)
     with obs.instrument("obs.pinned-kernels", category="experiment"):
-        kernels.get("special").timing(
-            ConvProblem.square(512, 3, channels=1, filters=8),
-            model, arch=arch)
-        kernels.get("general").timing(
-            ConvProblem.square(64, 3, channels=16, filters=32),
-            model, arch=arch)
+        for name, problem in (
+                ("special", ConvProblem.square(512, 3, channels=1, filters=8)),
+                ("general",
+                 ConvProblem.square(64, 3, channels=16, filters=32))):
+            cost = kernels.get(name).build(problem, arch).cost(problem)
+            model.publish(cost, model.evaluate(cost))
 
     if args.synthetic > 0:
         engine = ServeEngine(arch=arch, registry=registry, tracer=tracer)

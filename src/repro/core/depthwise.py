@@ -35,7 +35,7 @@ from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.timing import TimingBreakdown, TimingModel
-from repro.gpu.trace import KernelCost, publish_kernel_cost
+from repro.gpu.trace import KernelCost
 
 __all__ = ["DepthwiseKernel"]
 
@@ -146,15 +146,13 @@ class DepthwiseKernel:
             ledger.scale(float(valid.groups))
         launch = replace(g_cost.launch,
                          grid=replace(g_cost.launch.grid, z=valid.groups))
-        cost = KernelCost(
+        return KernelCost(
             name=self.name,
             launch=launch,
             ledger=ledger,
             software_prefetch=g_cost.software_prefetch,
             launches=g_cost.launches,
         )
-        publish_kernel_cost(cost)
-        return cost
 
     def run_traced(
         self,

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from repro.errors import TraceError
 from repro.gpu.arch import GPUArchitecture
 from repro.gpu.occupancy import occupancy
-from repro.gpu.trace import KernelCost
+from repro.gpu.trace import KernelCost, publish_kernel_cost
 from repro.obs import metrics as _metrics
 
 __all__ = ["TimingBreakdown", "TimingModel"]
@@ -80,7 +80,7 @@ COMPUTE_EFFICIENCY = 0.70
 
 
 def _timing_counters(reg) -> tuple:
-    """The counters :meth:`TimingModel.evaluate` writes, in creation order."""
+    """The counters :meth:`TimingModel.publish` writes, in creation order."""
     return (
         reg.counter(
             "gpu_modeled_seconds_total",
@@ -145,8 +145,8 @@ class TimingModel:
         registry=None,
     ):
         self.arch = arch
-        # None = publish evaluations to the process-wide metrics
-        # registry; pass a private Registry to redirect.
+        # Where :meth:`publish` writes: None = the process-wide metrics
+        # registry at call time; pass a private Registry to redirect.
         self.registry = registry
         self.launch_overhead_s = launch_overhead_s
         self.sync_cycles = sync_cycles
@@ -157,13 +157,21 @@ class TimingModel:
         self.compute_efficiency = compute_efficiency
 
     # ------------------------------------------------------------------
-    def _publish(self, kernel: str, components: dict) -> None:
-        """Mirror an evaluation into the metrics registry per component."""
+    def publish(self, cost: KernelCost, breakdown: TimingBreakdown) -> None:
+        """Publish one prediction: the ledger (``publish_kernel_cost``)
+        and the breakdown's components, both under ``cost.name``.
+
+        The only ``gpu_*`` writer; pricing (``cost``, :meth:`evaluate`,
+        ``predict``) never publishes.
+        """
         reg = self.registry if self.registry is not None \
             else _metrics.get_registry()
+        publish_kernel_cost(cost, registry=reg)
         seconds, evaluations = reg.handles(_timing_counters)
-        for component, value in components.items():
-            seconds.inc_key((kernel, component), value)
+        kernel = cost.name
+        for part in ("compute", "gmem", "l2", "smem", "cmem", "sync", "launch"):
+            seconds.inc_key((kernel, part), getattr(breakdown, "t_" + part))
+        seconds.inc_key((kernel, "total"), breakdown.total)
         evaluations.inc_key((kernel,))
 
     # ------------------------------------------------------------------
@@ -227,11 +235,6 @@ class TimingModel:
         t_launch = self.launch_overhead_s * cost.launches
 
         total = busy + t_sync + t_launch
-        self._publish(cost.name, {
-            "compute": t_compute, "gmem": t_gmem, "l2": t_l2,
-            "smem": t_smem, "cmem": t_cmem, "sync": t_sync,
-            "launch": t_launch, "total": total,
-        })
         return TimingBreakdown(
             name=cost.name,
             t_compute=t_compute,

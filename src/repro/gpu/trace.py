@@ -413,6 +413,7 @@ def publish_kernel_cost(cost: KernelCost, registry=None) -> None:
     Counter values are exactly the ledger's return values, so the
     telemetry surface and the cost model can never disagree.  The
     counters are resolved once per registry (:meth:`Registry.handles`).
+    Pricing never calls it; ``TimingModel.publish`` does.
     """
     reg = registry if registry is not None else _metrics.get_registry()
     (gmem_tx, gmem_bytes, smem_cycles, conflict_cycles, cmem_cycles, flops,
@@ -451,7 +452,6 @@ class KernelTracer:
         self,
         arch: GPUArchitecture,
         bank_policy: BankConflictPolicy = BankConflictPolicy.WORD_MERGE,
-        registry=None,
     ):
         # WORD_MERGE is the hardware's behaviour and the default for
         # end-to-end timing; the paper's stricter serialization model is
@@ -460,10 +460,6 @@ class KernelTracer:
         self.smem = SharedMemoryModel(arch, bank_policy)
         self.gmem = GlobalMemoryModel(arch)
         self.cmem = ConstantMemoryModel(arch)
-        # None = publish the finished cost to the process-wide registry;
-        # pass a private Registry (or ``publish_kernel_cost`` manually)
-        # to redirect.
-        self.registry = registry
         self.ledger = TrafficLedger(gmem_segment_size=arch.gmem_transaction_size)
         self._smem_row_bytes = arch.smem_bank_count * arch.smem_bank_width
         self._smem_cache = _cache_for(
@@ -727,15 +723,13 @@ class KernelTracer:
         launches: int = 1,
     ) -> KernelCost:
         launch.validate(self.arch)
-        cost = KernelCost(
+        return KernelCost(
             name=name,
             launch=launch,
             ledger=self.ledger,
             software_prefetch=software_prefetch,
             launches=launches,
         )
-        publish_kernel_cost(cost, registry=self.registry)
-        return cost
 
     # ------------------------------------------------------------------
     def _site(self, site: str, kind: str) -> SiteStats:

@@ -5,8 +5,8 @@ docs/OBSERVABILITY.md for the metric-name catalog and span taxonomy):
 
 * :mod:`~repro.obs.metrics` — process-wide **metrics registry** with
   labeled counters, gauges, and sample-retaining histograms; the
-  serving engine, plan cache, batcher, GPU cost model, timing model,
-  and design-space explorer all publish through it.
+  serving engine, plan cache, batcher, design-space explorer and
+  (on request only) ``TimingModel.publish`` record into it.
 * :mod:`~repro.obs.tracing` — **span tracer** with coexisting wall and
   virtual (modeled GPU) clocks.
 * :mod:`~repro.obs.exporters` — Chrome trace-event JSON (Perfetto /

@@ -1,5 +1,7 @@
 """Tests for the cuDNN-like implicit-GEMM convolution baseline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -82,22 +84,21 @@ class TestTracing:
     P = ConvProblem.square(64, 3, channels=16, filters=64)
 
     @staticmethod
-    def _traced():
-        from repro.obs.metrics import get_registry
-
-        metric = get_registry().get("gpu_kernel_costs_total")
-        return metric.total() if metric is not None else 0.0
+    def _traced(kern):
+        """How many tile traces ``kern.cost(P)`` runs."""
+        with mock.patch.object(ImplicitGemmKernel, "_cost_with",
+                               autospec=True,
+                               side_effect=ImplicitGemmKernel._cost_with) \
+                as cost_with:
+            kern.cost(TestTracing.P)
+        return cost_with.call_count
 
     def test_unfixed_cost_traces_each_palette_tile_once(self, kernel):
-        before = self._traced()
-        kernel.cost(self.P)
-        assert self._traced() - before == len(DEFAULT_TILE_PALETTE)
+        assert self._traced(kernel) == len(DEFAULT_TILE_PALETTE)
 
     def test_fixed_tiling_traces_once(self):
         kern = ImplicitGemmKernel(tiling=DEFAULT_TILE_PALETTE[2])
-        before = self._traced()
-        kern.cost(self.P)
-        assert self._traced() - before == 1
+        assert self._traced(kern) == 1
 
     @pytest.mark.parametrize("problem", [
         ConvProblem.square(64, 3, channels=16, filters=64),

@@ -35,7 +35,6 @@ from repro.gpu.trace import (
     cross_block_reuse,
     prepare_batch,
 )
-from repro.obs.metrics import Registry
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +61,7 @@ def frozen_general_cost(kernel, problem):
     c_total = valid.channels
     chunks = math.ceil(c_total / cfg.csh)
 
-    tracer = KernelTracer(kernel.arch, kernel.bank_policy, registry=Registry())
+    tracer = KernelTracer(kernel.arch, kernel.bank_policy)
     warp_lanes = kernel.arch.warp_size
     lanes = np.arange(warp_lanes, dtype=np.int64)
     elem = kernel.elem_bytes

@@ -15,7 +15,6 @@ from repro.gpu.trace import (
     cross_block_reuse,
     prepare_batch,
     prepare_rows,
-    publish_kernel_cost,
 )
 from repro.obs.metrics import (
     Registry,
@@ -322,7 +321,7 @@ class TestPreparedFolds:
 # ----------------------------------------------------------------------
 
 def _small_cost(kepler):
-    tracer = KernelTracer(kepler, registry=Registry())
+    tracer = KernelTracer(kepler)
     tracer.gmem_read(np.arange(32) * 4, 4, count=3.0, site="in")
     tracer.smem_read(np.arange(32) * 8, 8, count=5.0, site="row")
     tracer.flops(640.0)
@@ -361,13 +360,11 @@ class TestPublisherHandles:
         cost = _small_cost(kepler)
         registry = Registry()
         model = TimingModel(kepler, registry=registry)
-        publish_kernel_cost(cost, registry=registry)
-        model.evaluate(cost)
+        model.publish(cost, model.evaluate(cost))
         _assert_published_once(registry, cost)
         registry.clear()
         assert registry.collect() == []
-        publish_kernel_cost(cost, registry=registry)
-        model.evaluate(cost)
+        model.publish(cost, model.evaluate(cost))
         _assert_published_once(registry, cost)
 
     def test_global_registry_reset_set_and_clear(self, kepler):
@@ -384,14 +381,12 @@ class TestPublisherHandles:
 
         previous = get_registry()
         try:
-            publish_kernel_cost(cost)
-            model.evaluate(cost)
+            model.publish(cost, model.evaluate(cost))
             for swap in (reset_registry, set_fresh, clear_current):
                 registry = swap()
                 assert registry is get_registry()
                 assert _series(registry, "gpu_flops_total") is None
-                publish_kernel_cost(cost)
-                model.evaluate(cost)
+                model.publish(cost, model.evaluate(cost))
                 _assert_published_once(registry, cost)
         finally:
             set_registry(previous)

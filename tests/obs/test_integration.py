@@ -1,16 +1,29 @@
 """End-to-end telemetry: the stack's series must match the models' own
 return values, and a served trace must export a loadable Perfetto file."""
 
+import numpy as np
 import pytest
 
 from repro.conv.tensors import ConvProblem
+from repro.core.config import GeneralCaseConfig
+from repro.core.dse import (
+    best_config,
+    enumerate_general_configs,
+    enumerate_special_configs,
+    explore_general,
+    explore_special,
+)
 from repro.core.special import SpecialCaseKernel
 from repro.gpu.arch import KEPLER_K40M
+from repro.gpu.fastsim import FastGeneralKernel
 from repro.gpu.timing import TimingModel
+from repro.kernels import default_registry
 from repro.obs import (
     Registry,
     Tracer,
     chrome_trace,
+    get_registry,
+    reset_registry,
     set_registry,
     set_tracer,
     validate_chrome_trace,
@@ -39,7 +52,9 @@ class TestCostModelCountersMatch:
     def test_counters_equal_ledger_values(self, scoped_globals):
         registry, _ = scoped_globals
         kernel = SpecialCaseKernel(arch=KEPLER_K40M)
-        cost = kernel.cost(self.PROBLEM)     # publishes into the registry
+        cost = kernel.cost(self.PROBLEM)
+        model = TimingModel(KEPLER_K40M)     # publishes into the registry
+        model.publish(cost, model.evaluate(cost))
         led, name = cost.ledger, cost.name
 
         gmem_tx = registry.get("gpu_gmem_transactions_total")
@@ -61,6 +76,8 @@ class TestCostModelCountersMatch:
     def test_per_site_series_cover_the_ledger(self, scoped_globals):
         registry, _ = scoped_globals
         cost = SpecialCaseKernel(arch=KEPLER_K40M).cost(self.PROBLEM)
+        model = TimingModel(KEPLER_K40M)
+        model.publish(cost, model.evaluate(cost))
         site_exec = registry.get("gpu_site_executions_total")
         for site, stats in cost.ledger.sites.items():
             assert site_exec.value(kernel=cost.name, site=site) == \
@@ -72,10 +89,11 @@ class TestCostModelCountersMatch:
 
         private = Registry()
         cost = SpecialCaseKernel(arch=KEPLER_K40M).cost(self.PROBLEM)
+        publish_kernel_cost(cost)
         publish_kernel_cost(cost, registry=private)
         tx_global = global_registry.get("gpu_gmem_transactions_total")
         tx_private = private.get("gpu_gmem_transactions_total")
-        # cost() published once globally; the explicit call went private.
+        # One publication went global; the explicit registry went private.
         assert tx_private.value(kernel=cost.name, op="read") == \
             pytest.approx(tx_global.value(kernel=cost.name, op="read"))
 
@@ -83,7 +101,9 @@ class TestCostModelCountersMatch:
         registry = Registry()
         kernel = SpecialCaseKernel(arch=KEPLER_K40M)
         model = TimingModel(KEPLER_K40M, registry=registry)
-        breakdown = kernel.predict(self.PROBLEM, model)
+        cost = kernel.cost(self.PROBLEM)
+        breakdown = model.evaluate(cost)
+        model.publish(cost, breakdown)
         seconds = registry.get("gpu_modeled_seconds_total")
         assert seconds.value(
             kernel=kernel.name, component="total") == pytest.approx(
@@ -101,6 +121,81 @@ class TestCostModelCountersMatch:
         candidates = registry.get("dse_candidates_total")
         assert candidates is not None
         assert candidates.value(case="special", outcome="ok") > 0
+
+
+@pytest.fixture
+def fresh_registry():
+    """A fresh process-wide registry; the previous one is restored after."""
+    previous = get_registry()
+    try:
+        yield reset_registry()
+    finally:
+        set_registry(previous)
+
+
+def _gpu_series(registry):
+    """``{(metric, labels): value}`` for every ``gpu_*`` series."""
+    return {(m["name"], tuple(sorted(s["labels"].items()))): s["value"]
+            for m in registry.collect() if m["name"].startswith("gpu_")
+            for s in m["series"]}
+
+
+_PROBES = (
+    ConvProblem.square(512, 3, channels=1, filters=8),
+    ConvProblem.square(64, 3, channels=16, filters=32),
+    ConvProblem.square(64, 3, channels=8, filters=8, groups=8),
+)
+
+
+def _default_build(backend):
+    """``(kernel, problem)``: the backend's default build on the first
+    probe shape it admits."""
+    problem = next(p for p in _PROBES if backend.supports(p, KEPLER_K40M))
+    return backend.build(problem, KEPLER_K40M), problem
+
+
+class TestPricingPublishesNothing:
+    """Searches, predictions, the fast simulator and serving price
+    without writing ``gpu_*`` series."""
+
+    def test_no_gpu_series_after_pricing(self, fresh_registry):
+        registry = fresh_registry
+        explore_general(3)
+        explore_special()
+        assert registry.get("dse_candidates_total").total() == \
+            len(enumerate_general_configs(3, 2, KEPLER_K40M)) + \
+            len(enumerate_special_configs())
+        best_config(_PROBES[2], KEPLER_K40M, case="depthwise")
+        for backend in default_registry():
+            kernel, problem = _default_build(backend)
+            kernel.predict(problem, TimingModel(KEPLER_K40M))
+        cfg = GeneralCaseConfig(w=16, h=4, ftb=8, wt=8, ft=2, csh=1)
+        rng = np.random.default_rng(5)
+        FastGeneralKernel(KEPLER_K40M, config=cfg).run_traced(
+            rng.standard_normal((2, 10, 34)).astype(np.float32),
+            rng.standard_normal((8, 2, 3, 3)).astype(np.float32))
+        ServeEngine().serve_trace(synthetic_trace(30, seed=3))
+        assert _gpu_series(registry) == {}
+
+
+class TestPublicationIsComplete:
+    """One ``TimingModel.publish`` is one ledger and one evaluation,
+    both under the published cost's name, for every backend."""
+
+    @pytest.mark.parametrize(
+        "backend", list(default_registry()), ids=lambda b: b.name)
+    def test_publish_is_one_complete_prediction(self, backend,
+                                                fresh_registry):
+        kernel, problem = _default_build(backend)
+        model = TimingModel(KEPLER_K40M)
+        cost = kernel.cost(problem)
+        model.publish(cost, model.evaluate(cost))
+        series = _gpu_series(fresh_registry)
+        k = (("kernel", cost.name),)
+        assert series[("gpu_kernel_costs_total", k)] == 1.0
+        assert series[("gpu_timing_evaluations_total", k)] == 1.0
+        assert {dict(labels)["kernel"] for _, labels in series} == \
+            {cost.name}
 
 
 class TestServingTelemetry:

@@ -270,6 +270,64 @@ class TestObs:
         assert parsed[conflict_key] == pytest.approx(
             max(0.0, cost.ledger.smem_cycles - cost.ledger.smem_min_cycles))
 
+    def test_obs_gpu_series_are_the_pinned_ledgers_with_serving_leg(
+            self, capsys):
+        """With the default serving leg on, every ``gpu_*`` series is one
+        of the two pinned kernels' ledger or timing values, published
+        once per kernel."""
+        from repro.conv.tensors import ConvProblem
+        from repro.core.general import GeneralCaseKernel
+        from repro.core.special import SpecialCaseKernel
+        from repro.gpu.arch import KEPLER_K40M
+        from repro.gpu.timing import TimingModel
+        from repro.obs import parse_prometheus
+
+        assert main(["obs", "--format", "prometheus"]) == 0
+        parsed = parse_prometheus(capsys.readouterr().out)
+        gpu = {key: value for key, value in parsed.items()
+               if key[0].startswith("gpu_")}
+
+        expected = {}
+        for kernel, problem in (
+                (SpecialCaseKernel(arch=KEPLER_K40M),
+                 ConvProblem.square(512, 3, channels=1, filters=8)),
+                (GeneralCaseKernel(arch=KEPLER_K40M),
+                 ConvProblem.square(64, 3, channels=16, filters=32))):
+            cost = kernel.cost(problem)
+            led, k = cost.ledger, (("kernel", cost.name),)
+            breakdown = TimingModel(KEPLER_K40M).evaluate(cost)
+            for op, tx, moved in (
+                    ("read", led.gmem_read_transactions,
+                     led.gmem_read_bytes_moved),
+                    ("write", led.gmem_write_transactions,
+                     led.gmem_write_bytes_moved)):
+                expected["gpu_gmem_transactions_total", k + (("op", op),)] = tx
+                expected["gpu_gmem_bytes_moved_total", k + (("op", op),)] = \
+                    moved
+            expected["gpu_smem_cycles_total", k] = led.smem_cycles
+            expected["gpu_smem_bank_conflict_cycles_total", k] = max(
+                0.0, led.smem_cycles - led.smem_min_cycles)
+            expected["gpu_cmem_cycles_total", k] = led.cmem_cycles
+            expected["gpu_flops_total", k] = led.flops
+            expected["gpu_kernel_costs_total", k] = 1.0
+            for site, stats in led.sites.items():
+                ks = k + (("site", site),)
+                expected["gpu_site_executions_total", ks] = stats.executions
+                if stats.transactions:
+                    expected["gpu_site_transactions_total", ks] = \
+                        stats.transactions
+                if stats.cycles:
+                    expected["gpu_site_cycles_total", ks] = stats.cycles
+            for part in ("compute", "gmem", "l2", "smem", "cmem", "sync",
+                         "launch", "total"):
+                value = breakdown.total if part == "total" else getattr(
+                    breakdown, "t_" + part)
+                expected["gpu_modeled_seconds_total",
+                         (("component", part),) + k] = value
+            expected["gpu_timing_evaluations_total", k] = 1.0
+
+        assert gpu == pytest.approx(expected)
+
     def test_obs_with_serving_leg_exposes_plan_cache(self, capsys):
         from repro.obs import parse_prometheus
 
