@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.implicit_gemm import ImplicitGemmKernel
-from repro.conv.tensors import ConvProblem
+from repro.conv.tensors import ConvProblem, Padding
 from repro.core.dse import best_config, default_general_problem, explore_general
 from repro.core.general import GeneralCaseKernel
 from repro.core.special import SpecialCaseKernel
@@ -17,6 +17,7 @@ from repro.gpu.arch import KEPLER_K40M
 from repro.gpu.memory.banks import SharedMemoryModel
 from repro.gpu.memory.globalmem import GlobalMemoryModel
 from repro.gpu.trace import clear_access_caches
+from repro.serve.dispatch import Dispatcher
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,37 @@ def test_explore_general_warm(benchmark):
     explore_general(3, KEPLER_K40M)
     ranked = benchmark(explore_general, 3, KEPLER_K40M)
     assert len(ranked) == 986
+
+
+def churn_style_shapes():
+    """32 distinct serving shapes: plain, stride 2, dilation 2 and
+    depthwise in turn; K 3 and 5; H 16-64, C 1-16, F 4-16."""
+    shapes = []
+    for i in range(32):
+        c = 1 + (7 * i) % 16
+        axes = ({}, {"stride": 2}, {"dilation": 2}, {"groups": c})[i % 4]
+        f = 4 + (5 * i) % 13
+        if "groups" in axes:
+            f = c * max(1, f // c)
+        shapes.append(ConvProblem.square(
+            16 + (13 * i) % 49, (3, 5)[(i // 4) % 2], channels=c, filters=f,
+            padding=(Padding.VALID, Padding.SAME)[(i // 8) % 2], **axes))
+    return shapes
+
+
+def test_plan_build_warm(benchmark):
+    """Serving plan builds (every backend's search and price) over 32
+    churn-style shapes once their warp patterns are cached."""
+    dispatcher = Dispatcher()
+    shapes = churn_style_shapes()
+    assert len(set(shapes)) == 32
+
+    def build_all():
+        return [dispatcher.build_plan(problem) for problem in shapes]
+
+    build_all()
+    plans = benchmark(build_all)
+    assert [plan.source for plan in plans] == ["cost-model"] * 32
 
 
 # The cost benchmarks above hit the canonical-pattern cache on every

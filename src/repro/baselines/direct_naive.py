@@ -22,7 +22,12 @@ from repro.conv.tensors import ConvProblem, Layout, Padding
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.timing import TimingBreakdown, TimingModel
-from repro.gpu.trace import KernelCost, KernelTracer, cross_block_reuse
+from repro.gpu.trace import (
+    KernelCost,
+    KernelTracer,
+    cross_block_reuse,
+    lane_batch,
+)
 
 __all__ = ["NaiveDirectKernel"]
 
@@ -65,7 +70,8 @@ class NaiveDirectKernel:
         launch = self.launch_config(problem)
         arch = self.arch
         tracer = KernelTracer(arch)
-        lanes = np.arange(arch.warp_size, dtype=np.int64)
+        warp_lanes = arch.warp_size
+        mod = tracer.gmem_batch_mod(_F32)
 
         outputs = valid.filters * valid.out_height * valid.out_width
         warp_count = outputs / arch.warp_size
@@ -83,20 +89,22 @@ class NaiveDirectKernel:
             x_step *= valid.channels
             row_step *= valid.channels
         run = min(valid.out_width, arch.warp_size)
-        gather = (lanes % run) * x_step + (lanes // run) * row_step
         # Neighbouring taps and the F output maps re-read the same lines;
         # the L2 catches the K*K-window repeats (the F-fold repeats are
         # spread too far apart in time to credit).
-        tracer.gmem_read(gather, _F32, count=warp_count * taps, site="gm.image_tap",
-                         l2_reuse=float(k * k))
+        tracer.gmem_read_prepared(
+            lane_batch(warp_lanes, x_step, mod, 0, run, row_step), _F32,
+            scale=warp_count * taps, site="gm.image_tap",
+            l2_reuse=float(k * k))
 
         # Filter taps: all lanes of a warp share (f, c, ky, kx) — one
         # address, one transaction, but issued for every tap of every warp.
         flt_slab = valid.filters * taps * _F32
-        tracer.gmem_read(np.zeros(arch.warp_size, dtype=np.int64), _F32,
-                         count=warp_count * taps, site="gm.filter_tap",
-                         l2_reuse=cross_block_reuse(
-                             arch, flt_slab, warp_count, cap=1024.0))
+        tracer.gmem_read_prepared(
+            lane_batch(warp_lanes, 0, mod), _F32,
+            scale=warp_count * taps, site="gm.filter_tap",
+            l2_reuse=cross_block_reuse(arch, flt_slab, warp_count,
+                                       cap=1024.0))
 
         tracer.flops(2.0 * taps * outputs)
 
@@ -106,8 +114,9 @@ class NaiveDirectKernel:
         if valid.layout is Layout.NHWC:
             out_x *= valid.filters
             out_row *= valid.filters
-        out_pat = (lanes % out_run) * out_x + (lanes // out_run) * out_row
-        tracer.gmem_write(out_pat, _F32, count=warp_count, site="gm.store_out")
+        tracer.gmem_write_prepared(
+            lane_batch(warp_lanes, out_x, mod, 0, out_run, out_row), _F32,
+            scale=warp_count, site="gm.store_out")
 
         return tracer.finish(name=self.name, launch=launch)
 

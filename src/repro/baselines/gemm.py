@@ -32,7 +32,12 @@ from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.timing import TimingBreakdown, TimingModel
-from repro.gpu.trace import KernelCost, KernelTracer, cross_block_reuse
+from repro.gpu.trace import (
+    KernelCost,
+    KernelTracer,
+    cross_block_reuse,
+    lane_batch,
+)
 
 __all__ = [
     "GemmShape",
@@ -182,11 +187,10 @@ class TiledGemmKernel:
         arch = self.arch
         launch = self.launch_config(shape)
         blocks = float(launch.total_blocks)
-        warps = math.ceil(t.threads / arch.warp_size)
         ksteps = math.ceil(shape.k / t.bk)
 
         tracer = KernelTracer(arch, self.bank_policy)
-        lanes = np.arange(arch.warp_size, dtype=np.int64)
+        warp_lanes = arch.warp_size
         unit = t.n * _F32
 
         # --- global loads of the A and B panels (wide, cooperative) -------
@@ -203,36 +207,18 @@ class TiledGemmKernel:
                                l2_reuse=cross_block_reuse(
                                    arch, shape.k * shape.n * _F32, grid_x))
 
-        # --- staging into shared memory (contiguous vector writes) --------
-        panel_units = (t.bm * t.bk + t.bk * t.bn) / (4.0 * arch.warp_size)
-        tracer.smem_write(lanes * 16, 16, count=panel_units * ksteps * blocks,
-                          site="sm.store_panels")
-
-        # --- operand reads per FMA round -----------------------------------
-        # A is stored transposed; the register tiles are unit-interleaved
-        # (thread x's u-th unit lives at u*TX + x), the standard layout
-        # that keeps consecutive lanes on consecutive units.
-        x_ids = lanes % t.threads_x
-        y_ids = lanes // t.threads_x
-        rounds = float(warps) * t.bk * ksteps * blocks
-        for u in range(t.tm // t.n):
-            tracer.smem_read((u * t.threads_x + x_ids) * unit, unit,
-                             count=rounds, site="sm.load_a_col")
-        for u in range(t.tn // t.n):
-            tracer.smem_read((u * t.threads_y + y_ids) * unit, unit,
-                             count=rounds, site="sm.load_b_row")
-
-        # --- compute ---------------------------------------------------------
-        tracer.flops(2.0 * t.bm * t.bn * t.bk * ksteps * blocks)
+        trace_tile_rounds(tracer, t, ksteps, blocks)
 
         # --- writeback: rows of BN contiguous floats -------------------------
         wb_rows = t.bm
         run_units = t.bn // t.n
         per_warp_rows = max(1, arch.warp_size // run_units)
-        wb = (lanes % run_units) * unit + (lanes // run_units) * shape.n * _F32
         reqs = wb_rows * run_units / arch.warp_size
-        tracer.gmem_write(wb[: min(arch.warp_size, run_units * per_warp_rows)],
-                          unit, count=reqs * blocks, site="gm.store_c")
+        tracer.gmem_write_prepared(
+            lane_batch(min(warp_lanes, run_units * per_warp_rows), unit,
+                       tracer.gmem_batch_mod(unit), 0, run_units,
+                       shape.n * _F32),
+            unit, scale=reqs * blocks, site="gm.store_c")
 
         tracer.sync(2.0 * ksteps * blocks)
         return tracer.finish(name=self.name, launch=launch, software_prefetch=True)
@@ -243,15 +229,15 @@ class TiledGemmKernel:
         ``pitch_elems`` floats; lanes cover consecutive (row, col) pairs.
         The load width is the widest vector the row pitch keeps aligned
         (misaligned pitches force narrower loads, as on hardware)."""
-        arch = self.arch
         width = _panel_load_width(cols, pitch_elems)
         run_units = max(1, cols * _F32 // width)
-        lanes = np.arange(arch.warp_size, dtype=np.int64)
-        addrs = (lanes % run_units) * width + (lanes // run_units) * pitch_elems * _F32
         total_units = rows * run_units
-        reqs = total_units / arch.warp_size
-        tracer.gmem_read(addrs, width, count=reqs * count, site=site,
-                         l2_reuse=l2_reuse)
+        reqs = total_units / self.arch.warp_size
+        tracer.gmem_read_prepared(
+            lane_batch(self.arch.warp_size, width,
+                       tracer.gmem_batch_mod(width), 0, run_units,
+                       pitch_elems * _F32),
+            width, scale=reqs * count, site=site, l2_reuse=l2_reuse)
 
     # ------------------------------------------------------------------
     def predict(self, shape: GemmShape,
@@ -267,6 +253,43 @@ class TiledGemmKernel:
                 model: Optional[TimingModel] = None) -> float:
         """Predicted execution time in milliseconds (Fig. 2's y-axis)."""
         return self.predict(shape, model).total * 1e3
+
+
+def trace_tile_rounds(tracer: KernelTracer, t: GemmTiling, ksteps: int,
+                      blocks: float) -> None:
+    """The on-chip work of ``ksteps`` BK-panel steps on ``blocks`` blocks.
+
+    Every step stages both panels in shared memory (contiguous vector
+    writes), reads the operands once per FMA round and issues the full
+    tile's FMAs (padded tiles execute in full).  A is stored transposed;
+    the register tiles are unit-interleaved (thread x's u-th unit lives
+    at u*TX + x), the standard layout that keeps consecutive lanes on
+    consecutive units, and each register unit is one warp request.
+    """
+    warp_lanes = tracer.arch.warp_size
+    unit = t.n * _F32
+    mod = tracer.smem_batch_mod()
+
+    # --- staging into shared memory --------------------------------------
+    panel_units = (t.bm * t.bk + t.bk * t.bn) / (4.0 * warp_lanes)
+    tracer.smem_write_prepared(
+        lane_batch(warp_lanes, 16, mod), 16,
+        scale=panel_units * ksteps * blocks, site="sm.store_panels")
+
+    # --- operand reads per FMA round ---------------------------------------
+    warps = math.ceil(t.threads / warp_lanes)
+    rounds = float(warps) * t.bk * ksteps * blocks
+    tracer.smem_read_prepared(
+        lane_batch(warp_lanes, unit, mod, 0, t.threads_x, 0, t.tm // t.n,
+                   t.threads_x * unit),
+        unit, scale=rounds, site="sm.load_a_col")
+    tracer.smem_read_prepared(
+        lane_batch(warp_lanes, 0, mod, 0, t.threads_x, unit, t.tn // t.n,
+                   t.threads_y * unit),
+        unit, scale=rounds, site="sm.load_b_row")
+
+    # --- compute ------------------------------------------------------------
+    tracer.flops(2.0 * t.bm * t.bn * t.bk * ksteps * blocks)
 
 
 def _panel_load_width(cols: int, pitch_elems: int) -> int:

@@ -25,7 +25,7 @@ from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.timing import TimingBreakdown, TimingModel
-from repro.gpu.trace import KernelCost, KernelTracer
+from repro.gpu.trace import KernelCost, KernelTracer, PreparedBatch, lane_batch
 
 __all__ = ["im2col_matrix", "Im2colKernel"]
 
@@ -67,6 +67,20 @@ def im2col_matrix(image: np.ndarray, kernel_size: int, stride: int = 1,
                         y0 : y0 + (oh - 1) * stride + 1 : stride,
                         x0 : x0 + (ow - 1) * stride + 1 : stride].reshape(-1))
     return np.stack(rows)
+
+
+def gather_batch(tracer: KernelTracer, valid: ConvProblem) -> PreparedBatch:
+    """One warp's scalar gather of a lowered row from a (C, H, W) image.
+
+    Consecutive lanes take consecutive output positions, which sit
+    ``stride`` pixels apart; runs break at output-row ends, and the next
+    output row starts ``stride`` image rows further on.
+    """
+    s = valid.stride
+    return lane_batch(tracer.arch.warp_size, s * _F32,
+                      tracer.gmem_batch_mod(_F32), 0,
+                      min(valid.out_width, tracer.arch.warp_size),
+                      valid.width * s * _F32)
 
 
 class Im2colKernel:
@@ -154,17 +168,15 @@ class Im2colKernel:
         # from the image (contiguous runs of OW, spread by the stride),
         # writes are dense.
         tracer = KernelTracer(self.arch, self.bank_policy)
-        lanes = np.arange(self.arch.warp_size, dtype=np.int64)
         total = shape.k * shape.n
-        ow = valid.out_width
-        s = valid.stride
-        run = min(ow, self.arch.warp_size)
-        gather = ((lanes % run) * s * _F32
-                  + (lanes // run) * valid.width * s * _F32)
         reqs = total / self.arch.warp_size
-        tracer.gmem_read(gather, _F32, count=reqs, site="gm.im2col_gather",
-                         l2_reuse=float(valid.kernel_size ** 2))
-        tracer.gmem_write(lanes * _F32, _F32, count=reqs, site="gm.im2col_store")
+        tracer.gmem_read_prepared(
+            gather_batch(tracer, valid), _F32, scale=reqs,
+            site="gm.im2col_gather", l2_reuse=float(valid.kernel_size ** 2))
+        tracer.gmem_write_prepared(
+            lane_batch(self.arch.warp_size, _F32,
+                       tracer.gmem_batch_mod(_F32)),
+            _F32, scale=reqs, site="gm.im2col_store")
 
         threads = 256
         grid = max(1, math.ceil(total / threads))

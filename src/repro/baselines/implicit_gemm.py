@@ -30,15 +30,20 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.gemm import GemmShape, GemmTiling
-from repro.baselines.im2col import im2col_matrix
+from repro.baselines.gemm import GemmShape, GemmTiling, trace_tile_rounds
+from repro.baselines.im2col import gather_batch, im2col_matrix
 from repro.conv.tensors import ConvProblem, Padding
 from repro.errors import ShapeError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.timing import TimingBreakdown, TimingModel
-from repro.gpu.trace import KernelCost, KernelTracer, cross_block_reuse
+from repro.gpu.trace import (
+    KernelCost,
+    KernelTracer,
+    cross_block_reuse,
+    lane_batch,
+)
 
 __all__ = ["ImplicitGemmKernel", "DEFAULT_TILE_PALETTE"]
 
@@ -163,7 +168,6 @@ class ImplicitGemmKernel:
         grid_y = math.ceil(shape.n / t.bn)
         blocks = float(grid_x * grid_y)
         ksteps = math.ceil(shape.k / t.bk)
-        warps = math.ceil(t.threads / arch.warp_size)
 
         launch = LaunchConfig(
             grid=Dim3(x=grid_x, y=grid_y),
@@ -174,8 +178,7 @@ class ImplicitGemmKernel:
         )
 
         tracer = KernelTracer(arch, self.bank_policy)
-        lanes = np.arange(arch.warp_size, dtype=np.int64)
-        unit = t.n * _F32
+        warp_lanes = arch.warp_size
 
         # --- A panel: BM filters x BK lowered coordinates (contiguous) ----
         # Traffic uses the real K extent; the pad rows are predicated off.
@@ -184,59 +187,42 @@ class ImplicitGemmKernel:
         a_rows_total = min(shape.k, ksteps * t.bk)
         width = _aligned_width(shape.k)
         run_units = max(1, t.bk * _F32 // width)
-        a_addrs = (lanes % run_units) * width + (lanes // run_units) * shape.k * _F32
         a_reqs = min(shape.m, grid_x * t.bm) * run_units / arch.warp_size
         a_slab = shape.m * shape.k * _F32
-        tracer.gmem_read(a_addrs, width,
-                         count=a_reqs * (a_rows_total / t.bk) * grid_y,
-                         site="gm.load_filters",
-                         l2_reuse=cross_block_reuse(arch, a_slab, grid_y))
+        tracer.gmem_read_prepared(
+            lane_batch(warp_lanes, width, tracer.gmem_batch_mod(width), 0,
+                       run_units, shape.k * _F32),
+            width, scale=a_reqs * (a_rows_total / t.bk) * grid_y,
+            site="gm.load_filters",
+            l2_reuse=cross_block_reuse(arch, a_slab, grid_y))
 
         # --- B panel: BK lowered rows x BN output positions, gathered -----
         # For one lowered row, BN consecutive output positions map to
         # contiguous input pixels within an output row; runs break at row
         # ends.  Scalar loads (gather addressing defeats vectorization).
-        ow = valid.out_width
-        s = valid.stride
-        run = min(ow, arch.warp_size)
-        b_addrs = ((lanes % run) * s * _F32
-                   + (lanes // run) * valid.width * s * _F32)
         b_reqs_per_row = t.bn / arch.warp_size
         # The K*K lowered rows of one channel re-read the same input
         # lines within a handful of k-steps: classic L2 temporal reuse.
         k_taps = valid.kernel_size ** 2
-        tracer.gmem_read(b_addrs, _F32,
-                         count=b_reqs_per_row * shape.k * grid_y * grid_x,
-                         site="gm.load_image_gather",
-                         l2_reuse=float(k_taps))
+        tracer.gmem_read_prepared(
+            gather_batch(tracer, valid), _F32,
+            scale=b_reqs_per_row * shape.k * grid_y * grid_x,
+            site="gm.load_image_gather", l2_reuse=float(k_taps))
 
-        # --- shared-memory staging -----------------------------------------
-        panel_units = (t.bm * t.bk + t.bk * t.bn) / (4.0 * arch.warp_size)
-        tracer.smem_write(lanes * 16, 16, count=panel_units * ksteps * blocks,
-                          site="sm.store_panels")
-
-        # --- operand reads per FMA round (scalar float: unmatched) ----------
-        x_ids = lanes % t.threads_x
-        y_ids = lanes // t.threads_x
-        rounds = float(warps) * t.bk * ksteps * blocks
-        for u in range(t.tm // t.n):
-            tracer.smem_read((u * t.threads_x + x_ids) * unit, unit,
-                             count=rounds, site="sm.load_a_col")
-        for u in range(t.tn // t.n):
-            tracer.smem_read((u * t.threads_y + y_ids) * unit, unit,
-                             count=rounds, site="sm.load_b_row")
-
-        # --- compute (padded tiles execute in full) ---------------------------
-        tracer.flops(2.0 * t.bm * t.bn * t.bk * ksteps * blocks)
+        # --- shared-memory staging, operand reads and compute -------------
+        # The palette's operand reads are scalar float (unmatched), and
+        # padded tiles execute in full.
+        trace_tile_rounds(tracer, t, ksteps, blocks)
 
         # --- writeback: BN contiguous output pixels per tile row --------------
         w_width = _aligned_width(shape.n)
         run_w = max(1, t.bn * _F32 // w_width)
-        wb = (lanes % run_w) * w_width + (lanes // run_w) * shape.n * _F32
         wb_rows = min(shape.m, grid_x * t.bm)
-        tracer.gmem_write(wb, w_width,
-                          count=wb_rows * run_w / arch.warp_size * grid_y,
-                          site="gm.store_out")
+        tracer.gmem_write_prepared(
+            lane_batch(warp_lanes, w_width, tracer.gmem_batch_mod(w_width),
+                       0, run_w, shape.n * _F32),
+            w_width, scale=wb_rows * run_w / arch.warp_size * grid_y,
+            site="gm.store_out")
 
         tracer.sync(2.0 * ksteps * blocks)
         return tracer.finish(name=self.name, launch=launch, software_prefetch=True)

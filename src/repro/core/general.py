@@ -41,6 +41,7 @@ from repro.gpu.trace import (
     KernelCost,
     KernelTracer,
     cross_block_reuse,
+    lane_batch,
     prepare_batch,
     prepare_rows,
 )
@@ -348,8 +349,8 @@ class GeneralCaseKernel:
         # repeats (symmetric with the credit the cuDNN baseline gets).
         img_slab = valid.channels * valid.height * valid.width * elem
         tracer.gmem_read_prepared(
-            _lane_batch(min(warp_lanes, math.ceil(img_row_floats / n)),
-                        unit, tracer.gmem_batch_mod(unit)),
+            lane_batch(min(warp_lanes, math.ceil(img_row_floats / n)),
+                       unit, tracer.gmem_batch_mod(unit)),
             unit,
             scale=float(full_row_reqs) * img_rows * c_total * blocks,
             site="gm.load_image",
@@ -371,15 +372,20 @@ class GeneralCaseKernel:
         # --- shared-memory staging ------------------------------------------
         img_units = cfg.csh * img_rows * math.ceil(img_row_floats / n)
         tracer.smem_write_prepared(
-            _lane_batch(warp_lanes, unit, row_bytes),
+            lane_batch(warp_lanes, unit, row_bytes),
             unit,
             scale=img_units / warp_lanes * chunks * blocks,
             site="sm.store_image",
         )
+        # Lane ``l`` writes ``shFlt[tap][f]`` with the filter index
+        # fastest; the stores are scalar (the transpose defeats
+        # vectorization), and the pad keeps successive tap rows off the
+        # same banks.
         flt_values = cfg.csh * k * k * cfg.ftb
         tracer.smem_write_prepared(
-            _flt_store_batch(warp_lanes, cfg.ftb, cfg.smem_filter_pad(n),
-                             elem, row_bytes),
+            lane_batch(warp_lanes, elem, row_bytes, 0,
+                       min(cfg.ftb, warp_lanes),
+                       (cfg.ftb + cfg.smem_filter_pad(n)) * elem),
             elem,
             scale=flt_values / warp_lanes * chunks * blocks,
             site="sm.store_filter",
@@ -489,13 +495,6 @@ def _writeback_batch(warp_lanes, tx, ty, ft, wt, map_stride, elem, n):
 
 
 @functools.lru_cache(maxsize=4096)
-def _lane_batch(lanes, unit, mod):
-    """Prepared single request in which lane ``l`` accesses unit ``l``
-    (an image footprint row load, the image staging store)."""
-    return prepare_batch(np.arange(lanes, dtype=np.int64) * unit, mod)
-
-
-@functools.lru_cache(maxsize=4096)
 def _filter_load_batch(warp_lanes, ftb, stride, run_floats, chunks, elem):
     """Prepared filter-chunk loads, in trace order, with per-row counts.
 
@@ -528,16 +527,3 @@ def _filter_load_batch(warp_lanes, ftb, stride, run_floats, chunks, elem):
             mults.append(float(freq))
     return prepare_rows(rows, mults, math.lcm(elem, seg))
 
-
-@functools.lru_cache(maxsize=4096)
-def _flt_store_batch(warp_lanes, ftb, pad, elem, row_bytes):
-    """Prepared transposed filter store.
-
-    Lane ``l`` writes ``shFlt[tap][f]`` with the filter index fastest;
-    the stores are scalar (the transpose defeats vectorization), and
-    ``pad`` keeps successive tap rows off the same banks.
-    """
-    lanes = np.arange(warp_lanes, dtype=np.int64)
-    per_row = min(ftb, warp_lanes)
-    pattern = ((lanes // per_row) * (ftb + pad) + lanes % per_row) * elem
-    return prepare_batch(pattern, row_bytes)

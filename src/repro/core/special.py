@@ -49,7 +49,7 @@ from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.timing import TimingBreakdown, TimingModel
-from repro.gpu.trace import KernelCost, KernelTracer
+from repro.gpu.trace import KernelCost, KernelTracer, lane_batch
 
 __all__ = ["SpecialCaseKernel"]
 
@@ -94,7 +94,10 @@ class SpecialCaseKernel:
         return valid
 
     def launch_config(self, problem: ConvProblem) -> LaunchConfig:
-        valid = self._check_problem(problem)
+        return self._launch(self._check_problem(problem))
+
+    def _launch(self, valid: ConvProblem) -> LaunchConfig:
+        """The launch for an already-checked (``as_valid``) problem."""
         grid = BlockGrid(valid, self.config.block_spec())
         k = valid.kernel_size
         s, d = valid.stride, valid.dilation
@@ -247,22 +250,31 @@ class SpecialCaseKernel:
     # Traced cost
     # ------------------------------------------------------------------
     def cost(self, problem: ConvProblem) -> KernelCost:
-        """Replay the kernel's access sites through the memory models."""
+        """Replay the kernel's access sites through the memory models.
+
+        Each site is a :func:`lane_batch` cached per geometry and folded
+        with this problem's count, one fold per request row in the order
+        and with the count expressions of a request-by-request replay
+        (docs/SIMULATOR.md).  Every count is a product of positive
+        extents, so no fold is skipped for a zero count.
+        """
         valid = self._check_problem(problem)
         cfg = self.config
         k = valid.kernel_size
         n = self.n
-        launch = self.launch_config(problem)
+        launch = self._launch(valid)
         blocks = launch.total_blocks
         threads = cfg.threads(n)
-        warps = math.ceil(threads / self.arch.warp_size)
+        warp_lanes = self.arch.warp_size
+        warps = math.ceil(threads / warp_lanes)
         h = cfg.block_h
         f_count = valid.filters
 
         tracer = KernelTracer(self.arch, self.bank_policy)
-        lanes = np.arange(self.arch.warp_size, dtype=np.int64)
         elem = self.elem_bytes
         unit = n * elem
+        gmem_mod = tracer.gmem_batch_mod(unit)
+        smem_mod = tracer.smem_batch_mod()
         s, d = valid.stride, valid.dilation
         span = valid.span
 
@@ -270,115 +282,88 @@ class SpecialCaseKernel:
         # advance s input rows per output row under the same span window.
         rows_per_block = (h - 1) * s + span
         footprint = (cfg.block_w - 1) * s + span   # input floats per row
-        row_pattern = lanes * unit
+        # Staged row pieces as (site, lanes, base byte, requests per
+        # block), each a coalesced run of vector units.
         if s == 1:
-            # --- global loads of image rows (coalesced vector units) ------
-            tracer.gmem_read(
-                row_pattern, unit, count=float(warps * rows_per_block * blocks),
-                site="gm.load_row",
-            )
+            staged = [("row", warp_lanes, 0, warps * rows_per_block)]
             halo_units = math.ceil((span - 1) / n)
             if halo_units:
-                halo_pattern = cfg.block_w * elem + np.arange(halo_units) * unit
-                tracer.gmem_read(
-                    halo_pattern, unit, count=float(rows_per_block * blocks),
-                    site="gm.load_row_halo",
-                )
+                staged.append(("row_halo", halo_units, cfg.block_w * elem,
+                               rows_per_block))
         else:
             # Strided blocks still stage their full contiguous footprint
             # row (every s-th pixel plus dilated halo is in range), so the
             # cooperative load stays vectorized; the warp count changes.
-            total_units = math.ceil(footprint / n)
-            full_rounds = total_units // self.arch.warp_size
-            tail_units = total_units % self.arch.warp_size
+            full_rounds, tail_units = divmod(math.ceil(footprint / n),
+                                             warp_lanes)
+            staged = []
             if full_rounds:
-                tracer.gmem_read(
-                    row_pattern, unit,
-                    count=float(full_rounds * rows_per_block * blocks),
-                    site="gm.load_row",
-                )
+                staged.append(("row", warp_lanes, 0,
+                               full_rounds * rows_per_block))
             if tail_units:
-                tracer.gmem_read(
-                    lanes[:tail_units] * unit, unit,
-                    count=float(rows_per_block * blocks),
-                    site="gm.load_row_halo",
-                )
+                staged.append(("row_halo", tail_units, 0, rows_per_block))
+
+        # --- global loads of image rows (coalesced vector units) ----------
+        for name, lanes, base, reqs in staged:
+            tracer.gmem_read_prepared(
+                lane_batch(lanes, unit, gmem_mod, base), unit,
+                scale=float(reqs * blocks), site="gm.load_" + name)
 
         # --- shared-memory staging of those rows -------------------------
-        if s == 1:
-            tracer.smem_write(
-                row_pattern, unit, count=float(warps * rows_per_block * blocks),
-                site="sm.store_row",
-            )
-            if halo_units:
-                halo_sm = cfg.block_w * elem + np.arange(halo_units) * unit
-                tracer.smem_write(
-                    halo_sm, unit, count=float(rows_per_block * blocks),
-                    site="sm.store_row_halo",
-                )
-        else:
-            if full_rounds:
-                tracer.smem_write(
-                    row_pattern, unit,
-                    count=float(full_rounds * rows_per_block * blocks),
-                    site="sm.store_row",
-                )
-            if tail_units:
-                tracer.smem_write(
-                    lanes[:tail_units] * unit, unit,
-                    count=float(rows_per_block * blocks),
-                    site="sm.store_row_halo",
-                )
+        for name, lanes, base, reqs in staged:
+            tracer.smem_write_prepared(
+                lane_batch(lanes, unit, smem_mod, base), unit,
+                scale=float(reqs * blocks), site="sm.store_" + name)
 
         # --- per-iteration register loads from shared memory --------------
         # Each thread reads its (n-1)*s + span pixel row slice as vector
-        # units (line 6); the initial priming rows are read the same way
-        # (line 3).  Tap rows d apart with the window advancing s rows per
-        # output row reuse k - s/d register rows (all k when s = 1, d = 1).
+        # units (line 6), one request per unit; the initial priming rows
+        # are read the same way (line 3).  Tap rows d apart with the
+        # window advancing s rows per output row reuse k - s/d register
+        # rows (all k when s = 1, d = 1).
         slice_floats = (n - 1) * s + span
         window_units = math.ceil(slice_floats / n)
         fresh_taps = s // d if (s % d == 0 and s // d < k) else k
         row_reads = (k - fresh_taps) + h * fresh_taps
-        for u in range(window_units):
-            pattern = lanes * (n * s * elem) + u * unit
-            tracer.smem_read(
-                pattern, unit, count=float(warps * row_reads * blocks),
-                site="sm.load_window",
-            )
+        tracer.smem_read_prepared(
+            lane_batch(warp_lanes, n * s * elem, smem_mod, 0, None, 0,
+                       window_units, unit),
+            unit, scale=float(warps * row_reads * blocks),
+            site="sm.load_window",
+        )
 
         # --- constant-memory filter taps: one broadcast per FMA round -----
-        cm = self.arch
         working_set = f_count * k * k * elem
         hit = tracer.cmem.hit_rate(working_set)
         broadcasts = float(warps * h * f_count * k * k * blocks)
-        tracer.cmem_read(np.zeros(cm.warp_size, dtype=np.int64), count=broadcasts,
-                         site="cm.filter_tap")
+        tracer.cmem_read_prepared(lane_batch(warp_lanes, 0, 1),
+                                  scale=broadcasts, site="cm.filter_tap")
         if hit < 1.0:
             # Constant-cache misses fall through to DRAM, once per miss.
             miss_reads = broadcasts * (1.0 - hit)
-            tracer.gmem_read(np.zeros(1, dtype=np.int64), elem, count=miss_reads,
-                             site="gm.cm_miss")
+            tracer.gmem_read_prepared(
+                lane_batch(1, 0, tracer.gmem_batch_mod(elem)), elem,
+                scale=miss_reads, site="gm.cm_miss")
 
         # --- compute -------------------------------------------------------
         tracer.flops(2.0 * k * k * f_count * cfg.block_w * h * blocks)
 
         # --- output writeback (vector units, coalesced) ---------------------
         ow = valid.out_width
-        write_pattern = lanes * unit
+        stores = float(warps * h * f_count * blocks)
         if (ow * elem) % self.arch.gmem_transaction_size:
             # Output rows are generally not segment-aligned (OW = N-K+1);
             # sample an offset base as well and average implicitly by
             # splitting the count across the two alignments.
-            tracer.gmem_write(write_pattern, unit,
-                              count=float(warps * h * f_count * blocks) / 2.0,
-                              site="gm.store_out")
-            tracer.gmem_write(write_pattern + unit, unit,
-                              count=float(warps * h * f_count * blocks) / 2.0,
-                              site="gm.store_out_misaligned")
+            for base, site in ((0, "gm.store_out"),
+                               (unit, "gm.store_out_misaligned")):
+                tracer.gmem_write_prepared(
+                    lane_batch(warp_lanes, unit, gmem_mod, base), unit,
+                    scale=stores / 2.0, site=site)
         else:
-            tracer.gmem_write(write_pattern, unit,
-                              count=float(warps * h * f_count * blocks),
-                              site="gm.store_out")
+            tracer.gmem_write_prepared(
+                lane_batch(warp_lanes, unit, gmem_mod), unit,
+                scale=stores, site="gm.store_out")
 
         # --- barriers: two per row iteration plus the initial one -----------
         tracer.sync(float((2 * h + 1) * blocks))

@@ -11,13 +11,17 @@ The scaling is exact rather than sampled: every kernel in this package
 uses access patterns whose bank- and segment-structure is identical
 across repetitions (all strides and bases are multiples of the relevant
 alignment), so one representative warp request per site fully
-characterizes the traffic.  Sites where the base alignment varies (halo
-reads at image-row granularity) are traced once per distinct alignment
-via the ``variants`` argument.
+characterizes the traffic.  A site whose requests differ (one per
+vector unit of a register row, or one per distinct base alignment of a
+filter run) is a multi-row :class:`PreparedBatch`: each row is one
+distinct request, folded with its multiplicity times the site's count.
+:func:`lane_batch` and :func:`prepare_rows` keep the rows in order and
+unmerged; :func:`prepare_batch` merges equal canonical rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -40,6 +44,7 @@ __all__ = [
     "PreparedBatch",
     "prepare_batch",
     "prepare_rows",
+    "lane_batch",
     "cross_block_reuse",
     "publish_kernel_cost",
     "access_cache_stats",
@@ -210,6 +215,32 @@ def prepare_rows(rows, mults, mod: int) -> PreparedBatch:
         keys.append(addrs.tobytes())
         weights.append(float(mult))
     return PreparedBatch(canon, keys, weights)
+
+
+@functools.lru_cache(maxsize=4096)
+def lane_batch(lanes: int, step: int, mod: int, base: int = 0,
+               run: Optional[int] = None, pitch: int = 0, rows: int = 1,
+               row_step: int = 0) -> PreparedBatch:
+    """The cached warp requests of one strided access site.
+
+    Row ``r`` is one request in which lane ``l`` (of ``lanes``) accesses
+    byte ``base + r * row_step + (l % run) * step + (l // run) * pitch``:
+    runs of ``run`` lanes (default: all of them) advance by ``step``,
+    and successive runs start ``pitch`` bytes apart.  The rows are
+    canonicalized with period ``mod`` and kept in order, unmerged, each
+    with multiplicity 1 (:func:`prepare_rows`), so folding the batch
+    with ``scale=count`` performs exactly the model lookups and float
+    accumulations of issuing every row on its own ``count`` times.  The
+    batch is shared through the cache: never mutate it.
+    """
+    lane = np.arange(lanes, dtype=np.int64)
+    if run is None:
+        pattern = lane * step
+    else:
+        pattern = (lane % run) * step + (lane // run) * pitch
+    return prepare_rows(
+        [pattern + (base + r * row_step) for r in range(rows)],
+        [1.0] * rows, mod)
 
 
 @dataclass

@@ -32,23 +32,24 @@ from repro.conv.tensors import ConvProblem
 from repro.errors import BackendError, ReproError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.kernels.protocol import ConvBackend
+from repro.obs.metrics import get_registry
 
 __all__ = ["BackendRegistry"]
 
 
-def _lookup_counter():
-    from repro.obs.metrics import get_registry
+# Each counter is resolved once per process-wide registry
+# (``Registry.handles``) through its own resolver, so each is still
+# created on first use, in the order the calls first need them.
 
-    return get_registry().counter(
+def _lookup_counter(reg):
+    return reg.counter(
         "kernel_backend_lookups_total",
         "Backend registry lookups, by backend name and outcome",
         labelnames=("backend", "outcome"))
 
 
-def _candidate_counter():
-    from repro.obs.metrics import get_registry
-
-    return get_registry().counter(
+def _candidate_counter(reg):
+    return reg.counter(
         "kernel_backend_candidates_total",
         "Backend admission decisions in available(), by backend and outcome",
         labelnames=("backend", "outcome"))
@@ -121,8 +122,8 @@ class BackendRegistry:
         when the lookup misses.
         """
         backend = self._backends.get(name)
-        _lookup_counter().inc(
-            backend=str(name), outcome="hit" if backend else "unknown")
+        get_registry().handles(_lookup_counter).inc_key(
+            (str(name), "hit" if backend else "unknown"))
         if backend is None:
             raise BackendError(self._unknown_message(name))
         return backend
@@ -154,22 +155,22 @@ class BackendRegistry:
         outcome ``error`` and reported to ``on_error(name, error)``.
         """
         order = self.names() if names is None else tuple(names)
-        counter = _candidate_counter()
+        counter = get_registry().handles(_candidate_counter)
         admitted: List[Tuple[ConvBackend, object]] = []
         for name in order:
             backend = self.get(name)
             try:
                 ok, config = backend.admit(problem, arch)
             except ReproError as err:
-                counter.inc(backend=name, outcome="error")
+                counter.inc_key((str(name), "error"))
                 if on_error is not None:
                     on_error(name, err)
                 continue
-            counter.inc(backend=name, outcome="admitted" if ok else "filtered")
+            counter.inc_key((str(name), "admitted" if ok else "filtered"))
             if ok:
                 admitted.append((backend, config))
         if (ensure_fallback and self.fallback in self._backends
                 and all(b.name != self.fallback for b, _ in admitted)):
-            counter.inc(backend=self.fallback, outcome="fallback")
+            counter.inc_key((str(self.fallback), "fallback"))
             admitted.append((self._backends[self.fallback], None))
         return admitted
