@@ -11,12 +11,18 @@ import pytest
 from repro.baselines.implicit_gemm import ImplicitGemmKernel
 from repro.conv.tensors import ConvProblem, Padding
 from repro.core.dse import best_config, default_general_problem, explore_general
-from repro.core.general import GeneralCaseKernel
+from repro.core.general import (
+    GeneralCaseKernel,
+    _filter_load_batch,
+    _flt_row_read_batch,
+    _img_row_read_batch,
+    _writeback_batch,
+)
 from repro.core.special import SpecialCaseKernel
 from repro.gpu.arch import KEPLER_K40M
 from repro.gpu.memory.banks import SharedMemoryModel
 from repro.gpu.memory.globalmem import GlobalMemoryModel
-from repro.gpu.trace import clear_access_caches
+from repro.gpu.trace import clear_access_caches, lane_batch
 from repro.serve.dispatch import Dispatcher
 
 
@@ -83,6 +89,25 @@ def test_explore_general_warm(benchmark):
     cached: the per-candidate price of cost fold plus timing model."""
     explore_general(3, KEPLER_K40M)
     ranked = benchmark(explore_general, 3, KEPLER_K40M)
+    assert len(ranked) == 986
+
+
+def clear_search_caches():
+    """Forget every memory-model result and geometry batch a search
+    reuses, as a fresh process starts."""
+    clear_access_caches()
+    for cached in (lane_batch, _img_row_read_batch, _flt_row_read_batch,
+                   _writeback_batch, _filter_load_batch):
+        cached.cache_clear()
+
+
+def test_explore_general_cold(benchmark):
+    """The same search from cold caches, as each end-to-end benchmark
+    child prices it: the memory models and the geometry batches are
+    rebuilt in the timed part (the clearing before each round is not
+    timed)."""
+    ranked = benchmark.pedantic(explore_general, args=(3, KEPLER_K40M),
+                                setup=clear_search_caches, rounds=5)
     assert len(ranked) == 986
 
 

@@ -69,6 +69,13 @@ def _aligned_width(pitch_elems: int) -> int:
     return 4
 
 
+def _check_ungrouped(problem: ConvProblem) -> None:
+    if problem.groups != 1:
+        raise ShapeError(
+            "the implicit-GEMM kernel handles ungrouped convolution, "
+            "got %s" % problem.describe())
+
+
 class ImplicitGemmKernel:
     """GEMM-based convolution with on-chip im2col (the cuDNN analogue)."""
 
@@ -136,10 +143,7 @@ class ImplicitGemmKernel:
                 filters=flt.shape[0], kernel_size=flt.shape[2], padding=padding,
             )
         else:
-            if problem.groups != 1:
-                raise ShapeError(
-                    "the implicit-GEMM kernel handles ungrouped convolution, "
-                    "got %s" % problem.describe())
+            _check_ungrouped(problem)
             # padded_image canonicalizes to CHW itself; handing it the
             # raw array keeps NHWC inputs single-converted.
             img = image
@@ -160,6 +164,9 @@ class ImplicitGemmKernel:
         return self._select(problem)[1]
 
     def _cost_with(self, problem: ConvProblem, t: GemmTiling) -> KernelCost:
+        # The GEMM lowering is dense: pricing a grouped problem as one
+        # would cost work ``run`` refuses to do.
+        _check_ungrouped(problem)
         valid = problem.as_valid()
         shape = self.gemm_shape(problem)
         arch = self.arch

@@ -84,24 +84,33 @@ def enumerate_general_configs(
 ) -> List[GeneralCaseConfig]:
     """All constraint-satisfying configurations of the Table 1 axes."""
     survivors = []
-    for w, h, ftb, wt, ft, csh in itertools.product(
-        widths, heights, ftbs, wts, fts, cshs
-    ):
+    warp = arch.warp_size
+    # ``validate``'s integer checks run first, so a combination failing
+    # one is rejected before its config is built; ``validate`` stays the
+    # authority.  Only with positive axes: the constructor is what
+    # rejects a non-positive value.
+    axes = tuple(map(tuple, (widths, heights, ftbs, wts, fts, cshs)))
+    positive = all(v >= 1 for axis in axes for v in axis)
+    for w, h, ftb, wt, ft, csh in itertools.product(*axes):
         if ft > ftb or wt > w * h:
+            continue
+        if positive and (ftb % ft or w % wt
+                         or ftb // ft * (w * h // wt) % warp):
             continue
         cfg = GeneralCaseConfig(w=w, h=h, ftb=ftb, wt=wt, ft=ft, csh=csh)
         try:
-            cfg.validate(kernel_size, n, arch.warp_size)
+            cfg.validate(kernel_size, n, warp)
         except ConfigurationError:
             continue
-        if cfg.threads > arch.max_threads_per_block:
+        threads = cfg.threads
+        if threads > arch.max_threads_per_block:
             continue
         if cfg.smem_bytes(kernel_size, n) > arch.smem_per_block_max:
             continue
         regs = cfg.registers_per_thread(kernel_size, n)
         if regs > arch.max_registers_per_thread:
             continue
-        if regs * cfg.threads > arch.registers_per_sm:
+        if regs * threads > arch.registers_per_sm:
             # One block alone would not fit the SM's register file.
             continue
         survivors.append(cfg)
@@ -127,6 +136,7 @@ def _rank(configs, problem, arch, case: str = "general") -> List[RankedConfig]:
         "dse_candidates_total",
         "Design-space candidates evaluated, by kernel case and outcome",
         labelnames=("case", "outcome"))
+    flops = problem.flops
     ranked: List[RankedConfig] = []
     rejected: dict = {}
     with get_tracer().span("dse:%s" % case, category="dse",
@@ -144,7 +154,7 @@ def _rank(configs, problem, arch, case: str = "general") -> List[RankedConfig]:
             candidates.inc_key((case, "ok"))
             ranked.append(RankedConfig(
                 config=cfg,
-                gflops=breakdown.gflops(problem.flops),
+                gflops=breakdown.gflops(flops),
                 occupancy=breakdown.occupancy_fraction,
                 bound_by=breakdown.bound_by,
             ))

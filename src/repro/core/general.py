@@ -308,16 +308,20 @@ class GeneralCaseKernel:
         k = valid.kernel_size
         n = self.n
         s, d = valid.stride, valid.dilation
-        grid = BlockGrid(valid, cfg.block_spec())
+        # The output tiles of ``BlockGrid(valid, cfg.block_spec())``,
+        # counted without building the grid.
+        tiles = (math.ceil(valid.out_height / cfg.h)
+                 * math.ceil(valid.out_width / cfg.w))
         fgroups = math.ceil(valid.filters / cfg.ftb)
+        tx, ty = cfg.tx, cfg.ty
         launch = LaunchConfig(
-            grid=Dim3(x=fgroups, y=grid.total_blocks),
-            block=Dim3(x=cfg.tx, y=cfg.ty),
+            grid=Dim3(x=fgroups, y=tiles),
+            block=Dim3(x=tx, y=ty),
             registers_per_thread=cfg.registers_per_thread(k, n, s, d),
             smem_per_block=cfg.smem_bytes(k, n, self.elem_bytes, s, d),
         )
-        blocks = float(grid.total_blocks * fgroups)
-        threads = cfg.threads
+        blocks = float(tiles * fgroups)
+        threads = tx * ty
         warps = math.ceil(threads / self.arch.warp_size)
         c_total = valid.channels
         chunks = math.ceil(c_total / cfg.csh)
@@ -361,7 +365,7 @@ class GeneralCaseKernel:
         flt_reuse = cross_block_reuse(
             self.arch,
             valid.filters * c_total * k * k * elem,
-            grid.total_blocks,
+            tiles,
         )
         tracer.gmem_read_prepared(
             _filter_load_batch(warp_lanes, cfg.ftb, c_total * k * k * elem,
@@ -395,8 +399,8 @@ class GeneralCaseKernel:
         # Address depends only on ty; TX lanes broadcast.  A warp holds
         # warp/TX distinct ty values.
         tracer.smem_read_prepared(
-            _img_row_read_batch(warp_lanes, cfg.tx, cfg.ty, cfg.wt, cfg.w,
-                                k, elem, n, row_bytes, s, d),
+            _img_row_read_batch(warp_lanes, tx, ty, cfg.wt, cfg.w, k, elem,
+                                n, row_bytes, s, d),
             unit,
             scale=float(warps) * k * c_total * blocks,
             site="sm.load_image_row",
@@ -404,8 +408,7 @@ class GeneralCaseKernel:
 
         # --- shared-memory reads: filter values (line 14) --------------------
         tracer.smem_read_prepared(
-            _flt_row_read_batch(warp_lanes, cfg.tx, cfg.ft, elem, n,
-                                row_bytes),
+            _flt_row_read_batch(warp_lanes, tx, cfg.ft, elem, n, row_bytes),
             unit,
             scale=float(warps) * k * k * c_total * blocks,
             site="sm.load_filter_row",
@@ -419,7 +422,7 @@ class GeneralCaseKernel:
         # thread writes its WT pixels as wide units; store sectors price it.
         map_stride = valid.out_height * valid.out_width * elem
         wb_prep, wide = _writeback_batch(
-            warp_lanes, cfg.tx, cfg.ty, cfg.ft, cfg.wt, map_stride, elem, n)
+            warp_lanes, tx, ty, cfg.ft, cfg.wt, map_stride, elem, n)
         tracer.gmem_write_prepared(
             wb_prep, wide, scale=float(warps) * blocks, site="gm.store_out",
         )

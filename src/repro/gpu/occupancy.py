@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.errors import LaunchConfigError
 from repro.gpu.arch import GPUArchitecture
 from repro.gpu.memory.registers import RegisterFile
-from repro.gpu.simt import LaunchConfig
+from repro.gpu.simt import LaunchConfig, warp_count
 
 __all__ = ["OccupancyResult", "occupancy", "occupancy_limits"]
 
@@ -38,9 +38,14 @@ class OccupancyResult:
 
 def occupancy_limits(arch: GPUArchitecture, launch: LaunchConfig) -> dict:
     """Blocks-per-SM ceiling imposed by each resource, separately."""
+    return _limits(arch, launch)[1]
+
+
+def _limits(arch: GPUArchitecture, launch: LaunchConfig) -> tuple:
+    """``(warps per block, occupancy_limits)``, the launch validated."""
     launch.validate(arch)
     threads = launch.threads_per_block
-    warps = launch.warps_per_block(arch.warp_size)
+    warps = warp_count(threads, arch.warp_size)
     limits = {
         "threads": arch.max_threads_per_sm // threads,
         "warps": arch.max_warps_per_sm // warps,
@@ -50,15 +55,17 @@ def occupancy_limits(arch: GPUArchitecture, launch: LaunchConfig) -> dict:
         limits["smem"] = arch.smem_per_sm // launch.smem_per_block
     regs = RegisterFile(arch)
     limits["registers"] = regs.max_blocks(launch.registers_per_thread, threads)
-    return limits
+    return warps, limits
 
 
 def occupancy(arch: GPUArchitecture, launch: LaunchConfig) -> OccupancyResult:
-    """Blocks of ``launch`` resident per SM of ``arch`` and the limiter."""
-    warps = launch.warps_per_block(arch.warp_size)
-    limits = occupancy_limits(arch, launch)
-    limiter = min(limits, key=lambda k: limits[k])
-    blocks = limits[limiter]
+    """Blocks of ``launch`` resident per SM of ``arch`` and the limiter
+    (the first smallest limit, in ``occupancy_limits`` order)."""
+    warps, limits = _limits(arch, launch)
+    blocks = min(limits.values())
+    for limiter, limit in limits.items():
+        if limit == blocks:
+            break
     if blocks == 0:
         raise LaunchConfigError(
             "launch cannot be resident on %s: limited by %s" % (arch.name, limiter)

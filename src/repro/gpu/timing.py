@@ -112,15 +112,13 @@ class TimingBreakdown:
 
     @property
     def bound_by(self) -> str:
-        """Which throughput component dominates."""
-        parts = {
-            "compute": self.t_compute,
-            "gmem": self.t_gmem,
-            "l2": self.t_l2,
-            "smem": self.t_smem,
-            "cmem": self.t_cmem,
-        }
-        return max(parts, key=lambda k: parts[k])
+        """Which throughput component dominates (the first on a tie)."""
+        bound, longest = "compute", self.t_compute
+        for part, t in (("gmem", self.t_gmem), ("l2", self.t_l2),
+                        ("smem", self.t_smem), ("cmem", self.t_cmem)):
+            if t > longest:
+                bound, longest = part, t
+        return bound
 
     def gflops(self, flops: float) -> float:
         """Achieved GFlop/s for a nominal operation count."""
@@ -229,7 +227,7 @@ class TimingModel:
 
         # Barriers: blocks on one SM overlap each other, so charge the
         # per-block barrier chain once per resident slot per wave.
-        syncs_per_block = led.syncthreads / max(cost.launch.total_blocks, 1)
+        syncs_per_block = led.syncthreads / max(blocks, 1)
         t_sync = syncs_per_block * self.sync_cycles * math.ceil(waves) / arch.clock_hz
 
         t_launch = self.launch_overhead_s * cost.launches

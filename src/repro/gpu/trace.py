@@ -74,14 +74,26 @@ _model_caches: Dict[tuple, dict] = {}
 _access_cache_hits = 0
 _access_cache_misses = 0
 
+# The memory models hold no state beyond their architecture, so the
+# tracers of one (architecture, bank policy) share them along with
+# their access caches.  The entry holds the architecture itself, which
+# keeps its ``id`` from being reused while the entry lives.
+_tracer_models: Dict[tuple, tuple] = {}
+
+# "site[kind]" ledger keys by (site, kind); site names are literals in
+# the kernels, so this stays a few dozen entries.
+_site_keys: Dict[tuple, str] = {}
+
 
 def _cache_for(key: tuple) -> dict:
     return _model_caches.setdefault(key, {})
 
 
 def clear_access_caches() -> None:
-    """Drop every memoized memory-model result (mainly for tests)."""
+    """Drop every memoized memory-model result and the tracers' shared
+    memory models (mainly for tests)."""
     _model_caches.clear()
+    _tracer_models.clear()
 
 
 def access_cache_stats() -> Dict[str, int]:
@@ -154,23 +166,26 @@ def _canonical_batch(matrix, counts, mod: int) -> PreparedBatch:
         if weights.shape != (m.shape[0],):
             raise TraceError(
                 "counts must have one entry per warp request row")
-        if np.any(weights < 0):
+        if weights.min() < 0:
             raise TraceError("count cannot be negative")
+        weights = weights.tolist()
     lo = m.min(axis=1)
-    if np.any(lo < 0):
+    if lo.min() < 0:
         raise TraceError("negative address in batch request")
-    shift = (lo // mod) * mod
-    canon = m - shift[:, np.newaxis]
+    canon = m - ((lo // mod) * mod)[:, np.newaxis]
     # Row dedup via a dict of raw row bytes: np.unique(axis=0)'s
     # void-view machinery costs more than the model calls it saves on
     # typical batch sizes.  Insertion order keeps the fold
     # deterministic; integer-valued weights keep it exact.  The raw row
     # bytes double as the cache key downstream, so each pattern is
-    # canonicalized and serialized exactly once.
+    # canonicalized and serialized exactly once: one ``tobytes`` of the
+    # matrix, sliced per row.
     groups: Dict[bytes, float] = {}
     rows: Dict[bytes, np.ndarray] = {}
-    for i in range(canon.shape[0]):
-        key = canon[i].tobytes()
+    buf = canon.tobytes()
+    width = len(buf) // len(canon)
+    for i in range(len(canon)):
+        key = buf[i * width:(i + 1) * width]
         weight = 1.0 if weights is None else weights[i]
         if key in groups:
             groups[key] += weight
@@ -488,16 +503,22 @@ class KernelTracer:
         # end-to-end timing; the paper's stricter serialization model is
         # available for the bank-policy ablation (see core.bankwidth).
         self.arch = arch
-        self.smem = SharedMemoryModel(arch, bank_policy)
-        self.gmem = GlobalMemoryModel(arch)
-        self.cmem = ConstantMemoryModel(arch)
+        shared = _tracer_models.get((id(arch), bank_policy))
+        if shared is None:
+            shared = _tracer_models[id(arch), bank_policy] = (
+                arch,
+                SharedMemoryModel(arch, bank_policy),
+                GlobalMemoryModel(arch),
+                ConstantMemoryModel(arch),
+                _cache_for(("smem", arch.warp_size, arch.smem_bank_count,
+                            arch.smem_bank_width, bank_policy)),
+                _cache_for(("gmem", arch.warp_size)),
+                _cache_for(("cmem", arch.warp_size)),
+            )
+        (_, self.smem, self.gmem, self.cmem,
+         self._smem_cache, self._gmem_cache, self._cmem_cache) = shared
         self.ledger = TrafficLedger(gmem_segment_size=arch.gmem_transaction_size)
         self._smem_row_bytes = arch.smem_bank_count * arch.smem_bank_width
-        self._smem_cache = _cache_for(
-            ("smem", arch.warp_size, arch.smem_bank_count,
-             arch.smem_bank_width, bank_policy))
-        self._gmem_cache = _cache_for(("gmem", arch.warp_size))
-        self._cmem_cache = _cache_for(("cmem", arch.warp_size))
 
     # --- canonical cached model access -------------------------------------
     def _lookup(self, cache, model_access, canon, args, rowbytes):
@@ -514,33 +535,28 @@ class KernelTracer:
             _access_cache_hits += 1
         return res
 
-    def _cached(self, cache, model_access, addrs, mod, *args):
-        """Memoized ``model.access`` via the canonical translated pattern."""
-        if addrs.ndim != 1 or addrs.size == 0:
-            return model_access(addrs, *args)      # raises like the model
-        lo = int(addrs.min())
-        if lo < 0:
-            return model_access(addrs, *args)      # preserve the error path
+    @staticmethod
+    def _request(addresses, mod, model_access, args):
+        """One warp request's canonical row and its cache key.
+
+        Malformed or negative addresses (and a zero ``mod``, which a
+        non-positive global access size gives) go to the model, which
+        raises its own error for them.
+        """
+        addrs = np.asarray(addresses, dtype=np.int64)
+        lo = int(addrs.min()) if addrs.ndim == 1 and addrs.size else -1
+        if lo < 0 or not mod:
+            model_access(addrs, *args)
         shift = (lo // mod) * mod
         canon = addrs - shift if shift else addrs
-        return self._lookup(cache, model_access, canon, args, canon.tobytes())
+        return canon, canon.tobytes()
 
-    def _smem_access(self, addresses, size):
-        addrs = np.asarray(addresses, dtype=np.int64)
-        return self._cached(self._smem_cache, self.smem.access, addrs,
-                            self._smem_row_bytes, size)
-
-    def _gmem_access(self, addresses, size, segment_size):
-        addrs = np.asarray(addresses, dtype=np.int64)
-        if size <= 0:
-            return self.gmem.access(addrs, size, segment_size)
-        mod = math.lcm(int(size), int(segment_size))
-        return self._cached(self._gmem_cache, self.gmem.access, addrs,
-                            mod, size, segment_size)
-
-    def _cmem_access(self, addresses):
-        addrs = np.asarray(addresses, dtype=np.int64)
-        return self._cached(self._cmem_cache, self.cmem.access, addrs, 1)
+    def _empty_site(self, cache, model_access, canon, args, rowbytes, site,
+                    kind):
+        """A zero-count request: priced and named, nothing folded."""
+        res = self._lookup(cache, model_access, canon, args, rowbytes)
+        self._site(site, kind)
+        return res
 
     # --- shared memory ----------------------------------------------------
     def smem_read(self, addresses, size: int, count: float = 1.0, site: str = "smem"):
@@ -552,20 +568,14 @@ class KernelTracer:
     def _smem(self, addresses, size, count, site, kind):
         if count < 0:
             raise TraceError("count cannot be negative")
-        res = self._smem_access(addresses, size)
-        self._smem_fold(res, count, self._site(site, kind))
-        return res
-
-    def _smem_fold(self, res, count, st):
-        led = self.ledger
-        led.smem_requests += count
-        led.smem_cycles += res.cycles * count
-        led.smem_min_cycles += res.phases * count
-        led.smem_request_bytes += res.request_bytes * count
-        st.executions += count
-        st.cycles += res.cycles * count
-        st.request_bytes += res.request_bytes * count
-        st.unique_bytes += res.unique_bytes * count
+        access, args = self.smem.access, (size,)
+        canon, key = self._request(addresses, self._smem_row_bytes, access,
+                                   args)
+        if not count:
+            return self._empty_site(self._smem_cache, access, canon, args,
+                                    key, site, kind)
+        return self._smem_fold((canon,), (key,), (count,), 1.0, size, site,
+                               kind)
 
     # --- global memory ------------------------------------------------------
     #: Global accesses on the modeled devices bypass L1 and are serviced
@@ -587,43 +597,26 @@ class KernelTracer:
         if l2_reuse < 1.0:
             raise TraceError("l2_reuse must be >= 1")
         sector = self.SECTOR_BYTES
-        res = self._gmem_access(addresses, size, sector)
-        kind = "gmem.write" if write else "gmem.read"
-        self._gmem_fold(res, count, self._site(site, kind), write, l2_reuse)
-        return res
-
-    def _gmem_fold(self, res, count, st, write, l2_reuse=1.0):
-        led = self.ledger
-        # Every transaction passes through the L2; only 1/l2_reuse of
-        # them miss to DRAM (temporal reuse within the cache's reach,
-        # declared by the kernel's cost model and audited in tests).
-        led.gmem_l2_bytes += res.bytes_moved * count
-        if write:
-            led.gmem_write_transactions += res.transactions * count
-            led.gmem_write_request_bytes += res.request_bytes * count
-            led.gmem_write_bytes_moved += res.bytes_moved * count
-        else:
-            led.gmem_read_transactions += res.transactions * count
-            led.gmem_read_request_bytes += res.request_bytes * count
-            led.gmem_read_bytes_moved += res.bytes_moved * count / l2_reuse
-        st.executions += count
-        st.transactions += res.transactions * count
-        st.request_bytes += res.request_bytes * count
-        st.unique_bytes += res.unique_bytes * count
+        access, args = self.gmem.access, (size, sector)
+        mod = math.lcm(int(size), sector) if size > 0 else 0
+        canon, key = self._request(addresses, mod, access, args)
+        if not count:
+            return self._empty_site(
+                self._gmem_cache, access, canon, args, key, site,
+                "gmem.write" if write else "gmem.read")
+        return self._gmem_fold((canon,), (key,), (count,), 1.0, size, site,
+                               write, l2_reuse)
 
     # --- constant memory -----------------------------------------------------
     def cmem_read(self, addresses, count: float = 1.0, site: str = "cmem"):
         if count < 0:
             raise TraceError("count cannot be negative")
-        res = self._cmem_access(addresses)
-        self._cmem_fold(res, count, self._site(site, "cmem.read"))
-        return res
-
-    def _cmem_fold(self, res, count, st):
-        self.ledger.cmem_requests += count
-        self.ledger.cmem_cycles += res.serializations * count
-        st.executions += count
-        st.cycles += res.serializations * count
+        access = self.cmem.access
+        canon, key = self._request(addresses, 1, access, ())
+        if not count:
+            return self._empty_site(self._cmem_cache, access, canon, (), key,
+                                    site, "cmem.read")
+        return self._cmem_fold((canon,), (key,), (count,), 1.0, site)
 
     # --- warp-batch API -----------------------------------------------------
     # A whole block's (or launch's) worth of warp requests for one site,
@@ -689,8 +682,10 @@ class KernelTracer:
         self._smem_prepared(prep, size, scale, site, "smem.write")
 
     def _smem_prepared(self, prep, size, scale, site, kind):
-        self._fold_prepared(prep, scale, self._smem_cache, self.smem.access,
-                            (size,), site, kind, self._smem_fold)
+        if scale < 0:
+            raise TraceError("count cannot be negative")
+        self._smem_fold(prep.rows, prep.keys, prep.mults, scale, size, site,
+                        kind)
 
     def gmem_read_prepared(self, prep: PreparedBatch, size: int,
                            scale: float = 1.0, site: str = "gmem",
@@ -706,33 +701,143 @@ class KernelTracer:
     def _gmem_prepared(self, prep, size, scale, site, write, l2_reuse):
         if size <= 0:
             raise TraceError("access size must be positive")
-        self._fold_prepared(prep, scale, self._gmem_cache, self.gmem.access,
-                            (size, self.SECTOR_BYTES), site,
-                            "gmem.write" if write else "gmem.read",
-                            self._gmem_fold, write, l2_reuse)
+        if scale < 0:
+            raise TraceError("count cannot be negative")
+        self._gmem_fold(prep.rows, prep.keys, prep.mults, scale, size, site,
+                        write, l2_reuse)
 
     def cmem_read_prepared(self, prep: PreparedBatch, scale: float = 1.0,
                            site: str = "cmem") -> None:
-        self._fold_prepared(prep, scale, self._cmem_cache, self.cmem.access,
-                            (), site, "cmem.read", self._cmem_fold)
-
-    def _fold_prepared(self, prep, scale, cache, access, args, site, kind,
-                       fold, *fold_args):
-        """Fold every non-zero row of ``prep`` in order.
-
-        The site's :class:`SiteStats` is resolved once per call, on the
-        first non-zero row, so an all-zero batch leaves no site behind.
-        """
         if scale < 0:
             raise TraceError("count cannot be negative")
-        st = None
-        for row, rowbytes, m in zip(prep.rows, prep.keys, prep.mults):
-            mult = m * scale
-            if mult:
-                res = self._lookup(cache, access, row, args, rowbytes)
+        self._cmem_fold(prep.rows, prep.keys, prep.mults, scale, site)
+
+    # --- the folds -----------------------------------------------------------
+    # One loop per memory space folds a site's rows in order.  Row ``i``
+    # runs ``mults[i] * scale`` times; a zero row is skipped without a
+    # lookup, every other row is one ``_lookup``.  The ledger's and the
+    # site's sums are held in locals, loaded on the first non-zero row
+    # and written back once (also when a lookup raises), so each field
+    # sees exactly the additions of folding the rows one at a time.
+    # The site is resolved on the first non-zero row, so an all-zero
+    # fold leaves none.  Each returns the last row's model result.
+
+    def _smem_fold(self, rows, keys, mults, scale, size, site, kind):
+        lookup, cache = self._lookup, self._smem_cache
+        access, args = self.smem.access, (size,)
+        res = st = None
+        try:
+            for canon, rowbytes, m in zip(rows, keys, mults):
+                mult = m * scale
+                if not mult:
+                    continue
+                res = lookup(cache, access, canon, args, rowbytes)
                 if st is None:
+                    led = self.ledger
                     st = self._site(site, kind)
-                fold(res, mult, st, *fold_args)
+                    requests, cycles = led.smem_requests, led.smem_cycles
+                    floor, nbytes = led.smem_min_cycles, led.smem_request_bytes
+                    st_exec, st_cycles = st.executions, st.cycles
+                    st_bytes, st_unique = st.request_bytes, st.unique_bytes
+                row_cycles = res.cycles * mult
+                row_bytes = res.request_bytes * mult
+                requests += mult
+                cycles += row_cycles
+                floor += res.phases * mult
+                nbytes += row_bytes
+                st_exec += mult
+                st_cycles += row_cycles
+                st_bytes += row_bytes
+                st_unique += res.unique_bytes * mult
+        finally:
+            if st is not None:
+                led.smem_requests, led.smem_cycles = requests, cycles
+                led.smem_min_cycles, led.smem_request_bytes = floor, nbytes
+                st.executions, st.cycles = st_exec, st_cycles
+                st.request_bytes, st.unique_bytes = st_bytes, st_unique
+        return res
+
+    def _gmem_fold(self, rows, keys, mults, scale, size, site, write,
+                   l2_reuse):
+        # Every transaction passes through the L2; only 1/l2_reuse of
+        # them miss to DRAM (temporal reuse within the cache's reach,
+        # declared by the kernel's cost model and audited in tests).
+        # Writes pass l2_reuse = 1.0, and x / 1.0 == x exactly.
+        lookup, cache = self._lookup, self._gmem_cache
+        access, args = self.gmem.access, (size, self.SECTOR_BYTES)
+        res = st = None
+        try:
+            for canon, rowbytes, m in zip(rows, keys, mults):
+                mult = m * scale
+                if not mult:
+                    continue
+                res = lookup(cache, access, canon, args, rowbytes)
+                if st is None:
+                    led = self.ledger
+                    kind = "gmem.write" if write else "gmem.read"
+                    st = self._site(site, kind)
+                    l2 = led.gmem_l2_bytes
+                    if write:
+                        tx = led.gmem_write_transactions
+                        nbytes = led.gmem_write_request_bytes
+                        dram = led.gmem_write_bytes_moved
+                    else:
+                        tx = led.gmem_read_transactions
+                        nbytes = led.gmem_read_request_bytes
+                        dram = led.gmem_read_bytes_moved
+                    st_exec, st_tx = st.executions, st.transactions
+                    st_bytes, st_unique = st.request_bytes, st.unique_bytes
+                row_moved = res.bytes_moved * mult
+                row_tx = res.transactions * mult
+                row_bytes = res.request_bytes * mult
+                l2 += row_moved
+                tx += row_tx
+                nbytes += row_bytes
+                dram += row_moved / l2_reuse
+                st_exec += mult
+                st_tx += row_tx
+                st_bytes += row_bytes
+                st_unique += res.unique_bytes * mult
+        finally:
+            if st is not None:
+                led.gmem_l2_bytes = l2
+                if write:
+                    led.gmem_write_transactions = tx
+                    led.gmem_write_request_bytes = nbytes
+                    led.gmem_write_bytes_moved = dram
+                else:
+                    led.gmem_read_transactions = tx
+                    led.gmem_read_request_bytes = nbytes
+                    led.gmem_read_bytes_moved = dram
+                st.executions, st.transactions = st_exec, st_tx
+                st.request_bytes, st.unique_bytes = st_bytes, st_unique
+        return res
+
+    def _cmem_fold(self, rows, keys, mults, scale, site):
+        lookup, cache = self._lookup, self._cmem_cache
+        access = self.cmem.access
+        res = st = None
+        try:
+            for canon, rowbytes, m in zip(rows, keys, mults):
+                mult = m * scale
+                if not mult:
+                    continue
+                res = lookup(cache, access, canon, (), rowbytes)
+                if st is None:
+                    led = self.ledger
+                    st = self._site(site, "cmem.read")
+                    requests, cycles = led.cmem_requests, led.cmem_cycles
+                    st_exec, st_cycles = st.executions, st.cycles
+                row_cycles = res.serializations * mult
+                requests += mult
+                cycles += row_cycles
+                st_exec += mult
+                st_cycles += row_cycles
+        finally:
+            if st is not None:
+                led.cmem_requests, led.cmem_cycles = requests, cycles
+                st.executions, st.cycles = st_exec, st_cycles
+        return res
 
     # --- compute / control ------------------------------------------------------
     def flops(self, count: float) -> None:
@@ -764,7 +869,11 @@ class KernelTracer:
 
     # ------------------------------------------------------------------
     def _site(self, site: str, kind: str) -> SiteStats:
-        key = "%s[%s]" % (site, kind)
-        if key not in self.ledger.sites:
-            self.ledger.sites[key] = SiteStats(kind=kind)
-        return self.ledger.sites[key]
+        key = _site_keys.get((site, kind))
+        if key is None:
+            key = _site_keys[site, kind] = "%s[%s]" % (site, kind)
+        sites = self.ledger.sites
+        st = sites.get(key)
+        if st is None:
+            st = sites[key] = SiteStats(kind=kind)
+        return st

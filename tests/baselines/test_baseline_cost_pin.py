@@ -33,7 +33,7 @@ from repro.baselines.implicit_gemm import (
 )
 from repro.conv.tensors import ConvProblem, Layout, Padding
 from repro.conv.workloads import gemm_sweep_dims
-from repro.errors import ReproError
+from repro.errors import ReproError, ShapeError
 from repro.gpu.arch import ARCHITECTURES, FERMI_M2090, KEPLER_K40M
 from repro.gpu.fastsim import kernel_cost_diffs
 from repro.gpu.memory.banks import BankConflictPolicy
@@ -398,19 +398,25 @@ class TestTiledGemm:
                                        lookup_log)
 
 
+def ungrouped_conv_shapes():
+    """The conv shapes the implicit GEMM prices (it refuses groups > 1)."""
+    return [p for p in conv_shapes() if p.groups == 1]
+
+
 class TestImplicitGemm:
     @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.name)
     def test_every_palette_tile_matches(self, arch, lookup_log):
         costed = 0
         for policy in POLICIES:
             kernel = ImplicitGemmKernel(arch=arch, bank_policy=policy)
-            for problem in conv_shapes():
+            for problem in ungrouped_conv_shapes():
                 for tiling in DEFAULT_TILE_PALETTE:
                     costed += assert_same(
                         ImplicitGemmKernel._cost_with,
                         frozen_implicit_cost_with,
                         (kernel, problem, tiling), lookup_log)
-        assert costed == 2 * len(conv_shapes()) * len(DEFAULT_TILE_PALETTE)
+        assert costed == (2 * len(ungrouped_conv_shapes())
+                          * len(DEFAULT_TILE_PALETTE))
 
     @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.name)
     def test_fixed_tiling_matches(self, arch, lookup_log):
@@ -420,9 +426,37 @@ class TestImplicitGemm:
             return frozen_implicit_cost_with(kernel, problem,
                                              CUBLAS_KEPLER_TILING)
 
-        for problem in conv_shapes():
+        for problem in ungrouped_conv_shapes():
             assert assert_same(ImplicitGemmKernel.cost, frozen,
                                (kernel, problem), lookup_log)
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.name)
+    def test_grouped_problems_raise(self, arch):
+        grouped = [p for p in conv_shapes() if p.groups > 1]
+        assert grouped
+        palette = ImplicitGemmKernel(arch=arch)
+        fixed = ImplicitGemmKernel(arch=arch, tiling=CUBLAS_KEPLER_TILING)
+        for problem in grouped:
+            message = ("the implicit-GEMM kernel handles ungrouped "
+                       "convolution, got %s" % problem.describe())
+            for price in (
+                    lambda: palette.cost(problem),
+                    lambda: fixed.cost(problem),
+                    lambda: palette._cost_with(problem, CUBLAS_KEPLER_TILING),
+                    lambda: palette.predict(problem),
+                    lambda: fixed.predict(problem),
+                    lambda: palette.select_tiling(problem)):
+                with pytest.raises(ShapeError) as info:
+                    price()
+                assert str(info.value) == message
+        # ``run`` refuses the same problems with the same message.
+        problem = grouped[0]
+        image = np.zeros(problem.image_shape, dtype=np.float32)
+        filters = np.zeros((problem.filters, problem.channels_per_group,
+                            problem.kernel_size, problem.kernel_size),
+                           dtype=np.float32)
+        with pytest.raises(ShapeError, match="handles ungrouped"):
+            fixed.run(image, filters, problem=problem)
 
 
 class TestIm2col:
@@ -462,8 +496,9 @@ class TestAccessCacheTraffic:
             before = access_cache_stats()
             for problem in churn_style_shapes():
                 outcome(cost_im2col, im2col, problem)
-                for tiling in DEFAULT_TILE_PALETTE:
-                    outcome(cost_with, implicit, problem, tiling)
+                if problem.groups == 1:
+                    for tiling in DEFAULT_TILE_PALETTE:
+                        outcome(cost_with, implicit, problem, tiling)
                 outcome(cost_naive, naive, problem)
             after = access_cache_stats()
             return (after["hits"] - before["hits"],

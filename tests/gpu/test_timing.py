@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import TraceError
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import TimingModel
+from repro.gpu.timing import TimingBreakdown, TimingModel
 from repro.gpu.trace import KernelCost, KernelTracer
 
 
@@ -116,3 +116,34 @@ class TestSync:
         heavy = model.evaluate(tracer.finish(name="s", launch=launch))
         light = model.evaluate(make_cost(kepler, flops=1e9, blocks=1000))
         assert heavy.t_sync > light.t_sync
+
+
+def frozen_bound_by(tb):
+    """``TimingBreakdown.bound_by`` before it dropped the dict and lambda
+    (the reference; do not edit)."""
+    parts = {
+        "compute": tb.t_compute,
+        "gmem": tb.t_gmem,
+        "l2": tb.t_l2,
+        "smem": tb.t_smem,
+        "cmem": tb.t_cmem,
+    }
+    return max(parts, key=lambda k: parts[k])
+
+
+class TestBoundByMatchesFrozen:
+    @pytest.mark.parametrize("times", [
+        (1.0, 2.0, 3.0, 4.0, 5.0),
+        (5.0, 4.0, 3.0, 2.0, 1.0),
+        (0.0, 0.0, 0.0, 0.0, 0.0),          # every component ties
+        (1.0, 3.0, 3.0, 0.5, 3.0),          # first of three tied maxima
+        (2.0, 1.0, 2.0, 2.0, 0.0),          # ties with compute
+        (0.0, 0.0, 0.0, 0.0, 1e-300),
+        (float("nan"), 1.0, 2.0, 0.0, 0.0),
+        (1.0, float("nan"), 2.0, 0.0, 3.0),
+    ])
+    def test_first_largest_component(self, times):
+        tb = TimingBreakdown("k", *times, t_sync=0.0, t_launch=0.0,
+                             eta=0.5, waves=1.0, occupancy_fraction=0.5,
+                             total=1.0)
+        assert tb.bound_by == frozen_bound_by(tb)

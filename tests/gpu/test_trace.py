@@ -1,17 +1,21 @@
 """Tests for the traffic ledger and kernel tracer."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from repro.errors import TraceError
+from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.timing import TimingModel
 from repro.gpu.trace import (
     KernelTracer,
     SiteStats,
     TrafficLedger,
+    access_cache_stats,
+    clear_access_caches,
     cross_block_reuse,
     prepare_batch,
     prepare_rows,
@@ -314,6 +318,326 @@ class TestPreparedFolds:
             prepare_rows([lanes[:0]], [1.0], 32)
         with pytest.raises(TraceError):
             prepare_rows([lanes, lanes], [1.0], 32)
+
+
+# ----------------------------------------------------------------------
+# The one-pass folds against a frozen copy of the per-row folds
+# ----------------------------------------------------------------------
+#
+# ``frozen_*`` below copy the folds the one-pass loops replaced (one
+# method call per row, each adding straight into the ledger and the
+# site), applied to a tracer from outside.  Do not edit them: they are
+# the reference.
+
+def frozen_site(tracer, site, kind):
+    key = "%s[%s]" % (site, kind)
+    if key not in tracer.ledger.sites:
+        tracer.ledger.sites[key] = SiteStats(kind=kind)
+    return tracer.ledger.sites[key]
+
+
+def frozen_smem_fold(tracer, res, count, st):
+    led = tracer.ledger
+    led.smem_requests += count
+    led.smem_cycles += res.cycles * count
+    led.smem_min_cycles += res.phases * count
+    led.smem_request_bytes += res.request_bytes * count
+    st.executions += count
+    st.cycles += res.cycles * count
+    st.request_bytes += res.request_bytes * count
+    st.unique_bytes += res.unique_bytes * count
+
+
+def frozen_gmem_fold(tracer, res, count, st, write, l2_reuse=1.0):
+    led = tracer.ledger
+    led.gmem_l2_bytes += res.bytes_moved * count
+    if write:
+        led.gmem_write_transactions += res.transactions * count
+        led.gmem_write_request_bytes += res.request_bytes * count
+        led.gmem_write_bytes_moved += res.bytes_moved * count
+    else:
+        led.gmem_read_transactions += res.transactions * count
+        led.gmem_read_request_bytes += res.request_bytes * count
+        led.gmem_read_bytes_moved += res.bytes_moved * count / l2_reuse
+    st.executions += count
+    st.transactions += res.transactions * count
+    st.request_bytes += res.request_bytes * count
+    st.unique_bytes += res.unique_bytes * count
+
+
+def frozen_cmem_fold(tracer, res, count, st):
+    tracer.ledger.cmem_requests += count
+    tracer.ledger.cmem_cycles += res.serializations * count
+    st.executions += count
+    st.cycles += res.serializations * count
+
+
+def frozen_fold_prepared(tracer, prep, scale, cache, access, args, site,
+                         kind, fold, *fold_args):
+    if scale < 0:
+        raise TraceError("count cannot be negative")
+    st = None
+    for row, rowbytes, m in zip(prep.rows, prep.keys, prep.mults):
+        mult = m * scale
+        if mult:
+            res = tracer._lookup(cache, access, row, args, rowbytes)
+            if st is None:
+                st = frozen_site(tracer, site, kind)
+            fold(tracer, res, mult, st, *fold_args)
+
+
+def frozen_prepared(tracer, kind, prep, scale, site, size=None,
+                    l2_reuse=1.0):
+    if kind.startswith("smem"):
+        frozen_fold_prepared(tracer, prep, scale, tracer._smem_cache,
+                             tracer.smem.access, (size,), site, kind,
+                             frozen_smem_fold)
+    elif kind.startswith("gmem"):
+        write = kind == "gmem.write"
+        frozen_fold_prepared(tracer, prep, scale, tracer._gmem_cache,
+                             tracer.gmem.access,
+                             (size, KernelTracer.SECTOR_BYTES), site, kind,
+                             frozen_gmem_fold, write,
+                             1.0 if write else l2_reuse)
+    else:
+        frozen_fold_prepared(tracer, prep, scale, tracer._cmem_cache,
+                             tracer.cmem.access, (), site, kind,
+                             frozen_cmem_fold)
+
+
+def frozen_cached(tracer, cache, model_access, addrs, mod, *args):
+    if addrs.ndim != 1 or addrs.size == 0:
+        return model_access(addrs, *args)
+    lo = int(addrs.min())
+    if lo < 0:
+        return model_access(addrs, *args)
+    shift = (lo // mod) * mod
+    canon = addrs - shift if shift else addrs
+    return tracer._lookup(cache, model_access, canon, args, canon.tobytes())
+
+
+def frozen_single(tracer, kind, addresses, count, site, size=None,
+                  l2_reuse=1.0):
+    """The single-request calls: count checks, then one fold."""
+    if count < 0:
+        raise TraceError("count cannot be negative")
+    addrs = np.asarray(addresses, dtype=np.int64)
+    if kind.startswith("smem"):
+        res = frozen_cached(tracer, tracer._smem_cache, tracer.smem.access,
+                            addrs, tracer._smem_row_bytes, size)
+        frozen_smem_fold(tracer, res, count, frozen_site(tracer, site, kind))
+    elif kind.startswith("gmem"):
+        write = kind == "gmem.write"
+        sector = KernelTracer.SECTOR_BYTES
+        res = frozen_cached(tracer, tracer._gmem_cache, tracer.gmem.access,
+                            addrs, math.lcm(int(size), sector), size, sector)
+        frozen_gmem_fold(tracer, res, count, frozen_site(tracer, site, kind),
+                         write, 1.0 if write else l2_reuse)
+    else:
+        res = frozen_cached(tracer, tracer._cmem_cache, tracer.cmem.access,
+                            addrs, 1)
+        frozen_cmem_fold(tracer, res, count, frozen_site(tracer, site, kind))
+    return res
+
+
+def _single_request(tracer, kind, addresses, count, site, size=None,
+                    l2_reuse=1.0):
+    if kind == "smem.read":
+        return tracer.smem_read(addresses, size, count=count, site=site)
+    if kind == "smem.write":
+        return tracer.smem_write(addresses, size, count=count, site=site)
+    if kind == "gmem.read":
+        return tracer.gmem_read(addresses, size, count=count, site=site,
+                                l2_reuse=l2_reuse)
+    if kind == "gmem.write":
+        return tracer.gmem_write(addresses, size, count=count, site=site)
+    return tracer.cmem_read(addresses, count=count, site=site)
+
+
+def _hex_state(tracer):
+    """Every ledger and site field as float hex, sites in order."""
+    led = tracer.ledger
+    fields = [(f.name, float(getattr(led, f.name)).hex())
+              for f in dataclasses.fields(led) if f.name != "sites"]
+    sites = [(key, st.kind) + tuple(
+        float(getattr(st, name)).hex()
+        for name in ("executions", "cycles", "transactions",
+                     "request_bytes", "unique_bytes"))
+        for key, st in led.sites.items()]
+    return fields, sites
+
+
+def _seed(tracer, kind):
+    """Non-integer sums already in the ledger and in a site of ``kind``."""
+    led = tracer.ledger
+    for i, f in enumerate(dataclasses.fields(led)):
+        if f.name not in ("sites", "gmem_segment_size"):
+            setattr(led, f.name, (i + 1) / 3.0)
+    led.sites["s[%s]" % kind] = SiteStats(
+        kind=kind, executions=0.1, cycles=2.0 / 3.0, transactions=1e-3,
+        request_bytes=7.7, unique_bytes=1.0 / 7.0)
+
+
+ALL_KINDS = ["smem.read", "smem.write", "gmem.read", "gmem.write",
+             "cmem.read"]
+
+
+def _batch(tracer, kind):
+    """A multi-row batch of ``kind``: merged smem rows plus a 4-way bank
+    conflict, ragged gmem rows with non-integer multiplicities, two cmem
+    patterns."""
+    if kind.startswith("smem"):
+        conflict = (np.arange(32, dtype=np.int64) % 4) * 256
+        return prepare_batch(np.vstack([_smem_matrix(), conflict]),
+                             tracer.smem_batch_mod()), 8
+    if kind.startswith("gmem"):
+        rows, mults = _gmem_rows()
+        return prepare_rows(rows, mults, tracer.gmem_batch_mod(4)), 4
+    return prepare_batch(np.stack([np.zeros(32, dtype=np.int64),
+                                   np.arange(32, dtype=np.int64) % 4 * 4]),
+                         1), None
+
+
+class TestOnePassFoldsMatchFrozen:
+    def _pair(self, kepler):
+        return KernelTracer(kepler), KernelTracer(kepler)
+
+    def _fold_both(self, new, old, kind, prep, scale, site, size,
+                   l2_reuse=1.0):
+        _fold_prepared(new, kind, prep, scale, site, size=size,
+                       l2_reuse=l2_reuse)
+        frozen_prepared(old, kind, prep, scale, site, size=size,
+                        l2_reuse=l2_reuse)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_multi_row_batches_non_integer_scales(self, kepler, kind):
+        new, old = self._pair(kepler)
+        prep, size = _batch(new, kind)
+        assert len(prep.rows) > 1
+        if kind.startswith("smem"):
+            results = [new.smem.access(row, size) for row in prep.rows]
+            assert any(r.cycles > r.phases for r in results)
+        for site, scale in (("b", 3.7), ("a", 1.0 / 3.0), ("c", 0.1),
+                            ("b", 1e7 + 0.3)):
+            self._fold_both(new, old, kind, prep, scale, site, size)
+        assert _hex_state(new) == _hex_state(old)
+        assert list(new.ledger.sites) == [
+            "b[%s]" % kind, "a[%s]" % kind, "c[%s]" % kind]
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_l2_reuse_above_one(self, kepler, write):
+        kind = "gmem.write" if write else "gmem.read"
+        new, old = self._pair(kepler)
+        prep, size = _batch(new, kind)
+        for scale, reuse in ((7.0, 3.3), (0.1, 1.0), (13.0, 2.9),
+                             (5.5, 16.0)):
+            self._fold_both(new, old, kind, prep, scale, "f", size,
+                            l2_reuse=reuse)
+        assert _hex_state(new) == _hex_state(old)
+        if not write:
+            led = new.ledger
+            assert led.gmem_read_bytes_moved < led.gmem_l2_bytes
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_zero_multiplicities_and_zero_scale_leave_no_site(self, kepler,
+                                                             kind):
+        new, old = self._pair(kepler)
+        lanes = np.arange(32, dtype=np.int64) * 8
+        zero_rows = prepare_rows([lanes, lanes + 8], [0.0, 0.0], 256)
+        mixed = prepare_rows([lanes, lanes + 8], [0.0, 2.5], 256)
+        before = access_cache_stats()
+        self._fold_both(new, old, kind, mixed, 0.0, "zero_scale", 8)
+        self._fold_both(new, old, kind, zero_rows, 4.0, "zero_rows", 8)
+        assert access_cache_stats() == before      # no lookups at all
+        assert new.ledger.sites == {} and old.ledger.sites == {}
+        self._fold_both(new, old, kind, mixed, 1.5, "one", 8)
+        assert _hex_state(new) == _hex_state(old)
+        assert list(new.ledger.sites) == ["one[%s]" % kind]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_same_site_folded_twice(self, kepler, kind):
+        new, old = self._pair(kepler)
+        prep, size = _batch(new, kind)
+        for scale in (2.2, 0.7, 2.2):
+            self._fold_both(new, old, kind, prep, scale, "twice", size)
+        _single_request(new, kind, prep.rows[0], 1.3, "twice", size=size)
+        frozen_single(old, kind, prep.rows[0], 1.3, "twice", size=size)
+        assert _hex_state(new) == _hex_state(old)
+        assert list(new.ledger.sites) == ["twice[%s]" % kind]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_fold_onto_non_integer_sums(self, kepler, kind):
+        new, old = self._pair(kepler)
+        _seed(new, kind)
+        _seed(old, kind)
+        assert _hex_state(new) == _hex_state(old)
+        prep, size = _batch(new, kind)
+        for site, scale in (("s", 0.3), ("t", 11.0), ("s", 1.0 / 7.0)):
+            self._fold_both(new, old, kind, prep, scale, site, size,
+                            l2_reuse=1.7)
+        assert _hex_state(new) == _hex_state(old)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_single_request_counts_zero_and_one(self, kepler, kind):
+        new, old = self._pair(kepler)
+        size = None if kind == "cmem.read" else 8
+        # Four words in one bank, so a conflict: cycles differ from phases.
+        addrs = (np.arange(32, dtype=np.int64) % 4) * 256 + 512
+        for site, count in (("empty", 0), ("empty", 0.0), ("one", 1),
+                            ("one", 1.0), ("frac", 2.75)):
+            ours = _single_request(new, kind, addrs, count, site,
+                                   size=size, l2_reuse=2.5)
+            theirs = frozen_single(old, kind, addrs, count, site, size=size,
+                                   l2_reuse=2.5)
+            assert ours == theirs
+        assert _hex_state(new) == _hex_state(old)
+        empty = new.ledger.sites["empty[%s]" % kind]
+        assert empty == SiteStats(kind=kind)
+        assert list(new.ledger.sites) == [
+            "empty[%s]" % kind, "one[%s]" % kind, "frac[%s]" % kind]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_single_request_errors_unchanged(self, kepler, kind):
+        size = None if kind == "cmem.read" else 8
+        bad = (np.arange(32) * 8 - 8, np.zeros((2, 32), dtype=np.int64),
+               np.zeros(0, dtype=np.int64), np.arange(33) * 8)
+        for addrs in bad:
+            new, old = self._pair(kepler)
+            with pytest.raises(TraceError) as ours:
+                _single_request(new, kind, addrs, 0, "x", size=size)
+            with pytest.raises(TraceError) as theirs:
+                frozen_single(old, kind, addrs, 0, "x", size=size)
+            assert str(ours.value) == str(theirs.value)
+            assert new.ledger.sites == {} == old.ledger.sites
+
+    def test_non_positive_gmem_size_raises_the_models_error(self, kepler):
+        tracer = KernelTracer(kepler)
+        for size in (0, -4):
+            for addrs, text in ((np.arange(32) * 4, "access size"),
+                                (np.zeros((2, 2)), "1-D sequence")):
+                with pytest.raises(TraceError, match=text):
+                    tracer.gmem_read(addrs, size)
+        assert tracer.ledger.sites == {}
+
+
+class TestSharedMemoryModels:
+    def test_tracers_share_models_per_arch_and_policy(self, kepler):
+        a, b = KernelTracer(kepler), KernelTracer(kepler)
+        assert (a.smem, a.gmem, a.cmem) == (b.smem, b.gmem, b.cmem)
+        assert a.smem is b.smem and a._smem_cache is b._smem_cache
+        paper = KernelTracer(kepler, BankConflictPolicy.PAPER)
+        assert paper.smem is not a.smem
+        assert paper.smem.policy is BankConflictPolicy.PAPER
+        assert paper.gmem is not a.gmem      # one entry per (arch, policy)
+        assert a.ledger is not b.ledger
+
+    def test_clear_access_caches_drops_the_models(self, kepler):
+        before = KernelTracer(kepler)
+        clear_access_caches()
+        after = KernelTracer(kepler)
+        assert after.smem is not before.smem
+        assert after._smem_cache is not before._smem_cache
+        assert after._smem_cache == {}
 
 
 # ----------------------------------------------------------------------
