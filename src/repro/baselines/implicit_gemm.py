@@ -26,7 +26,7 @@ Modeling notes (see DESIGN.md):
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -83,12 +83,10 @@ class ImplicitGemmKernel:
         self,
         arch: GPUArchitecture = KEPLER_K40M,
         tiling: Optional[GemmTiling] = None,
-        palette: tuple = DEFAULT_TILE_PALETTE,
         bank_policy: BankConflictPolicy = BankConflictPolicy.WORD_MERGE,
     ):
         self.arch = arch
         self._tiling = tiling
-        self.palette: List[GemmTiling] = list(palette)
         self.bank_policy = bank_policy
         self.name = "cuDNN-like[%s]" % arch.name
 
@@ -113,7 +111,7 @@ class ImplicitGemmKernel:
         """The best palette tile and the traced cost that ranked it."""
         model = TimingModel(self.arch)
         best, best_time = None, float("inf")
-        for tiling in self.palette:
+        for tiling in DEFAULT_TILE_PALETTE:
             cost = self._cost_with(problem, tiling)
             t = model.evaluate(cost).total
             if t < best_time:

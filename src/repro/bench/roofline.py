@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from repro.conv.tensors import ConvProblem
 from repro.gpu.arch import GPUArchitecture
-from repro.gpu.timing import TimingModel
+from repro.gpu.timing import COMPUTE_EFFICIENCY, TimingModel
 
 __all__ = ["RooflinePoint", "roofline_point", "roofline_report"]
 
@@ -39,8 +39,8 @@ class RooflinePoint:
         return self.achieved_gflops / self.roof_gflops if self.roof_gflops else 0.0
 
 
-def _roofs(arch: GPUArchitecture, model: TimingModel) -> Tuple[float, float]:
-    compute_roof = arch.peak_sp_gflops * model.compute_efficiency
+def _roofs(arch: GPUArchitecture) -> Tuple[float, float]:
+    compute_roof = arch.peak_sp_gflops * COMPUTE_EFFICIENCY
     bandwidth = arch.sustained_gmem_bandwidth_gbs
     return compute_roof, bandwidth
 
@@ -53,7 +53,7 @@ def roofline_point(kernel, problem: ConvProblem,
     breakdown = model.evaluate(cost)
     led = cost.ledger
     intensity = led.arithmetic_intensity
-    compute_roof, bandwidth = _roofs(kernel.arch, model)
+    compute_roof, bandwidth = _roofs(kernel.arch)
     # The roof is stated in *nominal* flops: scale the executed-flop
     # roof down by any overcompute the kernel performs.
     nominal_scale = problem.flops / led.flops if led.flops else 1.0
@@ -76,8 +76,7 @@ def roofline_report(kernels: dict, problem: ConvProblem,
     for label, kernel in kernels.items():
         points.append((label, roofline_point(kernel, problem, model)))
         arch = kernel.arch
-    mdl = model or TimingModel(arch)
-    compute_roof, bandwidth = _roofs(arch, mdl)
+    compute_roof, bandwidth = _roofs(arch)
 
     lines = []
     lines.append(

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional
 from repro.chaos.plan import FaultKind, FaultPlan
 from repro.errors import ChaosError
 from repro.fleet.engine import FleetConfig, FleetEngine
+from repro.fleet.health import BREAKER_COOLDOWN_S
 from repro.fleet.shared_cache import SharedPlanCache
 from repro.serve.trace import DEFAULT_SERVING_SHAPES, synthetic_trace
 
@@ -197,7 +198,7 @@ def _replay(scenario: dict, seed: int, chaotic: bool) -> dict:
             backends[("reader", request.req_id)] = response.backend
     # Recovery probe: cool every breaker down, then one clean replay —
     # a breaker stuck open past its cool-down is a resilience bug.
-    fleet.advance_clock(config.breaker_cooldown_s * 2)
+    fleet.advance_clock(BREAKER_COOLDOWN_S * 2)
     probe = synthetic_trace(16, seed=seed + 7919)
     probe_result = fleet.serve_trace(probe)
     stuck_open = fleet.health.open_count(fleet.clock_s)

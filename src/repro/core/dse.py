@@ -170,12 +170,10 @@ def _rank(configs, problem, arch, case: str = "general") -> List[RankedConfig]:
 def explore_special(
     arch: GPUArchitecture = KEPLER_K40M,
     problem: Optional[ConvProblem] = None,
-    configs: Optional[Sequence[SpecialCaseConfig]] = None,
 ) -> List[RankedConfig]:
     """Rank special-case blocks; the paper's answer is W=256, H=8."""
     problem = problem or DEFAULT_SPECIAL_PROBLEM
-    configs = configs if configs is not None else enumerate_special_configs()
-    return _rank(configs, problem, arch, case="special")
+    return _rank(enumerate_special_configs(), problem, arch, case="special")
 
 
 def explore_general(

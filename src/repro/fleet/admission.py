@@ -32,7 +32,7 @@ single ledger of unanswered requests.  Every shed increments the
 headline, not a log line.
 
 The per-request :class:`ShedRecord` detail is kept in a bounded ring
-buffer (``shed_record_cap``, default 10k): a long-lived fleet under
+buffer (:data:`DEFAULT_SHED_RECORD_CAP`, 10k): a long-lived fleet under
 sustained overload must not grow memory without bound.  The aggregate
 counters stay exact forever; only the per-request detail ages out.
 """
@@ -51,7 +51,7 @@ from repro.fleet.router import FleetRouter
 
 __all__ = ["AdmissionController", "ShedRecord", "DEFAULT_SHED_RECORD_CAP"]
 
-#: Default bound on retained per-request shed detail records.
+#: Bound on retained per-request shed detail records.
 DEFAULT_SHED_RECORD_CAP = 10_000
 
 
@@ -74,21 +74,15 @@ class AdmissionController:
         queue_depth: int,
         window_s: float,
         registry: Optional[Registry] = None,
-        shed_record_cap: int = DEFAULT_SHED_RECORD_CAP,
     ):
         if queue_depth < 1:
             raise ReproError("queue depth must be at least 1, got %d"
                              % queue_depth)
         if window_s < 0:
             raise ReproError("admission window must be non-negative")
-        if shed_record_cap < 1:
-            raise ReproError(
-                "shed record cap must be at least 1, got %d"
-                % shed_record_cap)
         self.router = router
         self.queue_depth = queue_depth
         self.window_s = window_s
-        self.shed_record_cap = shed_record_cap
         self.registry = registry if registry is not None else Registry()
         self._windows = [deque() for _ in range(router.n_replicas)]
         self._admitted = self.registry.counter(
@@ -103,7 +97,8 @@ class AdmissionController:
             labelnames=("replica",))
         # Ring buffer: aggregate counters stay exact; per-request
         # detail is bounded so sustained overload cannot grow memory.
-        self.shed_records: Deque[ShedRecord] = deque(maxlen=shed_record_cap)
+        self.shed_records: Deque[ShedRecord] = deque(
+            maxlen=DEFAULT_SHED_RECORD_CAP)
 
     # ------------------------------------------------------------------
     def depths(self, now: float) -> List[int]:
@@ -178,7 +173,7 @@ class AdmissionController:
         return {
             "queue_depth": self.queue_depth,
             "window_s": self.window_s,
-            "shed_record_cap": self.shed_record_cap,
+            "shed_record_cap": self.shed_records.maxlen,
             "admitted": self.admitted,
             "shed": self.shed,
             "shed_rate": self.shed_rate,

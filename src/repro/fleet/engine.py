@@ -18,14 +18,14 @@ independent :class:`~repro.serve.engine.ServeEngine` instances:
    installed :class:`~repro.chaos.injector.FaultInjector` — feeds the
    replica's circuit breaker
    (:mod:`repro.fleet.health`) and is re-routed whole to a healthy
-   survivor, bounded by ``failover_retries`` rounds with exponential
+   survivor, bounded by :data:`FAILOVER_RETRIES` rounds with exponential
    virtual-clock backoff.  Because every replica builds an identical
    fresh engine from the same seeds, a failed-over shard's responses
    are bit-identical to what the failed replica would have produced —
    failover moves work, never changes answers.  Stragglers can be
-   hedged (``hedge=True``): a shard whose modeled clock exceeds
-   ``hedge_factor`` x the median is speculatively re-dispatched and the
-   faster attempt bounds the makespan.
+   hedged (``hedge=True``): a shard the chaos plan marks ``slow`` is
+   speculatively re-dispatched and the faster attempt bounds the
+   makespan.
 4. **Reassemble + account** — responses are stitched back into request
    order by id with an exactly-once guard (a request can never be
    answered twice, and an admitted request that every failover round
@@ -83,6 +83,14 @@ MAX_REPLICAS = 64
 #: Admission queue-depth bound per replica.
 MAX_QUEUE_DEPTH = 4096
 
+#: Failover rounds a failed shard gets before its requests are
+#: abandoned (accounted as ``failed`` sheds).
+FAILOVER_RETRIES = 2
+
+#: Virtual-clock backoff before failover round ``r``:
+#: ``RETRY_BACKOFF_S * 2 ** (r - 1)`` seconds.
+RETRY_BACKOFF_S = 1e-3
+
 
 def check_replicas(replicas: int) -> int:
     """Validate a replica count; the error names the valid range."""
@@ -109,56 +117,30 @@ class FleetConfig:
 
     The per-replica fields mirror :class:`~repro.serve.engine.ServeEngine`
     so a fleet of one is configured exactly like a single engine.  The
-    resilience fields govern recovery (docs/RESILIENCE.md): how many
-    failover rounds a failed shard gets (``failover_retries``), the
-    virtual-clock backoff between rounds (``retry_backoff_s``), the
-    circuit-breaker trip point and cool-down (``breaker_threshold`` /
-    ``breaker_cooldown_s``), transient plan-build retries
-    (``plan_retries``), and straggler hedging (``hedge`` /
-    ``hedge_factor``).
+    resilience fields govern recovery (docs/RESILIENCE.md): the
+    circuit-breaker trip point (``breaker_threshold``) and straggler
+    hedging (``hedge``).  Failover rounds, their backoff, the breaker
+    cool-down, plan-build retries and the shed-record ring are fixed
+    constants of the modules that use them.
     """
 
     arch: GPUArchitecture = KEPLER_K40M
     replicas: int = 4
     deadline_s: float = 1e-3
     max_batch: int = 32
-    cache_capacity: int = 128
     backends: Optional[Tuple[str, ...]] = None
     queue_depth: int = 64
-    failover_retries: int = 2
-    retry_backoff_s: float = 1e-3
     breaker_threshold: int = 3
-    breaker_cooldown_s: float = 0.05
-    plan_retries: int = 2
     hedge: bool = False
-    hedge_factor: float = 4.0
-    shed_record_cap: int = 10_000
 
     def __post_init__(self):
         check_replicas(self.replicas)
         check_queue_depth(self.queue_depth)
         if self.backends is not None:
             self.backends = tuple(self.backends)
-        if self.failover_retries < 0:
-            raise ReproError("failover_retries must be >= 0, got %d"
-                             % self.failover_retries)
-        if self.retry_backoff_s < 0:
-            raise ReproError("retry_backoff_s must be non-negative")
-        if self.hedge_factor <= 1.0:
-            raise ReproError("hedge_factor must be > 1.0, got %g"
-                             % self.hedge_factor)
-        if self.plan_retries < 0:
-            raise ReproError("plan_retries must be >= 0, got %d"
-                             % self.plan_retries)
         if self.breaker_threshold < 1:
             raise ReproError("breaker_threshold must be >= 1, got %d"
                              % self.breaker_threshold)
-        if self.breaker_cooldown_s <= 0:
-            raise ReproError("breaker_cooldown_s must be positive, got %g"
-                             % self.breaker_cooldown_s)
-        if self.shed_record_cap < 1:
-            raise ReproError("shed record cap must be >= 1, got %d"
-                             % self.shed_record_cap)
 
     def engine_kwargs(self) -> dict:
         """Constructor kwargs for one replica's ServeEngine."""
@@ -166,7 +148,6 @@ class FleetConfig:
             "arch": self.arch,
             "deadline_s": self.deadline_s,
             "max_batch": self.max_batch,
-            "cache_capacity": self.cache_capacity,
             "backends": self.backends,
         }
 
@@ -277,24 +258,21 @@ class FleetEngine:
         # before the batcher is guaranteed to have flushed it.
         self.admission = AdmissionController(
             self.router, queue_depth=self.config.queue_depth,
-            window_s=self.config.deadline_s, registry=self.registry,
-            shed_record_cap=self.config.shed_record_cap)
+            window_s=self.config.deadline_s, registry=self.registry)
         self.shared_cache = (shared_cache if shared_cache is not None
                              else SharedPlanCache(registry=self.registry))
         self.health = HealthTracker(
             self.config.replicas, registry=self.registry,
-            failure_threshold=self.config.breaker_threshold,
-            cooldown_s=self.config.breaker_cooldown_s)
+            failure_threshold=self.config.breaker_threshold)
         self.slo = FleetStats(registry=self.registry)
         # Parent-side planner: its PlanCache is the fleet-local tier,
         # consulted before the shared tier on every distinct shape.
         self._planner = Dispatcher(
             self.config.arch,
-            cache=PlanCache(self.config.cache_capacity,
-                            registry=self.registry),
+            cache=PlanCache(registry=self.registry),
             backends=self.config.backends,
             registry=self.registry, tracer=tracer,
-            chaos=self.chaos, plan_retries=self.config.plan_retries,
+            chaos=self.chaos,
         )
         if self.chaos is not None:
             self.shared_cache.install_chaos(self.chaos)
@@ -343,7 +321,8 @@ class FleetEngine:
         """Plan one shape: local tier, then shared tier, then the DSE.
 
         Transient build failures (injected or real) are retried up to
-        ``plan_retries`` times by the planner before surfacing.
+        :data:`~repro.serve.dispatch.PLAN_RETRIES` times by the planner
+        before surfacing.
         """
         key = plan_key(problem, self.config.arch)
         plan = self._planner.cache.lookup(key)
@@ -425,7 +404,7 @@ class FleetEngine:
 
         Returns ``(responses_by_id, makespan, abandoned_requests)``.
         Invariants: a request id is answered at most once (exactly-once
-        guard) and a shard is attempted at most ``1 + failover_retries``
+        guard) and a shard is attempted at most ``1 + FAILOVER_RETRIES``
         times, each retry on a breaker-approved replica with
         exponential virtual-clock backoff.
         """
@@ -484,11 +463,11 @@ class FleetEngine:
             if not failed:
                 break
             round_no += 1
-            if round_no > self.config.failover_retries:
+            if round_no > FAILOVER_RETRIES:
                 for _, shard, _, _ in failed:
                     abandoned.extend(shard)
                 break
-            now += self.config.retry_backoff_s * (2 ** (round_no - 1))
+            now += RETRY_BACKOFF_S * (2 ** (round_no - 1))
             pending = []
             for replica, shard, seed, reason in failed:
                 target = self._failover_target(replica, now, loads)
@@ -503,8 +482,7 @@ class FleetEngine:
     def _effective_clock(self, item, engine_kwargs, now, loads) -> float:
         """A successful shard's makespan contribution, hedging included.
 
-        With hedging enabled, a straggler shard (injected ``slow`` or a
-        clock past ``hedge_factor`` x its unhedged siblings') is
+        With hedging enabled, a shard the chaos plan marks ``slow`` is
         speculatively re-served on a healthy peer; the faster attempt's
         clock bounds the makespan.  Responses are NOT taken from the
         hedge — both attempts are bit-identical by construction, so the

@@ -7,8 +7,8 @@ behavior is exactly reproducible — no wall-clock racing:
 * **closed** — traffic flows; consecutive failures are counted and
   reset on any success.
 * **open** — tripped after ``failure_threshold`` consecutive failures;
-  the replica receives no new shards until ``cooldown_s`` virtual
-  seconds pass.
+  the replica receives no new shards until
+  :data:`BREAKER_COOLDOWN_S` virtual seconds pass.
 * **half-open** — after the cool-down, one probe shard is allowed:
   success closes the breaker, failure re-opens it (and restarts the
   cool-down).
@@ -52,21 +52,19 @@ DEGRADATION_LEVELS = ("healthy", "degraded", "critical")
 
 _STATE_VALUES = {"closed": 0, "half-open": 1, "open": 2}
 
+#: Virtual seconds an open breaker waits before its half-open probe.
+BREAKER_COOLDOWN_S = 0.05
+
 
 class CircuitBreaker:
     """Consecutive-failure breaker on a caller-supplied virtual clock."""
 
-    def __init__(self, failure_threshold: int = 3,
-                 cooldown_s: float = 0.05):
+    def __init__(self, failure_threshold: int = 3):
         if failure_threshold < 1:
             raise ReproError(
                 "breaker failure threshold must be >= 1, got %d"
                 % failure_threshold)
-        if cooldown_s <= 0:
-            raise ReproError("breaker cooldown must be positive, got %g"
-                             % cooldown_s)
         self.failure_threshold = failure_threshold
-        self.cooldown_s = cooldown_s
         self._state = "closed"
         self._consecutive_failures = 0
         self._opened_at_s = 0.0
@@ -80,7 +78,7 @@ class CircuitBreaker:
         because it depends only on ``now_s``.
         """
         if (self._state == "open"
-                and now_s >= self._opened_at_s + self.cooldown_s):
+                and now_s >= self._opened_at_s + BREAKER_COOLDOWN_S):
             self._state = "half-open"
         return self._state
 
@@ -126,15 +124,13 @@ class HealthTracker:
         n_replicas: int,
         registry: Optional[Registry] = None,
         failure_threshold: int = 3,
-        cooldown_s: float = 0.05,
     ):
         if n_replicas < 1:
             raise ReproError("health tracker needs at least 1 replica")
         self.n_replicas = n_replicas
         self.registry = registry if registry is not None else Registry()
         self.breakers: List[CircuitBreaker] = [
-            CircuitBreaker(failure_threshold=failure_threshold,
-                           cooldown_s=cooldown_s)
+            CircuitBreaker(failure_threshold=failure_threshold)
             for _ in range(n_replicas)
         ]
         self._failures = self.registry.counter(

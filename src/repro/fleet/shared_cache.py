@@ -37,11 +37,13 @@ from dataclasses import fields, is_dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.chaos.plan import FaultKind
-from repro.errors import ReproError
 from repro.gpu.arch import GPUArchitecture
 from repro.obs.metrics import Registry
 
 __all__ = ["SharedPlanCache", "cache_version_token", "plan_checksum"]
+
+#: Plans the shared tier holds before the least recently used is evicted.
+CAPACITY = 1024
 
 
 def plan_checksum(plan: object) -> Optional[str]:
@@ -83,11 +85,7 @@ def cache_version_token(
 class SharedPlanCache:
     """Bounded LRU of kernel plans shared by every replica in a fleet."""
 
-    def __init__(self, capacity: int = 1024,
-                 registry: Optional[Registry] = None):
-        if capacity < 1:
-            raise ReproError("shared plan cache capacity must be at least 1")
-        self.capacity = capacity
+    def __init__(self, registry: Optional[Registry] = None):
         self.registry = registry if registry is not None else Registry()
         self._entries: "OrderedDict[Tuple[str, Tuple], object]" = OrderedDict()
         self._hits = self.registry.counter(
@@ -172,7 +170,7 @@ class SharedPlanCache:
             self._entries.move_to_end(full_key)
         self._entries[full_key] = (plan, checksum)
         self._publishes.inc()
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > CAPACITY:
             self._entries.popitem(last=False)
             self._evictions.inc()
         self._entries_gauge.set(len(self._entries))
@@ -210,7 +208,7 @@ class SharedPlanCache:
 
     def stats(self) -> dict:
         return {
-            "capacity": self.capacity,
+            "capacity": CAPACITY,
             "entries": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,

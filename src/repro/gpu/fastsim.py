@@ -10,8 +10,8 @@ every (block, iteration) instance plus the per-lane relative pattern
 shared by all of them, folds the bases down to their residues modulo
 the memory structure period (see the canonical-pattern cache notes in
 :mod:`repro.gpu.trace`), and feeds the distinct ``(warps, lanes)``
-residue matrices through the batch tracer API with summed
-multiplicities.
+residue matrices through :func:`~repro.gpu.trace.prepare_batch` and the
+tracer's prepared folds with summed multiplicities.
 
 The result is a :class:`~repro.gpu.trace.KernelCost` that is
 **byte-identical** to what the interpreter would have produced — same
@@ -55,7 +55,7 @@ from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.device import _GLOBAL_ALIGN
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.trace import KernelCost, KernelTracer
+from repro.gpu.trace import KernelCost, KernelTracer, prepare_batch
 
 __all__ = [
     "kernel_cost_diffs",
@@ -146,10 +146,11 @@ def _fold_bases(bases, rels, mod: int) -> Tuple[np.ndarray, np.ndarray]:
     row, iteration...); ``rels`` the relative byte patterns shared by
     every instance — one row per warp-shape variant, one column per
     lane.  A request's model outcome depends only on its base modulo
-    ``mod`` (the batch tracer canonicalizes by multiples of ``mod``),
-    so the distinct residues with their multiplicities carry the whole
-    batch.  Returns the ``(rows, lanes)`` address matrix and the
-    per-row counts, ready for a ``*_batch`` tracer call.
+    ``mod`` (:func:`~repro.gpu.trace.prepare_batch` canonicalizes by
+    multiples of ``mod``), so the distinct residues with their
+    multiplicities carry the whole batch.  Returns the ``(rows, lanes)``
+    address matrix and the per-row counts, ready for
+    :func:`~repro.gpu.trace.prepare_batch`.
     """
     vals, cnt = np.unique(
         np.asarray(bases, dtype=np.int64).reshape(-1) % mod,
@@ -194,8 +195,8 @@ class FastSpecialKernel:
 
     Same thread layout, circular row window, constant-memory broadcasts
     and prefetch schedule as the interpreter — but the request streams
-    are generated in closed form and folded through the batch tracer,
-    with no Python per-warp (or even per-block) loop.
+    are generated in closed form and folded as prepared batches, with
+    no Python per-warp (or even per-block) loop.
     """
 
     def __init__(
@@ -324,8 +325,8 @@ class FastSpecialKernel:
                            int(base_idx.max()) + (threads - 1) * n,
                            n, "gm.load_row")
         matrix, counts = _fold_bases(g_img_base + base_idx * 4, rel_row, gmod)
-        tracer.gmem_read_batch(matrix, unit, counts=counts,
-                               site="gm.load_row")
+        tracer.gmem_read_prepared(prepare_batch(matrix, gmod, counts), unit,
+                                  site="gm.load_row")
 
         if halo_units:
             rel_halo = (w + np.arange(halo_units, dtype=np.int64) * n) * 4
@@ -335,8 +336,8 @@ class FastSpecialKernel:
                 n, "gm.load_row_halo")
             matrix, counts = _fold_bases(g_img_base + base_idx * 4,
                                          rel_halo, gmod)
-            tracer.gmem_read_batch(matrix, unit, counts=counts,
-                                   site="gm.load_row_halo")
+            tracer.gmem_read_prepared(prepare_batch(matrix, gmod, counts),
+                                      unit, site="gm.load_row_halo")
 
         # sm.store_row: K initial rows plus one prefetch store per
         # output row but the last; slot multiplicities by circular slot.
@@ -351,8 +352,9 @@ class FastSpecialKernel:
                            + (threads - 1) * n, n, "sm.store_row")
         matrix, counts = _fold_bases(store_slots * (row_floats * 4),
                                      rel_row, smod)
-        tracer.smem_write_batch(matrix, unit, counts=counts * float(blocks),
-                                site="sm.store_row")
+        tracer.smem_write_prepared(
+            prepare_batch(matrix, smod, counts * float(blocks)), unit,
+            site="sm.store_row")
         if halo_units:
             rel_halo_s = (w + np.arange(halo_units, dtype=np.int64) * n) * 4
             _check_shared_span("rows", smem_size,
@@ -361,9 +363,9 @@ class FastSpecialKernel:
                                + (halo_units - 1) * n, n, "sm.store_row_halo")
             matrix, counts = _fold_bases(store_slots * (row_floats * 4),
                                          rel_halo_s, smod)
-            tracer.smem_write_batch(matrix, unit,
-                                    counts=counts * float(blocks),
-                                    site="sm.store_row_halo")
+            tracer.smem_write_prepared(
+                prepare_batch(matrix, smod, counts * float(blocks)), unit,
+                site="sm.store_row_halo")
 
         # sm.load_window: K-1 priming rows plus one refresh per output
         # row, each read as window_units overlapping vector slices.
@@ -382,8 +384,9 @@ class FastSpecialKernel:
                            n, "sm.load_window")
         matrix, counts = _fold_bases(win_slots * (row_floats * 4),
                                      rel_win, smod)
-        tracer.smem_read_batch(matrix, unit, counts=counts * float(blocks),
-                               site="sm.load_window")
+        tracer.smem_read_prepared(
+            prepare_batch(matrix, smod, counts * float(blocks)), unit,
+            site="sm.load_window")
 
         # cm.filter_tap: every tap is a full-warp broadcast; all of them
         # share the canonical all-zero pattern.
@@ -405,8 +408,8 @@ class FastSpecialKernel:
                            n, "gm.store_out")
         matrix, counts = _fold_bases(g_out_base + out_base_idx * 4,
                                      rel_row, gmod)
-        tracer.gmem_write_batch(matrix, unit, counts=counts,
-                                site="gm.store_out")
+        tracer.gmem_write_prepared(prepare_batch(matrix, gmod, counts), unit,
+                                   site="gm.store_out")
 
         tracer.sync(float((1 + 2 * h) * blocks))
 
@@ -571,9 +574,9 @@ class FastGeneralKernel:
         bases_img = g_img_base + gbase_idx * 4
         for piece in pieces:
             matrix, counts = _fold_bases(bases_img, piece * unit, gmod)
-            tracer.gmem_read_batch(matrix, unit,
-                                   counts=counts * float(fgroups),
-                                   site="gm.load_image")
+            tracer.gmem_read_prepared(
+                prepare_batch(matrix, gmod, counts * float(fgroups)), unit,
+                site="gm.load_image")
 
         # sm.store_image: the same pieces against the staged rows.
         sm_rows = np.arange(cfg.csh * img_rows, dtype=np.int64) \
@@ -584,9 +587,9 @@ class FastGeneralKernel:
         store_scale = float(chunks * total_blocks)
         for piece in pieces:
             matrix, counts = _fold_bases(sm_rows, piece * unit, smod)
-            tracer.smem_write_batch(matrix, unit,
-                                    counts=counts * store_scale,
-                                    site="sm.store_image")
+            tracer.smem_write_prepared(
+                prepare_batch(matrix, smod, counts * store_scale), unit,
+                site="sm.store_image")
 
         # gm.load_filter: scalar first-warp stream of each filter's
         # CSH*K*K taps, once per spatial block.
@@ -600,11 +603,13 @@ class FastGeneralKernel:
                            int(flt_gbase.max()) + run - 1, 1,
                            "gm.load_filter")
         bases_flt = g_flt_base + flt_gbase * 4
+        fmod = tracer.gmem_batch_mod(4)
         for done in range(0, run, ws):
             rel = np.arange(done, min(done + ws, run), dtype=np.int64) * 4
-            matrix, counts = _fold_bases(bases_flt, rel, 32)
-            tracer.gmem_read_batch(matrix, 4, counts=counts * float(sblocks),
-                                   site="gm.load_filter")
+            matrix, counts = _fold_bases(bases_flt, rel, fmod)
+            tracer.gmem_read_prepared(
+                prepare_batch(matrix, fmod, counts * float(sblocks)), 4,
+                site="gm.load_filter")
 
         # sm.store_filter: the transposed+padded scalar store pieces.
         total = cfg.ftb * run
@@ -614,9 +619,8 @@ class FastGeneralKernel:
         for done in range(0, total, ws):
             l = np.arange(done, min(done + ws, total), dtype=np.int64)
             row = ((l // cfg.ftb) * flt_row + l % cfg.ftb) * 4
-            tracer.smem_write_batch(
-                row[np.newaxis, :], 4,
-                counts=np.array([store_scale]),
+            tracer.smem_write_prepared(
+                prepare_batch(row, smod, [store_scale]), 4,
                 site="sm.store_filter")
 
         # sm.load_image_row: each thread's WT+K-1 register row as
@@ -637,8 +641,9 @@ class FastGeneralKernel:
             int(img_row_sc.max()) + int(rel_ty.max()) // 4, n,
             "sm.load_image_row")
         matrix, counts = _fold_bases(img_row_sc * 4, rel_ty, smod)
-        tracer.smem_read_batch(matrix, unit, counts=counts * store_scale,
-                               site="sm.load_image_row")
+        tracer.smem_read_prepared(
+            prepare_batch(matrix, smod, counts * store_scale), unit,
+            site="sm.load_image_row")
 
         # sm.load_filter_row: FT filter values per thread, vectorized.
         u_flt = max(1, cfg.ft // n)
@@ -651,8 +656,9 @@ class FastGeneralKernel:
             int(flt_row_sc.max()) + int(rel_tx.max()) // 4, n,
             "sm.load_filter_row")
         matrix, counts = _fold_bases(flt_row_sc * 4, rel_tx, smod)
-        tracer.smem_read_batch(matrix, unit, counts=counts * store_scale,
-                               site="sm.load_filter_row")
+        tracer.smem_read_prepared(
+            prepare_batch(matrix, smod, counts * store_scale), unit,
+            site="sm.load_filter_row")
 
         # FMA rounds: each (channel, j, kk, warp) updates ws*ft*wt values.
         tracer.flops(2.0 * ws * cfg.ft * cfg.wt
@@ -679,11 +685,10 @@ class FastGeneralKernel:
         _check_global_span("out", out_size, int(out_sc.min()),
                            int(out_sc.max()) + int(rel_out.max()) // 4,
                            wide, "gm.store_out")
-        matrix, counts = _fold_bases(
-            g_out_base + out_sc * 4, rel_out,
-            tracer.gmem_batch_mod(wide * 4))
-        tracer.gmem_write_batch(matrix, wide * 4, counts=counts,
-                                site="gm.store_out")
+        omod = tracer.gmem_batch_mod(wide * 4)
+        matrix, counts = _fold_bases(g_out_base + out_sc * 4, rel_out, omod)
+        tracer.gmem_write_prepared(prepare_batch(matrix, omod, counts),
+                                   wide * 4, site="gm.store_out")
 
         tracer.sync(float((2 * chunks + 2) * total_blocks))
 

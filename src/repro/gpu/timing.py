@@ -16,7 +16,7 @@ execution-time estimate.  The model is a bounded-overlap roofline:
 2.  Subsystems overlap imperfectly.  With enough resident warps the
     total approaches ``max(components)``; with few warps it degrades
     toward ``sum(components)``.  The overlap efficiency ``eta`` grows
-    with resident warps per SM and saturates at ``eta_max``; software
+    with resident warps per SM and saturates at ``ETA_MAX``; software
     prefetching (both of the paper's kernels, Algorithms 1–2) halves the
     warps needed to reach saturation, because the prefetch distance
     provides intra-thread overlap that otherwise must come from
@@ -130,29 +130,11 @@ class TimingBreakdown:
 class TimingModel:
     """Bounded-overlap roofline evaluator for one architecture."""
 
-    def __init__(
-        self,
-        arch: GPUArchitecture,
-        launch_overhead_s: float = LAUNCH_OVERHEAD_S,
-        sync_cycles: float = SYNC_CYCLES,
-        hide_warps: float = HIDE_WARPS,
-        hide_warps_prefetch: float = HIDE_WARPS_PREFETCH,
-        sat_warps: float = SAT_WARPS,
-        eta_max: float = ETA_MAX,
-        compute_efficiency: float = COMPUTE_EFFICIENCY,
-        registry=None,
-    ):
+    def __init__(self, arch: GPUArchitecture, registry=None):
         self.arch = arch
         # Where :meth:`publish` writes: None = the process-wide metrics
         # registry at call time; pass a private Registry to redirect.
         self.registry = registry
-        self.launch_overhead_s = launch_overhead_s
-        self.sync_cycles = sync_cycles
-        self.hide_warps = hide_warps
-        self.hide_warps_prefetch = hide_warps_prefetch
-        self.sat_warps = sat_warps
-        self.eta_max = eta_max
-        self.compute_efficiency = compute_efficiency
 
     # ------------------------------------------------------------------
     def publish(self, cost: KernelCost, breakdown: TimingBreakdown) -> None:
@@ -178,7 +160,7 @@ class TimingModel:
         led = cost.ledger
         occ = occupancy(arch, cost.launch)
 
-        t_compute = led.flops / (arch.peak_sp_gflops * 1e9 * self.compute_efficiency)
+        t_compute = led.flops / (arch.peak_sp_gflops * 1e9 * COMPUTE_EFFICIENCY)
         t_gmem = led.gmem_bytes_moved / (arch.sustained_gmem_bandwidth_gbs * 1e9)
         t_l2 = led.gmem_l2_bytes / (arch.l2_bandwidth_gbs * 1e9)
         per_sm_clock = arch.sm_count * arch.clock_hz
@@ -199,8 +181,8 @@ class TimingModel:
         )
         warps_resident = warps_per_block * resident_blocks
 
-        hide = self.hide_warps_prefetch if cost.software_prefetch else self.hide_warps
-        eta = self.eta_max * min(1.0, warps_resident / hide)
+        hide = HIDE_WARPS_PREFETCH if cost.software_prefetch else HIDE_WARPS
+        eta = ETA_MAX * min(1.0, warps_resident / hide)
 
         busy = t_max + (1.0 - eta) * (t_sum - t_max)
 
@@ -210,7 +192,7 @@ class TimingModel:
         # level parallelism: register-tiled kernels issue many
         # independent operations per warp, so throughput degrades
         # sub-linearly as warps thin out.
-        u_warps = min(1.0, math.sqrt(warps_resident / self.sat_warps))
+        u_warps = min(1.0, math.sqrt(warps_resident / SAT_WARPS))
         sm_fill = min(1.0, blocks / arch.sm_count)
         busy /= u_warps * sm_fill
 
@@ -228,9 +210,9 @@ class TimingModel:
         # Barriers: blocks on one SM overlap each other, so charge the
         # per-block barrier chain once per resident slot per wave.
         syncs_per_block = led.syncthreads / max(blocks, 1)
-        t_sync = syncs_per_block * self.sync_cycles * math.ceil(waves) / arch.clock_hz
+        t_sync = syncs_per_block * SYNC_CYCLES * math.ceil(waves) / arch.clock_hz
 
-        t_launch = self.launch_overhead_s * cost.launches
+        t_launch = LAUNCH_OVERHEAD_S * cost.launches
 
         total = busy + t_sync + t_launch
         return TimingBreakdown(

@@ -140,20 +140,17 @@ class PreparedBatch:
         self.mults = mults
 
 
-def prepare_batch(matrix, mod: int) -> PreparedBatch:
+def prepare_batch(matrix, mod: int, counts=None) -> PreparedBatch:
     """Canonicalize and deduplicate a ``(warps, lanes)`` address matrix.
 
     ``mod`` is the structure period the patterns are invariant under
-    (the shared-memory row bytes, or ``lcm(access size, sector)`` for
-    global memory).  Raises :class:`TraceError` on malformed input or
-    negative addresses, exactly like the batch tracer methods.
+    (:meth:`KernelTracer.smem_batch_mod`, or
+    :meth:`KernelTracer.gmem_batch_mod` for global memory).  Each row
+    is one warp request; equal canonical rows merge into one, with
+    multiplicity the number of rows or, given per-row ``counts``, the
+    sum of their counts.  Raises :class:`TraceError` on malformed input,
+    a negative count or a negative address.
     """
-    return _canonical_batch(matrix, None, mod)
-
-
-def _canonical_batch(matrix, counts, mod: int) -> PreparedBatch:
-    """:func:`prepare_batch` with optional per-row ``counts`` summed per
-    distinct pattern (the batch tracer methods' weights)."""
     m = np.ascontiguousarray(np.asarray(matrix, dtype=np.int64))
     if m.ndim == 1:
         m = m[np.newaxis, :]
@@ -618,50 +615,16 @@ class KernelTracer:
                                     site, "cmem.read")
         return self._cmem_fold((canon,), (key,), (count,), 1.0, site)
 
-    # --- warp-batch API -----------------------------------------------------
-    # A whole block's (or launch's) worth of warp requests for one site,
-    # as a ``(warps, lanes)`` byte-address matrix: each row is one warp
-    # request.  Rows are canonicalized (translated down to their
-    # structure period, see the module-level cache notes), deduplicated
-    # vectorized, and each distinct pattern is folded through the model
-    # once with the summed multiplicity.  Because per-request model
-    # outcomes are integers, the grouped accumulation is bit-identical
-    # to issuing every row individually — the fast trace generators in
-    # :mod:`repro.gpu.fastsim` rely on exactly that.
-
-    def smem_read_batch(self, matrix, size: int, counts=None,
-                        site: str = "smem") -> None:
-        self._smem_prepared(
-            _canonical_batch(matrix, counts, self._smem_row_bytes),
-            size, 1.0, site, "smem.read")
-
-    def smem_write_batch(self, matrix, size: int, counts=None,
-                         site: str = "smem") -> None:
-        self._smem_prepared(
-            _canonical_batch(matrix, counts, self._smem_row_bytes),
-            size, 1.0, site, "smem.write")
-
-    def gmem_read_batch(self, matrix, size: int, counts=None,
-                        site: str = "gmem", l2_reuse: float = 1.0) -> None:
-        if l2_reuse < 1.0:
-            raise TraceError("l2_reuse must be >= 1")
-        self._gmem_prepared(
-            _canonical_batch(matrix, counts, self.gmem_batch_mod(size)),
-            size, 1.0, site, False, l2_reuse)
-
-    def gmem_write_batch(self, matrix, size: int, counts=None,
-                         site: str = "gmem") -> None:
-        self._gmem_prepared(
-            _canonical_batch(matrix, counts, self.gmem_batch_mod(size)),
-            size, 1.0, site, True, 1.0)
-
     # --- prepared batches ---------------------------------------------------
-    # The same folds as the batch API, but over a :class:`PreparedBatch`
-    # whose canonicalization/dedup already happened (and was typically
-    # cached across kernels sharing the geometry).  Each row executes
-    # ``row multiplicity * scale`` times; the batch API above folds its
-    # freshly prepared rows here with ``scale=1``, which leaves every
-    # multiplicity bit-for-bit unchanged.
+    # A whole block's (or launch's) worth of warp requests for one site,
+    # as a :class:`PreparedBatch` whose canonicalization and dedup
+    # already happened (and was typically cached across kernels sharing
+    # the geometry).  Each row executes ``row multiplicity * scale``
+    # times, one model lookup per distinct row.  Because per-request
+    # model outcomes are integers, folding a :func:`prepare_batch` of
+    # integer counts with ``scale=1`` is bit-identical to issuing every
+    # row individually — the fast trace generators in
+    # :mod:`repro.gpu.fastsim` rely on exactly that.
 
     def smem_batch_mod(self) -> int:
         """The period to :func:`prepare_batch` shared-memory batches with."""
@@ -856,7 +819,6 @@ class KernelTracer:
         name: str,
         launch: LaunchConfig,
         software_prefetch: bool = False,
-        launches: int = 1,
     ) -> KernelCost:
         launch.validate(self.arch)
         return KernelCost(
@@ -864,7 +826,6 @@ class KernelTracer:
             launch=launch,
             ledger=self.ledger,
             software_prefetch=software_prefetch,
-            launches=launches,
         )
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ under its name and answers the two questions the consumer layers ask:
   configuration that admission found.
 
 The registry enforces the serving layer's degradation invariant: the
-fallback backend (``naive`` by default) is appended to every
+fallback backend (:data:`FALLBACK_BACKEND`, ``naive``) is appended to every
 ``available`` result even when the caller's subset or the predicate
 would exclude it, so a dispatcher can always degrade somewhere.
 
@@ -36,6 +36,9 @@ from repro.obs.metrics import get_registry
 
 __all__ = ["BackendRegistry"]
 
+#: The degradation target every ``available`` result includes.
+FALLBACK_BACKEND = "naive"
+
 
 # Each counter is resolved once per process-wide registry
 # (``Registry.handles``) through its own resolver, so each is still
@@ -58,9 +61,10 @@ def _candidate_counter(reg):
 class BackendRegistry:
     """Ordered name -> :class:`ConvBackend` registry with admission."""
 
-    def __init__(self, fallback: str = "naive"):
-        #: Name of the degradation target ``available`` always includes.
-        self.fallback = fallback
+    #: :data:`FALLBACK_BACKEND`, readable on every registry.
+    fallback = FALLBACK_BACKEND
+
+    def __init__(self):
         self._backends: "OrderedDict[str, ConvBackend]" = OrderedDict()
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ Design notes:
   transaction counts are fractional by design — they are expectations,
   not samples — so counters accept float increments).
 * Histograms retain their raw observations (bounded by
-  ``max_samples`` with deterministic decimation) so exact quantiles,
+  :data:`MAX_SAMPLES` with deterministic decimation) so exact quantiles,
   exact value counts (the batch-size histogram), *and* cumulative
   Prometheus buckets all come from one series.
 * Everything is JSON-serializable via :meth:`Registry.collect`.
@@ -56,6 +56,9 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 DEFAULT_BUCKETS = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0,
 )
+
+#: Samples one histogram series retains before it decimates.
+MAX_SAMPLES = 65536
 
 
 def _check_name(name: str) -> str:
@@ -189,7 +192,7 @@ class _HistogramSeries:
         self._stride = 1      # deterministic decimation factor
         self._skip = 0
 
-    def observe(self, value: float, max_samples: int) -> None:
+    def observe(self, value: float) -> None:
         value = float(value)
         self.sum += value
         self.count += 1
@@ -204,21 +207,21 @@ class _HistogramSeries:
             return
         self.samples.append(value)
         self._skip = self._stride - 1
-        if len(self.samples) > max_samples:
+        if len(self.samples) > MAX_SAMPLES:
             self.samples = self.samples[::2]
             self._stride *= 2
             self._skip = self._stride - 1
 
-    def merge(self, other: "_HistogramSeries", max_samples: int) -> None:
+    def merge(self, other: "_HistogramSeries") -> None:
         """Add ``other``'s observations: aggregates exactly, retained
-        samples appended and re-decimated past ``max_samples``."""
+        samples appended and re-decimated past :data:`MAX_SAMPLES`."""
         self.count += other.count
         self.sum += other.sum
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
         self.samples.extend(other.samples)
         self._stride = max(self._stride, other._stride)
-        while len(self.samples) > max_samples:
+        while len(self.samples) > MAX_SAMPLES:
             self.samples = self.samples[::2]
             self._stride *= 2
 
@@ -230,16 +233,12 @@ class Histogram(Metric):
 
     def __init__(self, name: str, help: str = "",
                  labelnames: Sequence[str] = (),
-                 buckets: Optional[Sequence[float]] = None,
-                 max_samples: int = 65536):
+                 buckets: Optional[Sequence[float]] = None):
         super().__init__(name, help, labelnames)
         bounds = tuple(sorted(buckets)) if buckets else DEFAULT_BUCKETS
         if any(b <= a for a, b in zip(bounds, bounds[1:])):
             raise ObservabilityError("histogram buckets must be increasing")
         self.buckets: Tuple[float, ...] = bounds
-        if max_samples < 2:
-            raise ObservabilityError("max_samples must be at least 2")
-        self.max_samples = max_samples
 
     # ------------------------------------------------------------------
     def _get_key(self, key: Tuple[str, ...]) -> _HistogramSeries:
@@ -249,7 +248,7 @@ class Histogram(Metric):
         return data
 
     def observe(self, value: float, **labels) -> None:
-        self._get_key(self._key(labels)).observe(value, self.max_samples)
+        self._get_key(self._key(labels)).observe(value)
 
     # ------------------------------------------------------------------
     def count(self, **labels) -> int:
@@ -276,7 +275,7 @@ class Histogram(Metric):
     def is_estimated(self, **labels) -> bool:
         """True when quantiles are computed from a truncated reservoir.
 
-        ``max_samples`` was exceeded, so ``percentile``/``value_counts``
+        :data:`MAX_SAMPLES` was exceeded, so ``percentile``/``value_counts``
         work from a decimated subset of the observations rather than
         every value seen.  Exporters surface this as ``estimated`` so a
         reader never mistakes a reservoir estimate for an exact p99.
@@ -414,10 +413,9 @@ class Registry:
 
     def histogram(self, name: str, help: str = "",
                   labelnames: Sequence[str] = (),
-                  buckets: Optional[Sequence[float]] = None,
-                  max_samples: int = 65536) -> Histogram:
+                  buckets: Optional[Sequence[float]] = None) -> Histogram:
         return self._get_or_create(Histogram, name, help, labelnames,
-                                   buckets=buckets, max_samples=max_samples)
+                                   buckets=buckets)
 
     def handles(self, resolve):
         """``resolve(self)``, computed once and kept until :meth:`clear`.
@@ -465,9 +463,9 @@ class Registry:
         Counters add, gauges take ``other``'s value (last write wins),
         and histograms add count and sum, take the min and max, and
         append ``other``'s retained samples, re-decimating past
-        ``max_samples``.  Zero counters and empty histogram series add
-        no series; a metric missing here is created with ``other``'s
-        help, labels, buckets and sample bound.
+        :data:`MAX_SAMPLES`.  Zero counters and empty histogram series
+        add no series; a metric missing here is created with
+        ``other``'s help, labels and buckets.
         """
         for metric in other:
             if isinstance(metric, Counter):
@@ -484,10 +482,10 @@ class Registry:
             else:
                 target = self.histogram(
                     metric.name, metric.help, metric.labelnames,
-                    buckets=metric.buckets, max_samples=metric.max_samples)
+                    buckets=metric.buckets)
                 for key, data in metric._series.items():
                     if data.count:
-                        target._get_key(key).merge(data, target.max_samples)
+                        target._get_key(key).merge(data)
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,9 @@ __all__ = [
 WALL_TRACK = "wall"
 VIRTUAL_TRACK = "virtual"
 
+#: Spans one tracer keeps; later spans are counted in ``dropped``.
+MAX_SPANS = 100_000
+
 
 @dataclass
 class Span:
@@ -64,10 +67,7 @@ class Span:
 class Tracer:
     """Bounded in-memory span buffer feeding the exporters."""
 
-    def __init__(self, max_spans: int = 100_000):
-        if max_spans < 1:
-            raise ObservabilityError("max_spans must be positive")
-        self.max_spans = max_spans
+    def __init__(self):
         self.spans: List[Span] = []
         self.dropped = 0
         self._epoch = time.perf_counter()
@@ -79,7 +79,7 @@ class Tracer:
         return time.perf_counter() - self._epoch
 
     def _record(self, span: Span) -> None:
-        if len(self.spans) >= self.max_spans:
+        if len(self.spans) >= MAX_SPANS:
             self.dropped += 1
             return
         self.spans.append(span)

@@ -25,7 +25,7 @@ naive-direct backend always plans.
 Transient build failures get a distinct treatment: a plan build
 that raises :class:`~repro.errors.TransientBackendError` — a modeled
 flaky toolchain/driver hiccup, or an injected ``build-fail`` fault from
-an installed chaos plan — is retried up to ``plan_retries`` times
+an installed chaos plan — is retried up to :data:`PLAN_RETRIES` times
 (``dispatch_plan_retries_total`` counts the attempts) before the error
 surfaces.  The backoff between attempts is virtual, like every other
 latency in the model — retries are counted, not slept.
@@ -55,6 +55,9 @@ __all__ = ["KernelPlan", "Dispatcher", "DEFAULT_BACKENDS"]
 #: Backend routing order (ties in predicted time break toward the first):
 #: every name in the default kernel-backend registry, registration order.
 DEFAULT_BACKENDS = default_registry().names()
+
+#: Retries of a plan build that raised a transient backend error.
+PLAN_RETRIES = 2
 
 
 @dataclass
@@ -108,13 +111,11 @@ class Dispatcher:
         self,
         arch: GPUArchitecture = KEPLER_K40M,
         cache: Optional[PlanCache] = None,
-        model: Optional[TimingModel] = None,
         backends: Optional[Sequence[str]] = None,
         registry: Optional[Registry] = None,
         tracer: Optional[Tracer] = None,
         kernels: Optional[BackendRegistry] = None,
         chaos=None,
-        plan_retries: int = 2,
     ):
         self.kernels = kernels if kernels is not None else default_registry()
         if backends is None:
@@ -127,7 +128,7 @@ class Dispatcher:
         self.arch = arch
         self.cache = cache if cache is not None else PlanCache(
             registry=registry)
-        self.model = model or TimingModel(arch)
+        self.model = TimingModel(arch)
         self.registry = registry if registry is not None else Registry()
         self.tracer = tracer
         self._planned = self.registry.counter(
@@ -146,10 +147,6 @@ class Dispatcher:
             "Backends dropped from a plan build because configure, build "
             "or predict raised, by backend and stage",
             labelnames=("backend", "stage"))
-        if plan_retries < 0:
-            raise ReproError("plan_retries must be >= 0, got %d"
-                             % plan_retries)
-        self.plan_retries = plan_retries
         self.chaos = chaos       # optional FaultInjector (build-fail hook)
         # The naive backend is the degradation target; it is always on
         # (the registry's ``available`` re-appends it when filtered out).
@@ -207,7 +204,7 @@ class Dispatcher:
         """:meth:`build_plan` with bounded transient-failure retry.
 
         A :class:`~repro.errors.TransientBackendError` (real or
-        injected) is retried up to ``plan_retries`` times; anything
+        injected) is retried up to :data:`PLAN_RETRIES` times; anything
         else — and the final transient failure — surfaces unchanged.
         """
         attempt = 0
@@ -215,7 +212,7 @@ class Dispatcher:
             try:
                 return self.build_plan(problem)
             except TransientBackendError:
-                if attempt >= self.plan_retries:
+                if attempt >= PLAN_RETRIES:
                     raise
                 attempt += 1
                 self._plan_retries.inc()

@@ -51,9 +51,7 @@ class ServeEngine:
         arch: GPUArchitecture = KEPLER_K40M,
         deadline_s: float = 1e-3,
         max_batch: int = 32,
-        cache_capacity: int = 128,
         backends: Optional[Sequence[str]] = None,
-        dispatcher: Optional[Dispatcher] = None,
         registry: Optional[Registry] = None,
         tracer: Optional[Tracer] = None,
     ):
@@ -67,8 +65,8 @@ class ServeEngine:
         self.batcher = DynamicBatcher(
             deadline_s=deadline_s, max_batch=max_batch,
             registry=self.registry)
-        self.dispatcher = dispatcher or Dispatcher(
-            arch, cache=PlanCache(cache_capacity, registry=self.registry),
+        self.dispatcher = Dispatcher(
+            arch, cache=PlanCache(registry=self.registry),
             backends=backends, registry=self.registry, tracer=tracer,
         )
         self._stats = ServeStats(clock_hz=arch.clock_hz,

@@ -19,20 +19,18 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Optional, Tuple
 
-from repro.errors import ReproError
 from repro.obs.metrics import Registry
 
 __all__ = ["PlanCache"]
+
+#: Plans one cache holds before the least recently used is evicted.
+CAPACITY = 128
 
 
 class PlanCache:
     """Bounded LRU mapping of plan keys to planned backends."""
 
-    def __init__(self, capacity: int = 128,
-                 registry: Optional[Registry] = None):
-        if capacity < 1:
-            raise ReproError("plan cache capacity must be at least 1")
-        self.capacity = capacity
+    def __init__(self, registry: Optional[Registry] = None):
         self.registry = registry if registry is not None else Registry()
         self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
         self._hits = self.registry.counter(
@@ -85,7 +83,7 @@ class PlanCache:
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = plan
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > CAPACITY:
             self._entries.popitem(last=False)
             self._evictions.inc()
         self._entries_gauge.set(len(self._entries))
@@ -111,7 +109,7 @@ class PlanCache:
 
     def stats(self) -> dict:
         return {
-            "capacity": self.capacity,
+            "capacity": CAPACITY,
             "entries": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,

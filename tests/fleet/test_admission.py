@@ -5,6 +5,7 @@ import pytest
 from repro.conv.tensors import ConvProblem
 from repro.errors import ReproError
 from repro.fleet import AdmissionController, FleetRouter
+from repro.fleet import admission
 from repro.obs.metrics import Registry
 from repro.serve.request import ConvRequest
 
@@ -166,8 +167,9 @@ class TestEdgeCases:
 
 
 class TestShedRecordRingBuffer:
-    def test_detail_bounded_but_counters_exact(self):
-        ctl = controller(replicas=1, queue_depth=1, shed_record_cap=5)
+    def test_detail_bounded_but_counters_exact(self, monkeypatch):
+        monkeypatch.setattr(admission, "DEFAULT_SHED_RECORD_CAP", 5)
+        ctl = controller(replicas=1, queue_depth=1)
         ctl.admit(make_request(0))
         for req_id in range(1, 13):
             assert ctl.admit(make_request(req_id)) is None
@@ -181,11 +183,7 @@ class TestShedRecordRingBuffer:
         from repro.fleet import DEFAULT_SHED_RECORD_CAP
 
         assert DEFAULT_SHED_RECORD_CAP == 10_000
-        assert controller().shed_record_cap == 10_000
-
-    def test_cap_validated(self):
-        with pytest.raises(ReproError, match="shed record cap"):
-            controller(shed_record_cap=0)
+        assert controller().stats()["shed_record_cap"] == 10_000
 
     def test_record_abandoned_uses_failed_reason(self):
         ctl = controller()

@@ -13,6 +13,7 @@ from repro.chaos import CHAOS_ENV, FaultInjector, FaultPlan
 from repro.errors import ReproError
 from repro.fleet import FleetConfig, FleetEngine
 from repro.fleet import engine as fleet_engine
+from repro.fleet import health as fleet_health
 from repro.obs import Tracer
 from repro.serve import synthetic_trace
 
@@ -86,8 +87,7 @@ class TestFailover:
         # One replica, crash fires on every attempt: the shard runs out
         # of failover rounds and every admitted request is accounted as
         # a "failed" shed -- never silently lost.
-        engine = fleet(replicas=1, chaos="crash:replica=0,times=99",
-                       failover_retries=2)
+        engine = fleet(replicas=1, chaos="crash:replica=0,times=99")
         reqs = trace(24)
         result = engine.serve_trace(reqs)
         assert result.served == 0
@@ -95,10 +95,10 @@ class TestFailover:
         assert result.served + result.shed_count == len(reqs)
         assert all(r.reason == "failed" for r in result.abandoned)
 
-    def test_breaker_open_reroutes_before_dispatch(self):
-        engine = fleet(chaos="crash:replica=1,times=3",
-                       breaker_threshold=1, failover_retries=1,
-                       breaker_cooldown_s=1e9)
+    def test_breaker_open_reroutes_before_dispatch(self, monkeypatch):
+        monkeypatch.setattr(fleet_engine, "FAILOVER_RETRIES", 1)
+        monkeypatch.setattr(fleet_health, "BREAKER_COOLDOWN_S", 1e9)
+        engine = fleet(chaos="crash:replica=1,times=3", breaker_threshold=1)
         engine.serve_trace(trace(40))           # trips replica 1's breaker
         result = engine.serve_trace(trace(40))  # shard re-homed pre-dispatch
         assert result.served == 40
@@ -221,18 +221,8 @@ class TestClockAndConfig:
         assert fleet().chaos is None
 
     def test_resilience_config_validated(self):
-        for bad in (dict(failover_retries=-1), dict(retry_backoff_s=-1.0),
-                    dict(breaker_threshold=0), dict(breaker_cooldown_s=0.0),
-                    dict(plan_retries=-1), dict(hedge_factor=1.0),
-                    dict(shed_record_cap=0)):
-            with pytest.raises(ReproError):
-                FleetConfig(**bad)
-
-    def test_shed_record_cap_flows_to_admission(self):
-        engine = fleet(replicas=1, queue_depth=1, shed_record_cap=3)
-        engine.serve_trace(trace(40))
-        assert len(engine.admission.shed_records) == 3
-        assert engine.admission.shed == 40 - engine.admission.admitted
+        with pytest.raises(ReproError):
+            FleetConfig(breaker_threshold=0)
 
 
 class TestStatsSurface:

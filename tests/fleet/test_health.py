@@ -4,26 +4,31 @@ import pytest
 
 from repro.errors import ReproError
 from repro.fleet import DEGRADATION_LEVELS, CircuitBreaker, HealthTracker
+from repro.fleet import health as fleet_health
 from repro.obs.metrics import Registry
 
 
 class TestCircuitBreaker:
+    @pytest.fixture(autouse=True)
+    def one_second_cooldown(self, monkeypatch):
+        monkeypatch.setattr(fleet_health, "BREAKER_COOLDOWN_S", 1.0)
+
     def test_trips_after_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_s=1.0)
+        breaker = CircuitBreaker(failure_threshold=3)
         assert breaker.record_failure(0.0) is None
         assert breaker.record_failure(0.0) is None
         assert breaker.record_failure(0.0) == "open"
         assert not breaker.allow(0.5)
 
     def test_success_resets_the_count(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_s=1.0)
+        breaker = CircuitBreaker(failure_threshold=2)
         breaker.record_failure(0.0)
         breaker.record_success(0.0)
         assert breaker.record_failure(0.0) is None
         assert breaker.state(0.0) == "closed"
 
     def test_half_open_after_cooldown_then_probe_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=1.0)
+        breaker = CircuitBreaker(failure_threshold=1)
         breaker.record_failure(0.0)
         assert breaker.state(0.5) == "open"
         assert breaker.state(1.0) == "half-open"
@@ -31,7 +36,7 @@ class TestCircuitBreaker:
         assert breaker.record_success(1.0) == "closed"
 
     def test_failed_probe_reopens_with_fresh_cooldown(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=1.0)
+        breaker = CircuitBreaker(failure_threshold=1)
         breaker.record_failure(0.0)
         assert breaker.state(1.0) == "half-open"
         assert breaker.record_failure(1.0) == "open"
@@ -41,8 +46,6 @@ class TestCircuitBreaker:
     def test_validation(self):
         with pytest.raises(ReproError):
             CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ReproError):
-            CircuitBreaker(cooldown_s=0.0)
 
 
 class TestHealthTracker:
@@ -72,7 +75,7 @@ class TestHealthTracker:
             "fleet_breaker_transitions_total").value(replica="0", to="open") == 1
 
     def test_degradation_levels(self):
-        health = self.tracker(failure_threshold=1, cooldown_s=10.0)
+        health = self.tracker(failure_threshold=1)
         assert health.degradation(0.0) == "healthy"
         health.record_failover("crash")
         assert health.degradation(0.0) == "degraded"
@@ -90,7 +93,7 @@ class TestHealthTracker:
         assert health.degradation(0.0) == "healthy"
 
     def test_open_breaker_recovers_through_virtual_time(self):
-        health = self.tracker(failure_threshold=1, cooldown_s=0.05)
+        health = self.tracker(failure_threshold=1)
         health.record_failure(2, "crash", 0.0)
         assert not health.allow(2, 0.01)
         assert health.allow(2, 0.06)          # half-open probe allowed

@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.errors import ReproError
 from repro.fleet import SharedPlanCache, cache_version_token
+from repro.fleet import shared_cache
 from repro.gpu.arch import KEPLER_K40M, MAXWELL_GM204
 from repro.obs.metrics import Registry
 
@@ -67,8 +67,9 @@ class TestSharedPlanCache:
         counter = registry.get("fleet_shared_cache_invalidations_total")
         assert counter.value(reason="preset-change") == 1
 
-    def test_lru_eviction_at_capacity(self):
-        cache = SharedPlanCache(capacity=2)
+    def test_lru_eviction_at_capacity(self, monkeypatch):
+        monkeypatch.setattr(shared_cache, "CAPACITY", 2)
+        cache = SharedPlanCache()
         cache.publish("tok", ("a",), 1)
         cache.publish("tok", ("b",), 2)
         cache.lookup("tok", ("a",))          # refresh a; b is now LRU
@@ -77,10 +78,6 @@ class TestSharedPlanCache:
         assert cache.lookup("tok", ("a",)) == 1
         assert cache.stats()["evictions"] == 1
 
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ReproError):
-            SharedPlanCache(capacity=0)
-
     def test_stats_keys(self):
         stats = SharedPlanCache().stats()
         assert set(stats) == {
@@ -88,6 +85,7 @@ class TestSharedPlanCache:
             "evictions", "invalidations", "corruptions",
             "version_skews", "hit_rate",
         }
+        assert stats["capacity"] == 1024
 
     def test_entries_gauge_tracks_population(self):
         registry = Registry()

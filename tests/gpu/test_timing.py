@@ -7,7 +7,13 @@ import pytest
 
 from repro.errors import TraceError
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import (
+    COMPUTE_EFFICIENCY,
+    ETA_MAX,
+    LAUNCH_OVERHEAD_S,
+    TimingBreakdown,
+    TimingModel,
+)
 from repro.gpu.trace import KernelCost, KernelTracer
 
 
@@ -29,7 +35,7 @@ class TestComponents:
         model = TimingModel(kepler)
         cost = make_cost(kepler, flops=1e9)
         tb = model.evaluate(cost)
-        expected = 1e9 / (kepler.peak_sp_gflops * 1e9 * model.compute_efficiency)
+        expected = 1e9 / (kepler.peak_sp_gflops * 1e9 * COMPUTE_EFFICIENCY)
         assert tb.t_compute == pytest.approx(expected)
         assert tb.bound_by == "compute"
 
@@ -61,7 +67,7 @@ class TestComponents:
     def test_launch_overhead_floor(self, kepler):
         model = TimingModel(kepler)
         cost = make_cost(kepler, flops=1.0)
-        assert model.evaluate(cost).total >= model.launch_overhead_s
+        assert model.evaluate(cost).total >= LAUNCH_OVERHEAD_S
 
 
 class TestOverlap:
@@ -80,7 +86,7 @@ class TestOverlap:
     def test_eta_bounded(self, kepler):
         model = TimingModel(kepler)
         tb = model.evaluate(make_cost(kepler, flops=1e9))
-        assert 0.0 <= tb.eta <= model.eta_max
+        assert 0.0 <= tb.eta <= ETA_MAX
 
 
 class TestWaves:

@@ -14,6 +14,7 @@ from repro.obs import (
     reset_registry,
     set_registry,
 )
+from repro.obs import metrics
 
 
 class TestCounter:
@@ -108,8 +109,9 @@ class TestHistogram:
         assert counts == [1, 2, 3, 4]
         assert counts == sorted(counts)
 
-    def test_deterministic_decimation_bounds_memory(self):
-        h = Histogram("x", max_samples=64)
+    def test_deterministic_decimation_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_SAMPLES", 64)
+        h = Histogram("x")
         for v in range(10_000):
             h.observe(float(v))
         assert h.count() == 10_000
@@ -133,8 +135,12 @@ class TestHistogram:
 class TestHistogramTruncation:
     """Reservoir-truncated quantiles must say they are estimates."""
 
+    @pytest.fixture(autouse=True)
+    def small_reservoir(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_SAMPLES", 64)
+
     def test_exact_until_reservoir_fills(self):
-        h = Histogram("x", max_samples=64)
+        h = Histogram("x")
         for v in range(64):
             h.observe(float(v))
         assert h.observed_count() == h.sample_count() == 64
@@ -145,7 +151,7 @@ class TestHistogramTruncation:
         assert "quantiles" not in series
 
     def test_observed_vs_sample_count_diverge_after_truncation(self):
-        h = Histogram("x", max_samples=64)
+        h = Histogram("x")
         for v in range(1000):
             h.observe(float(v))
         assert h.observed_count() == 1000
@@ -155,7 +161,7 @@ class TestHistogramTruncation:
         assert h.count() == 1000
 
     def test_collect_marks_estimated_quantiles(self):
-        h = Histogram("x", max_samples=64)
+        h = Histogram("x")
         for v in range(1000):
             h.observe(float(v))
         series = h.collect()["series"][0]["value"]
@@ -167,7 +173,7 @@ class TestHistogramTruncation:
         assert q["p50"] <= q["p95"] <= q["p99"]
 
     def test_estimated_is_per_labeled_series(self):
-        h = Histogram("x", labelnames=("k",), max_samples=64)
+        h = Histogram("x", labelnames=("k",))
         for v in range(1000):
             h.observe(float(v), k="big")
         h.observe(1.0, k="small")
@@ -279,10 +285,11 @@ class TestRegistryMerge:
         assert series["min"] == 0.001
         assert series["max"] == 0.008
 
-    def test_histogram_samples_append_and_redecimate(self):
+    def test_histogram_samples_append_and_redecimate(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_SAMPLES", 4)
         target, other = Registry(), Registry()
         for registry, start in ((target, 0), (other, 100)):
-            hist = registry.histogram("snap_sizes", max_samples=4)
+            hist = registry.histogram("snap_sizes")
             for v in range(start, start + 3):
                 hist.observe(v)
         target.merge(other)

@@ -12,6 +12,7 @@ from repro.obs import (
     reset_tracer,
     set_tracer,
 )
+from repro.obs import tracing
 
 
 class TestWallSpans:
@@ -73,15 +74,17 @@ class TestVirtualSpans:
 
 
 class TestBufferBounds:
-    def test_drops_beyond_cap(self):
-        tracer = Tracer(max_spans=3)
+    def test_drops_beyond_cap(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 3)
+        tracer = Tracer()
         for i in range(5):
             tracer.add_span("s%d" % i, "c", float(i), 0.5)
         assert len(tracer) == 3
         assert tracer.dropped == 2
 
-    def test_clear_resets(self):
-        tracer = Tracer(max_spans=1)
+    def test_clear_resets(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 1)
+        tracer = Tracer()
         tracer.add_span("a", "c", 0.0, 1.0)
         tracer.add_span("b", "c", 0.0, 1.0)
         tracer.clear()

@@ -4,11 +4,12 @@ bit-identical batched execution."""
 import numpy as np
 import pytest
 
+from repro.chaos import FaultInjector, FaultPlan
 from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem
 from repro.core.bankwidth import matched_vector
 from repro.core.dse import _general_palette, enumerate_special_configs
-from repro.errors import ReproError
+from repro.errors import ReproError, TransientBackendError
 from repro.gpu.arch import FERMI_M2090, KEPLER_K40M
 from repro.kernels import (
     BackendRegistry, NaiveBackend, register_builtin_backends,
@@ -315,3 +316,36 @@ class TestRejectionAccounting:
         rejections = dispatcher.registry.get(
             "dispatch_backend_rejections_total")
         assert rejections.total() == 0
+
+
+class TestPlanRetries:
+    """A transient plan-build failure is retried ``PLAN_RETRIES`` times
+    (counted in ``dispatch_plan_retries_total``), then surfaces."""
+
+    @staticmethod
+    def failing(times):
+        return Dispatcher(chaos=FaultInjector(
+            FaultPlan.parse("build-fail:times=%d" % times), 1))
+
+    @staticmethod
+    def retries(dispatcher):
+        return dispatcher.registry.get("dispatch_plan_retries_total").total()
+
+    def test_recovers_within_the_budget(self):
+        dispatcher = self.failing(dispatch.PLAN_RETRIES)
+        plan = dispatcher.build_plan_retrying(SPECIAL)
+        assert plan.backend in DEFAULT_BACKENDS
+        assert self.retries(dispatcher) == dispatch.PLAN_RETRIES == 2
+
+    def test_exhausted_budget_surfaces_the_error(self):
+        dispatcher = self.failing(dispatch.PLAN_RETRIES + 1)
+        with pytest.raises(TransientBackendError):
+            dispatcher.build_plan_retrying(SPECIAL)
+        assert self.retries(dispatcher) == dispatch.PLAN_RETRIES
+
+    def test_budget_is_read_at_call_time(self, monkeypatch):
+        dispatcher = self.failing(1)
+        monkeypatch.setattr(dispatch, "PLAN_RETRIES", 0)
+        with pytest.raises(TransientBackendError):
+            dispatcher.build_plan_retrying(SPECIAL)
+        assert self.retries(dispatcher) == 0

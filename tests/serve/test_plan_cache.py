@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ReproError
+from repro.serve import plan_cache
 from repro.serve.plan_cache import PlanCache
 
 
@@ -50,8 +50,12 @@ class TestHitMiss:
 
 
 class TestLRUEviction:
+    @pytest.fixture(autouse=True)
+    def two_entries(self, monkeypatch):
+        monkeypatch.setattr(plan_cache, "CAPACITY", 2)
+
     def test_evicts_least_recently_used(self):
-        cache = PlanCache(capacity=2)
+        cache = PlanCache()
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("c", 3)           # evicts "a"
@@ -60,7 +64,7 @@ class TestLRUEviction:
         assert cache.evictions == 1
 
     def test_lookup_refreshes_recency(self):
-        cache = PlanCache(capacity=2)
+        cache = PlanCache()
         cache.put("a", 1)
         cache.put("b", 2)
         cache.lookup("a")           # "b" becomes the LRU entry
@@ -68,7 +72,7 @@ class TestLRUEviction:
         assert "a" in cache and "b" not in cache
 
     def test_put_refreshes_recency(self):
-        cache = PlanCache(capacity=2)
+        cache = PlanCache()
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)          # refresh, not insert
@@ -77,26 +81,23 @@ class TestLRUEviction:
         assert "b" not in cache
         assert len(cache) == 2
 
-    def test_capacity_one(self):
-        cache = PlanCache(capacity=1)
+    def test_capacity_one(self, monkeypatch):
+        monkeypatch.setattr(plan_cache, "CAPACITY", 1)
+        cache = PlanCache()
         cache.put("a", 1)
         cache.put("b", 2)
         assert len(cache) == 1 and "b" in cache
 
-    def test_invalid_capacity(self):
-        with pytest.raises(ReproError):
-            PlanCache(capacity=0)
-
 
 class TestStats:
     def test_stats_dict(self):
-        cache = PlanCache(capacity=2)
+        cache = PlanCache()
         cache.put("a", 1)
         cache.lookup("a")
         cache.lookup("b")
         stats = cache.stats()
         assert stats == {
-            "capacity": 2, "entries": 1, "hits": 1, "misses": 1,
+            "capacity": 128, "entries": 1, "hits": 1, "misses": 1,
             "evictions": 0, "hit_rate": 0.5,
         }
 
@@ -114,7 +115,7 @@ class TestRegistryGauges:
         from repro.obs.metrics import Registry
 
         registry = Registry()
-        cache = PlanCache(capacity=4, registry=registry)
+        cache = PlanCache(registry=registry)
         gauge = registry.get("plan_cache_hit_rate")
         assert gauge is not None and gauge.value() == 0.0
         cache.put("a", 1)
@@ -123,11 +124,12 @@ class TestRegistryGauges:
         cache.lookup("b")
         assert gauge.value() == 0.5
 
-    def test_eviction_counter_in_registry(self):
+    def test_eviction_counter_in_registry(self, monkeypatch):
         from repro.obs.metrics import Registry
 
+        monkeypatch.setattr(plan_cache, "CAPACITY", 1)
         registry = Registry()
-        cache = PlanCache(capacity=1, registry=registry)
+        cache = PlanCache(registry=registry)
         cache.put("a", 1)
         cache.put("b", 2)
         assert registry.get("plan_cache_evictions_total").total() == 1

@@ -20,6 +20,7 @@ from repro.baselines import (
     WinogradConvolution,
 )
 from repro.core.config import GeneralCaseConfig, SpecialCaseConfig
+from repro.gpu import timing
 from repro.gpu.timing import TimingModel
 
 
@@ -75,12 +76,13 @@ class TestCostPipeline:
         assert tb.total > 0
         assert kernel.gflops(p) > 0
 
-    def test_custom_timing_model_accepted(self):
+    def test_custom_timing_model_accepted(self, monkeypatch):
         p = ConvProblem.square(64, 3, channels=16, filters=32)
-        slow = TimingModel(repro.KEPLER_K40M, compute_efficiency=0.35)
-        fast = TimingModel(repro.KEPLER_K40M, compute_efficiency=0.70)
+        model = TimingModel(repro.KEPLER_K40M)
         kern = GeneralCaseKernel()
-        assert kern.gflops(p, slow) <= kern.gflops(p, fast)
+        fast = kern.gflops(p, model)
+        monkeypatch.setattr(timing, "COMPUTE_EFFICIENCY", 0.35)
+        assert kern.gflops(p, model) <= fast
 
 
 class TestCrossArchitecture:

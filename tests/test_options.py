@@ -1,0 +1,87 @@
+"""Pin the settable surface of the serving, fleet, timing and telemetry
+constructors.
+
+Bounds, retry budgets and model calibration are module constants, read
+where they are used; only the values a caller really varies are
+parameters.  Adding a parameter or a config field means editing the
+written lists here on purpose.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from repro.baselines.implicit_gemm import ImplicitGemmKernel
+from repro.core.dse import explore_special
+from repro.fleet import (
+    AdmissionController,
+    CircuitBreaker,
+    FleetConfig,
+    HealthTracker,
+    SharedPlanCache,
+)
+from repro.fleet import admission, engine, health, shared_cache
+from repro.gpu import timing
+from repro.gpu.timing import TimingModel
+from repro.gpu.trace import KernelTracer
+from repro.kernels import BackendRegistry
+from repro.kernels import registry as kernel_registry
+from repro.obs import metrics, tracing
+from repro.obs.metrics import Histogram, Registry
+from repro.obs.tracing import Tracer
+from repro.serve import dispatch, plan_cache
+from repro.serve.dispatch import Dispatcher
+from repro.serve.engine import ServeEngine
+from repro.serve.plan_cache import PlanCache
+
+
+def test_fleet_config_fields():
+    assert [f.name for f in dataclasses.fields(FleetConfig)] == [
+        "arch", "replicas", "deadline_s", "max_batch", "backends",
+        "queue_depth", "breaker_threshold", "hedge",
+    ]
+
+
+SIGNATURES = [
+    (TimingModel, ["arch", "registry"]),
+    (ServeEngine, ["arch", "deadline_s", "max_batch", "backends",
+                   "registry", "tracer"]),
+    (Dispatcher, ["arch", "cache", "backends", "registry", "tracer",
+                  "kernels", "chaos"]),
+    (PlanCache, ["registry"]),
+    (SharedPlanCache, ["registry"]),
+    (AdmissionController, ["router", "queue_depth", "window_s",
+                           "registry"]),
+    (HealthTracker, ["n_replicas", "registry", "failure_threshold"]),
+    (CircuitBreaker, ["failure_threshold"]),
+    (BackendRegistry, []),
+    (Tracer, []),
+    (Histogram, ["name", "help", "labelnames", "buckets"]),
+    (Registry.histogram, ["name", "help", "labelnames", "buckets"]),
+    (ImplicitGemmKernel, ["arch", "tiling", "bank_policy"]),
+    (explore_special, ["arch", "problem"]),
+    (KernelTracer.finish, ["name", "launch", "software_prefetch"]),
+]
+
+
+@pytest.mark.parametrize("target,expected", SIGNATURES,
+                         ids=[t.__qualname__ for t, _ in SIGNATURES])
+def test_parameters(target, expected):
+    names = list(inspect.signature(target).parameters)
+    assert [n for n in names if n != "self"] == expected
+
+
+def test_fixed_values():
+    assert (timing.LAUNCH_OVERHEAD_S, timing.SYNC_CYCLES, timing.HIDE_WARPS,
+            timing.HIDE_WARPS_PREFETCH, timing.SAT_WARPS, timing.ETA_MAX,
+            timing.COMPUTE_EFFICIENCY) == (5e-6, 30.0, 16.0, 6.0, 8.0,
+                                           0.92, 0.70)
+    assert (plan_cache.CAPACITY, shared_cache.CAPACITY) == (128, 1024)
+    assert (dispatch.PLAN_RETRIES, engine.FAILOVER_RETRIES,
+            engine.RETRY_BACKOFF_S, health.BREAKER_COOLDOWN_S) == (
+                2, 2, 1e-3, 0.05)
+    assert admission.DEFAULT_SHED_RECORD_CAP == 10_000
+    assert (tracing.MAX_SPANS, metrics.MAX_SAMPLES) == (100_000, 65536)
+    assert kernel_registry.FALLBACK_BACKEND == BackendRegistry.fallback \
+        == "naive"

@@ -296,13 +296,13 @@ class TestTimingProperties:
     @settings(max_examples=80, deadline=None)
     def test_total_time_positive_and_bounded_below(self, flops, reqs, blocks,
                                                    threads):
-        from repro.gpu.timing import TimingModel
+        from repro.gpu.timing import ETA_MAX, TimingModel
 
         model = TimingModel(KEPLER_K40M)
         tb = model.evaluate(self._cost(flops, reqs, blocks, threads))
         assert tb.total > 0
         assert tb.total >= max(tb.t_compute, tb.t_gmem, tb.t_smem)
-        assert 0.0 <= tb.eta <= model.eta_max
+        assert 0.0 <= tb.eta <= ETA_MAX
 
     @given(st.floats(min_value=1e6, max_value=1e11),
            st.integers(min_value=1, max_value=10000))
