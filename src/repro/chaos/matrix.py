@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 from repro.chaos.plan import FaultKind, FaultPlan
 from repro.errors import ChaosError
 from repro.fleet.engine import FleetConfig, FleetEngine
-from repro.fleet.health import BREAKER_COOLDOWN_S
+from repro.fleet.health import BREAKER_COOLDOWN_S, BREAKER_THRESHOLD
 from repro.fleet.shared_cache import SharedPlanCache
 from repro.serve.trace import DEFAULT_SERVING_SHAPES, synthetic_trace
 
@@ -41,8 +41,8 @@ __all__ = ["MATRICES", "run_matrix", "run_scenario", "format_chaos_report"]
 
 
 def _scenario(name, chaos, n_requests, kinds, replicas=4, replays=1,
-              hedge=False, breaker_threshold=3, warm_shared="no",
-              reader_fleet=False, expect_failovers=False,
+              hedge=False, breaker_threshold=BREAKER_THRESHOLD,
+              warm_shared="no", reader_fleet=False, expect_failovers=False,
               expect_hedges=False, expect_corruptions=False,
               expect_skews=False):
     """One matrix row; plain dict so matrices are data, not code.

@@ -8,14 +8,17 @@ divisibility constraints or cannot be resident on the device, evaluates
 each survivor with the traced cost model + timing model on a
 representative workload, and ranks them.  ``reproduce_table1`` runs the
 search for the paper's three filter sizes and reports our best
-configuration next to the paper's.
+configuration next to the paper's.  A caller that needs only the winner,
+and only when it comes in under a time limit (the serving dispatcher),
+passes ``limit=`` and gets a branch-and-bound search over the kernels'
+floors instead (docs/SIMULATOR.md, "Floors and the bounded search").
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.conv.tensors import ConvProblem
 from repro.core.config import GeneralCaseConfig, SpecialCaseConfig, TABLE1_CONFIGS
@@ -121,59 +124,170 @@ def enumerate_general_configs(
 # Ranking
 # ----------------------------------------------------------------------
 
-def _rank(configs, problem, arch, case: str = "general") -> List[RankedConfig]:
-    """Price candidates in order and sort them, best first (stable).
+class _Pricer:
+    """One search's per-candidate pricing and accounting, shared by the
+    full ranking and the bounded search: one timing model, the
+    ``dse_candidates_total`` counter resolved once, and the tallies the
+    ``dse:<case>`` span reports."""
+
+    REJECTED = (ConfigurationError, LaunchConfigError, ResourceError)
+
+    def __init__(self, problem: ConvProblem, arch: GPUArchitecture,
+                 case: str):
+        self.problem = problem
+        self.flops = problem.flops
+        self.model = TimingModel(arch)
+        self.case = case
+        self.counter = get_registry().counter(
+            "dse_candidates_total",
+            "Design-space candidates evaluated, by kernel case and outcome",
+            labelnames=("case", "outcome"))
+        self.ok = 0
+        self.rejected: dict = {}
+
+    def _reject(self, exc: Exception) -> None:
+        name = type(exc).__name__
+        self.rejected[name] = self.rejected.get(name, 0) + 1
+        self.counter.inc_key((self.case, "rejected"))
+
+    def floor(self, kernel) -> Optional[float]:
+        """The kernel's floor time, or None with the rejection counted
+        (a floor raises exactly what its price would)."""
+        try:
+            return self.model.evaluate(kernel.floor(self.problem)).total
+        except self.REJECTED as exc:
+            self._reject(exc)
+            return None
+
+    def price(self, cfg, kernel) -> Optional[Tuple[float, RankedConfig]]:
+        """``(seconds, ranked config)``, or None with the rejection
+        counted."""
+        try:
+            breakdown = kernel.predict(self.problem, self.model)
+        except self.REJECTED as exc:
+            self._reject(exc)
+            return None
+        self.ok += 1
+        self.counter.inc_key((self.case, "ok"))
+        return breakdown.total, RankedConfig(
+            config=cfg,
+            gflops=breakdown.gflops(self.flops),
+            occupancy=breakdown.occupancy_fraction,
+            bound_by=breakdown.bound_by,
+        )
+
+
+def _rank_all(configs, kernel_cls, arch, pricer: _Pricer) -> List[RankedConfig]:
+    """Every candidate priced and sorted by GFlop/s, best first (stable:
+    the earlier candidate wins a tie)."""
+    ranked = []
+    for cfg in configs:
+        priced = pricer.price(cfg, kernel_cls(arch=arch, config=cfg))
+        if priced is not None:
+            ranked.append(priced[1])
+    ranked.sort(key=lambda r: r.gflops, reverse=True)
+    return ranked
+
+
+def _bounded(configs, kernel_cls, arch, pricer: _Pricer,
+             limit: float) -> Tuple[List[RankedConfig], int]:
+    """The branch-and-bound winner search: ``([winner] or [], pruned)``.
+
+    Every candidate's floor is priced first, then the candidates in
+    ``(floor time, index)`` order.  A floor never exceeds the price
+    (docs/SIMULATOR.md), so once a candidate's GFlop/s ceiling
+    ``flops / floor / 1e9`` is strictly below the best priced GFlop/s,
+    or below ``flops / limit / 1e9``, neither it nor any later one can
+    beat or tie the best, or come in at or under ``limit``: the search
+    stops there.  The winner is the full ranking's first entry (highest
+    GFlop/s, earliest index on a tie), returned only when it takes at
+    most ``limit`` seconds.
+    """
+    floors = []
+    for index, cfg in enumerate(configs):
+        kernel = kernel_cls(arch=arch, config=cfg)
+        seconds = pricer.floor(kernel)
+        if seconds is not None:
+            floors.append((seconds, index, cfg, kernel))
+    floors.sort(key=lambda f: f[:2])
+    flops = pricer.flops
+    bar = flops / limit / 1e9
+    best = None                 # (index, seconds, RankedConfig)
+    priced = 0
+    for seconds, index, cfg, kernel in floors:
+        if flops / seconds / 1e9 < bar:
+            break
+        priced += 1
+        result = pricer.price(cfg, kernel)
+        if result is None:
+            continue
+        gflops = result[1].gflops
+        if (best is None or gflops > best[2].gflops
+                or (gflops == best[2].gflops and index < best[0])):
+            best = (index,) + result
+            bar = max(bar, gflops)
+    ranked = [best[2]] if best is not None and best[1] <= limit else []
+    return ranked, len(floors) - priced
+
+
+def _rank(configs, problem, arch, case: str = "general",
+          limit: Optional[float] = None) -> List[RankedConfig]:
+    """Rank candidates, or with a ``limit`` find only the winner.
+
+    With ``limit=None`` every candidate is priced and ranked, best
+    first.  With a limit in seconds (``math.inf`` allowed) the search
+    is bounded (:func:`_bounded`): ``[winner]`` when the full ranking's
+    first entry takes at most ``limit`` seconds, ``[]`` when it takes
+    longer, and :class:`ConfigurationError` when no candidate is valid.
 
     Telemetry is per search: one ``dse:<case>`` wall span summarizing
-    the outcome, and a ``dse_candidates_total`` increment per candidate.
+    the outcome, a ``dse_candidates_total`` increment per priced
+    candidate and, for a bounded search, the unpriced ones in
+    ``dse_candidates_pruned_total``.
     """
     from repro.core.general import GeneralCaseKernel
     from repro.core.special import SpecialCaseKernel
 
     kernel_cls = SpecialCaseKernel if case == "special" else GeneralCaseKernel
-    model = TimingModel(arch)
-    candidates = get_registry().counter(
-        "dse_candidates_total",
-        "Design-space candidates evaluated, by kernel case and outcome",
-        labelnames=("case", "outcome"))
-    flops = problem.flops
-    ranked: List[RankedConfig] = []
-    rejected: dict = {}
+    pricer = _Pricer(problem, arch, case)
     with get_tracer().span("dse:%s" % case, category="dse",
                            args={"problem": problem.describe()}) as span:
-        for cfg in configs:
-            try:
-                breakdown = kernel_cls(arch=arch, config=cfg).predict(
-                    problem, model)
-            except (ConfigurationError, LaunchConfigError,
-                    ResourceError) as exc:
-                name = type(exc).__name__
-                rejected[name] = rejected.get(name, 0) + 1
-                candidates.inc_key((case, "rejected"))
-                continue
-            candidates.inc_key((case, "ok"))
-            ranked.append(RankedConfig(
-                config=cfg,
-                gflops=breakdown.gflops(flops),
-                occupancy=breakdown.occupancy_fraction,
-                bound_by=breakdown.bound_by,
-            ))
-        ranked.sort(key=lambda r: r.gflops, reverse=True)
-        span.update(candidates=len(ranked) + sum(rejected.values()),
-                    ok=len(ranked), rejected=rejected)
+        if limit is None:
+            ranked, pruned = _rank_all(configs, kernel_cls, arch, pricer), 0
+        else:
+            ranked, pruned = _bounded(configs, kernel_cls, arch, pricer,
+                                      limit)
+            get_registry().counter(
+                "dse_candidates_pruned_total",
+                "Design-space candidates a bounded search left unpriced, "
+                "by kernel case",
+                labelnames=("case",)).inc_key((case,), pruned)
+        span.update(candidates=pricer.ok + sum(pricer.rejected.values()),
+                    ok=pricer.ok, rejected=pricer.rejected, limit=limit,
+                    pruned=pruned)
         if ranked:
             span.update(winner=repr(ranked[0].config),
                         gflops=ranked[0].gflops, bound_by=ranked[0].bound_by)
+    if limit is not None and not (pricer.ok or pruned):
+        raise ConfigurationError(
+            "no valid %s-case configuration for %s"
+            % (case, problem.describe()))
     return ranked
 
 
 def explore_special(
     arch: GPUArchitecture = KEPLER_K40M,
     problem: Optional[ConvProblem] = None,
+    limit: Optional[float] = None,
 ) -> List[RankedConfig]:
-    """Rank special-case blocks; the paper's answer is W=256, H=8."""
+    """Rank special-case blocks; the paper's answer is W=256, H=8.
+
+    A ``limit`` in seconds makes it the bounded winner search
+    (:func:`_rank`).
+    """
     problem = problem or DEFAULT_SPECIAL_PROBLEM
-    return _rank(enumerate_special_configs(), problem, arch, case="special")
+    return _rank(enumerate_special_configs(), problem, arch, case="special",
+                 limit=limit)
 
 
 def explore_general(
@@ -181,15 +295,20 @@ def explore_general(
     arch: GPUArchitecture = KEPLER_K40M,
     problem: Optional[ConvProblem] = None,
     configs: Optional[Sequence[GeneralCaseConfig]] = None,
+    limit: Optional[float] = None,
 ) -> List[RankedConfig]:
-    """Rank general-case configurations for one filter size (Table 1)."""
+    """Rank general-case configurations for one filter size (Table 1).
+
+    A ``limit`` in seconds makes it the bounded winner search
+    (:func:`_rank`).
+    """
     from repro.core.bankwidth import matched_vector
 
     n = matched_vector(arch).n
     problem = problem or default_general_problem(kernel_size)
     if configs is None:
         configs = enumerate_general_configs(kernel_size, n, arch)
-    return _rank(configs, problem, arch, case="general")
+    return _rank(configs, problem, arch, case="general", limit=limit)
 
 
 def _general_palette(kernel_size: int, n: int) -> List[GeneralCaseConfig]:

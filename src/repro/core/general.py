@@ -32,7 +32,7 @@ from repro.conv.blocking import BlockGrid
 from repro.conv.tensors import ConvProblem, Padding
 from repro.core.bankwidth import DataType, matched_vector
 from repro.core.config import TABLE1_CONFIGS, GeneralCaseConfig
-from repro.errors import ConfigurationError, ReproError, ShapeError
+from repro.errors import ConfigurationError, ReproError, ShapeError, TraceError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
@@ -40,6 +40,7 @@ from repro.gpu.timing import TimingBreakdown, TimingModel
 from repro.gpu.trace import (
     KernelCost,
     KernelTracer,
+    TrafficLedger,
     cross_block_reuse,
     lane_batch,
     prepare_batch,
@@ -159,13 +160,19 @@ class GeneralCaseKernel:
 
     def launch_config(self, problem: ConvProblem) -> LaunchConfig:
         valid = self._check_problem(problem)
-        cfg = self.config_for(valid)
-        grid = BlockGrid(valid, cfg.block_spec())
-        fgroups = math.ceil(valid.filters / cfg.ftb)
+        return self._launch(valid, self.config_for(valid))
+
+    def _launch(self, valid: ConvProblem,
+                cfg: GeneralCaseConfig) -> LaunchConfig:
+        """The launch for an already-checked problem and configuration."""
         k = valid.kernel_size
         s, d = valid.stride, valid.dilation
+        # The output tiles of ``BlockGrid(valid, cfg.block_spec())``,
+        # counted without building the grid.
+        tiles = (math.ceil(valid.out_height / cfg.h)
+                 * math.ceil(valid.out_width / cfg.w))
         return LaunchConfig(
-            grid=Dim3(x=fgroups, y=grid.total_blocks),
+            grid=Dim3(x=math.ceil(valid.filters / cfg.ftb), y=tiles),
             block=Dim3(x=cfg.tx, y=cfg.ty),
             registers_per_thread=cfg.registers_per_thread(k, self.n, s, d),
             smem_per_block=cfg.smem_bytes(k, self.n, self.elem_bytes, s, d),
@@ -302,30 +309,50 @@ class GeneralCaseKernel:
     # ------------------------------------------------------------------
     # Traced cost
     # ------------------------------------------------------------------
-    def cost(self, problem: ConvProblem) -> KernelCost:
+    def floor(self, problem: ConvProblem) -> KernelCost:
+        """:meth:`cost` without its memory traffic: the same launch,
+        FLOPs, barriers and prefetch flag over an otherwise empty
+        ledger, whose modeled time never exceeds the cost's
+        (docs/SIMULATOR.md).  Raises what :meth:`cost` raises from its
+        problem and configuration checks; an invalid launch raises from
+        ``TimingModel.evaluate``."""
         valid = self._check_problem(problem)
-        cfg = self.config_for(valid)
+        return self._floor(
+            valid, self.config_for(valid),
+            TrafficLedger(gmem_segment_size=self.arch.gmem_transaction_size))
+
+    def _floor(self, valid: ConvProblem, cfg: GeneralCaseConfig,
+               ledger: TrafficLedger) -> KernelCost:
+        """The floor of an already-checked problem and configuration,
+        written to ``ledger``."""
         k = valid.kernel_size
         n = self.n
         s, d = valid.stride, valid.dilation
-        # The output tiles of ``BlockGrid(valid, cfg.block_spec())``,
-        # counted without building the grid.
-        tiles = (math.ceil(valid.out_height / cfg.h)
-                 * math.ceil(valid.out_width / cfg.w))
-        fgroups = math.ceil(valid.filters / cfg.ftb)
-        tx, ty = cfg.tx, cfg.ty
-        launch = LaunchConfig(
-            grid=Dim3(x=fgroups, y=tiles),
-            block=Dim3(x=tx, y=ty),
-            registers_per_thread=cfg.registers_per_thread(k, n, s, d),
-            smem_per_block=cfg.smem_bytes(k, n, self.elem_bytes, s, d),
-        )
-        blocks = float(tiles * fgroups)
-        threads = tx * ty
-        warps = math.ceil(threads / self.arch.warp_size)
-        c_total = valid.channels
-        chunks = math.ceil(c_total / cfg.csh)
+        launch = self._launch(valid, cfg)
+        blocks = float(launch.total_blocks)
+        chunks = math.ceil(valid.channels / cfg.csh)
+        # A thread's image register row is read as n-float units from
+        # its footprint row, pitch floats per staged row; rows off a
+        # unit boundary are a misaligned access, which the bank model
+        # rejects when ``cost`` folds the site.  Raising it here puts the
+        # same error in the floor, so a search that skips the fold still
+        # sees it (columns are unit-aligned: w and wt are multiples of n).
+        pitch = (cfg.w - 1) * s + d * (k - 1) + 1
+        if s * pitch % n and _misaligned_rows(
+                self.arch.warp_size, cfg.tx, cfg.ty, cfg.wt, cfg.w,
+                s * pitch, n):
+            raise TraceError("shared-memory accesses must be %d-byte aligned"
+                             % (n * self.elem_bytes))
+        ledger.flops = (2.0 * k * k * valid.channels * cfg.ftb * cfg.w
+                        * cfg.h * blocks)
+        ledger.syncthreads = (2.0 * chunks + 2.0) * blocks
+        return KernelCost(name=self.name, launch=launch, ledger=ledger,
+                          software_prefetch=True)
 
+    def cost(self, problem: ConvProblem) -> KernelCost:
+        """The floor plus every access site's traffic."""
+        valid = self._check_problem(problem)
+        cfg = self.config_for(valid)
         # Every site's warp requests depend only on the configuration and
         # a few problem dimensions, never on how often they run, so each
         # site is a prepared batch cached per geometry and folded with
@@ -334,6 +361,17 @@ class GeneralCaseKernel:
         # integers, so regrouping them would change the ledger's float
         # sums (docs/SIMULATOR.md).
         tracer = KernelTracer(self.arch, self.bank_policy)
+        cost = self._floor(valid, cfg, tracer.ledger)
+        launch = cost.launch
+        k = valid.kernel_size
+        n = self.n
+        s, d = valid.stride, valid.dilation
+        fgroups, tiles = launch.grid.x, launch.grid.y
+        tx, ty = launch.block.x, launch.block.y
+        blocks = float(tiles * fgroups)
+        warps = math.ceil(tx * ty / self.arch.warp_size)
+        c_total = valid.channels
+        chunks = math.ceil(c_total / cfg.csh)
         warp_lanes = self.arch.warp_size
         elem = self.elem_bytes
         unit = n * elem
@@ -414,9 +452,6 @@ class GeneralCaseKernel:
             site="sm.load_filter_row",
         )
 
-        # --- compute ----------------------------------------------------------
-        tracer.flops(2.0 * k * k * c_total * cfg.ftb * cfg.w * cfg.h * blocks)
-
         # --- writeback: uncoalesced by design (Sec. 4.2) ----------------------
         # Lane tx writes filter map tx*FT + ff; maps are OH*OW apart.  Each
         # thread writes its WT pixels as wide units; store sectors price it.
@@ -427,12 +462,8 @@ class GeneralCaseKernel:
             wb_prep, wide, scale=float(warps) * blocks, site="gm.store_out",
         )
 
-        # --- barriers ----------------------------------------------------------
-        tracer.sync((2.0 * chunks + 2.0) * blocks)
-
-        return tracer.finish(
-            name=self.name, launch=launch, software_prefetch=True,
-        )
+        launch.validate(self.arch)
+        return cost
 
     # ------------------------------------------------------------------
     def predict(self, problem: ConvProblem,
@@ -443,6 +474,14 @@ class GeneralCaseKernel:
     def gflops(self, problem: ConvProblem,
                model: Optional[TimingModel] = None) -> float:
         return self.predict(problem, model).gflops(problem.flops)
+
+
+@functools.lru_cache(maxsize=4096)
+def _misaligned_rows(warp_lanes, tx, ty, wt, w, row_floats, n) -> bool:
+    """Whether a warp's image register rows, ``row_floats`` apart, include
+    one that starts off an ``n``-float unit boundary."""
+    groups = {(lane // tx) % ty for lane in range(warp_lanes)}
+    return any((g * wt) // w * row_floats % n for g in groups)
 
 
 @functools.lru_cache(maxsize=4096)

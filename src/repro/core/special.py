@@ -49,7 +49,7 @@ from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.timing import TimingBreakdown, TimingModel
-from repro.gpu.trace import KernelCost, KernelTracer, lane_batch
+from repro.gpu.trace import KernelCost, KernelTracer, TrafficLedger, lane_batch
 
 __all__ = ["SpecialCaseKernel"]
 
@@ -249,8 +249,32 @@ class SpecialCaseKernel:
     # ------------------------------------------------------------------
     # Traced cost
     # ------------------------------------------------------------------
+    def floor(self, problem: ConvProblem) -> KernelCost:
+        """:meth:`cost` without its memory traffic: the same launch,
+        FLOPs, barriers and prefetch flag over an otherwise empty
+        ledger, whose modeled time never exceeds the cost's
+        (docs/SIMULATOR.md).  Raises what :meth:`cost` raises from its
+        problem and configuration checks; an invalid launch raises from
+        ``TimingModel.evaluate``."""
+        return self._floor(
+            self._check_problem(problem),
+            TrafficLedger(gmem_segment_size=self.arch.gmem_transaction_size))
+
+    def _floor(self, valid: ConvProblem, ledger: TrafficLedger) -> KernelCost:
+        """The floor of an already-checked problem, written to ``ledger``."""
+        cfg = self.config
+        k, h = valid.kernel_size, cfg.block_h
+        launch = self._launch(valid)
+        blocks = launch.total_blocks
+        ledger.flops = 2.0 * k * k * valid.filters * cfg.block_w * h * blocks
+        # Barriers: two per row iteration plus the initial one.
+        ledger.syncthreads = float((2 * h + 1) * blocks)
+        return KernelCost(name=self.name, launch=launch, ledger=ledger,
+                          software_prefetch=True)
+
     def cost(self, problem: ConvProblem) -> KernelCost:
-        """Replay the kernel's access sites through the memory models.
+        """The floor plus every access site's traffic, replayed through
+        the memory models.
 
         Each site is a :func:`lane_batch` cached per geometry and folded
         with this problem's count, one fold per request row in the order
@@ -259,18 +283,18 @@ class SpecialCaseKernel:
         extents, so no fold is skipped for a zero count.
         """
         valid = self._check_problem(problem)
+        tracer = KernelTracer(self.arch, self.bank_policy)
+        cost = self._floor(valid, tracer.ledger)
         cfg = self.config
         k = valid.kernel_size
         n = self.n
-        launch = self._launch(valid)
-        blocks = launch.total_blocks
+        blocks = cost.launch.total_blocks
         threads = cfg.threads(n)
         warp_lanes = self.arch.warp_size
         warps = math.ceil(threads / warp_lanes)
         h = cfg.block_h
         f_count = valid.filters
 
-        tracer = KernelTracer(self.arch, self.bank_policy)
         elem = self.elem_bytes
         unit = n * elem
         gmem_mod = tracer.gmem_batch_mod(unit)
@@ -345,9 +369,6 @@ class SpecialCaseKernel:
                 lane_batch(1, 0, tracer.gmem_batch_mod(elem)), elem,
                 scale=miss_reads, site="gm.cm_miss")
 
-        # --- compute -------------------------------------------------------
-        tracer.flops(2.0 * k * k * f_count * cfg.block_w * h * blocks)
-
         # --- output writeback (vector units, coalesced) ---------------------
         ow = valid.out_width
         stores = float(warps * h * f_count * blocks)
@@ -365,12 +386,8 @@ class SpecialCaseKernel:
                 lane_batch(warp_lanes, unit, gmem_mod), unit,
                 scale=stores, site="gm.store_out")
 
-        # --- barriers: two per row iteration plus the initial one -----------
-        tracer.sync(float((2 * h + 1) * blocks))
-
-        return tracer.finish(
-            name=self.name, launch=launch, software_prefetch=True,
-        )
+        cost.launch.validate(self.arch)
+        return cost
 
     # ------------------------------------------------------------------
     def predict(self, problem: ConvProblem,

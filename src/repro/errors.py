@@ -26,6 +26,11 @@ class ConfigurationError(ReproError):
     """A kernel tile/blocking configuration is invalid for the problem."""
 
 
+class SearchBounded(ConfigurationError):
+    """A bounded configuration search proved that no valid configuration
+    comes in at or under its time limit."""
+
+
 class ShapeError(ReproError):
     """Tensor shapes are inconsistent with the convolution problem."""
 

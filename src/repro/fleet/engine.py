@@ -61,7 +61,7 @@ from repro.serve.engine import ServeEngine
 from repro.serve.plan_cache import PlanCache
 from repro.serve.request import ConvRequest, ConvResponse, plan_key
 from repro.fleet.admission import AdmissionController, ShedRecord
-from repro.fleet.health import HealthTracker
+from repro.fleet.health import BREAKER_THRESHOLD, HealthTracker
 from repro.fleet.router import FleetRouter
 from repro.fleet.shared_cache import SharedPlanCache, cache_version_token
 from repro.fleet.slo import FleetStats, format_fleet_stats
@@ -130,7 +130,7 @@ class FleetConfig:
     max_batch: int = 32
     backends: Optional[Tuple[str, ...]] = None
     queue_depth: int = 64
-    breaker_threshold: int = 3
+    breaker_threshold: int = BREAKER_THRESHOLD
     hedge: bool = False
 
     def __post_init__(self):

@@ -52,6 +52,10 @@ DEGRADATION_LEVELS = ("healthy", "degraded", "critical")
 
 _STATE_VALUES = {"closed": 0, "half-open": 1, "open": 2}
 
+#: Consecutive failures that trip a breaker, unless the fleet's
+#: ``FleetConfig.breaker_threshold`` says otherwise.
+BREAKER_THRESHOLD = 3
+
 #: Virtual seconds an open breaker waits before its half-open probe.
 BREAKER_COOLDOWN_S = 0.05
 
@@ -59,7 +63,7 @@ BREAKER_COOLDOWN_S = 0.05
 class CircuitBreaker:
     """Consecutive-failure breaker on a caller-supplied virtual clock."""
 
-    def __init__(self, failure_threshold: int = 3):
+    def __init__(self, failure_threshold: int = BREAKER_THRESHOLD):
         if failure_threshold < 1:
             raise ReproError(
                 "breaker failure threshold must be >= 1, got %d"
@@ -123,7 +127,7 @@ class HealthTracker:
         self,
         n_replicas: int,
         registry: Optional[Registry] = None,
-        failure_threshold: int = 3,
+        failure_threshold: int = BREAKER_THRESHOLD,
     ):
         if n_replicas < 1:
             raise ReproError("health tracker needs at least 1 replica")

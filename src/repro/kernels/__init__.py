@@ -23,10 +23,11 @@ from repro.kernels.backends import (
     WinogradBackend,
     register_builtin_backends,
 )
-from repro.kernels.protocol import ConvBackend
+from repro.kernels.protocol import BOUNDED, ConvBackend
 from repro.kernels.registry import BackendRegistry
 
 __all__ = [
+    "BOUNDED",
     "ConvBackend",
     "BackendRegistry",
     "default_registry",

@@ -20,6 +20,7 @@ no dispatcher, DSE, bench or CLI edits.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 from repro.baselines.direct_naive import NaiveDirectKernel
@@ -31,9 +32,9 @@ from repro.conv.tensors import ConvProblem, FLOAT_BYTES
 from repro.core.depthwise import DepthwiseKernel
 from repro.core.general import GeneralCaseKernel
 from repro.core.special import SpecialCaseKernel
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SearchBounded
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
-from repro.kernels.protocol import ConvBackend
+from repro.kernels.protocol import BOUNDED, ConvBackend
 from repro.kernels.registry import BackendRegistry
 
 __all__ = [
@@ -59,41 +60,57 @@ class _TunedBackend(ConvBackend):
 
     def tune(self, problem: ConvProblem,
              arch: GPUArchitecture = KEPLER_K40M,
-             full: bool = False):
-        """Rank configurations and return the winning
+             full: bool = False,
+             limit: Optional[float] = None):
+        """Search configurations and return the winning
         :class:`~repro.core.dse.RankedConfig` (raises
         :class:`ConfigurationError` when no candidate is valid).
 
         ``full`` searches the whole Table 1 axis space instead of the
-        shippable palette (general case only).
+        shippable palette (general case only).  Without a ``limit`` the
+        search ranks every candidate; with one (seconds, ``math.inf``
+        allowed) it is the bounded winner search, and ``None`` means
+        the winner takes longer than ``limit``.
         """
-        ranked = self._explore(problem, arch, full=full)
-        if not ranked:
-            raise ConfigurationError(
-                "no valid %s-case configuration for %r on %s"
-                % (self.case, problem, arch.name)
-            )
-        return ranked[0]
+        ranked = self._explore(problem, arch, full, limit)
+        if ranked:
+            return ranked[0]
+        if limit is not None:
+            return None
+        raise ConfigurationError(
+            "no valid %s-case configuration for %r on %s"
+            % (self.case, problem, arch.name)
+        )
 
-    def _explore(self, problem, arch, full):
+    def _explore(self, problem, arch, full, limit):
         raise NotImplementedError
 
     def configure(self, problem: ConvProblem,
-                  arch: GPUArchitecture = KEPLER_K40M) -> Optional[object]:
+                  arch: GPUArchitecture = KEPLER_K40M,
+                  limit: float = math.inf) -> Optional[object]:
+        """The winning configuration; ``None`` when no candidate is
+        valid, :data:`~repro.kernels.protocol.BOUNDED` when the winner
+        takes longer than ``limit`` seconds."""
         try:
-            return self.tune(problem, arch).config
+            best = self.tune(problem, arch, limit=limit)
         except ConfigurationError:
             return None
+        return BOUNDED if best is None else best.config
 
     def admit(self, problem: ConvProblem,
-              arch: GPUArchitecture = KEPLER_K40M
+              arch: GPUArchitecture = KEPLER_K40M,
+              limit: float = math.inf
               ) -> Tuple[bool, Optional[object]]:
         # The explorer already enforces the smem/register/thread budgets
         # per candidate, so feasibility is "the search is non-empty" and
         # the one search that decides it also yields the configuration.
         if not self._gates_ok(problem, arch):
             return False, None
-        config = self.configure(problem, arch)
+        config = self.configure(problem, arch, limit)
+        if config is BOUNDED:
+            raise SearchBounded(
+                "no %s-case configuration for %r on %s comes in at or "
+                "under %r s" % (self.case, problem, arch.name, limit))
         return config is not None, config
 
 
@@ -118,10 +135,10 @@ class SpecialBackend(_TunedBackend):
         cm_bytes = valid.filters * valid.kernel_size ** 2 * FLOAT_BYTES
         return cm_bytes <= arch.const_memory_size
 
-    def _explore(self, problem, arch, full):
+    def _explore(self, problem, arch, full, limit):
         from repro.core.dse import explore_special
 
-        return explore_special(arch, problem=problem)
+        return explore_special(arch, problem=problem, limit=limit)
 
     def build(self, problem, arch=KEPLER_K40M, config=None, **kwargs):
         if config is not None:
@@ -142,7 +159,7 @@ class GeneralBackend(_TunedBackend):
         "layouts": ("nchw",),
     }
 
-    def _explore(self, problem, arch, full):
+    def _explore(self, problem, arch, full, limit):
         from repro.core.bankwidth import matched_vector
         from repro.core.dse import _general_palette, explore_general
 
@@ -150,7 +167,8 @@ class GeneralBackend(_TunedBackend):
         configs = None
         if not full:
             configs = _general_palette(k, matched_vector(arch).n)
-        return explore_general(k, arch, problem=problem, configs=configs)
+        return explore_general(k, arch, problem=problem, configs=configs,
+                               limit=limit)
 
     def build(self, problem, arch=KEPLER_K40M, config=None, **kwargs):
         if config is not None:
@@ -180,11 +198,15 @@ class DepthwiseBackend(_TunedBackend):
         cm_bytes = valid.filters * valid.kernel_size ** 2 * FLOAT_BYTES
         return cm_bytes <= arch.const_memory_size
 
-    def _explore(self, problem, arch, full):
+    def _explore(self, problem, arch, full, limit):
         from repro.core.dse import explore_special
 
+        # The search prices the per-group special problem, not the
+        # grouped launch this backend is priced at, so a limit on the
+        # latter does not bound it: any limit becomes ``math.inf``.
         return explore_special(
-            arch, problem=DepthwiseKernel.group_problem(problem))
+            arch, problem=DepthwiseKernel.group_problem(problem),
+            limit=None if limit is None else math.inf)
 
     def build(self, problem, arch=KEPLER_K40M, config=None, **kwargs):
         if config is not None:

@@ -39,6 +39,7 @@ dilated, grouped or NHWC problem.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Optional, Tuple
 
@@ -49,7 +50,13 @@ from repro.errors import ReproError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.timing import TimingBreakdown, TimingModel
 
-__all__ = ["ConvBackend"]
+__all__ = ["ConvBackend", "BOUNDED"]
+
+#: A tuned backend's :meth:`ConvBackend.configure` answer when its
+#: bounded search proved that every valid configuration takes longer
+#: than the limit; :meth:`ConvBackend.admit` raises
+#: :class:`~repro.errors.SearchBounded` for it.
+BOUNDED = "bounded"
 
 
 class ConvBackend(ABC):
@@ -91,7 +98,8 @@ class ConvBackend(ABC):
         return self.admit(problem, arch)[0]
 
     def admit(self, problem: ConvProblem,
-              arch: GPUArchitecture = KEPLER_K40M
+              arch: GPUArchitecture = KEPLER_K40M,
+              limit: float = math.inf,
               ) -> Tuple[bool, Optional[object]]:
         """Admission and configuration in one pass: ``(ok, config)``.
 
@@ -101,6 +109,12 @@ class ConvBackend(ABC):
         :meth:`configure` answer; a filtered backend's config is
         ``None``.  A :class:`~repro.errors.ReproError` raised by
         ``configure`` propagates.
+
+        ``limit`` is the time (seconds) a backend must come in at or
+        under to matter to the caller.  A tuned backend bounds its
+        configuration search with it and raises
+        :class:`~repro.errors.SearchBounded` when its best configuration
+        takes longer; untuned backends ignore it.
         """
         if not (self._gates_ok(problem, arch)
                 and self.feasible(problem, arch)):

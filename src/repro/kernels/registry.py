@@ -25,11 +25,12 @@ the stack actually considered.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.conv.tensors import ConvProblem
-from repro.errors import BackendError, ReproError
+from repro.errors import BackendError, ReproError, SearchBounded
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.kernels.protocol import ConvBackend
 from repro.obs.metrics import get_registry
@@ -142,6 +143,7 @@ class BackendRegistry:
         names: Optional[Sequence[str]] = None,
         ensure_fallback: bool = True,
         on_error: Optional[Callable[[str, ReproError], None]] = None,
+        limit: float = math.inf,
     ) -> List[Tuple[ConvBackend, object]]:
         """The candidate portfolio for ``(problem, arch)``, in order, as
         ``(backend, config)`` pairs.
@@ -157,6 +159,11 @@ class BackendRegistry:
         A backend whose ``admit`` raises a
         :class:`~repro.errors.ReproError` is left out, counted with
         outcome ``error`` and reported to ``on_error(name, error)``.
+
+        ``limit`` (seconds) passes to every ``admit``: a tuned backend
+        whose best configuration takes longer raises
+        :class:`~repro.errors.SearchBounded`, which leaves it out with
+        outcome ``bounded``, reported to ``on_error`` as well.
         """
         order = self.names() if names is None else tuple(names)
         counter = get_registry().handles(_candidate_counter)
@@ -164,9 +171,10 @@ class BackendRegistry:
         for name in order:
             backend = self.get(name)
             try:
-                ok, config = backend.admit(problem, arch)
+                ok, config = backend.admit(problem, arch, limit)
             except ReproError as err:
-                counter.inc_key((str(name), "error"))
+                counter.inc_key((str(name), "bounded" if isinstance(
+                    err, SearchBounded) else "error"))
                 if on_error is not None:
                     on_error(name, err)
                 continue

@@ -1,13 +1,18 @@
 """Cost-model-driven backend dispatch.
 
 For each distinct problem shape the dispatcher builds a
-:class:`KernelPlan`: it asks the kernel-backend registry for the
-admissible portfolio (``registry.available(problem, arch)``), whose
-admission pass already autotuned each backend via ``configure``, builds
-every candidate from that configuration, prices it with the traced
-cost + timing models, and routes to the cheapest.  Plans are memoized
-in the :class:`~repro.serve.plan_cache.PlanCache`, so the design-space
-exploration is paid once per shape, and once per backend within it.
+:class:`KernelPlan`.  It prices the naive fallback first, then asks the
+kernel-backend registry for the admissible portfolio
+(``registry.available(problem, arch, limit=<naive seconds>)``), whose
+admission pass already autotuned each backend via ``configure``.  A
+tuned backend's search is bounded by that limit: one whose best
+configuration takes longer than naive could not win, so it is left out
+unpriced and listed in :attr:`KernelPlan.bounded`.  The dispatcher
+builds every admitted candidate from its configuration, prices it with
+the traced cost + timing models, and routes to the cheapest.  Plans are
+memoized in the :class:`~repro.serve.plan_cache.PlanCache`, so the
+design-space exploration is paid once per shape, and once per backend
+within it.
 
 The dispatcher holds no per-backend knowledge: any backend registered
 with :func:`repro.kernels.default_registry` — including FFT and
@@ -33,6 +38,7 @@ latency in the model — retries are counted, not slept.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -41,7 +47,7 @@ import numpy as np
 
 from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem
-from repro.errors import ReproError, TransientBackendError
+from repro.errors import ReproError, SearchBounded, TransientBackendError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.timing import TimingBreakdown, TimingModel
 from repro.kernels import BackendRegistry, default_registry
@@ -71,6 +77,7 @@ class KernelPlan:
     config: object = None        # winning DSE config (paper kernels only)
     source: str = "cost-model"   # "cost-model" | "degraded"
     candidates: dict = field(default_factory=dict)  # backend -> predicted s
+    bounded: tuple = ()          # tuned backends priced above naive, unpriced
 
     @property
     def launch_s(self) -> float:
@@ -176,20 +183,26 @@ class Dispatcher:
             args["backend"] = plan.backend
         return plan
 
-    def _candidates(self, problem: ConvProblem):
+    def _candidates(self, problem: ConvProblem, limit: float,
+                    bounded: list):
         """Yield (backend name, kernel, winning config) triples.
 
         The portfolio comes from the kernel-backend registry: each
         enabled backend passes its own ``admit``, which hands back the
         configuration its one search found, and builds its kernel from
-        it — no per-backend branches live here.
+        it — no per-backend branches live here.  A tuned backend whose
+        search proved it takes longer than ``limit`` is appended to
+        ``bounded`` instead.
         """
-        def configure_failed(name, err):
-            self._rejections.inc(backend=name, stage="configure")
+        def left_out(name, err):
+            if isinstance(err, SearchBounded):
+                bounded.append(name)
+            else:
+                self._rejections.inc(backend=name, stage="configure")
 
         for backend, config in self.kernels.available(
                 problem, self.arch, names=self.backends,
-                on_error=configure_failed):
+                on_error=left_out, limit=limit):
             if backend.name == self.kernels.fallback:
                 yield backend.name, self._naive, None
                 continue
@@ -218,7 +231,15 @@ class Dispatcher:
                 self._plan_retries.inc()
 
     def build_plan(self, problem: ConvProblem) -> KernelPlan:
-        """Autotune + price every candidate; pick the cheapest predicted."""
+        """Autotune + price every candidate that can still win; pick the
+        cheapest predicted.
+
+        The naive fallback is priced first, and its time bounds every
+        tuned backend's search: a backend whose exhaustive price is
+        above naive's could not win, so it goes unpriced into
+        :attr:`KernelPlan.bounded`.  The rest are priced in routing
+        order, and a tie goes to the first.
+        """
         if self.chaos is not None:
             from repro.chaos.plan import FaultKind
 
@@ -226,12 +247,23 @@ class Dispatcher:
                 raise TransientBackendError(
                     "injected transient plan-build failure for %r"
                     % (problem,))
+        try:
+            fallback = self._naive.predict(problem, self.model)
+        except ReproError:
+            fallback = None
         best = None
-        candidates = {}
-        for name, kernel, config in self._candidates(problem):
-            try:
-                breakdown = kernel.predict(problem, self.model)
-            except ReproError:
+        candidates, bounded = {}, []
+        for name, kernel, config in self._candidates(
+                problem, math.inf if fallback is None else fallback.total,
+                bounded):
+            if kernel is self._naive:
+                breakdown = fallback
+            else:
+                try:
+                    breakdown = kernel.predict(problem, self.model)
+                except ReproError:
+                    breakdown = None
+            if breakdown is None:
                 self._rejections.inc(backend=name, stage="predict")
                 continue
             candidates[name] = breakdown.total
@@ -244,10 +276,12 @@ class Dispatcher:
             # Every backend failed to even plan — degrade to naive.
             best = KernelPlan(
                 problem=problem, backend="naive", kernel=self._naive,
-                breakdown=self._naive.predict(problem, self.model),
+                breakdown=fallback if fallback is not None
+                else self._naive.predict(problem, self.model),
                 source="degraded",
             )
         best.candidates = candidates
+        best.bounded = tuple(bounded)
         self._planned.inc(backend=best.backend)
         return best
 

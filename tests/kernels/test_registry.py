@@ -1,11 +1,14 @@
 """Tests for the kernel-backend registry (repro.kernels)."""
 
+import math
+
 import pytest
 
 from repro.conv.tensors import ConvProblem
-from repro.errors import BackendError, ReproError
+from repro.errors import BackendError, ReproError, SearchBounded
 from repro.gpu.arch import KEPLER_K40M, PASCAL_P100
 from repro.kernels import (
+    BOUNDED,
     BackendRegistry,
     ConvBackend,
     NaiveBackend,
@@ -162,6 +165,52 @@ class TestAvailable:
         assert counter.value(backend="raises-in-configure",
                              outcome="error") == 1
         reset_registry()
+
+
+class TestBoundedAdmission:
+    """A limit bounds a tuned backend's search: one whose best
+    configuration takes longer is left out as ``bounded``."""
+
+    SHAPE = ConvProblem.square(32, 3, channels=8, filters=16)
+
+    def test_tuned_backend_above_the_limit_is_bounded(self, registry):
+        general = registry.get("general")
+        config = general.configure(self.SHAPE, KEPLER_K40M)
+        seconds = general.timing(self.SHAPE, arch=KEPLER_K40M,
+                                 config=config).total
+        assert general.admit(self.SHAPE, KEPLER_K40M, seconds) == (
+            True, config)
+        below = math.nextafter(seconds, 0.0)
+        assert general.configure(self.SHAPE, KEPLER_K40M, below) is BOUNDED
+        with pytest.raises(SearchBounded):
+            general.admit(self.SHAPE, KEPLER_K40M, below)
+
+    def test_available_counts_and_reports_bounded(self, registry):
+        from repro.obs.metrics import get_registry, reset_registry
+
+        reset_registry()
+        left_out = []
+        pairs = registry.available(
+            self.SHAPE, KEPLER_K40M, names=("general", "im2col"),
+            on_error=lambda name, err: left_out.append((name, type(err))),
+            limit=1e-9)
+        assert [b.name for b, _ in pairs] == ["im2col", "naive"]
+        assert left_out == [("general", SearchBounded)]
+        counter = get_registry().get("kernel_backend_candidates_total")
+        assert counter.value(backend="general", outcome="bounded") == 1
+        assert counter.value(backend="general", outcome="error") == 0
+        reset_registry()
+
+    def test_depthwise_and_untuned_backends_ignore_the_limit(self, registry):
+        depthwise = ConvProblem.square(24, 3, channels=6, filters=12,
+                                       groups=6)
+        assert registry.get("depthwise").admit(
+            depthwise, KEPLER_K40M, 1e-9) == registry.get("depthwise").admit(
+                depthwise, KEPLER_K40M)
+        for name in ("im2col", "implicit-gemm", "naive", "fft", "winograd"):
+            backend = registry.get(name)
+            assert backend.admit(self.SHAPE, KEPLER_K40M, 1e-9) == \
+                backend.admit(self.SHAPE, KEPLER_K40M)
 
 
 class TestObservability:

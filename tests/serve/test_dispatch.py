@@ -1,6 +1,8 @@
 """Tests for cost-model-driven dispatch, plan-time degradation and
 bit-identical batched execution."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.conv.tensors import ConvProblem
 from repro.core.bankwidth import matched_vector
 from repro.core.dse import _general_palette, enumerate_special_configs
 from repro.errors import ReproError, TransientBackendError
-from repro.gpu.arch import FERMI_M2090, KEPLER_K40M
+from repro.gpu.arch import ARCHITECTURES, KEPLER_K40M
 from repro.kernels import (
     BackendRegistry, NaiveBackend, register_builtin_backends,
 )
@@ -43,8 +45,10 @@ class TestPlanning:
 
     def test_special_candidate_only_for_single_channel(self):
         dispatcher = Dispatcher()
-        assert "special" in dispatcher.plan(SPECIAL).candidates
-        assert "special" not in dispatcher.plan(GENERAL).candidates
+        considered = [set(plan.candidates) | set(plan.bounded) for plan in (
+            dispatcher.plan(SPECIAL), dispatcher.plan(GENERAL))]
+        assert "special" in considered[0]
+        assert "special" not in considered[1]
 
     def test_paper_kernel_plans_carry_their_dse_config(self):
         dispatcher = Dispatcher(backends=("general",))
@@ -79,7 +83,8 @@ class TestPlanning:
 
         monkeypatch.setattr(
             dispatcher, "_candidates",
-            lambda problem: iter([("general", Exploding(), None)]),
+            lambda problem, limit, bounded: iter(
+                [("general", Exploding(), None)]),
         )
         plan = dispatcher.build_plan(GENERAL)
         assert plan.backend == "naive"
@@ -192,7 +197,10 @@ def _two_pass_plan(dispatcher, problem):
     best, candidates = None, {}
     for backend in admitted:
         try:
-            config = backend.configure(problem, arch)
+            # A tuned backend's configuration from its full ranking.
+            config = (backend.tune(problem, arch).config
+                      if hasattr(backend, "tune")
+                      else backend.configure(problem, arch))
             kernel = backend.build(problem, arch, config)
             breakdown = kernel.predict(problem, dispatcher.model)
         except ReproError:
@@ -230,23 +238,27 @@ class TestOnePassAdmission:
         for name in TUNED:
             backend = kernels.get(name)
 
-            def counting(p, arch=KEPLER_K40M, _name=name,
+            def counting(p, arch=KEPLER_K40M, limit=math.inf, _name=name,
                          _real=backend.configure):
                 calls[_name] += 1
-                return _real(p, arch)
+                return _real(p, arch, limit)
 
             monkeypatch.setattr(backend, "configure", counting)
         plan = Dispatcher(kernels=kernels).build_plan(problem)
-        searched = [name for name in TUNED if name in plan.candidates]
+        searched = [name for name in TUNED
+                    if name in plan.candidates or name in plan.bounded]
         assert searched
         assert calls == {name: int(name in searched) for name in TUNED}
-        evaluated = fresh_obs.get("dse_candidates_total").total()
-        assert evaluated == sum(self._palette_size(name, problem, KEPLER_K40M)
-                                for name in searched)
+        priced = fresh_obs.get("dse_candidates_total").total()
+        pruned = fresh_obs.get("dse_candidates_pruned_total").total()
+        assert priced + pruned == sum(
+            self._palette_size(name, problem, KEPLER_K40M)
+            for name in searched)
 
-    @pytest.mark.parametrize("arch", [KEPLER_K40M, FERMI_M2090],
-                             ids=["kepler", "fermi"])
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
+                             ids=list(ARCHITECTURES))
     def test_plans_match_the_two_pass_loop(self, fresh_obs, arch):
+        bounded_out = 0
         for problem in PALETTE_SHAPES + CHURN_STYLE_SHAPES:
             dispatcher = Dispatcher(arch=arch)
             reset_registry()
@@ -259,9 +271,24 @@ class TestOnePassAdmission:
             assert plan.source == "cost-model", label
             assert plan.backend == backend, label
             assert plan.config == config, label
-            assert plan.candidates == candidates, label
             assert plan.breakdown == breakdown, label
-            assert _candidate_series() == old_series, label
+            # Every priced backend carries its exhaustive price; every
+            # other one was bounded out, priced above naive.
+            assert plan.candidates == {
+                name: candidates[name] for name in plan.candidates}, label
+            assert plan.bounded == tuple(
+                name for name in candidates
+                if name not in plan.candidates), label
+            assert all(candidates[name] > plan.candidates["naive"]
+                       for name in plan.bounded), label
+            bounded_out += len(plan.bounded)
+            # Admission counts a bounded backend as bounded, not admitted.
+            assert _candidate_series() == sorted(
+                (tuple(sorted(dict(labels, outcome="bounded").items()))
+                 if dict(labels)["backend"] in plan.bounded else labels,
+                 value)
+                for labels, value in old_series), label
+        assert bounded_out
 
 
 class _RaisingBackend(NaiveBackend):

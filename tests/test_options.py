@@ -13,7 +13,7 @@ import inspect
 import pytest
 
 from repro.baselines.implicit_gemm import ImplicitGemmKernel
-from repro.core.dse import explore_special
+from repro.core.dse import explore_general, explore_special
 from repro.fleet import (
     AdmissionController,
     CircuitBreaker,
@@ -25,7 +25,7 @@ from repro.fleet import admission, engine, health, shared_cache
 from repro.gpu import timing
 from repro.gpu.timing import TimingModel
 from repro.gpu.trace import KernelTracer
-from repro.kernels import BackendRegistry
+from repro.kernels import BackendRegistry, ConvBackend
 from repro.kernels import registry as kernel_registry
 from repro.obs import metrics, tracing
 from repro.obs.metrics import Histogram, Registry
@@ -60,7 +60,12 @@ SIGNATURES = [
     (Histogram, ["name", "help", "labelnames", "buckets"]),
     (Registry.histogram, ["name", "help", "labelnames", "buckets"]),
     (ImplicitGemmKernel, ["arch", "tiling", "bank_policy"]),
-    (explore_special, ["arch", "problem"]),
+    (explore_special, ["arch", "problem", "limit"]),
+    (explore_general, ["kernel_size", "arch", "problem", "configs",
+                       "limit"]),
+    (ConvBackend.admit, ["problem", "arch", "limit"]),
+    (BackendRegistry.available, ["problem", "arch", "names",
+                                 "ensure_fallback", "on_error", "limit"]),
     (KernelTracer.finish, ["name", "launch", "software_prefetch"]),
 ]
 
@@ -79,8 +84,8 @@ def test_fixed_values():
                                            0.92, 0.70)
     assert (plan_cache.CAPACITY, shared_cache.CAPACITY) == (128, 1024)
     assert (dispatch.PLAN_RETRIES, engine.FAILOVER_RETRIES,
-            engine.RETRY_BACKOFF_S, health.BREAKER_COOLDOWN_S) == (
-                2, 2, 1e-3, 0.05)
+            engine.RETRY_BACKOFF_S, health.BREAKER_COOLDOWN_S,
+            health.BREAKER_THRESHOLD) == (2, 2, 1e-3, 0.05, 3)
     assert admission.DEFAULT_SHED_RECORD_CAP == 10_000
     assert (tracing.MAX_SPANS, metrics.MAX_SAMPLES) == (100_000, 65536)
     assert kernel_registry.FALLBACK_BACKEND == BackendRegistry.fallback \
