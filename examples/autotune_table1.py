@@ -18,7 +18,6 @@ from repro.core.dse import (
 )
 from repro.core.general import GeneralCaseKernel
 from repro.gpu.arch import KEPLER_K40M
-from repro.gpu.timing import TimingModel
 
 
 def describe(cfg):
@@ -28,7 +27,6 @@ def describe(cfg):
 
 
 def main(full=False):
-    model = TimingModel(KEPLER_K40M)
     print("design-space exploration on the simulated %s" % KEPLER_K40M.name)
     print("(ranking workload: N=128, C=64, F=128 per filter size)\n")
     for k in (3, 5, 7):
@@ -38,8 +36,7 @@ def main(full=False):
         ranked = explore_general(k, configs=configs)
         problem = default_general_problem(k)
         paper_cfg = TABLE1_CONFIGS[k]
-        paper_gf = GeneralCaseKernel(config=paper_cfg).predict(
-            problem, model).gflops(problem.flops)
+        paper_gf = GeneralCaseKernel(config=paper_cfg).gflops(problem)
 
         print("K=%d  (%d configurations explored)" % (k, len(ranked)))
         for rank, r in enumerate(ranked[:3], start=1):

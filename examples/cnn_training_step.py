@@ -56,11 +56,10 @@ def main():
              problem.filters, problem.kernel_size))
     numerically_verify(img, flt, g)
 
-    model = TimingModel(GeneralCaseKernel().arch)
     general = GeneralCaseKernel(auto_config=True)
 
-    t_fwd = general.predict(problem, model).total * 1e3
-    t_dgrad = general.predict(input_gradient_problem(problem), model).total * 1e3
+    t_fwd = general.predict(problem).total * 1e3
+    t_dgrad = general.predict(input_gradient_problem(problem)).total * 1e3
 
     wg_problem = weight_gradient_problem(problem)
     wg_kernel = SpecialCaseKernel(config=SpecialCaseConfig(block_w=64, block_h=4))
@@ -74,7 +73,7 @@ def main():
                       problem.channels),
         ),
     )
-    t_wgrad = model.evaluate(wg_cost).total * 1e3
+    t_wgrad = TimingModel(wg_kernel.arch).evaluate(wg_cost).total * 1e3
 
     print("\nmodeled pass times on the simulated K40m")
     print("  forward (general kernel)      : %7.3f ms" % t_fwd)

@@ -16,8 +16,6 @@ values; interior cells average their neighbours each sweep.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.conv.tensors import ConvProblem, Padding
@@ -100,10 +98,10 @@ class JacobiStencil:
         cost.launches = iterations
         return cost
 
-    def predict(self, height: int, width: int, iterations: int = 1,
-                model: Optional[TimingModel] = None) -> TimingBreakdown:
-        model = model or TimingModel(self.arch)
-        return model.evaluate(self.cost(height, width, iterations))
+    def predict(self, height: int, width: int,
+                iterations: int = 1) -> TimingBreakdown:
+        return TimingModel(self.arch).evaluate(
+            self.cost(height, width, iterations))
 
     def updates_per_second(self, height: int, width: int,
                            iterations: int = 10) -> float:

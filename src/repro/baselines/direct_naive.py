@@ -21,7 +21,7 @@ from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem, Layout, Padding
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import Priced
 from repro.gpu.trace import (
     KernelCost,
     KernelTracer,
@@ -35,7 +35,7 @@ _F32 = 4
 _THREADS = 256
 
 
-class NaiveDirectKernel:
+class NaiveDirectKernel(Priced):
     """One-thread-per-output direct convolution (no on-chip reuse)."""
 
     def __init__(self, arch: GPUArchitecture = KEPLER_K40M):
@@ -119,13 +119,3 @@ class NaiveDirectKernel:
             scale=warp_count, site="gm.store_out")
 
         return tracer.finish(name=self.name, launch=launch)
-
-    # ------------------------------------------------------------------
-    def predict(self, problem: ConvProblem,
-                model: Optional[TimingModel] = None) -> TimingBreakdown:
-        model = model or TimingModel(self.arch)
-        return model.evaluate(self.cost(problem))
-
-    def gflops(self, problem: ConvProblem,
-               model: Optional[TimingModel] = None) -> float:
-        return self.predict(problem, model).gflops(problem.flops)

@@ -27,7 +27,7 @@ from repro.conv.tensors import ConvProblem, Padding
 from repro.errors import ShapeError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import Priced
 from repro.gpu.trace import KernelCost, TrafficLedger
 
 __all__ = ["FFTConvolution"]
@@ -36,7 +36,7 @@ _F32 = 4
 _THREADS = 256
 
 
-class FFTConvolution:
+class FFTConvolution(Priced):
     """Frequency-domain convolution with padded-filter accounting."""
 
     def __init__(self, arch: GPUArchitecture = KEPLER_K40M):
@@ -90,12 +90,6 @@ class FFTConvolution:
         return full[:, :oh, :ow].astype(np.float32)
 
     # ------------------------------------------------------------------
-    def padded_filter_bytes(self, problem: ConvProblem) -> int:
-        """Memory for the padded filter spectra (vs. K*K*C*F*4 raw)."""
-        valid = problem.as_valid()
-        bins = valid.height * (valid.width // 2 + 1)
-        return valid.filters * valid.channels * bins * 8  # complex64
-
     def flop_count(self, problem: ConvProblem, batch: int = 1) -> float:
         """Analytic FFT-method flops: transforms + pointwise products.
 
@@ -146,14 +140,3 @@ class FFTConvolution:
         launches = 3 + int(math.ceil(math.log2(max(valid.channels, 2))))
         return KernelCost(name=self.name, launch=launch, ledger=ledger,
                           launches=launches)
-
-    # ------------------------------------------------------------------
-    def predict(self, problem: ConvProblem,
-                model: Optional[TimingModel] = None) -> TimingBreakdown:
-        model = model or TimingModel(self.arch)
-        return model.evaluate(self.cost(problem))
-
-    def gflops(self, problem: ConvProblem,
-               model: Optional[TimingModel] = None) -> float:
-        """GFlop/s normalized — like the paper — by direct-method flops."""
-        return self.predict(problem, model).gflops(problem.flops)

@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import Priced
 from repro.gpu.trace import (
     KernelCost,
     KernelTracer,
@@ -127,7 +127,7 @@ MAGMA_MATCHED_TILING = GemmTiling(bm=64, bn=64, bk=16, tm=4, tn=4, n=2)
 CUBLAS_KEPLER_TILING = GemmTiling(bm=128, bn=64, bk=8, tm=8, tn=4, n=2)
 
 
-class TiledGemmKernel:
+class TiledGemmKernel(Priced):
     """Register-blocked shared-memory GEMM: functional + traced cost."""
 
     def __init__(
@@ -239,20 +239,9 @@ class TiledGemmKernel:
                        pitch_elems * _F32),
             width, scale=reqs * count, site=site, l2_reuse=l2_reuse)
 
-    # ------------------------------------------------------------------
-    def predict(self, shape: GemmShape,
-                model: Optional[TimingModel] = None) -> TimingBreakdown:
-        model = model or TimingModel(self.arch)
-        return model.evaluate(self.cost(shape))
-
-    def gflops(self, shape: GemmShape,
-               model: Optional[TimingModel] = None) -> float:
-        return self.predict(shape, model).gflops(shape.flops)
-
-    def time_ms(self, shape: GemmShape,
-                model: Optional[TimingModel] = None) -> float:
+    def time_ms(self, shape: GemmShape) -> float:
         """Predicted execution time in milliseconds (Fig. 2's y-axis)."""
-        return self.predict(shape, model).total * 1e3
+        return self.predict(shape).total * 1e3
 
 
 def trace_tile_rounds(tracer: KernelTracer, t: GemmTiling, ksteps: int,

@@ -24,7 +24,7 @@ from repro.errors import ShapeError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import Priced
 from repro.gpu.trace import KernelCost, KernelTracer, PreparedBatch, lane_batch
 
 __all__ = ["im2col_matrix", "Im2colKernel"]
@@ -83,7 +83,7 @@ def gather_batch(tracer: KernelTracer, valid: ConvProblem) -> PreparedBatch:
                       valid.width * s * _F32)
 
 
-class Im2colKernel:
+class Im2colKernel(Priced):
     """Caffe-style convolution: explicit lowering pass + blocked GEMM."""
 
     def __init__(
@@ -107,11 +107,6 @@ class Im2colKernel:
             n=valid.out_height * valid.out_width,
             k=valid.channels_per_group * k * k,
         )
-
-    def workspace_bytes(self, problem: ConvProblem) -> int:
-        """Extra global memory for the lowered matrix (the K*K blow-up)."""
-        shape = self.gemm_shape(problem)
-        return shape.k * shape.n * _F32 * problem.groups
 
     # ------------------------------------------------------------------
     def run(
@@ -200,13 +195,3 @@ class Im2colKernel:
             software_prefetch=True,
             launches=2 * valid.groups,
         )
-
-    # ------------------------------------------------------------------
-    def predict(self, problem: ConvProblem,
-                model: Optional[TimingModel] = None) -> TimingBreakdown:
-        model = model or TimingModel(self.arch)
-        return model.evaluate(self.cost(problem))
-
-    def gflops(self, problem: ConvProblem,
-               model: Optional[TimingModel] = None) -> float:
-        return self.predict(problem, model).gflops(problem.flops)

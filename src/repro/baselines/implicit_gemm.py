@@ -37,7 +37,7 @@ from repro.errors import ShapeError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import Priced, TimingModel
 from repro.gpu.trace import (
     KernelCost,
     KernelTracer,
@@ -76,7 +76,7 @@ def _check_ungrouped(problem: ConvProblem) -> None:
             "got %s" % problem.describe())
 
 
-class ImplicitGemmKernel:
+class ImplicitGemmKernel(Priced):
     """GEMM-based convolution with on-chip im2col (the cuDNN analogue)."""
 
     def __init__(
@@ -231,13 +231,3 @@ class ImplicitGemmKernel:
 
         tracer.sync(2.0 * ksteps * blocks)
         return tracer.finish(name=self.name, launch=launch, software_prefetch=True)
-
-    # ------------------------------------------------------------------
-    def predict(self, problem: ConvProblem,
-                model: Optional[TimingModel] = None) -> TimingBreakdown:
-        model = model or TimingModel(self.arch)
-        return model.evaluate(self.cost(problem))
-
-    def gflops(self, problem: ConvProblem,
-               model: Optional[TimingModel] = None) -> float:
-        return self.predict(problem, model).gflops(problem.flops)

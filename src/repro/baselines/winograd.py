@@ -26,7 +26,7 @@ from repro.conv.tensors import ConvProblem, Padding
 from repro.errors import ConfigurationError, ShapeError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import Priced
 from repro.gpu.trace import KernelCost, TrafficLedger
 
 __all__ = ["WinogradConvolution"]
@@ -72,7 +72,7 @@ _AT4 = np.array(
 _TRANSFORMS = {2: (_BT2, _G2, _AT2), 4: (_BT4, _G4, _AT4)}
 
 
-class WinogradConvolution:
+class WinogradConvolution(Priced):
     """F(m x m, 3x3) minimal-filtering convolution, m in {2, 4}."""
 
     def __init__(self, arch: GPUArchitecture = KEPLER_K40M, tile: int = 2):
@@ -154,12 +154,6 @@ class WinogradConvolution:
         return out[:, :oh, :ow]
 
     # ------------------------------------------------------------------
-    def multiply_reduction(self) -> float:
-        """Per-output multiply reduction versus direct 3x3:
-        9 m^2 / (m+2)^2 — 2.25x for F(2x2), 4x for F(4x4)."""
-        m, t = self.tile, self.patch
-        return 9.0 * m * m / (t * t)
-
     def flop_count(self, problem: ConvProblem) -> float:
         """Analytic flops: elementwise products + all three transforms."""
         valid = problem.as_valid()
@@ -203,14 +197,3 @@ class WinogradConvolution:
             smem_per_block=8192,
         )
         return KernelCost(name=self.name, launch=launch, ledger=ledger, launches=4)
-
-    # ------------------------------------------------------------------
-    def predict(self, problem: ConvProblem,
-                model: Optional[TimingModel] = None) -> TimingBreakdown:
-        model = model or TimingModel(self.arch)
-        return model.evaluate(self.cost(problem))
-
-    def gflops(self, problem: ConvProblem,
-               model: Optional[TimingModel] = None) -> float:
-        """GFlop/s normalized — like the paper — by direct-method flops."""
-        return self.predict(problem, model).gflops(problem.flops)

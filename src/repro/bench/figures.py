@@ -13,8 +13,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-import numpy as np
-
 from repro.baselines.gemm import (
     GemmShape,
     cublas_like_gemm,
@@ -196,7 +194,7 @@ def fig8_general(kernel_size: int,
 
 def table1(arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
     """Design-space exploration versus the paper's Table 1."""
-    from repro.core.dse import default_general_problem, reproduce_table1
+    from repro.core.dse import reproduce_table1
 
     exp = Experiment(
         exp_id="table1",
@@ -436,10 +434,10 @@ def extension_backend_portfolio() -> Experiment:
     """The whole registered backend portfolio, Kepler versus Pascal.
 
     One row per registered backend on a single-channel 3x3 workload
-    (the one shape every built-in backend can serve), priced through the
-    uniform ``ConvBackend.timing`` surface.  A backend whose
-    ``supports`` rejects the problem on an architecture reports 0.0 —
-    the registry's per-arch applicability, as a figure.
+    (the one shape every built-in backend can serve), each built kernel
+    priced through its own ``gflops``.  A backend whose ``supports``
+    rejects the problem on an architecture reports 0.0 — the registry's
+    per-arch applicability, as a figure.
     """
     registry = default_registry()
     archs = (KEPLER_K40M, PASCAL_P100)
@@ -458,8 +456,7 @@ def extension_backend_portfolio() -> Experiment:
         values = {}
         for arch in archs:
             if backend.supports(p, arch):
-                values[arch.name] = backend.timing(
-                    p, arch=arch).gflops(p.flops)
+                values[arch.name] = backend.build(p, arch).gflops(p)
             else:
                 values[arch.name] = 0.0
         exp.add(backend.name, values)
@@ -527,7 +524,6 @@ def extension_training(arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
     kernel per input channel (see conv.gradients).
     """
     from repro.conv.gradients import input_gradient_problem, weight_gradient_problem
-    from repro.gpu.timing import TimingModel
 
     exp = Experiment(
         exp_id="ext-training",
@@ -541,7 +537,6 @@ def extension_training(arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
         ),
     )
     general = GeneralCaseKernel(arch, auto_config=True)
-    model = TimingModel(arch)
     # The wgrad-as-special-case mapping needs the gradient map to fit
     # constant memory AND the K x (K+n-1) register window to fit the
     # ISA limit — i.e. OH <= ~14: the deepest CNN layers.
@@ -551,8 +546,8 @@ def extension_training(arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
         ("late 12x12x128", ConvProblem.square(12, 3, channels=128, filters=16)),
     ]
     for label, p in layers:
-        fwd = general.predict(p, model).total * 1e3
-        dgrad = general.predict(input_gradient_problem(p), model).total * 1e3
+        fwd = general.predict(p).total * 1e3
+        dgrad = general.predict(input_gradient_problem(p)).total * 1e3
         # All C per-channel convolutions batch into one launch (the
         # z grid dimension), exactly as a real wgrad kernel would.
         wg_problem = weight_gradient_problem(p, arch.const_memory_size)
@@ -573,7 +568,7 @@ def extension_training(arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
                           p.channels),
             ),
         )
-        wgrad = model.evaluate(wg_cost).total * 1e3
+        wgrad = TimingModel(arch).evaluate(wg_cost).total * 1e3
         exp.add(label, {"forward": fwd, "dgrad": dgrad, "wgrad": wgrad})
     return exp
 

@@ -14,7 +14,7 @@ shared-memory bandwidth rather than DRAM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.conv.tensors import ConvProblem
 from repro.gpu.arch import GPUArchitecture
@@ -45,12 +45,10 @@ def _roofs(arch: GPUArchitecture) -> Tuple[float, float]:
     return compute_roof, bandwidth
 
 
-def roofline_point(kernel, problem: ConvProblem,
-                   model: Optional[TimingModel] = None) -> RooflinePoint:
+def roofline_point(kernel, problem: ConvProblem) -> RooflinePoint:
     """Compute a kernel's roofline coordinates for one problem."""
-    model = model or TimingModel(kernel.arch)
     cost = kernel.cost(problem)
-    breakdown = model.evaluate(cost)
+    breakdown = TimingModel(kernel.arch).evaluate(cost)
     led = cost.ledger
     intensity = led.arithmetic_intensity
     compute_roof, bandwidth = _roofs(kernel.arch)
@@ -68,13 +66,12 @@ def roofline_point(kernel, problem: ConvProblem,
     )
 
 
-def roofline_report(kernels: dict, problem: ConvProblem,
-                    model: Optional[TimingModel] = None) -> str:
+def roofline_report(kernels: dict, problem: ConvProblem) -> str:
     """Plain-text roofline table for several kernels on one problem."""
     points: List[Tuple[str, RooflinePoint]] = []
     arch = None
     for label, kernel in kernels.items():
-        points.append((label, roofline_point(kernel, problem, model)))
+        points.append((label, roofline_point(kernel, problem)))
         arch = kernel.arch
     compute_roof, bandwidth = _roofs(arch)
 

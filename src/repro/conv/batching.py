@@ -19,20 +19,19 @@ big enough" (Sec. 1).  This module adds the batch dimension:
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 import numpy as np
 
 from repro.conv.tensors import ConvProblem, Padding
 from repro.errors import ConfigurationError, ShapeError
 from repro.gpu.simt import Dim3
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import Priced
 from repro.gpu.trace import KernelCost
 
 __all__ = ["BatchedKernel"]
 
 
-class BatchedKernel:
+class BatchedKernel(Priced):
     """Run a single-image kernel over a minibatch."""
 
     def __init__(self, kernel, batch: int):
@@ -77,16 +76,6 @@ class BatchedKernel:
         )
         return dataclasses.replace(cost, launch=launch, name=self.name)
 
-    def predict(self, problem: ConvProblem,
-                model: Optional[TimingModel] = None) -> TimingBreakdown:
-        model = model or TimingModel(self.arch)
-        return model.evaluate(self.cost(problem))
-
-    def gflops(self, problem: ConvProblem,
-               model: Optional[TimingModel] = None) -> float:
+    def gflops(self, problem: ConvProblem) -> float:
         """Throughput normalized by the whole batch's nominal flops."""
-        return self.predict(problem, model).gflops(problem.flops * self.batch)
-
-    def time_per_image_ms(self, problem: ConvProblem,
-                          model: Optional[TimingModel] = None) -> float:
-        return self.predict(problem, model).total / self.batch * 1e3
+        return self.predict(problem).gflops(problem.flops * self.batch)

@@ -33,14 +33,13 @@ from repro.core.special import SpecialCaseKernel
 from repro.errors import ConfigurationError, ShapeError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
-from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import Priced
 from repro.gpu.trace import KernelCost
 
 __all__ = ["DepthwiseKernel"]
 
 
-class DepthwiseKernel:
+class DepthwiseKernel(Priced):
     """One special-case convolution per channel, batched over grid Z."""
 
     def __init__(
@@ -88,11 +87,6 @@ class DepthwiseKernel:
                 "filters need %d bytes of constant memory, %s has %d"
                 % (cm_bytes, self.arch.name, self.arch.const_memory_size))
         return problem.as_valid()
-
-    def launch_config(self, problem: ConvProblem) -> LaunchConfig:
-        valid = self._check_problem(problem)
-        g_launch = self.special.launch_config(self.group_problem(valid))
-        return replace(g_launch, grid=replace(g_launch.grid, z=valid.groups))
 
     # ------------------------------------------------------------------
     def _infer_problem(self, image: np.ndarray, filters: np.ndarray,
@@ -204,13 +198,3 @@ class DepthwiseKernel:
             software_prefetch=merged.software_prefetch,
             launches=merged.launches,
         )
-
-    # ------------------------------------------------------------------
-    def predict(self, problem: ConvProblem,
-                model: Optional[TimingModel] = None) -> TimingBreakdown:
-        model = model or TimingModel(self.arch)
-        return model.evaluate(self.cost(problem))
-
-    def gflops(self, problem: ConvProblem,
-               model: Optional[TimingModel] = None) -> float:
-        return self.predict(problem, model).gflops(problem.flops)

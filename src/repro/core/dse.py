@@ -126,9 +126,10 @@ def enumerate_general_configs(
 
 class _Pricer:
     """One search's per-candidate pricing and accounting, shared by the
-    full ranking and the bounded search: one timing model, the
-    ``dse_candidates_total`` counter resolved once, and the tallies the
-    ``dse:<case>`` span reports."""
+    full ranking and the bounded search: the timing model that prices
+    floors (a floor is a cost, not a kernel; candidates price through
+    their own ``predict``), the ``dse_candidates_total`` counter
+    resolved once, and the tallies the ``dse:<case>`` span reports."""
 
     REJECTED = (ConfigurationError, LaunchConfigError, ResourceError)
 
@@ -163,7 +164,7 @@ class _Pricer:
         """``(seconds, ranked config)``, or None with the rejection
         counted."""
         try:
-            breakdown = kernel.predict(self.problem, self.model)
+            breakdown = kernel.predict(self.problem)
         except self.REJECTED as exc:
             self._reject(exc)
             return None
@@ -394,13 +395,12 @@ def reproduce_table1(
     from repro.core.general import GeneralCaseKernel
 
     rows = []
-    model = TimingModel(arch)
     for k in kernel_sizes:
         problem = default_general_problem(k)
         best = best_config(problem, arch, case="general", full=True)
         paper_cfg = TABLE1_CONFIGS[k]
         paper_kernel = GeneralCaseKernel(arch=arch, config=paper_cfg)
-        paper_gflops = paper_kernel.predict(problem, model).gflops(problem.flops)
+        paper_gflops = paper_kernel.gflops(problem)
         rows.append(
             Table1Row(
                 kernel_size=k,

@@ -36,7 +36,7 @@ from repro.errors import ConfigurationError, ReproError, ShapeError, TraceError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import Priced
 from repro.gpu.trace import (
     KernelCost,
     KernelTracer,
@@ -76,7 +76,7 @@ SMALL_IMAGE_CONFIGS = (
 )
 
 
-class GeneralCaseKernel:
+class GeneralCaseKernel(Priced):
     """Communication-reduced direct convolution for arbitrary C (Sec. 4)."""
 
     def __init__(
@@ -122,10 +122,7 @@ class GeneralCaseKernel:
         cost + timing pipeline (the same machinery as
         :mod:`repro.core.dse`, restricted to a shippable palette).
         """
-        from repro.gpu.timing import TimingModel
-
         k = problem.as_valid().kernel_size
-        model = TimingModel(self.arch)
         best_cfg, best_time = None, float("inf")
         for cand in (default_config_for(k, self.n),) + SMALL_IMAGE_CONFIGS:
             try:
@@ -137,7 +134,7 @@ class GeneralCaseKernel:
                 bank_policy=self.bank_policy, dtype=self.dtype,
             )
             try:
-                t = model.evaluate(trial.cost(problem)).total
+                t = trial.predict(problem).total
             except ReproError:
                 continue
             if t < best_time:
@@ -464,16 +461,6 @@ class GeneralCaseKernel:
 
         launch.validate(self.arch)
         return cost
-
-    # ------------------------------------------------------------------
-    def predict(self, problem: ConvProblem,
-                model: Optional[TimingModel] = None) -> TimingBreakdown:
-        model = model or TimingModel(self.arch)
-        return model.evaluate(self.cost(problem))
-
-    def gflops(self, problem: ConvProblem,
-               model: Optional[TimingModel] = None) -> float:
-        return self.predict(problem, model).gflops(problem.flops)
 
 
 @functools.lru_cache(maxsize=4096)

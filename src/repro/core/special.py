@@ -48,7 +48,7 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import Priced
 from repro.gpu.trace import KernelCost, KernelTracer, TrafficLedger, lane_batch
 
 __all__ = ["SpecialCaseKernel"]
@@ -56,7 +56,7 @@ __all__ = ["SpecialCaseKernel"]
 _F32 = 4  # bytes per float
 
 
-class SpecialCaseKernel:
+class SpecialCaseKernel(Priced):
     """Communication-optimized direct convolution for C = 1 (Sec. 3)."""
 
     def __init__(
@@ -388,15 +388,3 @@ class SpecialCaseKernel:
 
         cost.launch.validate(self.arch)
         return cost
-
-    # ------------------------------------------------------------------
-    def predict(self, problem: ConvProblem,
-                model: Optional[TimingModel] = None) -> TimingBreakdown:
-        """Estimated execution time for this kernel on ``problem``."""
-        model = model or TimingModel(self.arch)
-        return model.evaluate(self.cost(problem))
-
-    def gflops(self, problem: ConvProblem,
-               model: Optional[TimingModel] = None) -> float:
-        """Achieved GFlop/s normalized by the nominal operation count."""
-        return self.predict(problem, model).gflops(problem.flops)

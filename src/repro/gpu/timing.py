@@ -47,7 +47,7 @@ from repro.gpu.occupancy import occupancy
 from repro.gpu.trace import KernelCost, publish_kernel_cost
 from repro.obs import metrics as _metrics
 
-__all__ = ["TimingBreakdown", "TimingModel"]
+__all__ = ["Priced", "TimingBreakdown", "TimingModel"]
 
 #: Host-side cost of one kernel launch (driver + queueing), seconds.
 LAUNCH_OVERHEAD_S = 5e-6
@@ -229,3 +229,20 @@ class TimingModel:
             occupancy_fraction=occ.occupancy_fraction(arch),
             total=total,
         )
+
+
+class Priced:
+    """The one pricing surface of every kernel.
+
+    A subclass defines ``arch`` and ``cost(problem)`` and inherits
+    :meth:`predict` and :meth:`gflops`, so every kernel is priced by
+    the same model of its own architecture.
+    """
+
+    def predict(self, problem) -> TimingBreakdown:
+        """Estimated execution time for this kernel on ``problem``."""
+        return TimingModel(self.arch).evaluate(self.cost(problem))
+
+    def gflops(self, problem) -> float:
+        """Achieved GFlop/s normalized by the nominal operation count."""
+        return self.predict(problem).gflops(problem.flops)

@@ -315,11 +315,6 @@ class TrafficLedger:
         return self.gmem_read_request_bytes / moved if moved else 1.0
 
     @property
-    def gmem_write_efficiency(self) -> float:
-        moved = self.gmem_write_bytes_moved
-        return self.gmem_write_request_bytes / moved if moved else 1.0
-
-    @property
     def smem_conflict_overhead(self) -> float:
         """Serialized cycles over the conflict-free floor (1.0 = clean).
 

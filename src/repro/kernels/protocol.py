@@ -10,13 +10,13 @@ convolution method:
 * *can you handle this problem on this device?*  (:meth:`ConvBackend.supports`)
 * *how should you be configured for it?*          (:meth:`ConvBackend.configure`)
 * *give me an executable kernel.*                 (:meth:`ConvBackend.build`)
-* *what does it cost?*                            (:meth:`ConvBackend.timing`)
+* *what does it cost?*                            (the built kernel's ``predict``)
 * *run it.*                                       (:meth:`ConvBackend.run`)
 
 A backend is a lightweight, stateless *factory* over one of the kernel
 classes (``SpecialCaseKernel``, ``Im2colKernel``, ...): ``build``
 instantiates the kernel for an architecture and an optional tuned
-configuration, and the convenience methods delegate to a fresh build.
+configuration, and :meth:`ConvBackend.run` delegates to a fresh build.
 Backends carry no per-problem state, so one instance can serve every
 architecture and every shape concurrently.
 
@@ -48,7 +48,6 @@ import numpy as np
 from repro.conv.tensors import ConvProblem, Padding
 from repro.errors import ReproError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
-from repro.gpu.timing import TimingBreakdown, TimingModel
 
 __all__ = ["ConvBackend", "BOUNDED"]
 
@@ -64,7 +63,7 @@ class ConvBackend(ABC):
 
     Subclasses must set :attr:`name` (the registry key) and implement
     :meth:`build`; the capability predicate, the DSE hook and the
-    costing conveniences have safe defaults.
+    execution convenience have safe defaults.
     """
 
     #: Registry key and dispatch label (``"special"``, ``"im2col"``, ...).
@@ -209,20 +208,8 @@ class ConvBackend(ABC):
         """
 
     # ------------------------------------------------------------------
-    # Costing + execution conveniences
+    # Execution convenience
     # ------------------------------------------------------------------
-    def timing(self, problem: ConvProblem,
-               model: Optional[TimingModel] = None,
-               arch: GPUArchitecture = KEPLER_K40M,
-               config: Optional[object] = None) -> TimingBreakdown:
-        """Predicted :class:`~repro.gpu.timing.TimingBreakdown`.
-
-        ``model`` defaults to a fresh :class:`TimingModel` over ``arch``;
-        pass one explicitly when pricing many problems.
-        """
-        kernel = self.build(problem, arch, config)
-        return kernel.predict(problem, model or TimingModel(arch))
-
     def run(self, image: np.ndarray, filters: np.ndarray,
             padding: Padding = Padding.VALID,
             arch: GPUArchitecture = KEPLER_K40M,

@@ -90,16 +90,6 @@ class BackendRegistry:
         self._backends[name] = backend
         return backend
 
-    def unregister(self, name: str) -> None:
-        """Remove a backend; the fallback cannot be removed."""
-        if name == self.fallback and name in self._backends:
-            raise BackendError(
-                "backend %r is the degradation fallback and cannot be "
-                "unregistered" % name)
-        if name not in self._backends:
-            raise BackendError(self._unknown_message(name))
-        del self._backends[name]
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

@@ -49,7 +49,7 @@ from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem
 from repro.errors import ReproError, SearchBounded, TransientBackendError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import TimingBreakdown
 from repro.kernels import BackendRegistry, default_registry
 from repro.obs.metrics import Registry
 from repro.obs.tracing import Tracer
@@ -135,7 +135,6 @@ class Dispatcher:
         self.arch = arch
         self.cache = cache if cache is not None else PlanCache(
             registry=registry)
-        self.model = TimingModel(arch)
         self.registry = registry if registry is not None else Registry()
         self.tracer = tracer
         self._planned = self.registry.counter(
@@ -248,7 +247,7 @@ class Dispatcher:
                     "injected transient plan-build failure for %r"
                     % (problem,))
         try:
-            fallback = self._naive.predict(problem, self.model)
+            fallback = self._naive.predict(problem)
         except ReproError:
             fallback = None
         best = None
@@ -260,7 +259,7 @@ class Dispatcher:
                 breakdown = fallback
             else:
                 try:
-                    breakdown = kernel.predict(problem, self.model)
+                    breakdown = kernel.predict(problem)
                 except ReproError:
                     breakdown = None
             if breakdown is None:
@@ -277,7 +276,7 @@ class Dispatcher:
             best = KernelPlan(
                 problem=problem, backend="naive", kernel=self._naive,
                 breakdown=fallback if fallback is not None
-                else self._naive.predict(problem, self.model),
+                else self._naive.predict(problem),
                 source="degraded",
             )
         best.candidates = candidates

@@ -40,11 +40,6 @@ class TestFunctional:
 
 
 class TestCostModel:
-    def test_padded_filter_overhead(self, kernel):
-        """The paper's complaint: filters padded to the image size."""
-        p = ConvProblem.square(256, 3, channels=8, filters=16)
-        assert kernel.padded_filter_bytes(p) > 100 * p.filter_bytes
-
     def test_flops_grow_slower_than_direct_for_big_k(self, kernel):
         p_small = ConvProblem.square(256, 3, channels=4, filters=4)
         p_big = ConvProblem.square(256, 7, channels=4, filters=4)

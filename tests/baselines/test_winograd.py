@@ -48,9 +48,6 @@ class TestFunctional:
 
 
 class TestCostModel:
-    def test_multiply_reduction_is_2_25(self, kernel):
-        assert kernel.multiply_reduction() == pytest.approx(2.25)
-
     def test_filter_blowup_is_16_over_9(self, kernel):
         p = ConvProblem.square(64, 3, channels=4, filters=8)
         assert kernel.transformed_filter_bytes(p) == \
@@ -82,10 +79,6 @@ class TestF4x4:
             kern.run(img, flt), conv2d_reference(img, flt),
             rtol=1e-2, atol=1e-2,
         )
-
-    def test_multiply_reduction_is_four(self):
-        assert WinogradConvolution(tile=4).multiply_reduction() == \
-            pytest.approx(4.0)
 
     def test_filter_blowup_is_36_over_9(self):
         kern = WinogradConvolution(tile=4)

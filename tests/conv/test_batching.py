@@ -72,6 +72,6 @@ class TestCost:
 
     def test_time_per_image_decreases_for_fft(self):
         p = ConvProblem.square(64, 5, channels=128, filters=128)
-        t1 = BatchedKernel(FFTConvolution(), 1).time_per_image_ms(p)
-        t32 = BatchedKernel(FFTConvolution(), 32).time_per_image_ms(p)
+        t1 = BatchedKernel(FFTConvolution(), 1).predict(p).total
+        t32 = BatchedKernel(FFTConvolution(), 32).predict(p).total / 32
         assert t32 < t1

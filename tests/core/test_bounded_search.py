@@ -165,8 +165,7 @@ class TestFloorIsALowerBound:
 
 
 def _winner_seconds(kernel_cls, arch, config, problem):
-    return kernel_cls(arch=arch, config=config).predict(
-        problem, TimingModel(arch)).total
+    return kernel_cls(arch=arch, config=config).predict(problem).total
 
 
 def _limits(arch, problem, winner_s):

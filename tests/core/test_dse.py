@@ -150,13 +150,14 @@ class TestBestConfig:
 
 
 def _independent_ranking(kernel_cls, configs, problem, arch):
-    """Each candidate priced on its own with a fresh TimingModel, then
+    """Each candidate's cost evaluated on its own, straight through the
+    timing model rather than the ``predict`` the search calls, then
     stable-sorted best first: the per-candidate loop the search replaced."""
     rows = []
     for cfg in configs:
         try:
-            breakdown = kernel_cls(arch=arch, config=cfg).predict(
-                problem, TimingModel(arch))
+            breakdown = TimingModel(arch).evaluate(
+                kernel_cls(arch=arch, config=cfg).cost(problem))
         except (ConfigurationError, LaunchConfigError, ResourceError):
             continue
         rows.append((cfg, breakdown.gflops(problem.flops),
@@ -229,8 +230,9 @@ class TestSearchTelemetry:
 
 
 class TestRankingMatchesIndependentEvaluation:
-    """The search prices every candidate with one shared TimingModel; the
-    rankings must equal pricing each candidate alone, bit for bit."""
+    """The search prices every candidate through its inherited
+    ``predict``; the rankings must equal evaluating each candidate's cost
+    alone, bit for bit."""
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     @pytest.mark.parametrize("arch", [KEPLER_K40M, FERMI_M2090],

@@ -168,7 +168,7 @@ class TestPricingPublishesNothing:
         best_config(_PROBES[2], KEPLER_K40M, case="depthwise")
         for backend in default_registry():
             kernel, problem = _default_build(backend)
-            kernel.predict(problem, TimingModel(KEPLER_K40M))
+            kernel.predict(problem)
         cfg = GeneralCaseConfig(w=16, h=4, ftb=8, wt=8, ft=2, csh=1)
         rng = np.random.default_rng(5)
         FastGeneralKernel(KEPLER_K40M, config=cfg).run_traced(

@@ -78,7 +78,7 @@ class TestPlanning:
         class Exploding:
             name = "boom"
 
-            def predict(self, problem, model=None):
+            def predict(self, problem):
                 raise ReproError("no plan for you")
 
         monkeypatch.setattr(
@@ -89,8 +89,7 @@ class TestPlanning:
         plan = dispatcher.build_plan(GENERAL)
         assert plan.backend == "naive"
         assert plan.source == "degraded"
-        assert plan.breakdown == dispatcher._naive.predict(
-            GENERAL, dispatcher.model)
+        assert plan.breakdown == dispatcher._naive.predict(GENERAL)
 
     def test_batch_seconds_amortizes_launch_only(self):
         dispatcher = Dispatcher()
@@ -202,7 +201,7 @@ def _two_pass_plan(dispatcher, problem):
                       if hasattr(backend, "tune")
                       else backend.configure(problem, arch))
             kernel = backend.build(problem, arch, config)
-            breakdown = kernel.predict(problem, dispatcher.model)
+            breakdown = kernel.predict(problem)
         except ReproError:
             continue
         candidates[backend.name] = breakdown.total
@@ -310,7 +309,7 @@ class _RaisingBackend(NaiveBackend):
             raise ReproError("build exploded")
         kernel = super().build(problem, arch, **kwargs)
         if config == "tuned" and self.stage == "predict":
-            def predict(problem, model=None):
+            def predict(problem):
                 raise ReproError("predict exploded")
 
             kernel.predict = predict

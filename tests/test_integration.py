@@ -21,7 +21,6 @@ from repro.baselines import (
 )
 from repro.core.config import GeneralCaseConfig, SpecialCaseConfig
 from repro.gpu import timing
-from repro.gpu.timing import TimingModel
 
 
 ALL_GENERAL_METHODS = [
@@ -76,13 +75,12 @@ class TestCostPipeline:
         assert tb.total > 0
         assert kernel.gflops(p) > 0
 
-    def test_custom_timing_model_accepted(self, monkeypatch):
+    def test_lower_compute_efficiency_lowers_the_rate(self, monkeypatch):
         p = ConvProblem.square(64, 3, channels=16, filters=32)
-        model = TimingModel(repro.KEPLER_K40M)
         kern = GeneralCaseKernel()
-        fast = kern.gflops(p, model)
+        fast = kern.gflops(p)
         monkeypatch.setattr(timing, "COMPUTE_EFFICIENCY", 0.35)
-        assert kern.gflops(p, model) <= fast
+        assert kern.gflops(p) < fast
 
 
 class TestCrossArchitecture:

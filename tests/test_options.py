@@ -1,10 +1,12 @@
 """Pin the settable surface of the serving, fleet, timing and telemetry
-constructors.
+constructors, and the one pricing surface of the kernels.
 
 Bounds, retry budgets and model calibration are module constants, read
 where they are used; only the values a caller really varies are
-parameters.  Adding a parameter or a config field means editing the
-written lists here on purpose.
+parameters.  Every kernel prices under the model of its own
+architecture, so no pricing call takes a timing model.  Adding a
+parameter or a config field means editing the written lists here on
+purpose.
 """
 
 import dataclasses
@@ -12,8 +14,13 @@ import inspect
 
 import pytest
 
+from repro.apps.stencil import JacobiStencil
+from repro.baselines.gemm import TiledGemmKernel
 from repro.baselines.implicit_gemm import ImplicitGemmKernel
+from repro.bench.roofline import roofline_point, roofline_report
+from repro.conv.batching import BatchedKernel
 from repro.core.dse import explore_general, explore_special
+from repro.errors import ReproError
 from repro.fleet import (
     AdmissionController,
     CircuitBreaker,
@@ -23,9 +30,10 @@ from repro.fleet import (
 )
 from repro.fleet import admission, engine, health, shared_cache
 from repro.gpu import timing
-from repro.gpu.timing import TimingModel
+from repro.gpu.arch import KEPLER_K40M
+from repro.gpu.timing import Priced, TimingModel
 from repro.gpu.trace import KernelTracer
-from repro.kernels import BackendRegistry, ConvBackend
+from repro.kernels import BackendRegistry, ConvBackend, default_registry
 from repro.kernels import registry as kernel_registry
 from repro.obs import metrics, tracing
 from repro.obs.metrics import Histogram, Registry
@@ -67,6 +75,13 @@ SIGNATURES = [
     (BackendRegistry.available, ["problem", "arch", "names",
                                  "ensure_fallback", "on_error", "limit"]),
     (KernelTracer.finish, ["name", "launch", "software_prefetch"]),
+    (Priced.predict, ["problem"]),
+    (Priced.gflops, ["problem"]),
+    (BatchedKernel.gflops, ["problem"]),
+    (TiledGemmKernel.time_ms, ["shape"]),
+    (JacobiStencil.predict, ["height", "width", "iterations"]),
+    (roofline_point, ["kernel", "problem"]),
+    (roofline_report, ["kernels", "problem"]),
 ]
 
 
@@ -75,6 +90,37 @@ SIGNATURES = [
 def test_parameters(target, expected):
     names = list(inspect.signature(target).parameters)
     assert [n for n in names if n != "self"] == expected
+
+
+def _kernel_classes():
+    """Every class a registered backend builds, plus the GEMM and batch
+    kernels: each prices through :class:`Priced`."""
+    classes = []
+    for backend in default_registry():
+        try:
+            classes.append(type(backend.build(None)))
+        except ReproError:
+            continue
+    return classes + [TiledGemmKernel, BatchedKernel]
+
+
+KERNEL_CLASSES = _kernel_classes()
+
+
+@pytest.mark.parametrize("cls", KERNEL_CLASSES, ids=lambda c: c.__name__)
+def test_kernels_inherit_the_pricing_surface(cls):
+    assert issubclass(cls, Priced)
+    assert "predict" not in vars(cls)
+    # Each class inherits ``predict`` from ``Priced`` and from no other
+    # kernel, so wrapping one class's ``predict`` wraps only that class.
+    assert [c for c in KERNEL_CLASSES if c is not cls and issubclass(cls, c)] \
+        == []
+
+
+def test_no_timing_model_is_passed_around():
+    assert len(KERNEL_CLASSES) == 10
+    assert not hasattr(ConvBackend, "timing")
+    assert not hasattr(Dispatcher(arch=KEPLER_K40M), "model")
 
 
 def test_fixed_values():
