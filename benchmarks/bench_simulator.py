@@ -128,9 +128,10 @@ def churn_style_shapes():
 
 
 def test_plan_build_warm(benchmark):
-    """Serving plan builds (naive's price, then every backend's search,
-    bounded by it, and price) over 32 churn-style shapes once their warp
-    patterns are cached."""
+    """Serving plan builds (naive's price, then a walk that admits each
+    backend under the lowest price so far and prices the ones that can
+    still win) over 32 churn-style shapes once their warp patterns are
+    cached."""
     dispatcher = Dispatcher()
     shapes = churn_style_shapes()
     assert len(set(shapes)) == 32

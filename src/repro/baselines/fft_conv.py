@@ -108,13 +108,36 @@ class FFTConvolution(Priced):
         pointwise = 8.0 * valid.channels * valid.filters * bins * batch
         return transforms * fft_one + pointwise
 
+    def floor(self, problem: ConvProblem) -> KernelCost:
+        """:meth:`cost` without its memory traffic: the same launch,
+        FLOPs and launch count over an otherwise empty ledger
+        (docs/SIMULATOR.md, "Floors and the bounded search")."""
+        return self._floor(problem, 1)
+
+    def _floor(self, problem: ConvProblem, batch: int) -> KernelCost:
+        """The floor of ``batch`` images, on a fresh ledger."""
+        valid = problem.as_valid()
+        ledger = TrafficLedger(gmem_segment_size=self.arch.gmem_transaction_size)
+        ledger.flops = self.flop_count(problem, batch)
+        total_work = valid.filters * valid.out_height * valid.out_width * batch
+        launch = LaunchConfig(
+            grid=Dim3(x=max(1, math.ceil(total_work / _THREADS))),
+            block=Dim3(x=_THREADS),
+            registers_per_thread=32,
+            smem_per_block=4096,
+        )
+        launches = 3 + int(math.ceil(math.log2(max(valid.channels, 2))))
+        return KernelCost(name=self.name, launch=launch, ledger=ledger,
+                          launches=launches)
+
     def cost(self, problem: ConvProblem) -> KernelCost:
         return self.batched_cost(problem, 1)
 
     def batched_cost(self, problem: ConvProblem, batch: int) -> KernelCost:
+        """The floor plus the transforms' memory passes."""
         valid = problem.as_valid()
-        ledger = TrafficLedger(gmem_segment_size=self.arch.gmem_transaction_size)
-        ledger.flops = self.flop_count(problem, batch)
+        cost = self._floor(problem, batch)
+        ledger = cost.ledger
 
         bins = valid.height * (valid.width // 2 + 1)
         spectra = (
@@ -129,14 +152,4 @@ class FFTConvolution(Priced):
         ledger.gmem_read_request_bytes = ledger.gmem_read_bytes_moved
         ledger.gmem_write_bytes_moved = pass_bytes / 2 + valid.output_bytes * batch
         ledger.gmem_write_request_bytes = ledger.gmem_write_bytes_moved
-
-        total_work = valid.filters * valid.out_height * valid.out_width * batch
-        launch = LaunchConfig(
-            grid=Dim3(x=max(1, math.ceil(total_work / _THREADS))),
-            block=Dim3(x=_THREADS),
-            registers_per_thread=32,
-            smem_per_block=4096,
-        )
-        launches = 3 + int(math.ceil(math.log2(max(valid.channels, 2))))
-        return KernelCost(name=self.name, launch=launch, ledger=ledger,
-                          launches=launches)
+        return cost

@@ -35,6 +35,7 @@ from repro.gpu.timing import Priced
 from repro.gpu.trace import (
     KernelCost,
     KernelTracer,
+    TrafficLedger,
     cross_block_reuse,
     lane_batch,
 )
@@ -182,14 +183,29 @@ class TiledGemmKernel(Priced):
         return out
 
     # ------------------------------------------------------------------
+    def floor(self, shape: GemmShape) -> KernelCost:
+        """:meth:`cost` without its memory traffic: the same launch,
+        FLOPs, barriers and prefetch flag over an otherwise empty
+        ledger (docs/SIMULATOR.md, "Floors and the bounded search")."""
+        return self._floor(shape, TrafficLedger(
+            gmem_segment_size=self.arch.gmem_transaction_size))
+
+    def _floor(self, shape: GemmShape, ledger: TrafficLedger) -> KernelCost:
+        """The floor of ``shape``, written to ``ledger``."""
+        launch = self.launch_config(shape)
+        tile_floor(ledger, self.tiling, math.ceil(shape.k / self.tiling.bk),
+                   float(launch.total_blocks))
+        return KernelCost(name=self.name, launch=launch, ledger=ledger,
+                          software_prefetch=True)
+
     def cost(self, shape: GemmShape) -> KernelCost:
+        """The floor plus every access site's traffic."""
         t = self.tiling
         arch = self.arch
-        launch = self.launch_config(shape)
-        blocks = float(launch.total_blocks)
-        ksteps = math.ceil(shape.k / t.bk)
-
         tracer = KernelTracer(arch, self.bank_policy)
+        cost = self._floor(shape, tracer.ledger)
+        blocks = float(cost.launch.total_blocks)
+        ksteps = math.ceil(shape.k / t.bk)
         warp_lanes = arch.warp_size
         unit = t.n * _F32
 
@@ -220,8 +236,8 @@ class TiledGemmKernel(Priced):
                        shape.n * _F32),
             unit, scale=reqs * blocks, site="gm.store_c")
 
-        tracer.sync(2.0 * ksteps * blocks)
-        return tracer.finish(name=self.name, launch=launch, software_prefetch=True)
+        cost.launch.validate(arch)
+        return cost
 
     def _trace_panel_load(self, tracer, rows, cols, pitch_elems, count, site,
                           l2_reuse=1.0):
@@ -244,16 +260,28 @@ class TiledGemmKernel(Priced):
         return self.predict(shape).total * 1e3
 
 
+def tile_floor(ledger: TrafficLedger, t: GemmTiling, ksteps: int,
+               blocks: float) -> None:
+    """The compute and barriers of ``ksteps`` BK-panel steps on
+    ``blocks`` blocks, written to ``ledger``: the full tile's FMAs
+    (padded tiles execute in full) and two barriers per step.  Every
+    tiled GEMM's floor; its cost adds :func:`trace_tile_rounds` and the
+    global traffic."""
+    ledger.flops = 2.0 * t.bm * t.bn * t.bk * ksteps * blocks
+    ledger.syncthreads = 2.0 * ksteps * blocks
+
+
 def trace_tile_rounds(tracer: KernelTracer, t: GemmTiling, ksteps: int,
                       blocks: float) -> None:
-    """The on-chip work of ``ksteps`` BK-panel steps on ``blocks`` blocks.
+    """The shared-memory traffic of ``ksteps`` BK-panel steps on
+    ``blocks`` blocks (their FMAs are :func:`tile_floor`'s).
 
     Every step stages both panels in shared memory (contiguous vector
-    writes), reads the operands once per FMA round and issues the full
-    tile's FMAs (padded tiles execute in full).  A is stored transposed;
-    the register tiles are unit-interleaved (thread x's u-th unit lives
-    at u*TX + x), the standard layout that keeps consecutive lanes on
-    consecutive units, and each register unit is one warp request.
+    writes) and reads the operands once per FMA round.  A is stored
+    transposed; the register tiles are unit-interleaved (thread x's
+    u-th unit lives at u*TX + x), the standard layout that keeps
+    consecutive lanes on consecutive units, and each register unit is
+    one warp request.
     """
     warp_lanes = tracer.arch.warp_size
     unit = t.n * _F32
@@ -276,9 +304,6 @@ def trace_tile_rounds(tracer: KernelTracer, t: GemmTiling, ksteps: int,
         lane_batch(warp_lanes, 0, mod, 0, t.threads_x, unit, t.tn // t.n,
                    t.threads_y * unit),
         unit, scale=rounds, site="sm.load_b_row")
-
-    # --- compute ------------------------------------------------------------
-    tracer.flops(2.0 * t.bm * t.bn * t.bk * ksteps * blocks)
 
 
 def _panel_load_width(cols: int, pitch_elems: int) -> int:

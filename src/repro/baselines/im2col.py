@@ -153,6 +153,32 @@ class Im2colKernel(Priced):
             out.reshape(valid.filters, valid.out_height, valid.out_width))
 
     # ------------------------------------------------------------------
+    def floor(self, problem: ConvProblem) -> KernelCost:
+        """:meth:`cost` without its memory traffic: the GEMM's launch,
+        FLOPs and barriers, the two launches per group and the prefetch
+        flag over an otherwise empty ledger (docs/SIMULATOR.md, "Floors
+        and the bounded search").  The lowering pass adds only traffic."""
+        valid = problem.as_valid()
+        return self._pipeline(valid, self.gemm.floor(self.gemm_shape(problem)))
+
+    def _pipeline(self, valid: ConvProblem, gemm_cost: KernelCost) -> KernelCost:
+        """The two-launch pipeline around the GEMM's floor or cost.
+
+        The GEMM dominates: report under the GEMM's launch with two
+        kernel launches of overhead.  Grouped problems run the identical
+        per-group pipeline ``groups`` times: scale the ledger and the
+        launch count.
+        """
+        if valid.groups > 1:
+            gemm_cost.ledger.scale(float(valid.groups))
+        return KernelCost(
+            name=self.name,
+            launch=gemm_cost.launch,
+            ledger=gemm_cost.ledger,
+            software_prefetch=True,
+            launches=2 * valid.groups,
+        )
+
     def cost(self, problem: ConvProblem) -> KernelCost:
         """Lowering pass plus GEMM, merged into one two-launch cost."""
         valid = problem.as_valid()
@@ -181,17 +207,6 @@ class Im2colKernel(Priced):
         )
         lower_cost = tracer.finish(name="im2col.lower", launch=lower_launch)
 
-        # Merge: the GEMM dominates; report under the GEMM's launch with
-        # both launches' traffic and two kernel launches of overhead.
-        # Grouped problems run the identical per-group pipeline ``groups``
-        # times: scale the merged ledger and the launch count.
+        # Merge both launches' traffic into the GEMM's ledger.
         gemm_cost.ledger.merge(lower_cost.ledger)
-        if valid.groups > 1:
-            gemm_cost.ledger.scale(float(valid.groups))
-        return KernelCost(
-            name=self.name,
-            launch=gemm_cost.launch,
-            ledger=gemm_cost.ledger,
-            software_prefetch=True,
-            launches=2 * valid.groups,
-        )
+        return self._pipeline(valid, gemm_cost)

@@ -17,7 +17,9 @@ Modeling notes (see DESIGN.md):
   premise is precisely that cuDNN (v5.1) does not restructure its
   per-thread data width for Kepler's 8-byte banks.
 * A tile-shape heuristic picks the best tiling per problem from a
-  palette, standing in for cuDNN's internal kernel selection.
+  palette, standing in for cuDNN's internal kernel selection.  It is the
+  design-space explorer's bounded search (``repro.core.dse``), over
+  each tile's compute-only floor.
 * Every input pixel is re-gathered for each of the ``K_f * K_f`` lowered
   rows it appears in and for each M-tile — the traffic the paper's
   kernels eliminate (their Sec. 4.2 claims ~1/K of it).
@@ -26,21 +28,27 @@ Modeling notes (see DESIGN.md):
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.baselines.gemm import GemmShape, GemmTiling, trace_tile_rounds
+from repro.baselines.gemm import (
+    GemmShape,
+    GemmTiling,
+    tile_floor,
+    trace_tile_rounds,
+)
 from repro.baselines.im2col import gather_batch, im2col_matrix
 from repro.conv.tensors import ConvProblem, Padding
 from repro.errors import ShapeError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import Priced, TimingModel
+from repro.gpu.timing import Priced
 from repro.gpu.trace import (
     KernelCost,
     KernelTracer,
+    TrafficLedger,
     cross_block_reuse,
     lane_batch,
 )
@@ -105,18 +113,25 @@ class ImplicitGemmKernel(Priced):
         """Pick the palette tile with the best predicted time."""
         if self._tiling is not None:
             return self._tiling
-        return self._select(problem)[0]
+        return self.search(problem).ranked.config
 
-    def _select(self, problem: ConvProblem) -> Tuple[GemmTiling, KernelCost]:
-        """The best palette tile and the traced cost that ranked it."""
-        model = TimingModel(self.arch)
-        best, best_time = None, float("inf")
-        for tiling in DEFAULT_TILE_PALETTE:
-            cost = self._cost_with(problem, tiling)
-            t = model.evaluate(cost).total
-            if t < best_time:
-                best, best_time = (tiling, cost), t
-        return best
+    def search(self, problem: ConvProblem, limit: float = math.inf):
+        """The bounded tile search over :data:`DEFAULT_TILE_PALETTE`.
+
+        ``repro.core.dse``'s branch and bound prices the tiles in
+        ``(floor time, palette index)`` order and stops once no unpriced
+        tile can win.  Its winner is the exhaustive argmin (the best
+        time, the earliest tile on a tie), answered as a
+        :class:`~repro.core.dse.PricedConfig` whose config is the tile,
+        or ``None`` when it takes longer than ``limit`` seconds.
+        """
+        from repro.core.dse import _rank
+
+        def tile_kernel(arch, config):
+            return ImplicitGemmKernel(arch, config, self.bank_policy)
+
+        return _rank(DEFAULT_TILE_PALETTE, tile_kernel, problem, self.arch,
+                     "implicit-gemm", limit)
 
     # ------------------------------------------------------------------
     def run(
@@ -156,33 +171,55 @@ class ImplicitGemmKernel(Priced):
                                   valid.out_width))
 
     # ------------------------------------------------------------------
-    def cost(self, problem: ConvProblem) -> KernelCost:
-        if self._tiling is not None:
-            return self._cost_with(problem, self._tiling)
-        return self._select(problem)[1]
+    def floor(self, problem: ConvProblem) -> KernelCost:
+        """:meth:`cost` without its memory traffic: the floor of the tile
+        it prices (docs/SIMULATOR.md, "Floors and the bounded search").
+        The tile search prices each palette tile's floor as this of a
+        fixed-tiling kernel."""
+        return self._floor_with(
+            problem, self.select_tiling(problem),
+            TrafficLedger(gmem_segment_size=self.arch.gmem_transaction_size))
 
-    def _cost_with(self, problem: ConvProblem, t: GemmTiling) -> KernelCost:
+    def _floor_with(self, problem: ConvProblem, t: GemmTiling,
+                    ledger: TrafficLedger) -> KernelCost:
+        """Tile ``t``'s floor: its launch, FLOPs, barriers and prefetch
+        flag, written to ``ledger``."""
         # The GEMM lowering is dense: pricing a grouped problem as one
         # would cost work ``run`` refuses to do.
         _check_ungrouped(problem)
-        valid = problem.as_valid()
         shape = self.gemm_shape(problem)
-        arch = self.arch
-
         grid_x = math.ceil(shape.m / t.bm)
         grid_y = math.ceil(shape.n / t.bn)
-        blocks = float(grid_x * grid_y)
-        ksteps = math.ceil(shape.k / t.bk)
-
         launch = LaunchConfig(
             grid=Dim3(x=grid_x, y=grid_y),
             block=Dim3(x=t.threads_x, y=t.threads_y),
             registers_per_thread=min(t.registers_per_thread() + 8,
-                                     arch.max_registers_per_thread),
+                                     self.arch.max_registers_per_thread),
             smem_per_block=t.smem_bytes(),
         )
+        tile_floor(ledger, t, math.ceil(shape.k / t.bk),
+                   float(grid_x * grid_y))
+        return KernelCost(name=self.name, launch=launch, ledger=ledger,
+                          software_prefetch=True)
 
-        tracer = KernelTracer(arch, self.bank_policy)
+    def cost(self, problem: ConvProblem) -> KernelCost:
+        """The selected tile's cost: a fixed tiling's, or the cost the
+        tile search priced its winner with (traced once)."""
+        if self._tiling is not None:
+            return self._cost_with(problem, self._tiling)
+        return self.search(problem).cost
+
+    def _cost_with(self, problem: ConvProblem, t: GemmTiling) -> KernelCost:
+        """Tile ``t``'s floor plus every access site's traffic."""
+        tracer = KernelTracer(self.arch, self.bank_policy)
+        cost = self._floor_with(problem, t, tracer.ledger)
+        valid = problem.as_valid()
+        shape = self.gemm_shape(problem)
+        arch = self.arch
+
+        grid_x, grid_y = cost.launch.grid.x, cost.launch.grid.y
+        blocks = float(grid_x * grid_y)
+        ksteps = math.ceil(shape.k / t.bk)
         warp_lanes = arch.warp_size
 
         # --- A panel: BM filters x BK lowered coordinates (contiguous) ----
@@ -214,9 +251,9 @@ class ImplicitGemmKernel(Priced):
             scale=b_reqs_per_row * shape.k * grid_y * grid_x,
             site="gm.load_image_gather", l2_reuse=float(k_taps))
 
-        # --- shared-memory staging, operand reads and compute -------------
-        # The palette's operand reads are scalar float (unmatched), and
-        # padded tiles execute in full.
+        # --- shared-memory staging and operand reads -----------------------
+        # The palette's operand reads are scalar float (unmatched); the
+        # FMAs, padded tiles in full, are the floor's.
         trace_tile_rounds(tracer, t, ksteps, blocks)
 
         # --- writeback: BN contiguous output pixels per tile row --------------
@@ -229,5 +266,5 @@ class ImplicitGemmKernel(Priced):
             w_width, scale=wb_rows * run_w / arch.warp_size * grid_y,
             site="gm.store_out")
 
-        tracer.sync(2.0 * ksteps * blocks)
-        return tracer.finish(name=self.name, launch=launch, software_prefetch=True)
+        cost.launch.validate(arch)
+        return cost

@@ -176,24 +176,39 @@ class WinogradConvolution(Priced):
         valid = problem.as_valid()
         return valid.filters * valid.channels * self.patch * self.patch * 4
 
-    def cost(self, problem: ConvProblem) -> KernelCost:
+    def floor(self, problem: ConvProblem) -> KernelCost:
+        """:meth:`cost` without its memory traffic: the same launch,
+        FLOPs and launch count over an otherwise empty ledger
+        (docs/SIMULATOR.md, "Floors and the bounded search")."""
         valid = problem.as_valid()
         ledger = TrafficLedger(gmem_segment_size=self.arch.gmem_transaction_size)
         ledger.flops = self.flop_count(problem)
+        launch = LaunchConfig(
+            grid=Dim3(x=max(1, math.ceil(
+                self._tiles(valid) * valid.filters / _THREADS))),
+            block=Dim3(x=_THREADS),
+            registers_per_thread=48,
+            smem_per_block=8192,
+        )
+        return KernelCost(name=self.name, launch=launch, ledger=ledger, launches=4)
 
-        m, t = self.tile, self.patch
-        tiles = math.ceil(valid.out_height / m) * math.ceil(valid.out_width / m)
+    def _tiles(self, valid: ConvProblem) -> int:
+        """Output tiles of m x m."""
+        m = self.tile
+        return math.ceil(valid.out_height / m) * math.ceil(valid.out_width / m)
+
+    def cost(self, problem: ConvProblem) -> KernelCost:
+        """The floor plus the transforms' memory traffic."""
+        valid = problem.as_valid()
+        cost = self.floor(problem)
+        ledger = cost.ledger
+
+        t = self.patch
+        tiles = self._tiles(valid)
         v_bytes = valid.channels * tiles * t * t * 4
         m_bytes = valid.filters * tiles * t * t * 4
         reads = valid.image_bytes + self.transformed_filter_bytes(problem) + v_bytes + m_bytes
         writes = v_bytes + m_bytes + valid.output_bytes
         ledger.gmem_read_bytes_moved = ledger.gmem_read_request_bytes = float(reads)
         ledger.gmem_write_bytes_moved = ledger.gmem_write_request_bytes = float(writes)
-
-        launch = LaunchConfig(
-            grid=Dim3(x=max(1, math.ceil(tiles * valid.filters / _THREADS))),
-            block=Dim3(x=_THREADS),
-            registers_per_thread=48,
-            smem_per_block=8192,
-        )
-        return KernelCost(name=self.name, launch=launch, ledger=ledger, launches=4)
+        return cost

@@ -11,25 +11,29 @@ search for the paper's three filter sizes and reports our best
 configuration next to the paper's.  A caller that needs only the winner,
 and only when it comes in under a time limit (the serving dispatcher),
 passes ``limit=`` and gets a branch-and-bound search over the kernels'
-floors instead (docs/SIMULATOR.md, "Floors and the bounded search").
+floors instead (docs/SIMULATOR.md, "Floors and the bounded search"),
+which answers the winner with the breakdown and cost that priced it.
+The implicit-GEMM baseline picks its tile with the same search.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.conv.tensors import ConvProblem
 from repro.core.config import GeneralCaseConfig, SpecialCaseConfig, TABLE1_CONFIGS
 from repro.errors import ConfigurationError, LaunchConfigError, ResourceError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
-from repro.gpu.timing import TimingModel
+from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.trace import KernelCost
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
 
 __all__ = [
     "RankedConfig",
+    "PricedConfig",
     "enumerate_special_configs",
     "enumerate_general_configs",
     "explore_special",
@@ -58,6 +62,17 @@ class RankedConfig:
     gflops: float
     occupancy: float
     bound_by: str
+
+
+class PricedConfig(NamedTuple):
+    """One priced candidate: its ranking entry, and the breakdown and
+    cost that priced it.  A bounded search answers its winner as one,
+    so a caller need not price the winner again; a full ranking keeps
+    only the :class:`RankedConfig`."""
+
+    ranked: RankedConfig
+    breakdown: TimingBreakdown
+    cost: KernelCost
 
 
 # ----------------------------------------------------------------------
@@ -127,9 +142,10 @@ def enumerate_general_configs(
 class _Pricer:
     """One search's per-candidate pricing and accounting, shared by the
     full ranking and the bounded search: the timing model that prices
-    floors (a floor is a cost, not a kernel; candidates price through
-    their own ``predict``), the ``dse_candidates_total`` counter
-    resolved once, and the tallies the ``dse:<case>`` span reports."""
+    each candidate's floor and cost (the model of the candidates' own
+    architecture, so a price is the kernel's ``predict``), the
+    ``dse_candidates_total`` counter resolved once, and the tallies the
+    ``dse:<case>`` span reports."""
 
     REJECTED = (ConfigurationError, LaunchConfigError, ResourceError)
 
@@ -160,22 +176,22 @@ class _Pricer:
             self._reject(exc)
             return None
 
-    def price(self, cfg, kernel) -> Optional[Tuple[float, RankedConfig]]:
-        """``(seconds, ranked config)``, or None with the rejection
-        counted."""
+    def price(self, cfg, kernel) -> Optional[PricedConfig]:
+        """The candidate priced, or None with the rejection counted."""
         try:
-            breakdown = kernel.predict(self.problem)
+            cost = kernel.cost(self.problem)
+            breakdown = self.model.evaluate(cost)
         except self.REJECTED as exc:
             self._reject(exc)
             return None
         self.ok += 1
         self.counter.inc_key((self.case, "ok"))
-        return breakdown.total, RankedConfig(
+        return PricedConfig(RankedConfig(
             config=cfg,
             gflops=breakdown.gflops(self.flops),
             occupancy=breakdown.occupancy_fraction,
             bound_by=breakdown.bound_by,
-        )
+        ), breakdown, cost)
 
 
 def _rank_all(configs, kernel_cls, arch, pricer: _Pricer) -> List[RankedConfig]:
@@ -185,14 +201,14 @@ def _rank_all(configs, kernel_cls, arch, pricer: _Pricer) -> List[RankedConfig]:
     for cfg in configs:
         priced = pricer.price(cfg, kernel_cls(arch=arch, config=cfg))
         if priced is not None:
-            ranked.append(priced[1])
+            ranked.append(priced.ranked)
     ranked.sort(key=lambda r: r.gflops, reverse=True)
     return ranked
 
 
 def _bounded(configs, kernel_cls, arch, pricer: _Pricer,
-             limit: float) -> Tuple[List[RankedConfig], int]:
-    """The branch-and-bound winner search: ``([winner] or [], pruned)``.
+             limit: float) -> Tuple[Optional[PricedConfig], int]:
+    """The branch-and-bound winner search: ``(winner or None, pruned)``.
 
     Every candidate's floor is priced first, then the candidates in
     ``(floor time, index)`` order.  A floor never exceeds the price
@@ -213,7 +229,7 @@ def _bounded(configs, kernel_cls, arch, pricer: _Pricer,
     floors.sort(key=lambda f: f[:2])
     flops = pricer.flops
     bar = flops / limit / 1e9
-    best = None                 # (index, seconds, RankedConfig)
+    best = best_index = None
     priced = 0
     for seconds, index, cfg, kernel in floors:
         if flops / seconds / 1e9 < bar:
@@ -222,42 +238,43 @@ def _bounded(configs, kernel_cls, arch, pricer: _Pricer,
         result = pricer.price(cfg, kernel)
         if result is None:
             continue
-        gflops = result[1].gflops
-        if (best is None or gflops > best[2].gflops
-                or (gflops == best[2].gflops and index < best[0])):
-            best = (index,) + result
+        gflops = result.ranked.gflops
+        if (best is None or gflops > best.ranked.gflops
+                or (gflops == best.ranked.gflops and index < best_index)):
+            best, best_index = result, index
             bar = max(bar, gflops)
-    ranked = [best[2]] if best is not None and best[1] <= limit else []
-    return ranked, len(floors) - priced
+    if best is not None and best.breakdown.total > limit:
+        best = None
+    return best, len(floors) - priced
 
 
-def _rank(configs, problem, arch, case: str = "general",
-          limit: Optional[float] = None) -> List[RankedConfig]:
+def _rank(configs, kernel_cls, problem, arch, case: str,
+          limit: Optional[float] = None):
     """Rank candidates, or with a ``limit`` find only the winner.
 
-    With ``limit=None`` every candidate is priced and ranked, best
-    first.  With a limit in seconds (``math.inf`` allowed) the search
-    is bounded (:func:`_bounded`): ``[winner]`` when the full ranking's
-    first entry takes at most ``limit`` seconds, ``[]`` when it takes
-    longer, and :class:`ConfigurationError` when no candidate is valid.
+    Each candidate is ``kernel_cls(arch=arch, config=cfg)``.  With
+    ``limit=None`` every candidate is priced and ranked, best first.
+    With a limit in seconds (``math.inf`` allowed) the search is
+    bounded (:func:`_bounded`): the full ranking's first entry as a
+    :class:`PricedConfig` when it takes at most ``limit`` seconds,
+    ``None`` when it takes longer, and :class:`ConfigurationError` when
+    no candidate is valid.
 
     Telemetry is per search: one ``dse:<case>`` wall span summarizing
     the outcome, a ``dse_candidates_total`` increment per priced
     candidate and, for a bounded search, the unpriced ones in
     ``dse_candidates_pruned_total``.
     """
-    from repro.core.general import GeneralCaseKernel
-    from repro.core.special import SpecialCaseKernel
-
-    kernel_cls = SpecialCaseKernel if case == "special" else GeneralCaseKernel
     pricer = _Pricer(problem, arch, case)
     with get_tracer().span("dse:%s" % case, category="dse",
                            args={"problem": problem.describe()}) as span:
         if limit is None:
-            ranked, pruned = _rank_all(configs, kernel_cls, arch, pricer), 0
+            result = _rank_all(configs, kernel_cls, arch, pricer)
+            winner, pruned = (result[0] if result else None), 0
         else:
-            ranked, pruned = _bounded(configs, kernel_cls, arch, pricer,
+            result, pruned = _bounded(configs, kernel_cls, arch, pricer,
                                       limit)
+            winner = result.ranked if result is not None else None
             get_registry().counter(
                 "dse_candidates_pruned_total",
                 "Design-space candidates a bounded search left unpriced, "
@@ -266,29 +283,31 @@ def _rank(configs, problem, arch, case: str = "general",
         span.update(candidates=pricer.ok + sum(pricer.rejected.values()),
                     ok=pricer.ok, rejected=pricer.rejected, limit=limit,
                     pruned=pruned)
-        if ranked:
-            span.update(winner=repr(ranked[0].config),
-                        gflops=ranked[0].gflops, bound_by=ranked[0].bound_by)
+        if winner is not None:
+            span.update(winner=repr(winner.config), gflops=winner.gflops,
+                        bound_by=winner.bound_by)
     if limit is not None and not (pricer.ok or pruned):
         raise ConfigurationError(
             "no valid %s-case configuration for %s"
             % (case, problem.describe()))
-    return ranked
+    return result
 
 
 def explore_special(
     arch: GPUArchitecture = KEPLER_K40M,
     problem: Optional[ConvProblem] = None,
     limit: Optional[float] = None,
-) -> List[RankedConfig]:
+):
     """Rank special-case blocks; the paper's answer is W=256, H=8.
 
     A ``limit`` in seconds makes it the bounded winner search
-    (:func:`_rank`).
+    (:func:`_rank`), which answers a :class:`PricedConfig` or ``None``.
     """
+    from repro.core.special import SpecialCaseKernel
+
     problem = problem or DEFAULT_SPECIAL_PROBLEM
-    return _rank(enumerate_special_configs(), problem, arch, case="special",
-                 limit=limit)
+    return _rank(enumerate_special_configs(), SpecialCaseKernel, problem,
+                 arch, "special", limit)
 
 
 def explore_general(
@@ -297,19 +316,20 @@ def explore_general(
     problem: Optional[ConvProblem] = None,
     configs: Optional[Sequence[GeneralCaseConfig]] = None,
     limit: Optional[float] = None,
-) -> List[RankedConfig]:
+):
     """Rank general-case configurations for one filter size (Table 1).
 
     A ``limit`` in seconds makes it the bounded winner search
-    (:func:`_rank`).
+    (:func:`_rank`), which answers a :class:`PricedConfig` or ``None``.
     """
     from repro.core.bankwidth import matched_vector
+    from repro.core.general import GeneralCaseKernel
 
     n = matched_vector(arch).n
     problem = problem or default_general_problem(kernel_size)
     if configs is None:
         configs = enumerate_general_configs(kernel_size, n, arch)
-    return _rank(configs, problem, arch, case="general", limit=limit)
+    return _rank(configs, GeneralCaseKernel, problem, arch, "general", limit)
 
 
 def _general_palette(kernel_size: int, n: int) -> List[GeneralCaseConfig]:

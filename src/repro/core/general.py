@@ -32,7 +32,7 @@ from repro.conv.blocking import BlockGrid
 from repro.conv.tensors import ConvProblem, Padding
 from repro.core.bankwidth import DataType, matched_vector
 from repro.core.config import TABLE1_CONFIGS, GeneralCaseConfig
-from repro.errors import ConfigurationError, ReproError, ShapeError, TraceError
+from repro.errors import ConfigurationError, ReproError, ShapeError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
@@ -331,15 +331,17 @@ class GeneralCaseKernel(Priced):
         # A thread's image register row is read as n-float units from
         # its footprint row, pitch floats per staged row; rows off a
         # unit boundary are a misaligned access, which the bank model
-        # rejects when ``cost`` folds the site.  Raising it here puts the
-        # same error in the floor, so a search that skips the fold still
-        # sees it (columns are unit-aligned: w and wt are multiples of n).
+        # would reject when ``cost`` folds the site.  The configuration
+        # cannot run this problem, so it is rejected here, for the floor
+        # and the price alike, as a configuration error a search counts
+        # (columns are unit-aligned: w and wt are multiples of n).
         pitch = (cfg.w - 1) * s + d * (k - 1) + 1
         if s * pitch % n and _misaligned_rows(
                 self.arch.warp_size, cfg.tx, cfg.ty, cfg.wt, cfg.w,
                 s * pitch, n):
-            raise TraceError("shared-memory accesses must be %d-byte aligned"
-                             % (n * self.elem_bytes))
+            raise ConfigurationError(
+                "shared-memory accesses must be %d-byte aligned"
+                % (n * self.elem_bytes))
         ledger.flops = (2.0 * k * k * valid.channels * cfg.ftb * cfg.w
                         * cfg.h * blocks)
         ledger.syncthreads = (2.0 * chunks + 2.0) * blocks

@@ -32,8 +32,9 @@ from repro.conv.tensors import ConvProblem, FLOAT_BYTES
 from repro.core.depthwise import DepthwiseKernel
 from repro.core.general import GeneralCaseKernel
 from repro.core.special import SpecialCaseKernel
-from repro.errors import ConfigurationError, SearchBounded
+from repro.errors import ConfigurationError, ReproError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
+from repro.gpu.timing import TimingBreakdown
 from repro.kernels.protocol import BOUNDED, ConvBackend
 from repro.kernels.registry import BackendRegistry
 
@@ -60,23 +61,17 @@ class _TunedBackend(ConvBackend):
 
     def tune(self, problem: ConvProblem,
              arch: GPUArchitecture = KEPLER_K40M,
-             full: bool = False,
-             limit: Optional[float] = None):
-        """Search configurations and return the winning
+             full: bool = False):
+        """Rank every candidate configuration and return the winning
         :class:`~repro.core.dse.RankedConfig` (raises
         :class:`ConfigurationError` when no candidate is valid).
 
         ``full`` searches the whole Table 1 axis space instead of the
-        shippable palette (general case only).  Without a ``limit`` the
-        search ranks every candidate; with one (seconds, ``math.inf``
-        allowed) it is the bounded winner search, and ``None`` means
-        the winner takes longer than ``limit``.
+        shippable palette (general case only).
         """
-        ranked = self._explore(problem, arch, full, limit)
+        ranked = self._explore(problem, arch, full, None)
         if ranked:
             return ranked[0]
-        if limit is not None:
-            return None
         raise ConfigurationError(
             "no valid %s-case configuration for %r on %s"
             % (self.case, problem, arch.name)
@@ -87,31 +82,31 @@ class _TunedBackend(ConvBackend):
 
     def configure(self, problem: ConvProblem,
                   arch: GPUArchitecture = KEPLER_K40M,
-                  limit: float = math.inf) -> Optional[object]:
-        """The winning configuration; ``None`` when no candidate is
-        valid, :data:`~repro.kernels.protocol.BOUNDED` when the winner
-        takes longer than ``limit`` seconds."""
+                  limit: float = math.inf,
+                  ) -> Tuple[Optional[object], Optional[TimingBreakdown]]:
+        """The bounded winner search's configuration and the breakdown
+        that priced it; ``(None, None)`` when no candidate is valid,
+        ``(BOUNDED, None)`` when the winner takes longer than ``limit``
+        seconds."""
         try:
-            best = self.tune(problem, arch, limit=limit)
+            winner = self._explore(problem, arch, False, limit)
         except ConfigurationError:
-            return None
-        return BOUNDED if best is None else best.config
+            return None, None
+        if winner is None:
+            return BOUNDED, None
+        return winner.ranked.config, winner.breakdown
 
     def admit(self, problem: ConvProblem,
               arch: GPUArchitecture = KEPLER_K40M,
               limit: float = math.inf
-              ) -> Tuple[bool, Optional[object]]:
+              ) -> Tuple[bool, Optional[object], Optional[TimingBreakdown]]:
         # The explorer already enforces the smem/register/thread budgets
         # per candidate, so feasibility is "the search is non-empty" and
         # the one search that decides it also yields the configuration.
         if not self._gates_ok(problem, arch):
-            return False, None
-        config = self.configure(problem, arch, limit)
-        if config is BOUNDED:
-            raise SearchBounded(
-                "no %s-case configuration for %r on %s comes in at or "
-                "under %r s" % (self.case, problem, arch.name, limit))
-        return config is not None, config
+            return False, None, None
+        config, breakdown = self._configured(problem, arch, limit)
+        return config is not None, config, breakdown
 
 
 class SpecialBackend(_TunedBackend):
@@ -208,6 +203,11 @@ class DepthwiseBackend(_TunedBackend):
             arch, problem=DepthwiseKernel.group_problem(problem),
             limit=None if limit is None else math.inf)
 
+    def configure(self, problem, arch=KEPLER_K40M, limit=math.inf):
+        # The winner's breakdown prices one group, not the grouped
+        # launch, so the caller prices the launch itself.
+        return super().configure(problem, arch, limit)[0], None
+
     def build(self, problem, arch=KEPLER_K40M, config=None, **kwargs):
         if config is not None:
             kwargs["config"] = config
@@ -239,6 +239,22 @@ class ImplicitGemmBackend(ConvBackend):
         "groups": "single",
         "layouts": ("nchw",),
     }
+
+    def configure(self, problem, arch=KEPLER_K40M, limit=math.inf):
+        """Under a finite ``limit``, the kernel's bounded tile search:
+        no config (the built kernel selects its own tile) and the
+        winning tile's breakdown, or :data:`BOUNDED` when it takes
+        longer than ``limit``.  A search that raises leaves the price
+        to the built kernel's ``predict``, which raises alike."""
+        if limit < math.inf:
+            try:
+                winner = self.build(problem, arch).search(problem, limit)
+            except ReproError:
+                return None, None
+            if winner is None:
+                return BOUNDED, None
+            return None, winner.breakdown
+        return None, None
 
     def build(self, problem, arch=KEPLER_K40M, config=None, **kwargs):
         return ImplicitGemmKernel(arch=arch, **kwargs)

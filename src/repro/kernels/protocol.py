@@ -26,8 +26,11 @@ must construct without raising (the registry parity suite enforces
 this) — and should reject problems whose launch would violate the
 architecture's shared-memory / register / thread budgets.
 :meth:`ConvBackend.admit` answers the first two questions in one pass,
-``(ok, config)``, so a backend whose feasibility *is* its configuration
-search (the paper kernels) searches once per admission.
+``(ok, config, breakdown)``, so a backend whose feasibility *is* its
+configuration search (the paper kernels) searches once per admission,
+and a search that priced its winner hands that price back.  Under a
+time limit, a backend that can prove it takes longer (by its search or
+by its kernel's compute-only floor) is left out unpriced.
 
 Since the problem model grew stride / dilation / groups / layout axes,
 every backend also declares which of those generalized axes it serves
@@ -46,14 +49,15 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.conv.tensors import ConvProblem, Padding
-from repro.errors import ReproError
+from repro.errors import ReproError, SearchBounded
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
+from repro.gpu.timing import TimingBreakdown, TimingModel
 
 __all__ = ["ConvBackend", "BOUNDED"]
 
-#: A tuned backend's :meth:`ConvBackend.configure` answer when its
-#: bounded search proved that every valid configuration takes longer
-#: than the limit; :meth:`ConvBackend.admit` raises
+#: The configuration :meth:`ConvBackend.configure` answers when it
+#: proved that the backend takes longer than the limit (its search, or
+#: its kernel's floor); :meth:`ConvBackend.admit` raises
 #: :class:`~repro.errors.SearchBounded` for it.
 BOUNDED = "bounded"
 
@@ -99,26 +103,38 @@ class ConvBackend(ABC):
     def admit(self, problem: ConvProblem,
               arch: GPUArchitecture = KEPLER_K40M,
               limit: float = math.inf,
-              ) -> Tuple[bool, Optional[object]]:
-        """Admission and configuration in one pass: ``(ok, config)``.
+              ) -> Tuple[bool, Optional[object], Optional[TimingBreakdown]]:
+        """Admission and configuration in one pass: ``(ok, config,
+        breakdown)``.
 
         The default chains the axis gate (:meth:`axes_ok`) with the
         cheap structural test (:meth:`capability`) and the resource test
         (:meth:`feasible`), then asks an admitted backend for its
-        :meth:`configure` answer; a filtered backend's config is
-        ``None``.  A :class:`~repro.errors.ReproError` raised by
+        :meth:`configure` answer; a filtered backend answers ``(False,
+        None, None)``.  A :class:`~repro.errors.ReproError` raised by
         ``configure`` propagates.
 
         ``limit`` is the time (seconds) a backend must come in at or
-        under to matter to the caller.  A tuned backend bounds its
-        configuration search with it and raises
-        :class:`~repro.errors.SearchBounded` when its best configuration
-        takes longer; untuned backends ignore it.
+        under to matter to the caller.  ``configure`` bounds its work
+        with it, and a backend it proves slower raises
+        :class:`~repro.errors.SearchBounded`.
         """
         if not (self._gates_ok(problem, arch)
                 and self.feasible(problem, arch)):
-            return False, None
-        return True, self.configure(problem, arch)
+            return False, None, None
+        return (True,) + self._configured(problem, arch, limit)
+
+    def _configured(self, problem: ConvProblem, arch: GPUArchitecture,
+                    limit: float) -> Tuple[Optional[object],
+                                           Optional[TimingBreakdown]]:
+        """:meth:`configure`'s answer, or
+        :class:`~repro.errors.SearchBounded` when it is :data:`BOUNDED`."""
+        config, breakdown = self.configure(problem, arch, limit)
+        if config is BOUNDED:
+            raise SearchBounded(
+                "the %s backend takes longer than %r s for %r on %s"
+                % (self.name, limit, problem, arch.name))
+        return config, breakdown
 
     def _gates_ok(self, problem: ConvProblem, arch: GPUArchitecture) -> bool:
         """The cheap gates: a valid problem inside :attr:`AXES` that
@@ -182,14 +198,34 @@ class ConvBackend(ABC):
     # Configuration (the DSE hook)
     # ------------------------------------------------------------------
     def configure(self, problem: ConvProblem,
-                  arch: GPUArchitecture = KEPLER_K40M) -> Optional[object]:
-        """The tuned configuration for ``problem`` on ``arch``.
+                  arch: GPUArchitecture = KEPLER_K40M,
+                  limit: float = math.inf,
+                  ) -> Tuple[Optional[object], Optional[TimingBreakdown]]:
+        """``(config, breakdown)``: the tuned configuration for
+        ``problem`` on ``arch``, and its breakdown when finding it priced
+        it (``None`` otherwise).
 
-        ``None`` means "no tunable configuration" — either the backend
-        has none (the baselines) or the search found no valid candidate.
-        The paper kernels override this with the design-space explorer.
+        A ``None`` config means "no tunable configuration": either the
+        backend has none (the baselines) or the search found no valid
+        candidate.  The paper kernels override this with the
+        design-space explorer, bounded by ``limit``.  The config is
+        :data:`BOUNDED` when the backend is proved to take longer than
+        ``limit`` seconds: here, when the default kernel's compute-only
+        ``floor`` does (docs/SIMULATOR.md, "Floors and the bounded
+        search").  A kernel without a floor (the naive fallback, always
+        priced) is never bounded, nor one whose floor raises: its
+        ``predict`` raises alike.
         """
-        return None
+        if limit < math.inf:
+            floor = getattr(self.build(problem, arch), "floor", None)
+            try:
+                slower = floor is not None and TimingModel(arch).evaluate(
+                    floor(problem)).total > limit
+            except ReproError:
+                slower = False
+            if slower:
+                return BOUNDED, None
+        return None, None
 
     # ------------------------------------------------------------------
     # Construction

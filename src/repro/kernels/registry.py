@@ -9,7 +9,10 @@ under its name and answers the two questions the consumer layers ask:
 * :meth:`BackendRegistry.available` — the ordered candidate portfolio
   for one ``(problem, arch)`` pair, filtered through each backend's
   :meth:`~repro.kernels.protocol.ConvBackend.admit` and paired with the
-  configuration that admission found.
+  configuration that admission found.  Its per-backend step,
+  :meth:`BackendRegistry.admit_one`, and its fallback step,
+  :meth:`BackendRegistry.fallback_for`, are also the serving
+  dispatcher's walk, which lowers the limit as it prices.
 
 The registry enforces the serving layer's degradation invariant: the
 fallback backend (:data:`FALLBACK_BACKEND`, ``naive``) is appended to every
@@ -32,6 +35,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from repro.conv.tensors import ConvProblem
 from repro.errors import BackendError, ReproError, SearchBounded
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
+from repro.gpu.timing import TimingBreakdown
 from repro.kernels.protocol import ConvBackend
 from repro.obs.metrics import get_registry
 
@@ -57,6 +61,10 @@ def _candidate_counter(reg):
         "kernel_backend_candidates_total",
         "Backend admission decisions in available(), by backend and outcome",
         labelnames=("backend", "outcome"))
+
+
+#: One admitted backend: ``(backend, config, breakdown)``.
+Admitted = Tuple[ConvBackend, object, Optional[TimingBreakdown]]
 
 
 class BackendRegistry:
@@ -126,6 +134,48 @@ class BackendRegistry:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
+    def admit_one(
+        self,
+        name: str,
+        problem: ConvProblem,
+        arch: GPUArchitecture = KEPLER_K40M,
+        limit: float = math.inf,
+        on_error: Optional[Callable[[str, ReproError], None]] = None,
+    ) -> Optional[Admitted]:
+        """One backend's admission: ``(backend, config, breakdown)`` from
+        its ``admit``, or ``None`` when it is left out.
+
+        Each decision is counted in ``kernel_backend_candidates_total``
+        by outcome: ``admitted``, ``filtered``, ``bounded`` (its
+        ``admit`` raised :class:`~repro.errors.SearchBounded`: it takes
+        longer than ``limit``) or ``error`` (any other
+        :class:`~repro.errors.ReproError`).  A raise is also reported
+        to ``on_error(name, error)``.
+        """
+        counter = get_registry().handles(_candidate_counter)
+        backend = self.get(name)
+        try:
+            ok, config, breakdown = backend.admit(problem, arch, limit)
+        except ReproError as err:
+            counter.inc_key((str(name), "bounded" if isinstance(
+                err, SearchBounded) else "error"))
+            if on_error is not None:
+                on_error(name, err)
+            return None
+        counter.inc_key((str(name), "admitted" if ok else "filtered"))
+        return (backend, config, breakdown) if ok else None
+
+    def fallback_for(self, admitted: Sequence[Admitted]) -> List[Admitted]:
+        """``[(fallback, None, None)]``, counted with outcome
+        ``fallback``, when the ``admitted`` entries lack the registry's
+        fallback backend; else ``[]``."""
+        if (self.fallback not in self._backends
+                or any(entry[0].name == self.fallback for entry in admitted)):
+            return []
+        get_registry().handles(_candidate_counter).inc_key(
+            (str(self.fallback), "fallback"))
+        return [(self._backends[self.fallback], None, None)]
+
     def available(
         self,
         problem: ConvProblem,
@@ -140,39 +190,20 @@ class BackendRegistry:
 
         ``names`` restricts (and orders) the considered subset; the
         default is every registered backend in registration order.  Each
-        candidate passes through its own ``admit``, whose configuration
+        candidate passes through :meth:`admit_one`, whose configuration
         rides along in the pair, and — unless ``ensure_fallback=False``
         — the registry's fallback backend is appended (with config
-        ``None``) even when filtered or absent from ``names``,
-        preserving the "naive always enabled" degradation invariant.
+        ``None``, :meth:`fallback_for`) even when filtered or absent
+        from ``names``, preserving the "naive always enabled"
+        degradation invariant.
 
-        A backend whose ``admit`` raises a
-        :class:`~repro.errors.ReproError` is left out, counted with
-        outcome ``error`` and reported to ``on_error(name, error)``.
-
-        ``limit`` (seconds) passes to every ``admit``: a tuned backend
-        whose best configuration takes longer raises
-        :class:`~repro.errors.SearchBounded`, which leaves it out with
-        outcome ``bounded``, reported to ``on_error`` as well.
+        ``limit`` (seconds) passes to every ``admit``: a backend proved
+        to take longer is left out with outcome ``bounded``.
         """
         order = self.names() if names is None else tuple(names)
-        counter = get_registry().handles(_candidate_counter)
-        admitted: List[Tuple[ConvBackend, object]] = []
-        for name in order:
-            backend = self.get(name)
-            try:
-                ok, config = backend.admit(problem, arch, limit)
-            except ReproError as err:
-                counter.inc_key((str(name), "bounded" if isinstance(
-                    err, SearchBounded) else "error"))
-                if on_error is not None:
-                    on_error(name, err)
-                continue
-            counter.inc_key((str(name), "admitted" if ok else "filtered"))
-            if ok:
-                admitted.append((backend, config))
-        if (ensure_fallback and self.fallback in self._backends
-                and all(b.name != self.fallback for b, _ in admitted)):
-            counter.inc_key((str(self.fallback), "fallback"))
-            admitted.append((self._backends[self.fallback], None))
-        return admitted
+        admitted = [entry for entry in (
+            self.admit_one(name, problem, arch, limit, on_error)
+            for name in order) if entry is not None]
+        if ensure_fallback:
+            admitted += self.fallback_for(admitted)
+        return [(backend, config) for backend, config, _ in admitted]

@@ -1,18 +1,18 @@
 """Cost-model-driven backend dispatch.
 
 For each distinct problem shape the dispatcher builds a
-:class:`KernelPlan`.  It prices the naive fallback first, then asks the
-kernel-backend registry for the admissible portfolio
-(``registry.available(problem, arch, limit=<naive seconds>)``), whose
-admission pass already autotuned each backend via ``configure``.  A
-tuned backend's search is bounded by that limit: one whose best
-configuration takes longer than naive could not win, so it is left out
-unpriced and listed in :attr:`KernelPlan.bounded`.  The dispatcher
-builds every admitted candidate from its configuration, prices it with
-the traced cost + timing models, and routes to the cheapest.  Plans are
-memoized in the :class:`~repro.serve.plan_cache.PlanCache`, so the
-design-space exploration is paid once per shape, and once per backend
-within it.
+:class:`KernelPlan`.  It prices the naive fallback first, then walks the
+portfolio in routing order through the kernel-backend registry's
+admission step (``registry.admit_one``), whose ``configure`` autotunes
+each backend.  Each admission is bounded by the lowest price found so
+far: a backend whose search, or whose kernel's compute-only floor,
+proves it takes longer could not win, so it is left out unpriced and
+listed in :attr:`KernelPlan.bounded`.  The dispatcher builds every
+admitted candidate from its configuration, prices it (a search hands
+back its winner's breakdown; the others are predicted with the traced
+cost + timing models) and routes to the cheapest.  Plans are memoized
+in the :class:`~repro.serve.plan_cache.PlanCache`, so the design-space
+exploration is paid once per shape, and once per backend within it.
 
 The dispatcher holds no per-backend knowledge: any backend registered
 with :func:`repro.kernels.default_registry` — including FFT and
@@ -77,7 +77,7 @@ class KernelPlan:
     config: object = None        # winning DSE config (paper kernels only)
     source: str = "cost-model"   # "cost-model" | "degraded"
     candidates: dict = field(default_factory=dict)  # backend -> predicted s
-    bounded: tuple = ()          # tuned backends priced above naive, unpriced
+    bounded: tuple = ()          # proved slower than a cheaper one, unpriced
 
     @property
     def launch_s(self) -> float:
@@ -182,35 +182,64 @@ class Dispatcher:
             args["backend"] = plan.backend
         return plan
 
-    def _candidates(self, problem: ConvProblem, limit: float,
-                    bounded: list):
-        """Yield (backend name, kernel, winning config) triples.
+    def _candidates(self, problem: ConvProblem,
+                    fallback: Optional[TimingBreakdown], bounded: list):
+        """Yield a ``(name, kernel, config, breakdown)`` for every
+        backend that can still win, in routing order.
 
-        The portfolio comes from the kernel-backend registry: each
-        enabled backend passes its own ``admit``, which hands back the
-        configuration its one search found, and builds its kernel from
-        it — no per-backend branches live here.  A tuned backend whose
-        search proved it takes longer than ``limit`` is appended to
-        ``bounded`` instead.
+        The walk: each backend passes the registry's admission step
+        (its counters, rejection reporting and fallback) under the
+        lowest price so far, naive's ``fallback`` first.  A backend
+        proved to take longer is appended to ``bounded``.  An admitted
+        backend is built from the configuration its ``admit`` found and
+        priced by the breakdown that search handed back, or else by its
+        ``predict``; naive's price is ``fallback``.  No per-backend
+        branches live here.
         """
+        limit = math.inf if fallback is None else fallback.total
+
         def left_out(name, err):
             if isinstance(err, SearchBounded):
                 bounded.append(name)
             else:
                 self._rejections.inc(backend=name, stage="configure")
 
-        for backend, config in self.kernels.available(
-                problem, self.arch, names=self.backends,
-                on_error=left_out, limit=limit):
-            if backend.name == self.kernels.fallback:
-                yield backend.name, self._naive, None
+        admitted = []
+        for name in self.backends:
+            entry = self.kernels.admit_one(name, problem, self.arch, limit,
+                                           left_out)
+            if entry is None:
                 continue
+            admitted.append(entry)
+            candidate = self._priced(problem, fallback, *entry)
+            if candidate is not None:
+                limit = min(limit, candidate[3].total)
+                yield candidate
+        for entry in self.kernels.fallback_for(admitted):
+            candidate = self._priced(problem, fallback, *entry)
+            if candidate is not None:
+                yield candidate
+
+    def _priced(self, problem, fallback, backend, config, breakdown):
+        """``(name, kernel, config, breakdown)`` for one admitted
+        backend, or None with the failing stage counted."""
+        if backend.name == self.kernels.fallback:
+            kernel, breakdown = self._naive, fallback
+        else:
             try:
                 kernel = backend.build(problem, self.arch, config)
             except ReproError:
                 self._rejections.inc(backend=backend.name, stage="build")
-                continue
-            yield backend.name, kernel, config
+                return None
+            if breakdown is None:
+                try:
+                    breakdown = kernel.predict(problem)
+                except ReproError:
+                    pass
+        if breakdown is None:
+            self._rejections.inc(backend=backend.name, stage="predict")
+            return None
+        return backend.name, kernel, config, breakdown
 
     def build_plan_retrying(self, problem: ConvProblem) -> KernelPlan:
         """:meth:`build_plan` with bounded transient-failure retry.
@@ -233,11 +262,12 @@ class Dispatcher:
         """Autotune + price every candidate that can still win; pick the
         cheapest predicted.
 
-        The naive fallback is priced first, and its time bounds every
-        tuned backend's search: a backend whose exhaustive price is
-        above naive's could not win, so it goes unpriced into
-        :attr:`KernelPlan.bounded`.  The rest are priced in routing
-        order, and a tie goes to the first.
+        The naive fallback is priced first.  The walk
+        (:meth:`_candidates`) then admits each backend in routing order
+        under the lowest price so far: one proved to take longer could
+        not win, so it goes unpriced into :attr:`KernelPlan.bounded`.
+        A backend at or under the limit is priced, and a tie goes to
+        the first in routing order.
         """
         if self.chaos is not None:
             from repro.chaos.plan import FaultKind
@@ -252,19 +282,8 @@ class Dispatcher:
             fallback = None
         best = None
         candidates, bounded = {}, []
-        for name, kernel, config in self._candidates(
-                problem, math.inf if fallback is None else fallback.total,
-                bounded):
-            if kernel is self._naive:
-                breakdown = fallback
-            else:
-                try:
-                    breakdown = kernel.predict(problem)
-                except ReproError:
-                    breakdown = None
-            if breakdown is None:
-                self._rejections.inc(backend=name, stage="predict")
-                continue
+        for name, kernel, config, breakdown in self._candidates(
+                problem, fallback, bounded):
             candidates[name] = breakdown.total
             if best is None or breakdown.total < best.breakdown.total:
                 best = KernelPlan(

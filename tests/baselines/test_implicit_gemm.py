@@ -1,5 +1,6 @@
 """Tests for the cuDNN-like implicit-GEMM convolution baseline."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,9 @@ from repro.baselines.gemm import GemmTiling
 from repro.baselines.implicit_gemm import DEFAULT_TILE_PALETTE, ImplicitGemmKernel
 from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem, Padding
+from repro.conv.workloads import general_case_sweep, special_case_sweep
+from repro.gpu.arch import ARCHITECTURES
+from repro.gpu.timing import TimingModel
 
 
 @pytest.fixture
@@ -78,27 +82,88 @@ class TestCostShape:
 
 
 class TestTracing:
-    """Tile selection traces each palette tile once, and ``cost`` reuses
-    the winner's trace instead of tracing it again."""
+    """Tile selection traces only the tiles its bounded search prices,
+    each once, and ``cost`` reuses the winner's trace instead of tracing
+    it again."""
 
     P = ConvProblem.square(64, 3, channels=16, filters=64)
 
     @staticmethod
     def _traced(kern):
-        """How many tile traces ``kern.cost(P)`` runs."""
+        """The tiles ``kern.cost(P)`` traces, in order."""
         with mock.patch.object(ImplicitGemmKernel, "_cost_with",
                                autospec=True,
                                side_effect=ImplicitGemmKernel._cost_with) \
                 as cost_with:
             kern.cost(TestTracing.P)
-        return cost_with.call_count
+        return [call.args[2] for call in cost_with.call_args_list]
 
-    def test_unfixed_cost_traces_each_palette_tile_once(self, kernel):
-        assert self._traced(kernel) == len(DEFAULT_TILE_PALETTE)
+    def test_unfixed_cost_traces_each_tile_it_prices_once(self, kernel):
+        traced = self._traced(kernel)
+        # On P the floor order prices two tiles before the rest's floors
+        # fall below the winner's GFlop/s.
+        assert len(traced) == 2
+        assert len(set(traced)) == len(traced)
+        assert kernel.select_tiling(self.P) in traced
 
     def test_fixed_tiling_traces_once(self):
         kern = ImplicitGemmKernel(tiling=DEFAULT_TILE_PALETTE[2])
-        assert self._traced(kern) == 1
+        assert self._traced(kern) == [DEFAULT_TILE_PALETTE[2]]
+
+
+def _churn_style_shapes(count=32, seed=5):
+    """Plain, strided and dilated shapes in turn, H 16-64, K 3/5, C 1-16,
+    F 4-16: the ungrouped mix a cold serving engine plans."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    for i in range(count):
+        kwargs = ({}, {"stride": 2}, {"dilation": 2})[i % 3]
+        shapes.append(ConvProblem.square(
+            int(rng.integers(16, 65)), (3, 5)[(i // 3) % 2],
+            channels=int(rng.integers(1, 17)),
+            filters=int(rng.integers(4, 17)), **kwargs))
+    return shapes
+
+
+def _exhaustive_argmin(kernel, problem):
+    """Every palette tile traced and timed: the lowest time, the
+    earliest tile on a tie."""
+    model = TimingModel(kernel.arch)
+    best, best_time = None, float("inf")
+    for tiling in DEFAULT_TILE_PALETTE:
+        t = model.evaluate(kernel._cost_with(problem, tiling)).total
+        if t < best_time:
+            best, best_time = tiling, t
+    return best
+
+
+class TestTileSearch:
+    """The bounded tile search picks the exhaustive argmin, so the
+    figures and the baseline pins see the tiles they always did."""
+
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
+                             ids=list(ARCHITECTURES))
+    def test_churn_style_shapes(self, arch):
+        kernel = ImplicitGemmKernel(arch=arch)
+        for problem in _churn_style_shapes():
+            tiling = _exhaustive_argmin(kernel, problem)
+            assert kernel.select_tiling(problem) == tiling, problem
+            assert kernel.cost(problem) == kernel._cost_with(problem, tiling)
+
+    def test_fig7_and_fig8_sweeps(self, kernel):
+        points = ([p for k in (1, 3, 5) for p in special_case_sweep(k)]
+                  + [p for k in (3, 5, 7) for p in general_case_sweep(k)])
+        for point in points:
+            assert kernel.select_tiling(point.problem) == _exhaustive_argmin(
+                kernel, point.problem), point.label
+
+    def test_a_limit_below_the_winner_bounds_the_search(self, kernel):
+        winner = kernel.search(TestTracing.P)
+        seconds = winner.breakdown.total
+        assert winner.breakdown == kernel.predict(TestTracing.P)
+        assert kernel.search(TestTracing.P, seconds) == winner
+        assert kernel.search(TestTracing.P,
+                             math.nextafter(seconds, 0.0)) is None
 
     @pytest.mark.parametrize("problem", [
         ConvProblem.square(64, 3, channels=16, filters=64),

@@ -3,22 +3,28 @@
 A kernel's floor is its cost with no memory traffic; its modeled time
 never exceeds the price.  The bounded search prices candidates in floor
 order and stops once no unpriced candidate can win, so it must return
-exactly the full ranking's winner, or nothing when that winner takes
-longer than the limit.
+exactly the full ranking's winner, with the breakdown and cost that
+priced it, or nothing when that winner takes longer than the limit.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.baselines.direct_naive import NaiveDirectKernel
+from repro.baselines.fft_conv import FFTConvolution
+from repro.baselines.im2col import Im2colKernel
+from repro.baselines.implicit_gemm import DEFAULT_TILE_PALETTE, ImplicitGemmKernel
+from repro.baselines.winograd import WinogradConvolution
 from repro.conv.tensors import ConvProblem
 from repro.core.bankwidth import matched_vector
 from repro.core.config import GeneralCaseConfig
 from repro.core.depthwise import DepthwiseKernel
 from repro.core.dse import (
     DEFAULT_SPECIAL_PROBLEM,
+    PricedConfig,
     RankedConfig,
     _bounded,
     _general_palette,
@@ -142,6 +148,26 @@ class TestFloorIsALowerBound:
         # Both sides of the raise-alike check are exercised.
         assert outcomes[True] > 100 and outcomes[False] > 100
 
+    @pytest.mark.parametrize("arch", PRESETS, ids=PRESET_IDS)
+    def test_portfolio_candidates(self, arch):
+        # Every other kernel a plan build can bound: im2col, each
+        # implicit-GEMM palette tile (and the palette kernel, whose floor
+        # is its selected tile's), FFT and both Winograd tiles.
+        kernels = [Im2colKernel(arch=arch), FFTConvolution(arch=arch),
+                   WinogradConvolution(arch=arch),
+                   WinogradConvolution(arch=arch, tile=4),
+                   ImplicitGemmKernel(arch=arch)] + [
+            ImplicitGemmKernel(arch=arch, tiling=t)
+            for t in DEFAULT_TILE_PALETTE]
+        model = TimingModel(arch)
+        outcomes = {True: 0, False: 0}
+        for problem in SERVING_SHAPES:
+            for kernel in kernels:
+                outcomes[_check_floor(kernel, problem, model)] += 1
+        # Both sides of the raise-alike check are exercised: the
+        # implicit GEMM refuses grouped problems, Winograd K != 3.
+        assert outcomes[True] > 300 and outcomes[False] > 100
+
     @pytest.mark.parametrize("cfg,message", [
         (GeneralCaseConfig(w=64, h=8, ftb=64, wt=4, ft=16, csh=4),
          "50720 bytes of shared memory/block exceeds limit"),
@@ -164,10 +190,6 @@ class TestFloorIsALowerBound:
         assert str(floored.value) == str(priced.value)
 
 
-def _winner_seconds(kernel_cls, arch, config, problem):
-    return kernel_cls(arch=arch, config=config).predict(problem).total
-
-
 def _limits(arch, problem, winner_s):
     naive_s = NaiveDirectKernel(arch=arch).predict(problem).total
     return (math.inf, winner_s, math.nextafter(winner_s, 0.0),
@@ -175,25 +197,28 @@ def _limits(arch, problem, winner_s):
 
 
 def _check_bounded(search, kernel_cls, arch, problem):
-    """``search(limit=L)`` is ``[]`` iff the winner takes longer than
-    ``L``; otherwise it is the full ranking's first entry.  A full
-    ranking that raises makes every bounded search raise the same.
-    Returns how many limits bounded the search out."""
+    """``search(limit=L)`` is ``None`` iff the winner takes longer than
+    ``L``; otherwise it is the full ranking's first entry, with the
+    winner's own cost and ``predict``.  A full ranking that raises makes
+    every bounded search raise the same.  Returns how many limits
+    bounded the search out."""
     full = _outcome(search)
     if isinstance(full, tuple):
         for limit in (math.inf, 1e-9):
             assert _outcome(lambda: search(limit=limit)) == full
         return 0
     assert full, problem.describe()
-    winner_s = _winner_seconds(kernel_cls, arch, full[0].config, problem)
+    winner = kernel_cls(arch=arch, config=full[0].config)
+    winner_bd = winner.predict(problem)
     empty = 0
-    for limit in _limits(arch, problem, winner_s):
+    for limit in _limits(arch, problem, winner_bd.total):
         bounded = search(limit=limit)
-        if winner_s > limit:
-            assert bounded == [], (problem.describe(), limit)
+        if winner_bd.total > limit:
+            assert bounded is None, (problem.describe(), limit)
             empty += 1
         else:
-            assert bounded == full[:1], (problem.describe(), limit)
+            assert bounded == (full[0], winner_bd, winner.cost(problem)), (
+                problem.describe(), limit)
     return empty
 
 
@@ -259,7 +284,7 @@ class TestBoundedSearchTelemetry:
         registry, tracer = scoped_obs
         problem = default_general_problem(3)
         configs = enumerate_general_configs(3, 2)
-        (winner,) = explore_general(3, configs=configs, limit=math.inf)
+        winner = explore_general(3, configs=configs, limit=math.inf).ranked
         priced = registry.get("dse_candidates_total").total()
         pruned = registry.get("dse_candidates_pruned_total").value(
             case="general")
@@ -274,7 +299,7 @@ class TestBoundedSearchTelemetry:
 
     def test_bounded_out_search_has_no_winner(self, scoped_obs):
         registry, tracer = scoped_obs
-        assert explore_special(limit=1e-9) == []
+        assert explore_special(limit=1e-9) is None
         (span,) = tracer.by_category("dse")
         assert span.args["ok"] == 0 and span.args["limit"] == 1e-9
         assert span.args["pruned"] == len(enumerate_special_configs())
@@ -306,17 +331,19 @@ class _StubPricer:
 
     def price(self, cfg, kernel):
         self.priced.append(cfg)
-        return kernel[1], RankedConfig(config=cfg,
-                                       gflops=self.flops / kernel[1] / 1e9,
-                                       occupancy=0.5, bound_by="compute")
+        return PricedConfig(
+            RankedConfig(config=cfg, gflops=self.flops / kernel[1] / 1e9,
+                         occupancy=0.5, bound_by="compute"),
+            SimpleNamespace(total=kernel[1]), None)
 
 
 def _stub_search(candidates, limit):
     pricer = _StubPricer()
-    ranked, pruned = _bounded(range(len(candidates)),
+    winner, pruned = _bounded(range(len(candidates)),
                               lambda arch, config: candidates[config],
                               None, pricer, limit)
-    return [r.config for r in ranked], pricer.priced, pruned
+    return ([] if winner is None else [winner.ranked.config],
+            pricer.priced, pruned)
 
 
 class TestStoppingRule:

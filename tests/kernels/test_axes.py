@@ -111,7 +111,7 @@ class TestSupportsBuildRunOnNewAxes:
                 continue
             kernel = backend.build(
                 problem, KEPLER_K40M,
-                backend.configure(problem, KEPLER_K40M))
+                backend.configure(problem, KEPLER_K40M)[0])
             out = kernel.run(image, filters, problem.padding,
                              problem=problem)
             np.testing.assert_allclose(

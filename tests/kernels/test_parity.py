@@ -165,7 +165,7 @@ class TestSupportsBuildContract:
                 if not backend.supports(problem, arch):
                     continue
                 kernel = backend.build(
-                    problem, arch, backend.configure(problem, arch))
+                    problem, arch, backend.configure(problem, arch)[0])
                 # cost() is the cheapest full exercise of the built
                 # kernel's launch/trace path.
                 assert kernel.cost(problem).launch.threads_per_block > 0

@@ -123,16 +123,16 @@ class TestAvailable:
         for name in ("special", "general"):
             assert configs[name] is not None
             assert configs[name] == registry.get(name).configure(
-                p, KEPLER_K40M)
+                p, KEPLER_K40M)[0]
         assert configs["im2col"] is None and configs["naive"] is None
 
     def test_admit_matches_supports(self, registry):
         p = ConvProblem.square(32, 3, channels=8, filters=8)
         for backend in registry:
-            ok, config = backend.admit(p, KEPLER_K40M)
+            ok, config, breakdown = backend.admit(p, KEPLER_K40M)
             assert ok == backend.supports(p, KEPLER_K40M)
             if not ok:
-                assert config is None
+                assert config is None and breakdown is None
 
     def test_admission_error_is_reported_and_skipped(self, registry):
         from repro.obs.metrics import get_registry, reset_registry
@@ -140,7 +140,7 @@ class TestAvailable:
         class RaisesInConfigure(NaiveBackend):
             name = "raises-in-configure"
 
-            def configure(self, problem, arch=KEPLER_K40M):
+            def configure(self, problem, arch=KEPLER_K40M, limit=math.inf):
                 raise ReproError("configure exploded")
 
         registry.register(RaisesInConfigure())
@@ -160,22 +160,39 @@ class TestAvailable:
 
 
 class TestBoundedAdmission:
-    """A limit bounds a tuned backend's search: one whose best
-    configuration takes longer is left out as ``bounded``."""
+    """A limit bounds every backend but naive: a tuned backend whose best
+    configuration, the implicit GEMM whose best tile, or an untuned
+    backend whose compute-only floor takes longer is left out as
+    ``bounded``.  A search hands back the breakdown that priced its
+    winner."""
 
     SHAPE = ConvProblem.square(32, 3, channels=8, filters=16)
 
     def test_tuned_backend_above_the_limit_is_bounded(self, registry):
         general = registry.get("general")
-        config = general.configure(self.SHAPE, KEPLER_K40M)
-        seconds = general.build(self.SHAPE, KEPLER_K40M, config).predict(
-            self.SHAPE).total
+        config, breakdown = general.configure(self.SHAPE, KEPLER_K40M)
+        assert breakdown == general.build(
+            self.SHAPE, KEPLER_K40M, config).predict(self.SHAPE)
+        seconds = breakdown.total
         assert general.admit(self.SHAPE, KEPLER_K40M, seconds) == (
-            True, config)
+            True, config, breakdown)
         below = math.nextafter(seconds, 0.0)
-        assert general.configure(self.SHAPE, KEPLER_K40M, below) is BOUNDED
+        assert general.configure(self.SHAPE, KEPLER_K40M, below) == (
+            BOUNDED, None)
         with pytest.raises(SearchBounded):
             general.admit(self.SHAPE, KEPLER_K40M, below)
+
+    def test_implicit_gemm_above_the_limit_is_bounded(self, registry):
+        backend = registry.get("implicit-gemm")
+        kernel = backend.build(self.SHAPE, KEPLER_K40M)
+        seconds = kernel.predict(self.SHAPE).total
+        # A finite limit runs the bounded tile search, which hands back
+        # the winning tile's breakdown; the plan's config stays None.
+        assert backend.admit(self.SHAPE, KEPLER_K40M, seconds) == (
+            True, None, kernel.predict(self.SHAPE))
+        with pytest.raises(SearchBounded):
+            backend.admit(self.SHAPE, KEPLER_K40M,
+                          math.nextafter(seconds, 0.0))
 
     def test_available_counts_and_reports_bounded(self, registry):
         from repro.obs.metrics import get_registry, reset_registry
@@ -186,23 +203,41 @@ class TestBoundedAdmission:
             self.SHAPE, KEPLER_K40M, names=("general", "im2col"),
             on_error=lambda name, err: left_out.append((name, type(err))),
             limit=1e-9)
-        assert [b.name for b, _ in pairs] == ["im2col", "naive"]
-        assert left_out == [("general", SearchBounded)]
+        assert [b.name for b, _ in pairs] == ["naive"]
+        assert left_out == [("general", SearchBounded),
+                            ("im2col", SearchBounded)]
         counter = get_registry().get("kernel_backend_candidates_total")
-        assert counter.value(backend="general", outcome="bounded") == 1
-        assert counter.value(backend="general", outcome="error") == 0
+        for name in ("general", "im2col"):
+            assert counter.value(backend=name, outcome="bounded") == 1
+            assert counter.value(backend=name, outcome="error") == 0
+        assert counter.value(backend="naive", outcome="fallback") == 1
         reset_registry()
 
-    def test_depthwise_and_untuned_backends_ignore_the_limit(self, registry):
+    def test_depthwise_and_naive_ignore_the_limit(self, registry):
         depthwise = ConvProblem.square(24, 3, channels=6, filters=12,
                                        groups=6)
         assert registry.get("depthwise").admit(
             depthwise, KEPLER_K40M, 1e-9) == registry.get("depthwise").admit(
-                depthwise, KEPLER_K40M)
-        for name in ("im2col", "implicit-gemm", "naive", "fft", "winograd"):
+                depthwise, KEPLER_K40M) == (
+                    True, registry.get("depthwise").configure(
+                        depthwise, KEPLER_K40M)[0], None)
+        naive = registry.get("naive")
+        assert naive.admit(self.SHAPE, KEPLER_K40M, 1e-9) == \
+            naive.admit(self.SHAPE, KEPLER_K40M) == (True, None, None)
+
+    def test_untuned_backends_are_bounded_by_their_floor(self, registry):
+        for name in ("im2col", "implicit-gemm", "fft", "winograd"):
             backend = registry.get(name)
-            assert backend.admit(self.SHAPE, KEPLER_K40M, 1e-9) == \
-                backend.admit(self.SHAPE, KEPLER_K40M)
+            kernel = backend.build(self.SHAPE, KEPLER_K40M)
+            seconds = kernel.predict(self.SHAPE).total
+            # Admitted at its own price, with no limit, and with none
+            # but the implicit GEMM's tile search priced.
+            assert backend.admit(self.SHAPE, KEPLER_K40M) == (
+                True, None, None)
+            assert backend.admit(self.SHAPE, KEPLER_K40M, seconds)[:2] == (
+                True, None)
+            with pytest.raises(SearchBounded):
+                backend.admit(self.SHAPE, KEPLER_K40M, 1e-9)
 
 
 class TestObservability:

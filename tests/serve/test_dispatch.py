@@ -9,6 +9,7 @@ import pytest
 from repro.chaos import FaultInjector, FaultPlan
 from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem
+from repro.baselines.implicit_gemm import DEFAULT_TILE_PALETTE
 from repro.core.bankwidth import matched_vector
 from repro.core.dse import _general_palette, enumerate_special_configs
 from repro.errors import ReproError, TransientBackendError
@@ -74,18 +75,8 @@ class TestPlanning:
 
     def test_degrades_to_naive_when_nothing_plans(self, monkeypatch):
         dispatcher = Dispatcher()
-
-        class Exploding:
-            name = "boom"
-
-            def predict(self, problem):
-                raise ReproError("no plan for you")
-
-        monkeypatch.setattr(
-            dispatcher, "_candidates",
-            lambda problem, limit, bounded: iter(
-                [("general", Exploding(), None)]),
-        )
+        # Every admitted backend fails to price.
+        monkeypatch.setattr(dispatcher, "_priced", lambda *args: None)
         plan = dispatcher.build_plan(GENERAL)
         assert plan.backend == "naive"
         assert plan.source == "degraded"
@@ -199,7 +190,7 @@ def _two_pass_plan(dispatcher, problem):
             # A tuned backend's configuration from its full ranking.
             config = (backend.tune(problem, arch).config
                       if hasattr(backend, "tune")
-                      else backend.configure(problem, arch))
+                      else backend.configure(problem, arch)[0])
             kernel = backend.build(problem, arch, config)
             breakdown = kernel.predict(problem)
         except ReproError:
@@ -248,16 +239,28 @@ class TestOnePassAdmission:
                     if name in plan.candidates or name in plan.bounded]
         assert searched
         assert calls == {name: int(name in searched) for name in TUNED}
-        priced = fresh_obs.get("dse_candidates_total").total()
-        pruned = fresh_obs.get("dse_candidates_pruned_total").total()
-        assert priced + pruned == sum(
+
+        def candidates(case):
+            return sum(
+                value for metric in ("dse_candidates_total",
+                                     "dse_candidates_pruned_total")
+                for labels, value in fresh_obs.get(metric).series()
+                if labels["case"] == case)
+
+        # Depthwise searches special-case blocks.
+        assert candidates("special") + candidates("general") == sum(
             self._palette_size(name, problem, KEPLER_K40M)
             for name in searched)
+        # The implicit GEMM's tile search, when it ran, covers its palette.
+        tiled = ("implicit-gemm" in plan.candidates
+                 or "implicit-gemm" in plan.bounded)
+        assert candidates("implicit-gemm") == tiled * len(
+            DEFAULT_TILE_PALETTE)
 
     @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
                              ids=list(ARCHITECTURES))
     def test_plans_match_the_two_pass_loop(self, fresh_obs, arch):
-        bounded_out = 0
+        bounded_out = untuned_out = 0
         for problem in PALETTE_SHAPES + CHURN_STYLE_SHAPES:
             dispatcher = Dispatcher(arch=arch)
             reset_registry()
@@ -272,22 +275,103 @@ class TestOnePassAdmission:
             assert plan.config == config, label
             assert plan.breakdown == breakdown, label
             # Every priced backend carries its exhaustive price; every
-            # other one was bounded out, priced above naive.
+            # other one was bounded out, priced above the lowest price
+            # before it in the walk (naive's first, then routing order).
             assert plan.candidates == {
                 name: candidates[name] for name in plan.candidates}, label
             assert plan.bounded == tuple(
                 name for name in candidates
                 if name not in plan.candidates), label
-            assert all(candidates[name] > plan.candidates["naive"]
-                       for name in plan.bounded), label
+            for i, name in enumerate(dispatcher.backends):
+                if name in plan.bounded:
+                    assert candidates[name] > min(
+                        [plan.candidates["naive"]]
+                        + [plan.candidates[earlier]
+                           for earlier in dispatcher.backends[:i]
+                           if earlier in plan.candidates]), (label, name)
             bounded_out += len(plan.bounded)
-            # Admission counts a bounded backend as bounded, not admitted.
+            untuned_out += len(set(plan.bounded) - set(TUNED))
+            # Admission counts every bounded backend, tuned or not, as
+            # bounded, not admitted.
             assert _candidate_series() == sorted(
                 (tuple(sorted(dict(labels, outcome="bounded").items()))
                  if dict(labels)["backend"] in plan.bounded else labels,
                  value)
                 for labels, value in old_series), label
-        assert bounded_out
+        assert bounded_out > untuned_out > 0
+
+
+class TestNoRepricing:
+    """A search hands its winner's breakdown to the plan, so a plan
+    build prices no paper-kernel configuration outside the searches."""
+
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
+                             ids=list(ARCHITECTURES))
+    def test_no_winner_is_priced_twice(self, monkeypatch, arch):
+        from repro.core import dse
+        from repro.core.depthwise import DepthwiseKernel
+        from repro.core.general import GeneralCaseKernel
+        from repro.core.special import SpecialCaseKernel
+
+        inside = {"search": 0, "grouped": 0}
+        outside, grouped = [], []
+
+        def within(key, real):
+            def wrapper(*args, **kwargs):
+                inside[key] += 1
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    inside[key] -= 1
+            return wrapper
+
+        def counted(cls):
+            real = cls.cost
+
+            def cost(self, problem):
+                if not any(inside.values()):
+                    outside.append((cls.__name__, problem.describe()))
+                return real(self, problem)
+            monkeypatch.setattr(cls, "cost", cost)
+
+        counted(SpecialCaseKernel)
+        counted(GeneralCaseKernel)
+        monkeypatch.setattr(dse, "_rank", within("search", dse._rank))
+        real_grouped = within("grouped", DepthwiseKernel.cost)
+
+        def grouped_cost(self, problem):
+            grouped.append(problem)
+            return real_grouped(self, problem)
+        monkeypatch.setattr(DepthwiseKernel, "cost", grouped_cost)
+
+        dispatcher = Dispatcher(arch=arch)
+        plans = [dispatcher.build_plan(p) for p in CHURN_STYLE_SHAPES]
+        assert outside == []
+        # The grouped depthwise launch is priced once per plan that
+        # admits it: its search ranks one group (ROADMAP item 5).
+        assert grouped == [plan.problem for plan in plans
+                           if "depthwise" in plan.candidates]
+        assert any(plan.backend in TUNED for plan in plans)
+
+
+class TestGeneralOnEveryFilterSize:
+    """Even K at vector width 2 rejects the palette configurations whose
+    register rows start off a vector unit as configuration errors, so the
+    search prices the rest instead of failing the backend."""
+
+    @pytest.mark.parametrize(
+        "arch", [a for name, a in ARCHITECTURES.items() if name != "fermi"],
+        ids=[name for name in ARCHITECTURES if name != "fermi"])
+    def test_general_is_priced_or_bounded_for_k_1_to_7(self, arch):
+        dispatcher = Dispatcher(arch=arch)
+        for k in range(1, 8):
+            plan = dispatcher.build_plan(
+                ConvProblem.square(40, k, channels=8, filters=16))
+            assert ("general" in plan.candidates
+                    or "general" in plan.bounded), k
+        rejections = dispatcher.registry.get(
+            "dispatch_backend_rejections_total")
+        assert rejections.value(backend="general", stage="configure") == 0
 
 
 class _RaisingBackend(NaiveBackend):
@@ -299,10 +383,10 @@ class _RaisingBackend(NaiveBackend):
     def __init__(self, stage):
         self.stage = stage
 
-    def configure(self, problem, arch=KEPLER_K40M):
+    def configure(self, problem, arch=KEPLER_K40M, limit=math.inf):
         if self.stage == "configure":
             raise ReproError("configure exploded")
-        return "tuned"
+        return "tuned", None
 
     def build(self, problem, arch=KEPLER_K40M, config=None, **kwargs):
         if config == "tuned" and self.stage == "build":
