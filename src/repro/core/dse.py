@@ -19,6 +19,7 @@ The implicit-GEMM baseline picks its tile with the same search.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -26,7 +27,7 @@ from repro.conv.tensors import ConvProblem
 from repro.core.config import GeneralCaseConfig, SpecialCaseConfig, TABLE1_CONFIGS
 from repro.errors import ConfigurationError, LaunchConfigError, ResourceError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import TimingBreakdown, TimingModel, below_every_price
 from repro.gpu.trace import KernelCost
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
@@ -218,8 +219,12 @@ def _bounded(configs, kernel_cls, arch, pricer: _Pricer,
     beat or tie the best, or come in at or under ``limit``: the search
     stops there.  The winner is the full ranking's first entry (highest
     GFlop/s, earliest index on a tie), returned only when it takes at
-    most ``limit`` seconds.
+    most ``limit`` seconds.  A limit below every price
+    (:func:`~repro.gpu.timing.below_every_price`) prices nothing; a NaN
+    limit raises :class:`ConfigurationError`.
     """
+    flops = pricer.flops
+    bar = math.inf if below_every_price(limit) else flops / limit / 1e9
     floors = []
     for index, cfg in enumerate(configs):
         kernel = kernel_cls(arch=arch, config=cfg)
@@ -227,8 +232,6 @@ def _bounded(configs, kernel_cls, arch, pricer: _Pricer,
         if seconds is not None:
             floors.append((seconds, index, cfg, kernel))
     floors.sort(key=lambda f: f[:2])
-    flops = pricer.flops
-    bar = flops / limit / 1e9
     best = best_index = None
     priced = 0
     for seconds, index, cfg, kernel in floors:
@@ -257,8 +260,9 @@ def _rank(configs, kernel_cls, problem, arch, case: str,
     With a limit in seconds (``math.inf`` allowed) the search is
     bounded (:func:`_bounded`): the full ranking's first entry as a
     :class:`PricedConfig` when it takes at most ``limit`` seconds,
-    ``None`` when it takes longer, and :class:`ConfigurationError` when
-    no candidate is valid.
+    ``None`` when it takes longer (always, for a limit at or below
+    zero), and :class:`ConfigurationError` when no candidate is valid or
+    the limit is NaN.
 
     Telemetry is per search: one ``dse:<case>`` wall span summarizing
     the outcome, a ``dse_candidates_total`` increment per priced

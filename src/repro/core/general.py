@@ -42,6 +42,7 @@ from repro.gpu.trace import (
     KernelTracer,
     TrafficLedger,
     cross_block_reuse,
+    gmem_floor,
     lane_batch,
     prepare_batch,
     prepare_rows,
@@ -307,16 +308,23 @@ class GeneralCaseKernel(Priced):
     # Traced cost
     # ------------------------------------------------------------------
     def floor(self, problem: ConvProblem) -> KernelCost:
-        """:meth:`cost` without its memory traffic: the same launch,
-        FLOPs, barriers and prefetch flag over an otherwise empty
-        ledger, whose modeled time never exceeds the cost's
+        """A lower bound on :meth:`cost`: the same launch, FLOPs,
+        barriers and prefetch flag, and the global-memory bytes the
+        cost's image and filter loads and its writeback cannot go below
+        (:func:`gmem_floor` over :meth:`_gmem_sites`: each row's distinct
+        bytes, so aliasing writeback lanes count once), with no shared-
+        memory traffic.  Its modeled time never exceeds the cost's
         (docs/SIMULATOR.md).  Raises what :meth:`cost` raises from its
         problem and configuration checks; an invalid launch raises from
         ``TimingModel.evaluate``."""
         valid = self._check_problem(problem)
-        return self._floor(
-            valid, self.config_for(valid),
-            TrafficLedger(gmem_segment_size=self.arch.gmem_transaction_size))
+        cfg = self.config_for(valid)
+        ledger = TrafficLedger(
+            gmem_segment_size=self.arch.gmem_transaction_size)
+        floor = self._floor(valid, cfg, ledger)
+        loads, stores = self._gmem_sites(valid, cfg, floor.launch)
+        gmem_floor(ledger, loads + stores)
+        return floor
 
     def _floor(self, valid: ConvProblem, cfg: GeneralCaseConfig,
                ledger: TrafficLedger) -> KernelCost:
@@ -376,39 +384,12 @@ class GeneralCaseKernel(Priced):
         unit = n * elem
         row_bytes = tracer.smem_batch_mod()
 
-        halo = d * (k - 1)
-        img_row_floats = (cfg.w - 1) * s + halo + 1
-        img_rows = (cfg.h - 1) * s + halo + 1
+        img_row_floats = (cfg.w - 1) * s + d * (k - 1) + 1
+        img_rows = (cfg.h - 1) * s + d * (k - 1) + 1
+        loads, stores = self._gmem_sites(valid, cfg, launch)
 
-        # --- global loads: image rows of the staged chunk ------------------
-        # Each footprint row is one contiguous run; runs are strided by the
-        # image pitch, so they are traced per-row.  The row base is aligned
-        # to W floats (blocks start at multiples of W).
-        full_row_reqs = math.ceil(img_row_floats / (n * warp_lanes))
-        # The TBX filter-group blocks at the same image location stream
-        # the same pixels; the footprint is tiny, so the L2 serves the
-        # repeats (symmetric with the credit the cuDNN baseline gets).
-        img_slab = valid.channels * valid.height * valid.width * elem
-        tracer.gmem_read_prepared(
-            lane_batch(min(warp_lanes, math.ceil(img_row_floats / n)),
-                       unit, tracer.gmem_batch_mod(unit)),
-            unit,
-            scale=float(full_row_reqs) * img_rows * c_total * blocks,
-            site="gm.load_image",
-            l2_reuse=cross_block_reuse(self.arch, img_slab, fgroups),
-        )
-
-        # --- global loads: filter chunk (FTB runs of CSH*K*K floats) -------
-        flt_reuse = cross_block_reuse(
-            self.arch,
-            valid.filters * c_total * k * k * elem,
-            tiles,
-        )
-        tracer.gmem_read_prepared(
-            _filter_load_batch(warp_lanes, cfg.ftb, c_total * k * k * elem,
-                               cfg.csh * k * k, chunks, elem),
-            elem, scale=blocks, site="gm.load_filter", l2_reuse=flt_reuse,
-        )
+        # --- global loads: image rows, then the filter chunk ----------------
+        tracer.gmem_sites(loads)
 
         # --- shared-memory staging ------------------------------------------
         img_units = cfg.csh * img_rows * math.ceil(img_row_floats / n)
@@ -452,17 +433,64 @@ class GeneralCaseKernel(Priced):
         )
 
         # --- writeback: uncoalesced by design (Sec. 4.2) ----------------------
-        # Lane tx writes filter map tx*FT + ff; maps are OH*OW apart.  Each
-        # thread writes its WT pixels as wide units; store sectors price it.
-        map_stride = valid.out_height * valid.out_width * elem
-        wb_prep, wide = _writeback_batch(
-            warp_lanes, tx, ty, cfg.ft, cfg.wt, map_stride, elem, n)
-        tracer.gmem_write_prepared(
-            wb_prep, wide, scale=float(warps) * blocks, site="gm.store_out",
-        )
+        tracer.gmem_sites(stores)
 
         launch.validate(self.arch)
         return cost
+
+    def _gmem_sites(self, valid: ConvProblem, cfg: GeneralCaseConfig,
+                    launch: LaunchConfig) -> tuple:
+        """The global-memory sites :meth:`cost` folds, as ``(loads,
+        stores)`` lists of :meth:`KernelTracer.gmem_sites` tuples; the
+        floor bounds the same ones."""
+        k = valid.kernel_size
+        n = self.n
+        s, d = valid.stride, valid.dilation
+        fgroups, tiles = launch.grid.x, launch.grid.y
+        tx, ty = launch.block.x, launch.block.y
+        blocks = float(tiles * fgroups)
+        warp_lanes = self.arch.warp_size
+        c_total = valid.channels
+        elem = self.elem_bytes
+        unit = n * elem
+        img_row_floats = (cfg.w - 1) * s + d * (k - 1) + 1
+        img_rows = (cfg.h - 1) * s + d * (k - 1) + 1
+
+        # Image rows of the staged chunk: each footprint row is one
+        # contiguous run; runs are strided by the image pitch, so they are
+        # traced per-row.  The row base is aligned to W floats (blocks
+        # start at multiples of W).
+        full_row_reqs = math.ceil(img_row_floats / (n * warp_lanes))
+        # The TBX filter-group blocks at the same image location stream
+        # the same pixels; the footprint is tiny, so the L2 serves the
+        # repeats (symmetric with the credit the cuDNN baseline gets).
+        img_slab = valid.channels * valid.height * valid.width * elem
+        # The filter chunk: FTB runs of CSH*K*K floats, shared by every
+        # output tile.
+        flt_slab = valid.filters * c_total * k * k * elem
+        loads = [
+            ("gm.load_image",
+             lane_batch(min(warp_lanes, math.ceil(img_row_floats / n)), unit,
+                        KernelTracer.gmem_batch_mod(unit)),
+             unit, float(full_row_reqs) * img_rows * c_total * blocks, False,
+             cross_block_reuse(self.arch, img_slab, fgroups)),
+            ("gm.load_filter",
+             _filter_load_batch(warp_lanes, cfg.ftb, c_total * k * k * elem,
+                                cfg.csh * k * k,
+                                math.ceil(c_total / cfg.csh), elem),
+             elem, blocks, False,
+             cross_block_reuse(self.arch, flt_slab, tiles)),
+        ]
+        # The writeback: lane tx writes filter map tx*FT + ff; maps are
+        # OH*OW apart.  Each thread writes its WT pixels as wide units;
+        # store sectors price it.
+        map_stride = valid.out_height * valid.out_width * elem
+        wb_prep, wide = _writeback_batch(
+            warp_lanes, tx, ty, cfg.ft, cfg.wt, map_stride, elem, n)
+        warps = math.ceil(tx * ty / warp_lanes)
+        stores = [("gm.store_out", wb_prep, wide, float(warps) * blocks, True,
+                   1.0)]
+        return loads, stores
 
 
 @functools.lru_cache(maxsize=4096)

@@ -49,7 +49,13 @@ from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.timing import Priced
-from repro.gpu.trace import KernelCost, KernelTracer, TrafficLedger, lane_batch
+from repro.gpu.trace import (
+    KernelCost,
+    KernelTracer,
+    TrafficLedger,
+    gmem_floor,
+    lane_batch,
+)
 
 __all__ = ["SpecialCaseKernel"]
 
@@ -98,11 +104,13 @@ class SpecialCaseKernel(Priced):
 
     def _launch(self, valid: ConvProblem) -> LaunchConfig:
         """The launch for an already-checked (``as_valid``) problem."""
-        grid = BlockGrid(valid, self.config.block_spec())
         k = valid.kernel_size
         s, d = valid.stride, valid.dilation
+        # The blocks of ``BlockGrid(valid, self.config.block_spec())``,
+        # counted without building the grid.
         return LaunchConfig(
-            grid=Dim3(x=grid.blocks_x, y=grid.blocks_y),
+            grid=Dim3(x=math.ceil(valid.out_width / self.config.block_w),
+                      y=math.ceil(valid.out_height / self.config.block_h)),
             block=Dim3(x=self.config.threads(self.n)),
             registers_per_thread=self.config.registers_per_thread(
                 k, self.n, s, d),
@@ -250,15 +258,22 @@ class SpecialCaseKernel(Priced):
     # Traced cost
     # ------------------------------------------------------------------
     def floor(self, problem: ConvProblem) -> KernelCost:
-        """:meth:`cost` without its memory traffic: the same launch,
-        FLOPs, barriers and prefetch flag over an otherwise empty
-        ledger, whose modeled time never exceeds the cost's
-        (docs/SIMULATOR.md).  Raises what :meth:`cost` raises from its
-        problem and configuration checks; an invalid launch raises from
-        ``TimingModel.evaluate``."""
-        return self._floor(
-            self._check_problem(problem),
-            TrafficLedger(gmem_segment_size=self.arch.gmem_transaction_size))
+        """A lower bound on :meth:`cost`: the same launch, FLOPs,
+        barriers and prefetch flag, and the global-memory bytes the
+        cost's image-row loads and output stores cannot go below
+        (:func:`gmem_floor` over :meth:`_gmem_sites`), with no shared-
+        or constant-memory traffic.  Its modeled time never exceeds the
+        cost's (docs/SIMULATOR.md).  Raises what :meth:`cost` raises
+        from its problem and configuration checks; an invalid launch
+        raises from ``TimingModel.evaluate``."""
+        valid = self._check_problem(problem)
+        ledger = TrafficLedger(
+            gmem_segment_size=self.arch.gmem_transaction_size)
+        floor = self._floor(valid, ledger)
+        loads, stores = self._gmem_sites(valid, floor.launch.total_blocks,
+                                         self._staged(valid))
+        gmem_floor(ledger, loads + stores)
+        return floor
 
     def _floor(self, valid: ConvProblem, ledger: TrafficLedger) -> KernelCost:
         """The floor of an already-checked problem, written to ``ledger``."""
@@ -289,49 +304,21 @@ class SpecialCaseKernel(Priced):
         k = valid.kernel_size
         n = self.n
         blocks = cost.launch.total_blocks
-        threads = cfg.threads(n)
         warp_lanes = self.arch.warp_size
-        warps = math.ceil(threads / warp_lanes)
+        warps = math.ceil(cfg.threads(n) / warp_lanes)
         h = cfg.block_h
         f_count = valid.filters
 
         elem = self.elem_bytes
         unit = n * elem
-        gmem_mod = tracer.gmem_batch_mod(unit)
         smem_mod = tracer.smem_batch_mod()
         s, d = valid.stride, valid.dilation
         span = valid.span
-
-        # K initial + (H - 1) prefetched rows at stride 1; strided blocks
-        # advance s input rows per output row under the same span window.
-        rows_per_block = (h - 1) * s + span
-        footprint = (cfg.block_w - 1) * s + span   # input floats per row
-        # Staged row pieces as (site, lanes, base byte, requests per
-        # block), each a coalesced run of vector units.
-        if s == 1:
-            staged = [("row", warp_lanes, 0, warps * rows_per_block)]
-            halo_units = math.ceil((span - 1) / n)
-            if halo_units:
-                staged.append(("row_halo", halo_units, cfg.block_w * elem,
-                               rows_per_block))
-        else:
-            # Strided blocks still stage their full contiguous footprint
-            # row (every s-th pixel plus dilated halo is in range), so the
-            # cooperative load stays vectorized; the warp count changes.
-            full_rounds, tail_units = divmod(math.ceil(footprint / n),
-                                             warp_lanes)
-            staged = []
-            if full_rounds:
-                staged.append(("row", warp_lanes, 0,
-                               full_rounds * rows_per_block))
-            if tail_units:
-                staged.append(("row_halo", tail_units, 0, rows_per_block))
+        staged = self._staged(valid)
+        loads, stores = self._gmem_sites(valid, blocks, staged)
 
         # --- global loads of image rows (coalesced vector units) ----------
-        for name, lanes, base, reqs in staged:
-            tracer.gmem_read_prepared(
-                lane_batch(lanes, unit, gmem_mod, base), unit,
-                scale=float(reqs * blocks), site="gm.load_" + name)
+        tracer.gmem_sites(loads)
 
         # --- shared-memory staging of those rows -------------------------
         for name, lanes, base, reqs in staged:
@@ -370,21 +357,66 @@ class SpecialCaseKernel(Priced):
                 scale=miss_reads, site="gm.cm_miss")
 
         # --- output writeback (vector units, coalesced) ---------------------
-        ow = valid.out_width
-        stores = float(warps * h * f_count * blocks)
-        if (ow * elem) % self.arch.gmem_transaction_size:
-            # Output rows are generally not segment-aligned (OW = N-K+1);
-            # sample an offset base as well and average implicitly by
-            # splitting the count across the two alignments.
-            for base, site in ((0, "gm.store_out"),
-                               (unit, "gm.store_out_misaligned")):
-                tracer.gmem_write_prepared(
-                    lane_batch(warp_lanes, unit, gmem_mod, base), unit,
-                    scale=stores / 2.0, site=site)
-        else:
-            tracer.gmem_write_prepared(
-                lane_batch(warp_lanes, unit, gmem_mod), unit,
-                scale=stores, site="gm.store_out")
+        tracer.gmem_sites(stores)
 
         cost.launch.validate(self.arch)
         return cost
+
+    def _staged(self, valid: ConvProblem) -> list:
+        """The image-row pieces a block stages, as (site, lanes, base
+        byte, requests per block), each a coalesced run of vector units."""
+        cfg = self.config
+        n = self.n
+        s, span = valid.stride, valid.span
+        warp_lanes = self.arch.warp_size
+        # K initial + (H - 1) prefetched rows at stride 1; strided blocks
+        # advance s input rows per output row under the same span window.
+        rows_per_block = (cfg.block_h - 1) * s + span
+        if s == 1:
+            warps = math.ceil(cfg.threads(n) / warp_lanes)
+            staged = [("row", warp_lanes, 0, warps * rows_per_block)]
+            halo_units = math.ceil((span - 1) / n)
+            if halo_units:
+                staged.append(("row_halo", halo_units,
+                               cfg.block_w * self.elem_bytes, rows_per_block))
+            return staged
+        # Strided blocks still stage their full contiguous footprint row
+        # (every s-th pixel plus dilated halo is in range), so the
+        # cooperative load stays vectorized; the warp count changes.
+        footprint = (cfg.block_w - 1) * s + span   # input floats per row
+        full_rounds, tail_units = divmod(math.ceil(footprint / n), warp_lanes)
+        staged = []
+        if full_rounds:
+            staged.append(("row", warp_lanes, 0, full_rounds * rows_per_block))
+        if tail_units:
+            staged.append(("row_halo", tail_units, 0, rows_per_block))
+        return staged
+
+    def _gmem_sites(self, valid: ConvProblem, blocks: int,
+                    staged: list) -> tuple:
+        """The global-memory sites :meth:`cost` folds, as ``(loads,
+        stores)`` lists of :meth:`KernelTracer.gmem_sites` tuples; the
+        floor bounds the same ones.  The constant-cache misses
+        (``gm.cm_miss``) are left out of both lists: the cost folds
+        them between the two, and the floor skips them."""
+        n, elem = self.n, self.elem_bytes
+        unit = n * elem
+        mod = KernelTracer.gmem_batch_mod(unit)
+        warp_lanes = self.arch.warp_size
+        loads = [("gm.load_" + name, lane_batch(lanes, unit, mod, base), unit,
+                  float(reqs * blocks), False, 1.0)
+                 for name, lanes, base, reqs in staged]
+        warps = math.ceil(self.config.threads(n) / warp_lanes)
+        count = float(warps * self.config.block_h * valid.filters * blocks)
+        if (valid.out_width * elem) % self.arch.gmem_transaction_size:
+            # Output rows are generally not segment-aligned (OW = N-K+1);
+            # sample an offset base as well and average implicitly by
+            # splitting the count across the two alignments.
+            stores = [(site, lane_batch(warp_lanes, unit, mod, base), unit,
+                       count / 2.0, True, 1.0)
+                      for base, site in ((0, "gm.store_out"),
+                                         (unit, "gm.store_out_misaligned"))]
+        else:
+            stores = [("gm.store_out", lane_batch(warp_lanes, unit, mod),
+                       unit, count, True, 1.0)]
+        return loads, stores

@@ -41,13 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import TraceError
+from repro.errors import ConfigurationError, TraceError
 from repro.gpu.arch import GPUArchitecture
 from repro.gpu.occupancy import occupancy
 from repro.gpu.trace import KernelCost, publish_kernel_cost
 from repro.obs import metrics as _metrics
 
-__all__ = ["Priced", "TimingBreakdown", "TimingModel"]
+__all__ = ["Priced", "TimingBreakdown", "TimingModel", "below_every_price"]
 
 #: Host-side cost of one kernel launch (driver + queueing), seconds.
 LAUNCH_OVERHEAD_S = 5e-6
@@ -229,6 +229,17 @@ class TimingModel:
             occupancy_fraction=occ.occupancy_fraction(arch),
             total=total,
         )
+
+
+def below_every_price(limit: float) -> bool:
+    """Whether a time limit (seconds) lies below every price: one at or
+    under zero does, since every modeled time is positive, so a search
+    bounded by it prices nothing.  Raises :class:`ConfigurationError`
+    for a NaN limit, which no time compares with."""
+    if math.isnan(limit):
+        raise ConfigurationError(
+            "a time limit must be a number of seconds, got NaN")
+    return limit <= 0.0
 
 
 class Priced:

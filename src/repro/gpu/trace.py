@@ -45,6 +45,7 @@ __all__ = [
     "prepare_batch",
     "prepare_rows",
     "lane_batch",
+    "gmem_floor",
     "cross_block_reuse",
     "publish_kernel_cost",
     "access_cache_stats",
@@ -132,12 +133,21 @@ class PreparedBatch:
     methods with a per-use uniform scale.
     """
 
-    __slots__ = ("rows", "keys", "mults")
+    __slots__ = ("rows", "keys", "mults", "_distinct")
 
     def __init__(self, rows, keys, mults):
         self.rows = rows
         self.keys = keys
         self.mults = mults
+        self._distinct = None
+
+    @property
+    def distinct(self) -> list:
+        """Each row's number of distinct lane addresses, counted on first
+        use and kept with the batch (:func:`gmem_floor` reads it)."""
+        if self._distinct is None:
+            self._distinct = [len(set(row.tolist())) for row in self.rows]
+        return self._distinct
 
 
 def prepare_batch(matrix, mod: int, counts=None) -> PreparedBatch:
@@ -253,6 +263,41 @@ def lane_batch(lanes: int, step: int, mod: int, base: int = 0,
     return prepare_rows(
         [pattern + (base + r * row_step) for r in range(rows)],
         [1.0] * rows, mod)
+
+
+def gmem_floor(ledger: "TrafficLedger", sites) -> None:
+    """Add to ``ledger`` the global-memory bytes that folding ``sites``
+    (:meth:`KernelTracer.gmem_sites`) cannot go below.
+
+    Row by row, in the fold's order and with its multiplicity ``mult *
+    scale``, each row adds its distinct bytes (its
+    :attr:`PreparedBatch.distinct` lanes times ``size``: the memory
+    model's ``unique_bytes``) where the fold adds the bytes it moves: to
+    ``gmem_l2_bytes``, and divided by ``l2_reuse`` to the direction's
+    DRAM bytes.  A request moves at least the distinct bytes its lanes
+    touch, and IEEE products, quotients and sums are monotone, so every
+    field stays at or below the fold's, also when a kernel's fold has
+    sites this one leaves out.  No memory model is consulted.
+    """
+    l2 = ledger.gmem_l2_bytes
+    read = ledger.gmem_read_bytes_moved
+    written = ledger.gmem_write_bytes_moved
+    for _, prep, size, scale, write, l2_reuse in sites:
+        dram = written if write else read
+        for distinct, m in zip(prep.distinct, prep.mults):
+            mult = m * scale
+            if not mult:
+                continue
+            row = distinct * size * mult
+            l2 += row
+            dram += row / l2_reuse
+        if write:
+            written = dram
+        else:
+            read = dram
+    ledger.gmem_l2_bytes = l2
+    ledger.gmem_read_bytes_moved = read
+    ledger.gmem_write_bytes_moved = written
 
 
 @dataclass
@@ -625,11 +670,12 @@ class KernelTracer:
         """The period to :func:`prepare_batch` shared-memory batches with."""
         return self._smem_row_bytes
 
-    def gmem_batch_mod(self, size: int) -> int:
+    @staticmethod
+    def gmem_batch_mod(size: int) -> int:
         """The period to :func:`prepare_batch` global-memory batches with."""
         if size <= 0:
             raise TraceError("access size must be positive")
-        return math.lcm(int(size), self.SECTOR_BYTES)
+        return math.lcm(int(size), KernelTracer.SECTOR_BYTES)
 
     def smem_read_prepared(self, prep: PreparedBatch, size: int,
                            scale: float = 1.0, site: str = "smem") -> None:
@@ -655,6 +701,15 @@ class KernelTracer:
     def gmem_write_prepared(self, prep: PreparedBatch, size: int,
                             scale: float = 1.0, site: str = "gmem") -> None:
         self._gmem_prepared(prep, size, scale, site, True, 1.0)
+
+    def gmem_sites(self, sites) -> None:
+        """Fold global-memory sites in order, each a ``(site, batch,
+        size, scale, write, l2_reuse)`` tuple (:func:`gmem_floor` bounds
+        the same tuples)."""
+        for site, prep, size, scale, write, l2_reuse in sites:
+            if l2_reuse < 1.0:
+                raise TraceError("l2_reuse must be >= 1")
+            self._gmem_prepared(prep, size, scale, site, write, l2_reuse)
 
     def _gmem_prepared(self, prep, size, scale, site, write, l2_reuse):
         if size <= 0:

@@ -51,7 +51,7 @@ import numpy as np
 from repro.conv.tensors import ConvProblem, Padding
 from repro.errors import ReproError, SearchBounded
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
-from repro.gpu.timing import TimingBreakdown, TimingModel
+from repro.gpu.timing import TimingBreakdown, TimingModel, below_every_price
 
 __all__ = ["ConvBackend", "BOUNDED"]
 
@@ -117,7 +117,9 @@ class ConvBackend(ABC):
         ``limit`` is the time (seconds) a backend must come in at or
         under to matter to the caller.  ``configure`` bounds its work
         with it, and a backend it proves slower raises
-        :class:`~repro.errors.SearchBounded`.
+        :class:`~repro.errors.SearchBounded`, as every backend does,
+        unconfigured, under a limit at or below zero; a NaN limit raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         if not (self._gates_ok(problem, arch)
                 and self.feasible(problem, arch)):
@@ -128,8 +130,14 @@ class ConvBackend(ABC):
                     limit: float) -> Tuple[Optional[object],
                                            Optional[TimingBreakdown]]:
         """:meth:`configure`'s answer, or
-        :class:`~repro.errors.SearchBounded` when it is :data:`BOUNDED`."""
-        config, breakdown = self.configure(problem, arch, limit)
+        :class:`~repro.errors.SearchBounded` when it is :data:`BOUNDED`
+        or, without asking, when ``limit`` lies below every price
+        (:func:`~repro.gpu.timing.below_every_price`, which raises
+        :class:`~repro.errors.ConfigurationError` for a NaN limit)."""
+        if below_every_price(limit):
+            config, breakdown = BOUNDED, None
+        else:
+            config, breakdown = self.configure(problem, arch, limit)
         if config is BOUNDED:
             raise SearchBounded(
                 "the %s backend takes longer than %r s for %r on %s"

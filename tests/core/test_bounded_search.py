@@ -1,10 +1,16 @@
 """Floors and the bounded configuration search.
 
-A kernel's floor is its cost with no memory traffic; its modeled time
-never exceeds the price.  The bounded search prices candidates in floor
-order and stops once no unpriced candidate can win, so it must return
-exactly the full ranking's winner, with the breakdown and cost that
-priced it, or nothing when that winner takes longer than the limit.
+A kernel's floor is its cost's launch, FLOPs and barriers with none of
+its shared- or constant-memory traffic; the paper kernels' floors also
+carry the global-memory bytes their cost cannot go below (each request
+row's distinct bytes, in the fold's order and multiplicity).  Every
+traffic field of a floor is at or below the cost's, a floor consults no
+memory model, and its modeled time never exceeds the price.  The
+bounded search prices candidates in floor order and stops once no
+unpriced candidate can win, so it must return exactly the full
+ranking's winner, with the breakdown and cost that priced it, or
+nothing when that winner takes longer than the limit.  A limit at or
+below zero prices nothing, and a NaN limit is refused.
 """
 
 import math
@@ -37,8 +43,13 @@ from repro.core.dse import (
 from repro.core.general import GeneralCaseKernel
 from repro.core.special import SpecialCaseKernel
 from repro.errors import ConfigurationError, LaunchConfigError, ReproError
-from repro.gpu.arch import ARCHITECTURES
+from repro.gpu.arch import ARCHITECTURES, KEPLER_K40M
+from repro.gpu.memory.banks import SharedMemoryModel
+from repro.gpu.memory.constmem import ConstantMemoryModel
+from repro.gpu.memory.globalmem import GlobalMemoryModel
 from repro.gpu.timing import TimingModel
+from repro.gpu.trace import KernelTracer
+from repro.kernels import default_registry
 from repro.obs import Registry, Tracer, set_registry, set_tracer
 from repro.serve.trace import SHAPE_FAMILIES
 
@@ -76,6 +87,15 @@ SERVING_SHAPES = list(dict.fromkeys(
         for k in range(1, 8) for c in (1, 6)
         for kw in ({}, {"stride": 2})]))
 
+#: Outputs 1x1 to 4x4, plain and stride 2, K 1 and 3, C 2 and 6.  The
+#: general kernel's filter maps are then fewer bytes apart than its
+#: writeback lanes span, so lanes alias: a request's distinct bytes are
+#: below the bytes it asks for, and a floor of requested bytes would
+#: exceed the price.
+TINY_OUTPUT_SHAPES = [
+    ConvProblem.square((out - 1) * s + k, k, channels=c, filters=8, stride=s)
+    for out in range(1, 5) for s in (1, 2) for k in (1, 3) for c in (2, 6)]
+
 TABLE1_PROBLEMS = [default_general_problem(k) for k in (3, 5, 7)]
 
 
@@ -95,9 +115,11 @@ def _outcome(fn):
 
 
 def _check_floor(kernel, problem, model):
-    """The floor's frame equals the cost's and its time is no larger;
-    both raise the same error or neither does.  Returns whether the
-    candidate is valid."""
+    """The floor's frame equals the cost's, each of its global-memory
+    byte counts is at or below the cost's, it has no shared- or
+    constant-memory traffic, and its time is no larger; both raise the
+    same error or neither does.  Returns whether the candidate is
+    valid."""
     priced = _outcome(lambda: model.evaluate(kernel.cost(problem)))
     floored = _outcome(lambda: model.evaluate(kernel.floor(problem)))
     if isinstance(priced, tuple):
@@ -112,7 +134,10 @@ def _check_floor(kernel, problem, model):
     assert floor.launches == cost.launches
     assert floor.software_prefetch == cost.software_prefetch
     assert not floor.ledger.sites
-    assert floor.ledger.gmem_bytes_moved == floor.ledger.gmem_l2_bytes == 0
+    for field in ("gmem_read_bytes_moved", "gmem_write_bytes_moved",
+                  "gmem_l2_bytes"):
+        assert getattr(floor.ledger, field) <= getattr(cost.ledger, field), (
+            kernel.name, problem.describe(), field)
     assert floor.ledger.smem_cycles == floor.ledger.cmem_cycles == 0
     assert floored.total <= priced.total, (kernel.name, problem.describe())
     return True
@@ -147,6 +172,29 @@ class TestFloorIsALowerBound:
                                       _special_problem(problem), model)] += 1
         # Both sides of the raise-alike check are exercised.
         assert outcomes[True] > 100 and outcomes[False] > 100
+
+    @pytest.mark.parametrize("arch", PRESETS, ids=PRESET_IDS)
+    def test_tiny_outputs(self, arch):
+        n = matched_vector(arch).n
+        model = TimingModel(arch)
+        valid = aliased = 0
+        for problem in TINY_OUTPUT_SHAPES:
+            for cfg in _general_palette(problem.kernel_size, n):
+                kernel = GeneralCaseKernel(arch=arch, config=cfg)
+                if _check_floor(kernel, problem, model):
+                    valid += 1
+                    site = kernel.cost(problem).ledger.sites[
+                        "gm.store_out[gmem.write]"]
+                    aliased += site.unique_bytes < site.request_bytes
+            single = ConvProblem.square(problem.height, problem.kernel_size,
+                                        channels=1, filters=8,
+                                        stride=problem.stride)
+            for cfg in enumerate_special_configs():
+                valid += _check_floor(SpecialCaseKernel(arch=arch, config=cfg),
+                                      single, model)
+        # Writeback lanes alias on every preset (Fermi fits the general
+        # palette only at K=1).
+        assert valid > 200 and aliased
 
     @pytest.mark.parametrize("arch", PRESETS, ids=PRESET_IDS)
     def test_portfolio_candidates(self, arch):
@@ -188,6 +236,46 @@ class TestFloorIsALowerBound:
         with pytest.raises(LaunchConfigError) as floored:
             TimingModel(arch).evaluate(floor)
         assert str(floored.value) == str(priced.value)
+
+
+def _paper_candidates(arch):
+    """Every special and general candidate the property tests check,
+    as ``(kernel, problem)`` pairs."""
+    n = matched_vector(arch).n
+    for k, problem in zip((3, 5, 7), TABLE1_PROBLEMS):
+        for cfg in enumerate_general_configs(k, n, arch):
+            yield GeneralCaseKernel(arch=arch, config=cfg), problem
+    for cfg in enumerate_special_configs():
+        yield SpecialCaseKernel(arch=arch, config=cfg), DEFAULT_SPECIAL_PROBLEM
+    for problem in SERVING_SHAPES + TINY_OUTPUT_SHAPES:
+        for cfg in _general_palette(problem.kernel_size, n):
+            yield GeneralCaseKernel(arch=arch, config=cfg), problem
+        for cfg in enumerate_special_configs():
+            yield (SpecialCaseKernel(arch=arch, config=cfg),
+                   _special_problem(problem))
+
+
+class TestFloorMakesNoLookup:
+    @pytest.mark.parametrize("arch", PRESETS, ids=PRESET_IDS)
+    def test_no_memory_model_call(self, arch, monkeypatch):
+        def lookup(*args, **kwargs):
+            raise AssertionError("a memory model was consulted")
+
+        for model in (GlobalMemoryModel, SharedMemoryModel,
+                      ConstantMemoryModel):
+            monkeypatch.setattr(model, "access", lookup)
+        monkeypatch.setattr(KernelTracer, "_lookup", lookup)
+        floors = 0
+        for kernel, problem in _paper_candidates(arch):
+            try:
+                kernel.floor(problem)
+            except ReproError:
+                continue
+            floors += 1
+        assert floors > 1000
+        # The patch does see the price's lookups.
+        with pytest.raises(AssertionError, match="consulted"):
+            SpecialCaseKernel(arch=arch).cost(DEFAULT_SPECIAL_PROBLEM)
 
 
 def _limits(arch, problem, winner_s):
@@ -363,3 +451,69 @@ class TestStoppingRule:
         # ceiling (floor 3) is below the best's (price 2): pruned.
         assert _stub_search([(3.0, 3.5), (1.0, 4.0), (1.5, 2.0)],
                             math.inf) == ([2], [1, 2], 1)
+
+
+LIMITS = [0.0, -1.0, math.nan, math.inf]
+LIMIT_IDS = ["zero", "negative", "nan", "inf"]
+
+
+class TestLimitValues:
+    """A limit at or below zero prices nothing and answers bounded, since
+    every price is positive; a NaN limit raises a ConfigurationError
+    that names it; an infinite one finds the winner."""
+
+    PLAIN = ConvProblem.square(32, 3, channels=4, filters=8)
+    SINGLE = ConvProblem.square(32, 3, channels=1, filters=8)
+    DEPTHWISE = ConvProblem.square(32, 3, channels=4, filters=4, groups=4)
+
+    def _searches(self):
+        arch = KEPLER_K40M
+        configs = _general_palette(3, matched_vector(arch).n)
+        return {
+            "special": lambda limit: explore_special(arch, self.SINGLE,
+                                                     limit=limit),
+            "general": lambda limit: explore_general(
+                3, arch, self.PLAIN, configs, limit=limit),
+            "implicit-gemm": lambda limit: ImplicitGemmKernel(
+                arch=arch).search(self.PLAIN, limit),
+        }
+
+    @pytest.mark.parametrize("limit", LIMITS, ids=LIMIT_IDS)
+    def test_searches(self, scoped_obs, limit):
+        registry, _ = scoped_obs
+        for case, search in self._searches().items():
+            if math.isnan(limit):
+                with pytest.raises(ConfigurationError, match="NaN"):
+                    search(limit)
+                continue
+            winner = search(limit)
+            priced = registry.get("dse_candidates_total").value(
+                case=case, outcome="ok")
+            pruned = registry.get("dse_candidates_pruned_total").value(
+                case=case)
+            if limit > 0:
+                assert isinstance(winner, PricedConfig), case
+                assert priced > 0, case
+            else:
+                assert winner is None, case
+                assert priced == 0 and pruned > 0, case
+
+    @pytest.mark.parametrize("limit", LIMITS, ids=LIMIT_IDS)
+    def test_admit_one(self, scoped_obs, limit):
+        registry, _ = scoped_obs
+        kernels = default_registry()
+        outcome = ("error" if math.isnan(limit)
+                   else "admitted" if limit > 0 else "bounded")
+        for name in kernels.names():
+            problem = {"special": self.SINGLE,
+                       "depthwise": self.DEPTHWISE}.get(name, self.PLAIN)
+            errors = []
+            entry = kernels.admit_one(name, problem, KEPLER_K40M, limit,
+                                      lambda n, err: errors.append(err))
+            assert registry.get("kernel_backend_candidates_total").value(
+                backend=name, outcome=outcome) == 1, name
+            assert (entry is not None) == (outcome == "admitted"), name
+            if outcome == "error":
+                (err,) = errors
+                assert isinstance(err, ConfigurationError), name
+                assert "NaN" in str(err)
