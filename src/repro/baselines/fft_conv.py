@@ -36,6 +36,15 @@ _F32 = 4
 _THREADS = 256
 
 
+def check_transform_axes(problem: ConvProblem) -> None:
+    """Transform-domain kernels compute only the paper's default axes."""
+    if not problem.has_default_axes:
+        raise ShapeError(
+            "transform-domain kernels handle only default axes "
+            "(stride=1, dilation=1, groups=1, NCHW), got %s"
+            % problem.describe())
+
+
 class FFTConvolution(Priced):
     """Frequency-domain convolution with padded-filter accounting."""
 
@@ -51,31 +60,11 @@ class FFTConvolution(Priced):
         padding: Padding = Padding.VALID,
         problem: "Optional[ConvProblem]" = None,
     ) -> np.ndarray:
-        if problem is not None:
-            if not problem.has_default_axes:
-                raise ShapeError(
-                    "transform-domain kernels handle only default axes "
-                    "(stride=1, dilation=1, groups=1, NCHW), got %s"
-                    % problem.describe())
-            padding = problem.padding
-        img = np.asarray(image, dtype=np.float32)
-        if img.ndim == 2:
-            img = img[np.newaxis]
-        flt = np.asarray(filters, dtype=np.float32)
-        if flt.ndim == 2:
-            flt = flt[np.newaxis, np.newaxis]
-        elif flt.ndim == 3:
-            flt = flt[:, np.newaxis]
-        if img.ndim != 3 or flt.ndim != 4:
-            raise ShapeError("image must be (C,H,W) and filters (F,C,K,K)")
-        if flt.shape[1] != img.shape[0]:
-            raise ShapeError("channel mismatch")
-
-        problem = ConvProblem(
-            height=img.shape[1], width=img.shape[2], channels=img.shape[0],
-            filters=flt.shape[0], kernel_size=flt.shape[2], padding=padding,
-        )
-        padded = problem.padded_image(img)
+        if problem is None:
+            problem = ConvProblem.from_arrays(image, filters, padding)
+        check_transform_axes(problem)
+        padded = problem.padded_image(image)
+        flt = problem.check_filters(filters)
         valid = problem.as_valid()
         h, w = valid.height, valid.width
         oh, ow = valid.out_height, valid.out_width

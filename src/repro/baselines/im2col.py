@@ -117,22 +117,9 @@ class Im2colKernel(Priced):
         problem: Optional[ConvProblem] = None,
     ) -> np.ndarray:
         if problem is None:
-            img = np.asarray(image, dtype=np.float32)
-            if img.ndim == 2:
-                img = img[np.newaxis]
-            flt = np.asarray(filters, dtype=np.float32)
-            if flt.ndim == 3:
-                flt = flt[:, np.newaxis]
-            problem = ConvProblem(
-                height=img.shape[1], width=img.shape[2], channels=img.shape[0],
-                filters=flt.shape[0], kernel_size=flt.shape[2], padding=padding,
-            )
-        else:
-            # padded_image canonicalizes to CHW itself; handing it the
-            # raw array keeps NHWC inputs single-converted.
-            img = image
-            flt = problem.check_filters(filters)
-        padded = problem.padded_image(img)
+            problem = ConvProblem.from_arrays(image, filters, padding)
+        padded = problem.padded_image(image)
+        flt = problem.check_filters(filters)
         valid = problem.as_valid()
         if valid.groups == 1:
             lowered = im2col_matrix(padded, valid.kernel_size,

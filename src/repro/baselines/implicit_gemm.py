@@ -143,25 +143,10 @@ class ImplicitGemmKernel(Priced):
     ) -> np.ndarray:
         """Functional execution: the implicit lowering made explicit."""
         if problem is None:
-            img = np.asarray(image, dtype=np.float32)
-            if img.ndim == 2:
-                img = img[np.newaxis]
-            flt = np.asarray(filters, dtype=np.float32)
-            if flt.ndim == 3:
-                flt = flt[:, np.newaxis]
-            if img.ndim != 3 or flt.ndim != 4:
-                raise ShapeError("image must be (C,H,W) and filters (F,C,K,K)")
-            problem = ConvProblem(
-                height=img.shape[1], width=img.shape[2], channels=img.shape[0],
-                filters=flt.shape[0], kernel_size=flt.shape[2], padding=padding,
-            )
-        else:
-            _check_ungrouped(problem)
-            # padded_image canonicalizes to CHW itself; handing it the
-            # raw array keeps NHWC inputs single-converted.
-            img = image
-            flt = problem.check_filters(filters)
-        padded = problem.padded_image(img)
+            problem = ConvProblem.from_arrays(image, filters, padding)
+        _check_ungrouped(problem)
+        padded = problem.padded_image(image)
+        flt = problem.check_filters(filters)
         valid = problem.as_valid()
         lowered = im2col_matrix(padded, valid.kernel_size,
                                 valid.stride, valid.dilation)

@@ -22,8 +22,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.baselines.fft_conv import check_transform_axes
 from repro.conv.tensors import ConvProblem, Padding
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.timing import Priced
@@ -92,35 +93,15 @@ class WinogradConvolution(Priced):
         padding: Padding = Padding.VALID,
         problem: "Optional[ConvProblem]" = None,
     ) -> np.ndarray:
-        if problem is not None:
-            if not problem.has_default_axes:
-                raise ShapeError(
-                    "transform-domain kernels handle only default axes "
-                    "(stride=1, dilation=1, groups=1, NCHW), got %s"
-                    % problem.describe())
-            padding = problem.padding
-        img = np.asarray(image, dtype=np.float32)
-        if img.ndim == 2:
-            img = img[np.newaxis]
-        flt = np.asarray(filters, dtype=np.float32)
-        if flt.ndim == 2:
-            flt = flt[np.newaxis, np.newaxis]
-        elif flt.ndim == 3:
-            flt = flt[:, np.newaxis]
-        if img.ndim != 3 or flt.ndim != 4:
-            raise ShapeError("image must be (C,H,W) and filters (F,C,K,K)")
-        if flt.shape[2:] != (3, 3):
+        if problem is None:
+            problem = ConvProblem.from_arrays(image, filters, padding)
+        check_transform_axes(problem)
+        if problem.kernel_size != 3:
             raise ConfigurationError(
                 "F(%dx%d, 3x3) is specialized to 3x3 filters"
                 % (self.tile, self.tile))
-        if flt.shape[1] != img.shape[0]:
-            raise ShapeError("channel mismatch")
-
-        problem = ConvProblem(
-            height=img.shape[1], width=img.shape[2], channels=img.shape[0],
-            filters=flt.shape[0], kernel_size=3, padding=padding,
-        )
-        padded = problem.padded_image(img)
+        flt = problem.check_filters(filters)
+        padded = problem.padded_image(image)
         valid = problem.as_valid()
         oh, ow = valid.out_height, valid.out_width
 

@@ -26,8 +26,8 @@ Fault kinds (:class:`FaultKind`):
 * ``obs-drop`` — a replica attempt's telemetry is dropped before the
   fleet folds it; serving must continue and the loss must be counted.
 
-Spec grammar (the ``REPRO_CHAOS`` environment variable and every
-``--chaos`` flag accept it)::
+Spec grammar (``FleetEngine(chaos=...)`` and every ``--chaos`` flag
+accept it)::
 
     spec    := clause (";" clause)*
     clause  := "seed=" INT | fault
@@ -36,9 +36,9 @@ Spec grammar (the ``REPRO_CHAOS`` environment variable and every
 
 Examples::
 
-    REPRO_CHAOS="crash:replica=1"
-    REPRO_CHAOS="seed=7;crash:replica=1,times=2;slow:replica=0,factor=8"
-    REPRO_CHAOS="cache-corrupt:nth=2;build-fail:times=2;obs-drop"
+    crash:replica=1
+    seed=7;crash:replica=1,times=2;slow:replica=0,factor=8
+    cache-corrupt:nth=2;build-fail:times=2;obs-drop
 
 ``times`` is how many attempts/events the fault fires on (consecutive),
 ``after`` is how many requests a crashing replica serves before dying
@@ -51,17 +51,12 @@ pinned to a seeded-random replica when the plan is installed.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.errors import ChaosError
 
-__all__ = ["CHAOS_ENV", "FaultKind", "FaultSpec", "FaultPlan"]
-
-#: Environment variable holding a chaos spec; parsed by the fleet when
-#: no explicit ``chaos=`` argument is given.
-CHAOS_ENV = "REPRO_CHAOS"
+__all__ = ["FaultKind", "FaultSpec", "FaultPlan"]
 
 
 class FaultKind(enum.Enum):
@@ -203,14 +198,6 @@ class FaultPlan:
         if seed is not None:
             plan_seed = seed
         return cls(seed=plan_seed, specs=tuple(specs))
-
-    @classmethod
-    def from_env(cls) -> Optional["FaultPlan"]:
-        """The plan from ``REPRO_CHAOS``, or None when unset/blank."""
-        raw = os.environ.get(CHAOS_ENV, "").strip()
-        if not raw:
-            return None
-        return cls.parse(raw)
 
     def describe(self) -> str:
         """Round-trippable spec string for this plan."""

@@ -336,8 +336,8 @@ def _verify(trace, responses) -> bool:
     for request, response in zip(trace, responses):
         if response is None:
             continue
-        reference = conv2d_reference(
-            request.image, request.filters, request.problem.padding)
+        reference = conv2d_reference(request.image, request.filters,
+                                     problem=request.problem)
         if not np.array_equal(response.output, reference):
             print("request %d (%s backend) does not match the reference"
                   % (request.req_id, response.backend), file=sys.stderr)

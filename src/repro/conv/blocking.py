@@ -3,24 +3,21 @@
 Both of the paper's kernels tile the *output* plane into ``H x W``
 blocks; each block additionally reads ``K - 1`` halo rows/columns beyond
 its right and bottom boundary.  This module provides the grid geometry,
-the input region (with halo) belonging to each block, and the
-halo-overhead analysis backing the paper's claim that the special-case
-kernel is "(almost) communication-optimal" — only halo pixels are read
-more than once, and their proportion is small (Sec. 3.2).
+the input footprint (with halo) of each block, and the halo-overhead
+analysis backing the paper's claim that the special-case kernel is
+"(almost) communication-optimal" — only halo pixels are read more than
+once, and their proportion is small (Sec. 3.2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
 
 from repro.conv.tensors import ConvProblem
 from repro.errors import ConfigurationError
 
-__all__ = ["BlockSpec", "BlockView", "BlockGrid", "halo_read_overhead"]
+__all__ = ["BlockSpec", "BlockGrid", "halo_read_overhead"]
 
 
 @dataclass(frozen=True)
@@ -49,46 +46,6 @@ class BlockSpec:
         return (self.block_w - 1) * stride + dilation * (kernel_size - 1) + 1
 
 
-@dataclass(frozen=True)
-class BlockView:
-    """One tile of the output plane and its input footprint."""
-
-    by: int                    # block row index
-    bx: int                    # block column index
-    out_y0: int                # output-plane origin of the tile
-    out_x0: int
-    out_rows: int              # tile extent, clipped at the image edge
-    out_cols: int
-    in_y0: int                 # input-plane origin (same as out origin for valid conv)
-    in_x0: int
-    in_rows: int               # footprint extent including halo, unclipped
-    in_cols: int
-    tile_rows: int             # unclipped tile extent (the spec's block_h)
-    tile_cols: int
-
-    @property
-    def is_partial(self) -> bool:
-        """True when the tile hangs over the image edge (clipped output)."""
-        return self.out_rows < self.tile_rows or self.out_cols < self.tile_cols
-
-    def extract(self, plane: np.ndarray) -> np.ndarray:
-        """Input footprint of this block, zero-filled past the image edge.
-
-        ``plane`` is a 2-D (H, W) input channel.  Real kernels guard
-        out-of-range loads with predication and substitute zero; this
-        helper reproduces that behaviour for the functional executors.
-        """
-        h, w = plane.shape
-        tile = np.zeros((self.in_rows, self.in_cols), dtype=plane.dtype)
-        y1 = min(self.in_y0 + self.in_rows, h)
-        x1 = min(self.in_x0 + self.in_cols, w)
-        if y1 > self.in_y0 and x1 > self.in_x0:
-            tile[: y1 - self.in_y0, : x1 - self.in_x0] = plane[
-                self.in_y0 : y1, self.in_x0 : x1
-            ]
-        return tile
-
-
 class BlockGrid:
     """The grid of output tiles covering a convolution problem."""
 
@@ -101,34 +58,6 @@ class BlockGrid:
     @property
     def total_blocks(self) -> int:
         return self.blocks_y * self.blocks_x
-
-    def view(self, by: int, bx: int) -> BlockView:
-        if not (0 <= by < self.blocks_y and 0 <= bx < self.blocks_x):
-            raise ConfigurationError(
-                "block (%d, %d) outside grid %dx%d" % (by, bx, self.blocks_y, self.blocks_x)
-            )
-        p, s = self.problem, self.spec
-        out_y0 = by * s.block_h
-        out_x0 = bx * s.block_w
-        return BlockView(
-            by=by,
-            bx=bx,
-            out_y0=out_y0,
-            out_x0=out_x0,
-            out_rows=min(s.block_h, p.out_height - out_y0),
-            out_cols=min(s.block_w, p.out_width - out_x0),
-            in_y0=out_y0 * p.stride,
-            in_x0=out_x0 * p.stride,
-            in_rows=s.input_rows(p.kernel_size, p.stride, p.dilation),
-            in_cols=s.input_cols(p.kernel_size, p.stride, p.dilation),
-            tile_rows=s.block_h,
-            tile_cols=s.block_w,
-        )
-
-    def __iter__(self) -> Iterator[BlockView]:
-        for by in range(self.blocks_y):
-            for bx in range(self.blocks_x):
-                yield self.view(by, bx)
 
     def input_pixels_read(self) -> int:
         """Total input pixels read by all blocks of one channel (with halos)."""

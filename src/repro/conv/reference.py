@@ -5,7 +5,7 @@ These are the golden models every kernel in :mod:`repro.core` and
 deep-learning libraries it compares with), "convolution" here means
 cross-correlation: filters are not flipped.
 
-The implementation is one tap-loop over (dy, dx) for a stack of images:
+:func:`conv2d_reference` is one tap-loop over (dy, dx) for a stack of images:
 a single image is a batch of one, so batched serving and single calls
 share one arithmetic.  Each tap is a float32 elementwise product when a
 group has one input channel, and otherwise one ``np.matmul`` over the
@@ -14,6 +14,10 @@ group has one input channel, and otherwise one ``np.matmul`` over the
 output is therefore bit-identical to the per-image tap loop, whatever
 the batch.  It handles every problem axis — stride, dilation, groups,
 and both layouts.
+
+:func:`conv2d_taps` is the direct kernels' arithmetic: the same taps
+summed in float32, in the order a thread of Algorithms 1-2 accumulates
+them, so the paper's kernels return it bit for bit.
 
 :func:`conv2d_oracle` is the deliberately-naive seven-loop scalar model
 (filters, rows, cols, channels, taps) the generalized reference is
@@ -30,7 +34,8 @@ import numpy as np
 from repro.conv.tensors import ConvProblem, Layout, Padding
 from repro.errors import ShapeError
 
-__all__ = ["conv2d_reference", "conv2d_single_channel", "conv2d_oracle"]
+__all__ = ["conv2d_reference", "conv2d_single_channel", "conv2d_taps",
+           "conv2d_oracle"]
 
 
 def conv2d_reference(
@@ -68,34 +73,7 @@ def conv2d_reference(
     bit-identical to the single call on that image.
     """
     if problem is None:
-        img = np.asarray(image, dtype=np.float32)
-        if img.ndim == 2:
-            img = img[np.newaxis]
-        flt = np.asarray(filters, dtype=np.float32)
-        if flt.ndim == 2:
-            flt = flt[np.newaxis, np.newaxis]
-        elif flt.ndim == 3:
-            flt = flt[:, np.newaxis]
-        if img.ndim != 3 or flt.ndim != 4:
-            raise ShapeError("image must be (C,H,W) and filters (F,C,K,K)")
-        if flt.shape[2] != flt.shape[3]:
-            raise ShapeError("only square filters are supported")
-
-        problem = ConvProblem(
-            height=img.shape[1],
-            width=img.shape[2],
-            channels=img.shape[0],
-            filters=flt.shape[0],
-            kernel_size=flt.shape[2],
-            padding=padding,
-        )
-        if flt.shape[1] != img.shape[0]:
-            raise ShapeError(
-                "filters have %d channels, image has %d"
-                % (flt.shape[1], problem.channels)
-            )
-        image = img
-        filters = flt
+        problem = ConvProblem.from_arrays(image, filters, padding)
 
     batched = np.ndim(image) == len(problem.image_shape) + 1
     if batched:
@@ -163,6 +141,37 @@ def conv2d_single_channel(image: np.ndarray, filters: np.ndarray,
     if img.ndim != 2:
         raise ShapeError("special-case image must be 2-D, got %d-D" % img.ndim)
     return conv2d_reference(img, filters, padding)
+
+
+def conv2d_taps(problem: ConvProblem, image: np.ndarray,
+                filters: np.ndarray) -> np.ndarray:
+    """The direct kernels' arithmetic: a float32 tap loop.
+
+    Each output is +0.0 plus the float32 product of every (channel, dy,
+    dx) tap of its group, added in float32 in ascending (channel, dy,
+    dx) order: what every thread of Algorithms 1-2 accumulates in its
+    registers, so the output matches the interpreted kernels bit for
+    bit.  Handles every stride, dilation, padding, grouping and layout;
+    returns the output in the problem's layout.
+    """
+    img = problem.padded_image(image)
+    flt = problem.check_filters(filters)
+    k, s, d, g = (problem.kernel_size, problem.stride, problem.dilation,
+                  problem.groups)
+    oh, ow = problem.out_height, problem.out_width
+    cpg, fpg = problem.channels_per_group, problem.filters_per_group
+    img = img.reshape(g, cpg, *img.shape[1:])
+    flt = flt.reshape(g, fpg, cpg, k, k)
+    out = np.zeros((g, fpg, oh, ow), dtype=np.float32)
+    for c in range(cpg):
+        for dy in range(k):
+            for dx in range(k):
+                window = img[:, c,
+                             dy * d : dy * d + (oh - 1) * s + 1 : s,
+                             dx * d : dx * d + (ow - 1) * s + 1 : s]
+                out += flt[:, :, c, dy, dx, np.newaxis, np.newaxis] \
+                    * window[:, np.newaxis]
+    return problem.layout_output(out.reshape(problem.filters, oh, ow))
 
 
 def conv2d_oracle(problem: ConvProblem, image: np.ndarray,

@@ -130,6 +130,36 @@ class ConvProblem:
             layout=layout,
         )
 
+    @classmethod
+    def from_arrays(cls, image, filters,
+                    padding: Padding = Padding.VALID) -> "ConvProblem":
+        """The default-axes problem a positional ``(image, filters)``
+        pair states: the one input contract of every kernel's ``run``.
+
+        A 2-D image is one channel; 2-D and 3-D filters are promoted to
+        ``(F, C, K, K)`` (:meth:`check_image` and :meth:`check_filters`
+        promote the arrays the same way).  Raises :class:`ShapeError`
+        for anything else, a non-square filter, a filter that does not
+        fit the image, or filters whose channels differ from the image's.
+        """
+        img, flt = np.shape(image), np.shape(filters)
+        if len(img) == 2:
+            img = (1,) + img
+        if len(flt) == 2:
+            flt = (1, 1) + flt
+        elif len(flt) == 3:
+            flt = flt[:1] + (1,) + flt[1:]
+        if len(img) != 3 or len(flt) != 4:
+            raise ShapeError("image must be (C,H,W) and filters (F,C,K,K)")
+        if flt[2] != flt[3]:
+            raise ShapeError("only square filters are supported")
+        problem = cls(height=img[1], width=img[2], channels=img[0],
+                      filters=flt[0], kernel_size=flt[2], padding=padding)
+        if flt[1] != img[0]:
+            raise ShapeError("filters have %d channels, image has %d"
+                             % (flt[1], img[0]))
+        return problem
+
     def describe(self) -> str:
         """The full problem tuple, for error messages and logs."""
         return ("conv(h=%d, w=%d, c=%d, f=%d, k=%d, pad=%s, stride=%d, "

@@ -26,11 +26,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.conv.reference import conv2d_taps
 from repro.conv.tensors import ConvProblem, Layout, Padding
 from repro.core.bankwidth import DataType
 from repro.core.config import BEST_SPECIAL_CONFIG, SpecialCaseConfig
 from repro.core.special import SpecialCaseKernel
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.timing import Priced
@@ -89,23 +90,17 @@ class DepthwiseKernel(Priced):
         return problem.as_valid()
 
     # ------------------------------------------------------------------
-    def _infer_problem(self, image: np.ndarray, filters: np.ndarray,
-                       padding: Padding) -> ConvProblem:
-        img = np.asarray(image, dtype=np.float32)
-        flt = np.asarray(filters, dtype=np.float32)
-        if img.ndim != 3:
-            raise ShapeError("depthwise image must be (C, H, W)")
-        if flt.ndim == 3:
-            flt = flt[:, np.newaxis]
-        if flt.ndim != 4 or flt.shape[1] != 1:
-            raise ShapeError(
-                "depthwise filters must be (F, 1, K, K), got %s"
-                % (flt.shape,))
-        return ConvProblem(
-            height=img.shape[1], width=img.shape[2], channels=img.shape[0],
-            filters=flt.shape[0], kernel_size=flt.shape[2], padding=padding,
-            groups=img.shape[0],
-        )
+    @staticmethod
+    def _positional(image: np.ndarray, filters: np.ndarray,
+                    padding: Padding) -> ConvProblem:
+        """The problem a positional pair states: one channel's problem
+        under :meth:`ConvProblem.from_arrays`, with one group per image
+        channel."""
+        img = np.asarray(image)
+        one = ConvProblem.from_arrays(img[:1] if img.ndim == 3 else img,
+                                      filters, padding)
+        channels = img.shape[0] if img.ndim == 3 else 1
+        return replace(one, channels=channels, groups=channels)
 
     def run(
         self,
@@ -114,21 +109,14 @@ class DepthwiseKernel(Priced):
         padding: Padding = Padding.VALID,
         problem: Optional[ConvProblem] = None,
     ) -> np.ndarray:
-        """Per-group special-case sweeps, reassembled channel-major."""
+        """Check the problem and every group's special-case problem,
+        then return the groups' outputs, channel-major
+        (:func:`conv2d_taps`)."""
         if problem is None:
-            problem = self._infer_problem(image, filters, padding)
-        valid = self._check_problem(problem)
-        img = problem.chw_image(image)
-        flt = problem.check_filters(filters)
-        fpg = valid.filters_per_group
-        gp = self.group_problem(problem)     # keeps the padding mode
-        out = np.empty((valid.filters, valid.out_height, valid.out_width),
-                       dtype=np.float32)
-        for g in range(valid.groups):
-            out[g * fpg : (g + 1) * fpg] = self.special.run(
-                img[g], flt[g * fpg : (g + 1) * fpg], problem=gp,
-            )
-        return problem.layout_output(out)
+            problem = self._positional(image, filters, padding)
+        self._check_problem(problem)
+        self.special._check_problem(self.group_problem(problem))
+        return conv2d_taps(problem, image, filters)
 
     # ------------------------------------------------------------------
     def cost(self, problem: ConvProblem) -> KernelCost:
@@ -162,16 +150,10 @@ class DepthwiseKernel(Priced):
         """
         from repro.gpu.fastsim import FastSpecialKernel
 
-        img = np.asarray(image, dtype=np.float32)
-        flt = np.asarray(filters, dtype=np.float32)
-        if flt.ndim == 4:
-            if flt.shape[1] != 1:
-                raise ShapeError(
-                    "depthwise filters must be (F, 1, K, K), got %s"
-                    % (flt.shape,))
-            flt = flt[:, 0]
-        problem = self._infer_problem(img, flt, Padding.VALID)
+        problem = self._positional(image, filters, Padding.VALID)
         valid = self._check_problem(problem)
+        img = problem.chw_image(image)
+        flt = problem.check_filters(filters)[:, 0]
         fast = FastSpecialKernel(
             arch=self.arch, config=self.config, matched=self.matched,
             bank_policy=self.bank_policy,

@@ -18,6 +18,11 @@ address).  Global loads are double-buffered (prefetch, Algorithm 2
 lines 8-9/17-18); the writeback is uncoalesced by design and the tracer
 prices it at store-sector granularity, confirming the paper's judgement
 that it is cheap enough to leave unoptimized.
+
+As for the special case, :meth:`GeneralCaseKernel.cost` carries the
+traffic, the interpreter (:mod:`repro.core.general_interpreted`)
+executes the dataflow, and :meth:`GeneralCaseKernel.run` returns the
+shared tap loop's exact output (:func:`repro.conv.reference.conv2d_taps`).
 """
 
 from __future__ import annotations
@@ -28,11 +33,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.conv.blocking import BlockGrid
+from repro.conv.reference import conv2d_taps
 from repro.conv.tensors import ConvProblem, Padding
 from repro.core.bankwidth import DataType, matched_vector
 from repro.core.config import TABLE1_CONFIGS, GeneralCaseConfig
-from repro.errors import ConfigurationError, ReproError, ShapeError
+from repro.errors import ConfigurationError, ReproError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
@@ -49,8 +54,6 @@ from repro.gpu.trace import (
 )
 
 __all__ = ["GeneralCaseKernel", "default_config_for", "SMALL_IMAGE_CONFIGS"]
-
-_F32 = 4
 
 
 def default_config_for(kernel_size: int, n: int) -> GeneralCaseConfig:
@@ -186,123 +189,18 @@ class GeneralCaseKernel(Priced):
         padding: Padding = Padding.VALID,
         problem: Optional[ConvProblem] = None,
     ) -> np.ndarray:
-        """Execute Algorithm 2 and return the ``(F, OH, OW)`` output.
+        """Check the problem and configuration, then return Algorithm
+        2's exact ``(F, OH, OW)`` output (:func:`conv2d_taps`).
 
-        Without ``problem`` the shape is inferred from the arrays with
-        default axes; a full problem brings stride and dilation along
-        (grouping is out of scope for this kernel — see the depthwise
-        backend).
+        Without ``problem`` the arrays state it through
+        :meth:`ConvProblem.from_arrays`; a full problem brings stride
+        and dilation along (grouping is out of scope for this kernel —
+        see the depthwise backend).
         """
         if problem is None:
-            img = np.asarray(image, dtype=np.float32)
-            if img.ndim == 2:
-                img = img[np.newaxis]
-            flt = np.asarray(filters, dtype=np.float32)
-            if flt.ndim == 3:
-                flt = flt[:, np.newaxis]
-            if img.ndim != 3 or flt.ndim != 4:
-                raise ShapeError("image must be (C,H,W) and filters (F,C,K,K)")
-            if flt.shape[1] != img.shape[0]:
-                raise ShapeError(
-                    "filters have %d channels, image has %d" % (flt.shape[1], img.shape[0])
-                )
-            if flt.shape[2] != flt.shape[3]:
-                raise ShapeError("filters must be square")
-
-            problem = ConvProblem(
-                height=img.shape[1],
-                width=img.shape[2],
-                channels=img.shape[0],
-                filters=flt.shape[0],
-                kernel_size=flt.shape[2],
-                padding=padding,
-            )
-        else:
-            # padded_image canonicalizes to CHW itself; handing it the
-            # raw array keeps NHWC inputs single-converted.
-            img = image
-            flt = problem.check_filters(filters)
-        valid = self._check_problem(problem)
-        cfg = self.config_for(valid)
-        padded = problem.padded_image(img)
-
-        k = valid.kernel_size
-        s, d = valid.stride, valid.dilation
-        c_total = valid.channels
-        f_total = valid.filters
-        grid = BlockGrid(valid, cfg.block_spec())
-        fgroups = math.ceil(f_total / cfg.ftb)
-        out = np.empty((f_total, valid.out_height, valid.out_width),
-                       dtype=np.float32)
-
-        # Per-thread-group pixel mapping: group ty covers WT contiguous
-        # pixels of row (ty*WT)//W starting at column (ty*WT)%W.
-        rows_of_ty = (np.arange(cfg.ty) * cfg.wt) // cfg.w
-        cols_of_ty = (np.arange(cfg.ty) * cfg.wt) % cfg.w
-
-        for view in grid:
-            # All channels of this block's footprint (zero-filled halo).
-            tile = np.stack([view.extract(padded[c]) for c in range(c_total)])
-            for fg in range(fgroups):
-                f_lo = fg * cfg.ftb
-                f_hi = min(f_lo + cfg.ftb, f_total)
-                block_out = self._run_block(
-                    tile, flt[f_lo:f_hi], cfg, k, rows_of_ty, cols_of_ty,
-                    s, d,
-                )
-                out[
-                    f_lo:f_hi,
-                    view.out_y0 : view.out_y0 + view.out_rows,
-                    view.out_x0 : view.out_x0 + view.out_cols,
-                ] = block_out[:, : view.out_rows, : view.out_cols]
-        return problem.layout_output(out)
-
-    def _run_block(
-        self,
-        tile: np.ndarray,
-        flt: np.ndarray,
-        cfg: GeneralCaseConfig,
-        k: int,
-        rows_of_ty: np.ndarray,
-        cols_of_ty: np.ndarray,
-        stride: int = 1,
-        dilation: int = 1,
-    ) -> np.ndarray:
-        """One thread block: Algorithm 2's channel/row/round loop nest.
-
-        ``rAcc`` holds every thread's F_T x W_T register tile, laid out
-        as (filters-in-block, ty, wt); the per-round update is the outer
-        product of ``rFlt`` (F_T filter taps) with the shifted slice of
-        ``rImg`` (the W_T + K - 1 pixel register row — with stride and
-        dilation the row widens to ``(W_T-1)*stride + span`` and the
-        round slice walks it at the stride).
-        """
-        f_here = flt.shape[0]
-        c_total = tile.shape[0]
-        s, d = stride, dilation
-        racc = np.zeros((f_here, cfg.ty, cfg.wt), dtype=np.float32)
-        row_floats = (cfg.wt - 1) * s + d * (k - 1) + 1
-        col_idx = cols_of_ty[:, np.newaxis] * s + np.arange(row_floats)
-
-        # The CSH-channel staging (lines 4-5/17-18) only affects *where*
-        # data waits, not the accumulation order: iterate channels in
-        # chunks to mirror the loop structure (line 7/10).
-        for c_lo in range(0, c_total, cfg.csh):
-            for c in range(c_lo, min(c_lo + cfg.csh, c_total)):
-                for j in range(k):
-                    # Line 12: each thread's register row of pixels.
-                    rimg = np.take_along_axis(
-                        tile[c][rows_of_ty * s + j * d], col_idx, axis=1
-                    )
-                    for kk in range(k):
-                        # Line 14: FT filter values; line 15: FMA round.
-                        rflt = flt[:, c, j, kk]
-                        racc += (
-                            rflt[:, np.newaxis, np.newaxis]
-                            * rimg[np.newaxis, :,
-                                   kk * d : kk * d + (cfg.wt - 1) * s + 1 : s]
-                        )
-        return racc.reshape(f_here, cfg.h, cfg.w)
+            problem = ConvProblem.from_arrays(image, filters, padding)
+        self.config_for(self._check_problem(problem))
+        return conv2d_taps(problem, image, filters)
 
     # ------------------------------------------------------------------
     # Traced cost

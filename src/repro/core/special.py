@@ -10,15 +10,18 @@ current row's convolutions execute, and stored to shared memory behind a
 barrier (Algorithm 1).  Filters live in constant memory and are read at
 the same tap by every thread in a warp — pure broadcasts.
 
-Two entry points:
+Three views of the one algorithm:
 
-* :meth:`SpecialCaseKernel.run` executes the algorithm *functionally*
-  (exact float32 results, verified against the reference convolution in
-  the test suite), faithfully reproducing the circular shared-memory
-  window and the register-row rotation;
-* :meth:`SpecialCaseKernel.cost` replays every memory access site's
-  actual warp address patterns through the bank/coalescing/broadcast
-  models and returns the traffic ledger the timing model consumes.
+* :meth:`SpecialCaseKernel.cost` carries the traffic: it replays every
+  memory access site's actual warp address patterns through the
+  bank/coalescing/broadcast models and returns the ledger the timing
+  model consumes;
+* the interpreter (:mod:`repro.core.special_interpreted`) executes the
+  dataflow warp by warp — the circular shared-memory window and the
+  register-row rotation — and is the audit oracle;
+* :meth:`SpecialCaseKernel.run` returns the exact float32 output of
+  the shared tap loop (:func:`repro.conv.reference.conv2d_taps`), which
+  sums each output's taps in the order the kernel's threads do.
 
 ``matched=False`` builds the paper's "unmatched kernel" of Fig. 7b: the
 same algorithm with ``n`` forced to 1 (scalar ``float`` accesses), used
@@ -40,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.conv.blocking import BlockGrid
+from repro.conv.reference import conv2d_taps
 from repro.conv.tensors import ConvProblem, Padding
 from repro.core.bankwidth import DataType, matched_vector
 from repro.core.config import BEST_SPECIAL_CONFIG, SpecialCaseConfig
@@ -58,8 +61,6 @@ from repro.gpu.trace import (
 )
 
 __all__ = ["SpecialCaseKernel"]
-
-_F32 = 4  # bytes per float
 
 
 class SpecialCaseKernel(Priced):
@@ -128,131 +129,21 @@ class SpecialCaseKernel(Priced):
         padding: Padding = Padding.VALID,
         problem: Optional[ConvProblem] = None,
     ) -> np.ndarray:
-        """Execute Algorithm 1 and return the ``(F, OH, OW)`` output.
+        """Check the problem and configuration, then return Algorithm
+        1's exact ``(F, OH, OW)`` output (:func:`conv2d_taps`).
 
-        Without ``problem`` the shape is inferred from the arrays with
-        default axes; a full problem brings stride/dilation and NHWC
-        layout along (always C = 1).
+        Without ``problem`` the arrays state it through
+        :meth:`ConvProblem.from_arrays`; a full problem brings stride,
+        dilation and NHWC layout along (always C = 1).
         """
         if problem is None:
-            img = np.asarray(image, dtype=np.float32)
-            if img.ndim == 3:
-                if img.shape[0] != 1:
-                    raise ShapeError("special-case kernel takes a single-channel image")
-                img = img[0]
-            if img.ndim != 2:
-                raise ShapeError("image must be 2-D (H, W)")
-            flt = np.asarray(filters, dtype=np.float32)
-            if flt.ndim == 2:
-                flt = flt[np.newaxis]
-            if flt.ndim == 4:
-                if flt.shape[1] != 1:
-                    raise ShapeError("filters must have one channel")
-                flt = flt[:, 0]
-            if flt.ndim != 3 or flt.shape[1] != flt.shape[2]:
-                raise ShapeError("filters must be (F, K, K) with square taps")
-
-            problem = ConvProblem(
-                height=img.shape[0],
-                width=img.shape[1],
-                channels=1,
-                filters=flt.shape[0],
-                kernel_size=flt.shape[1],
-                padding=padding,
-            )
-        else:
-            img = problem.chw_image(image)[0]
-            flt = problem.check_filters(filters)[:, 0]
-        valid = self._check_problem(problem)
-        padded = problem.padded_image(img)[0]
-
-        k = valid.kernel_size
-        s, d = valid.stride, valid.dilation
-        cfg = self.config
-        grid = BlockGrid(valid, cfg.block_spec())
-        out = np.empty((valid.filters, valid.out_height, valid.out_width),
-                       dtype=np.float32)
-
-        for view in grid:
-            tile = view.extract(padded)          # block footprint incl. halo
-            if s == 1 and d == 1:
-                block_out = self._run_block(tile, flt, k)
-            else:
-                block_out = self._run_block_general(tile, flt, k, s, d)
-            out[
-                :,
-                view.out_y0 : view.out_y0 + view.out_rows,
-                view.out_x0 : view.out_x0 + view.out_cols,
-            ] = block_out[:, : view.out_rows, : view.out_cols]
-        return problem.layout_output(out)
-
-    def _run_block(self, tile: np.ndarray, flt: np.ndarray, k: int) -> np.ndarray:
-        """One thread block's sweep, with the circular SM row window.
-
-        ``tile`` has ``H + K - 1`` rows; rows are staged through a
-        K-slot circular buffer exactly as Algorithm 1 does, and the
-        per-thread register window is modeled as the K - 1 retained rows
-        plus the freshly loaded one.
-        """
-        cfg = self.config
-        h, w = cfg.block_h, cfg.block_w
-        f_count = flt.shape[0]
-        block_out = np.zeros((f_count, h, w), dtype=np.float32)
-
-        # Line 1: the first K rows of the block into shared memory.
-        smem = [tile[r].copy() for r in range(k)]
-        # Line 3: the first K - 1 rows into the threads' registers.
-        reg_rows = [smem[r].copy() for r in range(k - 1)]
-
-        for out_r in range(h):
-            # Line 5: prefetch the next image row into registers.
-            next_row_idx = out_r + k
-            if next_row_idx < tile.shape[0]:
-                prefetched = tile[next_row_idx].copy()
-            else:
-                prefetched = None
-            # Line 6: the latest row from shared memory into registers.
-            latest = smem[(out_r + k - 1) % k].copy()
-            window = reg_rows + [latest]
-            # Lines 7-8: n convolutions per thread for every filter.
-            for f in range(f_count):
-                acc = np.zeros(w, dtype=np.float32)
-                for dy in range(k):
-                    row = window[dy]
-                    for dx in range(k):
-                        acc += row[dx : dx + w] * flt[f, dy, dx]
-                block_out[f, out_r] = acc
-            # Line 10: the prefetched row replaces the oldest SM row.
-            if prefetched is not None:
-                smem[out_r % k] = prefetched
-            reg_rows = window[1:]
-        return block_out
-
-    def _run_block_general(self, tile: np.ndarray, flt: np.ndarray, k: int,
-                           stride: int, dilation: int) -> np.ndarray:
-        """One block's sweep with strided output rows and dilated taps.
-
-        The circular-window bookkeeping of :meth:`_run_block` assumes one
-        fresh input row per output row; with stride the window advances
-        ``stride`` rows per step and with dilation the tapped rows are
-        ``dilation`` apart, so this path indexes the staged tile
-        directly — the traffic model accounts for the changed reuse.
-        """
-        cfg = self.config
-        h, w = cfg.block_h, cfg.block_w
-        f_count = flt.shape[0]
-        block_out = np.zeros((f_count, h, w), dtype=np.float32)
-        for out_r in range(h):
-            for f in range(f_count):
-                acc = np.zeros(w, dtype=np.float32)
-                for dy in range(k):
-                    row = tile[out_r * stride + dy * dilation]
-                    for dx in range(k):
-                        lo = dx * dilation
-                        acc += (row[lo : lo + (w - 1) * stride + 1 : stride]
-                                * flt[f, dy, dx])
-                block_out[f, out_r] = acc
-        return block_out
+            problem = ConvProblem.from_arrays(image, filters, padding)
+            if problem.channels != 1:
+                raise ShapeError(
+                    "the special-case kernel takes a single-channel image, "
+                    "got %d channels" % problem.channels)
+        self._check_problem(problem)
+        return conv2d_taps(problem, image, filters)
 
     # ------------------------------------------------------------------
     # Traced cost

@@ -286,8 +286,6 @@ class FleetEngine:
 
     def _resolve_chaos(self, chaos) -> Optional[FaultInjector]:
         if chaos is None:
-            chaos = FaultPlan.from_env()
-        if chaos is None:
             return None
         if isinstance(chaos, str):
             chaos = FaultPlan.parse(chaos)

@@ -49,6 +49,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.conv.reference import conv2d_taps
 from repro.conv.tensors import ConvProblem
 from repro.errors import AuditMismatchError, ConfigurationError, ShapeError, TraceError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
@@ -228,34 +229,17 @@ class FastSpecialKernel:
         both values, at batch speed.  ``audit=True`` additionally runs
         the interpreter and verifies that claim.
         """
-        img = np.asarray(image, dtype=np.float32)
-        flt = np.asarray(filters, dtype=np.float32)
-        if img.ndim != 2:
-            raise ShapeError("image must be 2-D (H, W)")
-        if flt.ndim == 2:
-            flt = flt[np.newaxis]
-        if flt.ndim != 3 or flt.shape[1] != flt.shape[2]:
-            raise ShapeError("filters must be (F, K, K)")
-        k = flt.shape[1]
-        f_count = flt.shape[0]
-        self.config.validate(k, self.n, self.arch.warp_size)
-        problem = ConvProblem(
-            height=img.shape[0], width=img.shape[1], channels=1,
-            filters=f_count, kernel_size=k,
-        )
+        problem = ConvProblem.from_arrays(image, filters)
+        if problem.channels != 1:
+            raise ShapeError(
+                "the special-case kernel takes a single-channel image, "
+                "got %d channels" % problem.channels)
         cost = self.trace_cost(problem)
-        oh, ow = problem.out_height, problem.out_width
-        # Same per-element accumulation order as the interpreter's
-        # FMA loop ((dy, dx) ascending, float32 multiply then add),
-        # so the output matches it bit for bit.
-        acc = np.zeros((f_count, oh, ow), dtype=np.float32)
-        for dy in range(k):
-            for dx in range(k):
-                acc = acc + flt[:, dy, dx][:, np.newaxis, np.newaxis] \
-                    * img[np.newaxis, dy:dy + oh, dx:dx + ow]
+        out = conv2d_taps(problem, image, filters)
         if audit:
-            self._audit(img, flt, acc, cost)
-        return acc, cost
+            self._audit(problem.chw_image(image)[0],
+                        problem.check_filters(filters)[:, 0], out, cost)
+        return out, cost
 
     # ------------------------------------------------------------------
     def _audit(self, img, flt, out, cost) -> None:
@@ -455,36 +439,13 @@ class FastGeneralKernel:
     ) -> Tuple[np.ndarray, KernelCost]:
         """Convolve and return ``(output, executed-trace cost)``,
         bit-identical to ``InterpretedGeneralKernel.run_traced``."""
-        img = np.asarray(image, dtype=np.float32)
-        flt = np.asarray(filters, dtype=np.float32)
-        if img.ndim != 3:
-            raise ShapeError("image must be (C, H, W)")
-        if flt.ndim != 4 or flt.shape[1] != img.shape[0]:
-            raise ShapeError("filters must be (F, C, K, K) matching the image")
-        k = flt.shape[2]
-        if flt.shape[3] != k:
-            raise ShapeError("filters must be square")
-        self.config.validate(k, self.n, self.arch.warp_size)
-        c_total, f_total = img.shape[0], flt.shape[0]
-        problem = ConvProblem(
-            height=img.shape[1], width=img.shape[2], channels=c_total,
-            filters=f_total, kernel_size=k,
-        )
+        problem = ConvProblem.from_arrays(image, filters)
         cost = self.trace_cost(problem)
-        oh, ow = problem.out_height, problem.out_width
-        # The interpreter accumulates over channels ascending
-        # (chunks, then channels within the chunk), then (j, kk)
-        # ascending, float32 multiply then add — replicated here
-        # elementwise so the output matches it bit for bit.
-        acc = np.zeros((f_total, oh, ow), dtype=np.float32)
-        for c in range(c_total):
-            for j in range(k):
-                for kk in range(k):
-                    acc = acc + flt[:, c, j, kk][:, np.newaxis, np.newaxis] \
-                        * img[np.newaxis, c, j:j + oh, kk:kk + ow]
+        out = conv2d_taps(problem, image, filters)
         if audit:
-            self._audit(img, flt, acc, cost)
-        return acc, cost
+            self._audit(problem.chw_image(image),
+                        problem.check_filters(filters), out, cost)
+        return out, cost
 
     # ------------------------------------------------------------------
     def _audit(self, img, flt, out, cost) -> None:

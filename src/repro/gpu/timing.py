@@ -167,9 +167,10 @@ class TimingModel:
         t_smem = led.smem_cycles / per_sm_clock
         t_cmem = led.cmem_cycles / per_sm_clock
 
-        components = (t_compute, t_gmem, t_l2, t_smem, t_cmem)
-        t_max = max(components)
-        t_sum = sum(components)
+        t_max = max(t_compute, t_gmem, t_l2, t_smem, t_cmem)
+        # Left to right, as the built-in sum adds floats up to Python
+        # 3.11; 3.12's compensated sum would move prices by an ulp.
+        t_sum = t_compute + t_gmem + t_l2 + t_smem + t_cmem
 
         # Warps actually resident per busy SM: capped by the occupancy
         # limit, but a small grid may not supply enough blocks to reach

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import CHAOS_ENV, FaultKind, FaultPlan, FaultSpec
+from repro.chaos import FaultKind, FaultPlan, FaultSpec
 from repro.errors import ChaosError, ReproError
 
 
@@ -68,16 +68,3 @@ class TestSpecValidation:
         with pytest.raises(ChaosError, match="replica"):
             FaultSpec(kind=FaultKind.REPLICA_CRASH, replica=-2)
 
-
-class TestEnv:
-    def test_unset_env_means_no_plan(self, monkeypatch):
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
-        assert FaultPlan.from_env() is None
-        monkeypatch.setenv(CHAOS_ENV, "   ")
-        assert FaultPlan.from_env() is None
-
-    def test_env_spec_parses(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "seed=5;wedge:replica=2")
-        plan = FaultPlan.from_env()
-        assert plan.seed == 5
-        assert plan.specs[0].kind is FaultKind.WORKER_WEDGE

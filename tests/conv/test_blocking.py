@@ -1,6 +1,5 @@
 """Tests for image partitioning with halos (paper Fig. 4)."""
 
-import numpy as np
 import pytest
 
 from repro.conv.blocking import BlockGrid, BlockSpec, halo_read_overhead
@@ -19,45 +18,11 @@ class TestGridGeometry:
         p = ConvProblem.square(35, 3)  # output 33x33
         grid = BlockGrid(p, BlockSpec(block_h=8, block_w=16))
         assert (grid.blocks_y, grid.blocks_x) == (5, 3)
-        views = list(grid)
-        assert sum(v.is_partial for v in views) > 0
-        # Union of clipped tiles covers the output exactly once.
-        cover = np.zeros((33, 33), dtype=int)
-        for v in views:
-            cover[v.out_y0 : v.out_y0 + v.out_rows,
-                  v.out_x0 : v.out_x0 + v.out_cols] += 1
-        assert (cover == 1).all()
+        assert grid.total_blocks == 15
 
-    def test_view_footprint_includes_halo(self):
-        p = ConvProblem.square(34, 3)
-        grid = BlockGrid(p, BlockSpec(block_h=8, block_w=16))
-        v = grid.view(0, 0)
-        assert (v.in_rows, v.in_cols) == (10, 18)
-
-    def test_out_of_range_view_rejected(self):
-        p = ConvProblem.square(34, 3)
-        grid = BlockGrid(p, BlockSpec(block_h=8, block_w=16))
-        with pytest.raises(ConfigurationError):
-            grid.view(4, 0)
-
-
-class TestExtract:
-    def test_interior_block_is_plain_slice(self):
-        p = ConvProblem.square(34, 3)
-        grid = BlockGrid(p, BlockSpec(block_h=8, block_w=16))
-        plane = np.arange(34 * 34, dtype=np.float32).reshape(34, 34)
-        v = grid.view(0, 0)
-        np.testing.assert_array_equal(v.extract(plane), plane[:10, :18])
-
-    def test_edge_block_zero_filled(self):
-        p = ConvProblem.square(35, 3)
-        grid = BlockGrid(p, BlockSpec(block_h=8, block_w=16))
-        plane = np.ones((35, 35), dtype=np.float32)
-        v = grid.view(4, 2)
-        tile = v.extract(plane)
-        assert tile.shape == (10, 18)
-        assert tile[-1, -1] == 0.0  # beyond the image edge
-        assert tile[0, 0] == 1.0
+    def test_footprint_includes_halo(self):
+        spec = BlockSpec(block_h=8, block_w=16)
+        assert (spec.input_rows(3), spec.input_cols(3)) == (10, 18)
 
 
 class TestHaloOverhead:

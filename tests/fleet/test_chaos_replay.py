@@ -9,7 +9,7 @@ produce identical outcomes.
 import numpy as np
 import pytest
 
-from repro.chaos import CHAOS_ENV, FaultInjector, FaultPlan
+from repro.chaos import FaultInjector, FaultPlan
 from repro.errors import ReproError
 from repro.fleet import FleetConfig, FleetEngine
 from repro.fleet import engine as fleet_engine
@@ -210,14 +210,15 @@ class TestClockAndConfig:
         with pytest.raises(ReproError, match="chaos"):
             fleet(chaos=123)
 
-    def test_env_plan_picked_up(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "seed=4;crash:replica=1")
+    def test_environment_injects_nothing(self, monkeypatch):
+        # Faults come in through ``chaos=`` only: a stray variable that
+        # once read as a spec leaves a chaosless fleet alone.
+        monkeypatch.setenv("REPRO_CHAOS", "seed=4;crash:replica=1")
         engine = fleet()
-        assert engine.chaos is not None
-        assert engine.serve_trace(trace(60)).failovers == 1
+        assert engine.chaos is None
+        assert engine.serve_trace(trace(60)).failovers == 0
 
-    def test_chaosless_engine_has_no_injector(self, monkeypatch):
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
+    def test_chaosless_engine_has_no_injector(self):
         assert fleet().chaos is None
 
     def test_resilience_config_validated(self):

@@ -275,9 +275,8 @@ class TestTelemetry:
         # dropped before the fold, and the drop is counted.
         ("obs-drop:replica=1", 51, 1),
     ])
-    def test_fleet_registry_under_faults(self, monkeypatch, chaos,
-                                         requests_total, dropped):
-        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    def test_fleet_registry_under_faults(self, chaos, requests_total,
+                                         dropped):
         engine = FleetEngine(FleetConfig(replicas=4, queue_depth=512),
                              chaos=chaos)
         result = engine.serve_trace(trace(60))

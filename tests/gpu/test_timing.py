@@ -1,11 +1,15 @@
 """Tests for the analytical timing model."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from repro.core import dse
 from repro.errors import TraceError
+from repro.gpu import timing
+from repro.gpu.arch import FERMI_M2090, KEPLER_K40M
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.timing import (
     COMPUTE_EFFICIENCY,
@@ -153,3 +157,26 @@ class TestBoundByMatchesFrozen:
                              eta=0.5, waves=1.0, occupancy_fraction=0.5,
                              total=1.0)
         assert tb.bound_by == frozen_bound_by(tb)
+
+
+class TestSumOrder:
+    """``evaluate`` adds its five components left to right itself, so
+    a compensated built-in ``sum`` (Python 3.12's) moves no price."""
+
+    @staticmethod
+    def _rows():
+        rows = []
+        for arch in (KEPLER_K40M, FERMI_M2090):
+            for ranked in (dse.explore_general(3, arch),
+                           dse.explore_special(arch)):
+                rows.extend((arch.name, repr(r.config), r.gflops.hex())
+                            for r in ranked)
+        return rows
+
+    def test_rankings_hold_under_a_compensated_sum(self, monkeypatch):
+        plain = self._rows()
+        monkeypatch.setattr(timing, "sum", math.fsum, raising=False)
+        compensated = self._rows()
+        assert len(plain) > 1000
+        assert [row for row, other in zip(compensated, plain)
+                if row != other] == []

@@ -123,6 +123,30 @@ class TestServe:
                 ["serve", "--synthetic", "8", "--executor", "kernel"])
 
 
+class TestServeVerifyGeneralized:
+    """``--verify`` checks each response against the reference of its
+    own problem: strided, dilated, grouped and NHWC requests included."""
+
+    @pytest.fixture
+    def generalized(self, tmp_path):
+        from repro.serve import save_trace, synthetic_trace
+
+        path = str(tmp_path / "gen.json")
+        save_trace(path, synthetic_trace(40, seed=3,
+                                         shape_family="generalized"))
+        return path
+
+    @pytest.mark.parametrize("extra", [[], ["--replicas", "2"]],
+                             ids=["engine", "fleet"])
+    def test_verify_accepts_correct_responses(self, capsys, generalized,
+                                              extra):
+        assert main(["serve", "--requests", generalized, "--verify"]
+                    + extra) == 0
+        captured = capsys.readouterr()
+        assert "match the reference" in captured.out
+        assert "does not match" not in captured.err
+
+
 class TestServeFleet:
     def test_fleet_text_output(self, capsys):
         assert main(["serve", "--synthetic", "60", "--replicas", "4"]) == 0
