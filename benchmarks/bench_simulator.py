@@ -8,10 +8,17 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.baselines.implicit_gemm import ImplicitGemmKernel
+from repro.baselines.direct_naive import NaiveDirectKernel
+from repro.baselines.implicit_gemm import DEFAULT_TILE_PALETTE, ImplicitGemmKernel
 from repro.conv.tensors import ConvProblem, Padding
-from repro.core.dse import best_config, default_general_problem, explore_general
+from repro.core.dse import (
+    _general_palette,
+    best_config,
+    default_general_problem,
+    explore_general,
+)
 from repro.core.general import (
+    SMALL_IMAGE_CONFIGS,
     GeneralCaseKernel,
     _filter_load_batch,
     _flt_row_read_batch,
@@ -22,6 +29,7 @@ from repro.core.special import SpecialCaseKernel
 from repro.gpu.arch import KEPLER_K40M
 from repro.gpu.memory.banks import SharedMemoryModel
 from repro.gpu.memory.globalmem import GlobalMemoryModel
+from repro.gpu.timing import TimingModel
 from repro.gpu.trace import clear_access_caches, lane_batch
 from repro.serve.dispatch import Dispatcher
 
@@ -90,6 +98,64 @@ def test_explore_general_warm(benchmark):
     explore_general(3, KEPLER_K40M)
     ranked = benchmark(explore_general, 3, KEPLER_K40M)
     assert len(ranked) == 986
+
+
+# Per-candidate pricing: what one floor or price of a search costs once
+# its warp patterns are cached, on a serving-churn-sized shape.  A plan
+# build prices several floors per backend it bounds (docs/SIMULATOR.md,
+# "Floors and the bounded search").
+
+CHURN_SHAPE = ConvProblem.square(40, 3, channels=8, filters=16)
+
+
+def test_timing_evaluate(benchmark):
+    """One ``TimingModel.evaluate``: the arithmetic every floor and
+    price ends in."""
+    model = TimingModel(KEPLER_K40M)
+    cost = GeneralCaseKernel().cost(CHURN_SHAPE)
+    breakdown = benchmark(model.evaluate, cost)
+    assert breakdown == model.evaluate(cost)
+
+
+def test_special_floor_evaluate(benchmark):
+    """One special-case candidate's floor, priced."""
+    model = TimingModel(KEPLER_K40M)
+    kernel = SpecialCaseKernel()
+    problem = ConvProblem.square(40, 3, channels=1, filters=16)
+    floor = benchmark(lambda: model.evaluate(kernel.floor(problem)))
+    assert floor.total <= kernel.predict(problem).total
+
+
+def test_general_floor_evaluate(benchmark):
+    """One general-case palette candidate's floor, priced."""
+    model = TimingModel(KEPLER_K40M)
+    kernel = GeneralCaseKernel(config=SMALL_IMAGE_CONFIGS[0])
+    floor = benchmark(lambda: model.evaluate(kernel.floor(CHURN_SHAPE)))
+    assert floor.total <= kernel.predict(CHURN_SHAPE).total
+
+
+def test_implicit_gemm_tile_floor(benchmark):
+    """One implicit-GEMM palette tile's floor, priced."""
+    model = TimingModel(KEPLER_K40M)
+    kernel = ImplicitGemmKernel(tiling=DEFAULT_TILE_PALETTE[2])
+    floor = benchmark(lambda: model.evaluate(kernel.floor(CHURN_SHAPE)))
+    assert floor.total <= kernel.predict(CHURN_SHAPE).total
+
+
+def test_bounded_general_search(benchmark):
+    """One bounded general search as a plan build runs it: the palette,
+    every candidate's floor, and the prices that can still come in
+    under naive's time."""
+    limit = NaiveDirectKernel().predict(CHURN_SHAPE).total
+
+    def search():
+        return explore_general(3, KEPLER_K40M, CHURN_SHAPE,
+                               _general_palette(3, 2), limit=limit)
+
+    search()
+    winner = benchmark(search)
+    assert winner.ranked.config == SMALL_IMAGE_CONFIGS[2]
+    assert winner.breakdown.total <= limit
 
 
 def clear_search_caches():

@@ -123,12 +123,15 @@ class ImplicitGemmKernel(Priced):
         tile can win.  Its winner is the exhaustive argmin (the best
         time, the earliest tile on a tie), answered as a
         :class:`~repro.core.dse.PricedConfig` whose config is the tile,
-        or ``None`` when it takes longer than ``limit`` seconds.
+        or ``None`` when it takes longer than ``limit`` seconds.  The
+        problem's GEMM shape is derived once, for every tile.
         """
         from repro.core.dse import _rank
 
+        shape = self.gemm_shape(problem)
+
         def tile_kernel(arch, config):
-            return ImplicitGemmKernel(arch, config, self.bank_policy)
+            return _TileCandidate(self, config, shape)
 
         return _rank(DEFAULT_TILE_PALETTE, tile_kernel, problem, self.arch,
                      "implicit-gemm", limit)
@@ -159,20 +162,20 @@ class ImplicitGemmKernel(Priced):
     def floor(self, problem: ConvProblem) -> KernelCost:
         """:meth:`cost` without its memory traffic: the floor of the tile
         it prices (docs/SIMULATOR.md, "Floors and the bounded search").
-        The tile search prices each palette tile's floor as this of a
-        fixed-tiling kernel."""
+        The tile search prices each palette tile's floor as this, at
+        that tile."""
         return self._floor_with(
-            problem, self.select_tiling(problem),
+            problem, self.select_tiling(problem), self.gemm_shape(problem),
             TrafficLedger(gmem_segment_size=self.arch.gmem_transaction_size))
 
     def _floor_with(self, problem: ConvProblem, t: GemmTiling,
-                    ledger: TrafficLedger) -> KernelCost:
-        """Tile ``t``'s floor: its launch, FLOPs, barriers and prefetch
-        flag, written to ``ledger``."""
+                    shape: GemmShape, ledger: TrafficLedger) -> KernelCost:
+        """Tile ``t``'s floor on ``problem``, whose GEMM shape is
+        ``shape``: its launch, FLOPs, barriers and prefetch flag,
+        written to ``ledger``."""
         # The GEMM lowering is dense: pricing a grouped problem as one
         # would cost work ``run`` refuses to do.
         _check_ungrouped(problem)
-        shape = self.gemm_shape(problem)
         grid_x = math.ceil(shape.m / t.bm)
         grid_y = math.ceil(shape.n / t.bn)
         launch = LaunchConfig(
@@ -194,12 +197,15 @@ class ImplicitGemmKernel(Priced):
             return self._cost_with(problem, self._tiling)
         return self.search(problem).cost
 
-    def _cost_with(self, problem: ConvProblem, t: GemmTiling) -> KernelCost:
-        """Tile ``t``'s floor plus every access site's traffic."""
+    def _cost_with(self, problem: ConvProblem, t: GemmTiling,
+                   shape: Optional[GemmShape] = None) -> KernelCost:
+        """Tile ``t``'s floor plus every access site's traffic; the tile
+        search passes the problem's GEMM ``shape`` it derived."""
+        if shape is None:
+            shape = self.gemm_shape(problem)
         tracer = KernelTracer(self.arch, self.bank_policy)
-        cost = self._floor_with(problem, t, tracer.ledger)
+        cost = self._floor_with(problem, t, shape, tracer.ledger)
         valid = problem.as_valid()
-        shape = self.gemm_shape(problem)
         arch = self.arch
 
         grid_x, grid_y = cost.launch.grid.x, cost.launch.grid.y
@@ -253,3 +259,24 @@ class ImplicitGemmKernel(Priced):
 
         cost.launch.validate(arch)
         return cost
+
+
+class _TileCandidate:
+    """One palette tile as :meth:`ImplicitGemmKernel.search` prices it:
+    the kernel's floor and cost at that tile, on the GEMM shape the
+    search derived once for its problem."""
+
+    def __init__(self, kernel: ImplicitGemmKernel, tiling: GemmTiling,
+                 shape: GemmShape):
+        self.kernel = kernel
+        self.tiling = tiling
+        self.shape = shape
+
+    def floor(self, problem: ConvProblem) -> KernelCost:
+        ledger = TrafficLedger(
+            gmem_segment_size=self.kernel.arch.gmem_transaction_size)
+        return self.kernel._floor_with(problem, self.tiling, self.shape,
+                                       ledger)
+
+    def cost(self, problem: ConvProblem) -> KernelCost:
+        return self.kernel._cost_with(problem, self.tiling, self.shape)

@@ -339,18 +339,17 @@ def explore_general(
 def _general_palette(kernel_size: int, n: int) -> List[GeneralCaseConfig]:
     """The shippable general-case candidates: the Table 1 entry for this
     filter size (or the conservative fallback), every Table 1 config, and
-    the narrow-block small-image palette."""
+    the narrow-block small-image palette, each once.  The Table 1 and
+    small-image configurations are distinct, so only the first entry
+    can repeat one of them: one comparison each, not a scan."""
     from repro.core.general import SMALL_IMAGE_CONFIGS, default_config_for
 
-    palette: List[GeneralCaseConfig] = []
+    shipped = tuple(TABLE1_CONFIGS.values()) + SMALL_IMAGE_CONFIGS
     try:
-        palette.append(default_config_for(kernel_size, n))
+        first = default_config_for(kernel_size, n)
     except ConfigurationError:
-        pass
-    for cfg in tuple(TABLE1_CONFIGS.values()) + SMALL_IMAGE_CONFIGS:
-        if cfg not in palette:
-            palette.append(cfg)
-    return palette
+        return list(shipped)
+    return [first] + [cfg for cfg in shipped if cfg != first]
 
 
 def best_config(

@@ -35,13 +35,13 @@ import numpy as np
 
 from repro.conv.reference import conv2d_taps
 from repro.conv.tensors import ConvProblem, Padding
-from repro.core.bankwidth import DataType, matched_vector
+from repro.core.bankwidth import DataType, mismatch_factor
 from repro.core.config import TABLE1_CONFIGS, GeneralCaseConfig
 from repro.errors import ConfigurationError, ReproError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import Priced
+from repro.gpu.timing import Priced, TimingModel
 from repro.gpu.trace import (
     KernelCost,
     KernelTracer,
@@ -104,7 +104,9 @@ class GeneralCaseKernel(Priced):
         self.dtype = dtype
         self.elem_bytes = dtype.width
         self.auto_config = auto_config
-        self.n = matched_vector(arch, dtype.width).n if matched else 1
+        # The matched vector's width (``matched_vector(...).n``), without
+        # building the VectorSpec: a search builds a kernel per candidate.
+        self.n = mismatch_factor(arch, dtype.width) if matched else 1
         self.name = "general[%s,%s,n=%d]" % (arch.name, dtype.label, self.n)
 
     # ------------------------------------------------------------------
@@ -126,28 +128,51 @@ class GeneralCaseKernel(Priced):
         cost + timing pipeline (the same machinery as
         :mod:`repro.core.dse`, restricted to a shippable palette).
         """
-        k = problem.as_valid().kernel_size
         best_cfg, best_time = None, float("inf")
-        for cand in (default_config_for(k, self.n),) + SMALL_IMAGE_CONFIGS:
-            try:
-                cand.validate(k, self.n, self.arch.warp_size)
-            except ConfigurationError:
-                continue
-            trial = GeneralCaseKernel(
-                arch=self.arch, config=cand, matched=self.matched,
-                bank_policy=self.bank_policy, dtype=self.dtype,
-            )
+        for trial in self._palette(problem):
             try:
                 t = trial.predict(problem).total
             except ReproError:
                 continue
             if t < best_time:
-                best_cfg, best_time = cand, t
+                best_cfg, best_time = trial._config, t
         if best_cfg is None:
-            raise ConfigurationError(
-                "no palette configuration is valid for K=%d, n=%d" % (k, self.n)
-            )
+            raise self._no_palette_config(problem)
         return best_cfg
+
+    def _check_palette(self, problem: ConvProblem) -> None:
+        """What :meth:`select_config` decides about validity, without the
+        ranking: return once some palette configuration's floor
+        evaluates (a floor raises what its price raises), else raise
+        what it raises.  :meth:`run` needs no more, since its output
+        does not depend on the configuration."""
+        model = TimingModel(self.arch)
+        for trial in self._palette(problem):
+            try:
+                model.evaluate(trial.floor(problem))
+            except ReproError:
+                continue
+            return
+        raise self._no_palette_config(problem)
+
+    def _palette(self, problem: ConvProblem):
+        """A kernel like this one at each palette configuration that
+        validates for the problem's filter size, in palette order."""
+        k = problem.as_valid().kernel_size
+        for cand in (default_config_for(k, self.n),) + SMALL_IMAGE_CONFIGS:
+            try:
+                cand.validate(k, self.n, self.arch.warp_size)
+            except ConfigurationError:
+                continue
+            yield GeneralCaseKernel(
+                arch=self.arch, config=cand, matched=self.matched,
+                bank_policy=self.bank_policy, dtype=self.dtype,
+            )
+
+    def _no_palette_config(self, problem: ConvProblem) -> ConfigurationError:
+        return ConfigurationError(
+            "no palette configuration is valid for K=%d, n=%d"
+            % (problem.as_valid().kernel_size, self.n))
 
     def _check_problem(self, problem: ConvProblem) -> ConvProblem:
         if problem.groups != 1:
@@ -190,7 +215,9 @@ class GeneralCaseKernel(Priced):
         problem: Optional[ConvProblem] = None,
     ) -> np.ndarray:
         """Check the problem and configuration, then return Algorithm
-        2's exact ``(F, OH, OW)`` output (:func:`conv2d_taps`).
+        2's exact ``(F, OH, OW)`` output (:func:`conv2d_taps`).  With
+        ``auto_config`` the check is only that some palette
+        configuration is valid: the output is the same whichever wins.
 
         Without ``problem`` the arrays state it through
         :meth:`ConvProblem.from_arrays`; a full problem brings stride
@@ -199,7 +226,11 @@ class GeneralCaseKernel(Priced):
         """
         if problem is None:
             problem = ConvProblem.from_arrays(image, filters, padding)
-        self.config_for(self._check_problem(problem))
+        valid = self._check_problem(problem)
+        if self._config is None and self.auto_config:
+            self._check_palette(valid)
+        else:
+            self.config_for(valid)
         return conv2d_taps(problem, image, filters)
 
     # ------------------------------------------------------------------

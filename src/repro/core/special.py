@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.conv.reference import conv2d_taps
 from repro.conv.tensors import ConvProblem, Padding
-from repro.core.bankwidth import DataType, matched_vector
+from repro.core.bankwidth import DataType, mismatch_factor
 from repro.core.config import BEST_SPECIAL_CONFIG, SpecialCaseConfig
 from repro.errors import ConfigurationError, ShapeError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
@@ -80,7 +80,9 @@ class SpecialCaseKernel(Priced):
         self.bank_policy = bank_policy
         self.dtype = dtype
         self.elem_bytes = dtype.width
-        self.n = matched_vector(arch, dtype.width).n if matched else 1
+        # The matched vector's width (``matched_vector(...).n``), without
+        # building the VectorSpec: a search builds a kernel per candidate.
+        self.n = mismatch_factor(arch, dtype.width) if matched else 1
         self.name = "special[%s,%s,n=%d]" % (arch.name, dtype.label, self.n)
 
     # ------------------------------------------------------------------

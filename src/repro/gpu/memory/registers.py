@@ -2,9 +2,11 @@
 
 Tracks per-thread register demand against the architecture's limits and
 rounds block allocations to the hardware allocation unit, as the real
-register allocator does.  Used by the occupancy calculator and by the
-kernel configuration validators (the paper's Sec. 3.1 discussion of
-register pressure for the moving-window scheme is what this guards).
+register allocator does (the paper's Sec. 3.1 discussion of register
+pressure for the moving-window scheme is what this guards).  The
+occupancy calculator prices a validated launch with the same rounding,
+in plain integers (:mod:`repro.gpu.occupancy`); this class is the
+checked, per-call form.
 """
 
 from __future__ import annotations

@@ -21,18 +21,29 @@ from repro.gpu.arch import GPUArchitecture
 __all__ = ["Dim3", "LaunchConfig", "warp_count", "lane_ids"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dim3:
-    """A CUDA-style 3-component extent.  Components must be positive."""
+    """A CUDA-style 3-component extent.  Components must be positive.
+
+    Like :class:`LaunchConfig`, it fills its instance dict in one step
+    rather than one frozen ``__setattr__`` per field: every priced
+    candidate builds two.
+    """
 
     x: int = 1
     y: int = 1
     z: int = 1
 
-    def __post_init__(self):
-        for axis in (self.x, self.y, self.z):
-            if not isinstance(axis, (int, np.integer)) or axis < 1:
-                raise LaunchConfigError("Dim3 components must be positive integers")
+    def __init__(self, x: int = 1, y: int = 1, z: int = 1):
+        # Plain positive ints take the fast path; anything else (numpy
+        # integers included) gets the full check.
+        if not (type(x) is type(y) is type(z) is int
+                and x > 0 and y > 0 and z > 0):
+            for axis in (x, y, z):
+                if not isinstance(axis, (int, np.integer)) or axis < 1:
+                    raise LaunchConfigError(
+                        "Dim3 components must be positive integers")
+        self.__dict__.update(x=x, y=y, z=z)
 
     @property
     def count(self) -> int:
@@ -65,19 +76,26 @@ def lane_ids(warp_index: int, threads_per_block: int, warp_size: int = 32) -> np
     return np.arange(lo, hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LaunchConfig:
     """A kernel launch: grid and block extents plus static resources.
 
     ``registers_per_thread`` and ``smem_per_block`` feed the occupancy
     calculator; they are what ``nvcc --ptxas-options=-v`` would report
-    for the real kernel.
+    for the real kernel.  :meth:`validate` is the one check a launch
+    gets before it is priced.
     """
 
     grid: Dim3
     block: Dim3
     registers_per_thread: int = 32
     smem_per_block: int = 0
+
+    def __init__(self, grid: Dim3, block: Dim3, registers_per_thread: int = 32,
+                 smem_per_block: int = 0):
+        self.__dict__.update(grid=grid, block=block,
+                             registers_per_thread=registers_per_thread,
+                             smem_per_block=smem_per_block)
 
     @property
     def threads_per_block(self) -> int:
@@ -98,25 +116,36 @@ class LaunchConfig:
         return self.total_blocks * self.warps_per_block(warp_size)
 
     def validate(self, arch: GPUArchitecture) -> None:
-        """Raise :class:`LaunchConfigError` if this launch cannot run on ``arch``."""
-        if self.threads_per_block > arch.max_threads_per_block:
+        """Raise :class:`LaunchConfigError` if this launch cannot run on
+        ``arch``: too many threads, a negative or too large shared-memory
+        size, or a register count that is not positive or does not fit."""
+        threads = self.block.count
+        smem = self.smem_per_block
+        regs = self.registers_per_thread
+        if threads > arch.max_threads_per_block:
             raise LaunchConfigError(
                 "%d threads/block exceeds limit %d on %s"
-                % (self.threads_per_block, arch.max_threads_per_block, arch.name)
+                % (threads, arch.max_threads_per_block, arch.name)
             )
-        if self.smem_per_block > arch.smem_per_block_max:
+        if smem > arch.smem_per_block_max:
             raise LaunchConfigError(
                 "%d bytes of shared memory/block exceeds limit %d on %s"
-                % (self.smem_per_block, arch.smem_per_block_max, arch.name)
+                % (smem, arch.smem_per_block_max, arch.name)
             )
-        if self.registers_per_thread > arch.max_registers_per_thread:
+        if regs > arch.max_registers_per_thread:
             raise LaunchConfigError(
                 "%d registers/thread exceeds limit %d on %s"
-                % (self.registers_per_thread, arch.max_registers_per_thread, arch.name)
+                % (regs, arch.max_registers_per_thread, arch.name)
             )
-        block_regs = self.registers_per_thread * self.threads_per_block
+        block_regs = regs * threads
         if block_regs > arch.registers_per_sm:
             raise LaunchConfigError(
                 "block requires %d registers, SM has %d on %s"
                 % (block_regs, arch.registers_per_sm, arch.name)
             )
+        if regs <= 0:
+            raise LaunchConfigError(
+                "registers_per_thread must be positive, got %d" % regs)
+        if smem < 0:
+            raise LaunchConfigError(
+                "smem_per_block cannot be negative, got %d" % smem)

@@ -34,6 +34,13 @@ execution-time estimate.  The model is a bounded-overlap roofline:
 
 All constants are architecture-independent and documented below; none
 are tuned per experiment.
+
+Every floor and price of a search goes through :meth:`TimingModel.evaluate`,
+so it is written as straight-line arithmetic: a model resolves its
+architecture's rates once, when it is built, with the expressions the
+quotients always used (so every float keeps its bits), and occupancy is
+the integer rule :func:`~repro.gpu.occupancy.residency` shares with
+:func:`~repro.gpu.occupancy.occupancy`.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, TraceError
 from repro.gpu.arch import GPUArchitecture
-from repro.gpu.occupancy import occupancy
+from repro.gpu.occupancy import residency
 from repro.gpu.trace import KernelCost, publish_kernel_cost
 from repro.obs import metrics as _metrics
 
@@ -93,9 +100,13 @@ def _timing_counters(reg) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TimingBreakdown:
-    """Component times (seconds) and derived totals for one launch."""
+    """Component times (seconds) and derived totals for one launch.
+
+    Every evaluation builds one, so it fills its instance dict in one
+    step rather than one frozen ``__setattr__`` per field.
+    """
 
     name: str
     t_compute: float
@@ -109,6 +120,16 @@ class TimingBreakdown:
     waves: float                # grid waves over the machine
     occupancy_fraction: float
     total: float                # end-to-end estimate, seconds
+
+    def __init__(self, name: str, t_compute: float, t_gmem: float,
+                 t_l2: float, t_smem: float, t_cmem: float, t_sync: float,
+                 t_launch: float, eta: float, waves: float,
+                 occupancy_fraction: float, total: float):
+        self.__dict__.update(
+            name=name, t_compute=t_compute, t_gmem=t_gmem, t_l2=t_l2,
+            t_smem=t_smem, t_cmem=t_cmem, t_sync=t_sync, t_launch=t_launch,
+            eta=eta, waves=waves, occupancy_fraction=occupancy_fraction,
+            total=total)
 
     @property
     def bound_by(self) -> str:
@@ -135,6 +156,16 @@ class TimingModel:
         # Where :meth:`publish` writes: None = the process-wide metrics
         # registry at call time; pass a private Registry to redirect.
         self.registry = registry
+        # The architecture's rates, resolved once: each is the
+        # expression :meth:`evaluate` divides by, so every quotient
+        # keeps its bits.
+        self._flop_rate = arch.peak_sp_gflops * 1e9 * COMPUTE_EFFICIENCY
+        self._gmem_rate = arch.sustained_gmem_bandwidth_gbs * 1e9
+        self._l2_rate = arch.l2_bandwidth_gbs * 1e9
+        self._sm_count = arch.sm_count
+        self._clock_hz = arch.clock_hz
+        self._per_sm_clock = arch.sm_count * arch.clock_hz
+        self._max_warps = arch.max_warps_per_sm
 
     # ------------------------------------------------------------------
     def publish(self, cost: KernelCost, breakdown: TimingBreakdown) -> None:
@@ -156,16 +187,24 @@ class TimingModel:
 
     # ------------------------------------------------------------------
     def evaluate(self, cost: KernelCost) -> TimingBreakdown:
+        """The launch's modeled time.  Raises :class:`LaunchConfigError`
+        when ``launch.validate`` does or not one block is resident."""
         arch = self.arch
         led = cost.ledger
-        occ = occupancy(arch, cost.launch)
+        launch = cost.launch
+        launch.validate(arch)
+        blocks_per_sm, warps_per_block, _ = residency(
+            arch, launch.block.count, launch.registers_per_thread,
+            launch.smem_per_block)
+        blocks = launch.grid.count
+        sm_count = self._sm_count
+        grid_per_sm = blocks / sm_count     # the grid spread evenly
 
-        t_compute = led.flops / (arch.peak_sp_gflops * 1e9 * COMPUTE_EFFICIENCY)
-        t_gmem = led.gmem_bytes_moved / (arch.sustained_gmem_bandwidth_gbs * 1e9)
-        t_l2 = led.gmem_l2_bytes / (arch.l2_bandwidth_gbs * 1e9)
-        per_sm_clock = arch.sm_count * arch.clock_hz
-        t_smem = led.smem_cycles / per_sm_clock
-        t_cmem = led.cmem_cycles / per_sm_clock
+        t_compute = led.flops / self._flop_rate
+        t_gmem = led.gmem_bytes_moved / self._gmem_rate
+        t_l2 = led.gmem_l2_bytes / self._l2_rate
+        t_smem = led.smem_cycles / self._per_sm_clock
+        t_cmem = led.cmem_cycles / self._per_sm_clock
 
         t_max = max(t_compute, t_gmem, t_l2, t_smem, t_cmem)
         # Left to right, as the built-in sum adds floats up to Python
@@ -174,16 +213,16 @@ class TimingModel:
 
         # Warps actually resident per busy SM: capped by the occupancy
         # limit, but a small grid may not supply enough blocks to reach
-        # it.
-        blocks = cost.launch.total_blocks
-        warps_per_block = occ.warps_per_block
-        resident_blocks = min(
-            float(occ.blocks_per_sm), max(1.0, blocks / arch.sm_count)
-        )
+        # it.  Each clamp below is the comparison ``min`` or ``max``
+        # would make, written out: the same value, without the call.
+        spread = grid_per_sm if grid_per_sm > 1.0 else 1.0
+        resident_blocks = (spread if spread < blocks_per_sm
+                           else float(blocks_per_sm))
         warps_resident = warps_per_block * resident_blocks
 
         hide = HIDE_WARPS_PREFETCH if cost.software_prefetch else HIDE_WARPS
-        eta = ETA_MAX * min(1.0, warps_resident / hide)
+        hidden = warps_resident / hide
+        eta = ETA_MAX * (hidden if hidden < 1.0 else 1.0)
 
         busy = t_max + (1.0 - eta) * (t_sum - t_max)
 
@@ -193,12 +232,12 @@ class TimingModel:
         # level parallelism: register-tiled kernels issue many
         # independent operations per warp, so throughput degrades
         # sub-linearly as warps thin out.
-        u_warps = min(1.0, math.sqrt(warps_resident / SAT_WARPS))
-        sm_fill = min(1.0, blocks / arch.sm_count)
+        saturation = math.sqrt(warps_resident / SAT_WARPS)
+        u_warps = saturation if saturation < 1.0 else 1.0
+        sm_fill = grid_per_sm if grid_per_sm < 1.0 else 1.0
         busy /= u_warps * sm_fill
 
-        slots = occ.blocks_per_sm * arch.sm_count
-        waves = blocks / slots
+        waves = blocks / (blocks_per_sm * sm_count)
         if waves >= 1.0:
             # Partial-wave model: the tail wave drains early in
             # proportion to its fill; the square root reflects that
@@ -209,27 +248,19 @@ class TimingModel:
             busy *= (full + math.sqrt(frac)) / waves
 
         # Barriers: blocks on one SM overlap each other, so charge the
-        # per-block barrier chain once per resident slot per wave.
-        syncs_per_block = led.syncthreads / max(blocks, 1)
-        t_sync = syncs_per_block * SYNC_CYCLES * math.ceil(waves) / arch.clock_hz
+        # per-block barrier chain once per resident slot per wave (a
+        # grid has at least one block).
+        syncs_per_block = led.syncthreads / blocks
+        t_sync = (syncs_per_block * SYNC_CYCLES * math.ceil(waves)
+                  / self._clock_hz)
 
         t_launch = LAUNCH_OVERHEAD_S * cost.launches
 
-        total = busy + t_sync + t_launch
         return TimingBreakdown(
-            name=cost.name,
-            t_compute=t_compute,
-            t_gmem=t_gmem,
-            t_l2=t_l2,
-            t_smem=t_smem,
-            t_cmem=t_cmem,
-            t_sync=t_sync,
-            t_launch=t_launch,
-            eta=eta,
-            waves=waves,
-            occupancy_fraction=occ.occupancy_fraction(arch),
-            total=total,
-        )
+            cost.name, t_compute, t_gmem, t_l2, t_smem, t_cmem, t_sync,
+            t_launch, eta, waves,
+            blocks_per_sm * warps_per_block / self._max_warps,
+            busy + t_sync + t_launch)
 
 
 def below_every_price(limit: float) -> bool:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import LaunchConfigError
+from repro.gpu.occupancy import occupancy
 from repro.gpu.simt import Dim3, LaunchConfig, lane_ids, warp_count
+from repro.gpu.timing import TimingModel
+from repro.gpu.trace import KernelCost, TrafficLedger
 
 
 class TestDim3:
@@ -84,3 +87,22 @@ class TestLaunchConfig:
         lc.validate(kepler)
         with pytest.raises(LaunchConfigError):
             lc.validate(fermi)
+
+    @pytest.mark.parametrize("regs,smem,message", [
+        (0, 0, "registers_per_thread must be positive, got 0"),
+        (-8, 1024, "registers_per_thread must be positive, got -8"),
+        (32, -4096, "smem_per_block cannot be negative, got -4096"),
+    ], ids=["no-registers", "negative-registers", "negative-smem"])
+    def test_launches_that_cannot_run(self, kepler, regs, smem, message):
+        # Such a launch used to pass validate: occupancy then raised a
+        # ResourceError for the registers, and priced negative shared
+        # memory as none (16 blocks per SM, limited by threads).
+        lc = LaunchConfig(grid=Dim3(4), block=Dim3(128),
+                          registers_per_thread=regs, smem_per_block=smem)
+        cost = KernelCost(name="k", launch=lc, ledger=TrafficLedger(flops=1.0))
+        for check in (lambda: lc.validate(kepler),
+                      lambda: occupancy(kepler, lc),
+                      lambda: TimingModel(kepler).evaluate(cost)):
+            with pytest.raises(LaunchConfigError, match="^%s$" % message):
+                check()
+
