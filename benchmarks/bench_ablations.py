@@ -63,6 +63,6 @@ def test_ablation_adaptive_config(benchmark, save_experiment):
     save_experiment(exp)
     for row in exp.rows:
         assert row.values["adaptive"] >= 0.999 * row.values["fixed"]
-        # Adaptive is at worst ~10% behind the cuDNN-like baseline even
-        # on the smallest images, and usually ahead.
-        assert row.values["adaptive"] > 0.9 * row.values["cuDNN"]
+        # Adaptive is at least as fast as the cuDNN-like baseline on
+        # every row, the smallest images included.
+        assert row.values["adaptive"] >= row.values["cuDNN"]

@@ -12,7 +12,6 @@ from repro.baselines.direct_naive import NaiveDirectKernel
 from repro.baselines.implicit_gemm import DEFAULT_TILE_PALETTE, ImplicitGemmKernel
 from repro.conv.tensors import ConvProblem, Padding
 from repro.core.dse import (
-    _general_palette,
     best_config,
     default_general_problem,
     explore_general,
@@ -24,6 +23,7 @@ from repro.core.general import (
     _flt_row_read_batch,
     _img_row_read_batch,
     _writeback_batch,
+    palette,
 )
 from repro.core.special import SpecialCaseKernel
 from repro.gpu.arch import KEPLER_K40M
@@ -100,6 +100,18 @@ def test_explore_general_warm(benchmark):
     assert len(ranked) == 986
 
 
+def test_best_config_full_warm(benchmark):
+    """``best_config(..., full=True)`` for Table 1's K=3 row on Kepler
+    once its warp patterns are cached: the bounded search over the same
+    986 candidates, which prices only the ones that can still win, and
+    answers the full ranking's winner."""
+    problem = default_general_problem(3)
+    ranked = explore_general(3, KEPLER_K40M)
+    winner = benchmark(best_config, problem, KEPLER_K40M, case="general",
+                       full=True)
+    assert winner == ranked[0]
+
+
 # Per-candidate pricing: what one floor or price of a search costs once
 # its warp patterns are cached, on a serving-churn-sized shape.  A plan
 # build prices several floors per backend it bounds (docs/SIMULATOR.md,
@@ -150,7 +162,7 @@ def test_bounded_general_search(benchmark):
 
     def search():
         return explore_general(3, KEPLER_K40M, CHURN_SHAPE,
-                               _general_palette(3, 2), limit=limit)
+                               palette(3, 2), limit=limit)
 
     search()
     winner = benchmark(search)

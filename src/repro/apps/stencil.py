@@ -22,7 +22,6 @@ from repro.conv.tensors import ConvProblem, Padding
 from repro.kernels import default_registry
 from repro.errors import ConfigurationError, ShapeError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
-from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.timing import TimingBreakdown, TimingModel
 from repro.gpu.trace import KernelCost
 
@@ -49,7 +48,6 @@ class JacobiStencil:
         arch: GPUArchitecture = KEPLER_K40M,
         points: int = 5,
         matched: bool = True,
-        bank_policy: BankConflictPolicy = BankConflictPolicy.WORD_MERGE,
     ):
         if points == 5:
             self.filter = FIVE_POINT
@@ -60,7 +58,7 @@ class JacobiStencil:
         self.points = points
         self.arch = arch
         self.kernel = default_registry().get("special").build(
-            None, arch, matched=matched, bank_policy=bank_policy)
+            None, arch, matched=matched)
         self.name = "jacobi%d[%s,n=%d]" % (points, arch.name, self.kernel.n)
 
     # ------------------------------------------------------------------

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.conv.reference import conv2d_taps
 from repro.conv.tensors import ConvProblem, Layout, Padding
-from repro.core.bankwidth import DataType
 from repro.core.config import BEST_SPECIAL_CONFIG, SpecialCaseConfig
 from repro.core.special import SpecialCaseKernel
 from repro.errors import ConfigurationError
@@ -47,21 +46,17 @@ class DepthwiseKernel(Priced):
         self,
         arch: GPUArchitecture = KEPLER_K40M,
         config: SpecialCaseConfig = BEST_SPECIAL_CONFIG,
-        matched: bool = True,
         bank_policy: BankConflictPolicy = BankConflictPolicy.WORD_MERGE,
-        dtype: DataType = DataType.FLOAT,
     ):
+        # Every group runs the special-case kernel with matched float
+        # vectors.
         self.arch = arch
         self.config = config
-        self.matched = matched
         self.bank_policy = bank_policy
-        self.dtype = dtype
         self.special = SpecialCaseKernel(
-            arch=arch, config=config, matched=matched,
-            bank_policy=bank_policy, dtype=dtype,
-        )
+            arch=arch, config=config, bank_policy=bank_policy)
         self.n = self.special.n
-        self.name = "depthwise[%s,%s,n=%d]" % (arch.name, dtype.label, self.n)
+        self.name = "depthwise[%s,float,n=%d]" % (arch.name, self.n)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -155,9 +150,7 @@ class DepthwiseKernel(Priced):
         img = problem.chw_image(image)
         flt = problem.check_filters(filters)[:, 0]
         fast = FastSpecialKernel(
-            arch=self.arch, config=self.config, matched=self.matched,
-            bank_policy=self.bank_policy,
-        )
+            arch=self.arch, config=self.config, bank_policy=self.bank_policy)
         fpg = valid.filters_per_group
         out = np.empty((valid.filters, valid.out_height, valid.out_width),
                        dtype=np.float32)

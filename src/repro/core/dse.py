@@ -8,12 +8,15 @@ divisibility constraints or cannot be resident on the device, evaluates
 each survivor with the traced cost model + timing model on a
 representative workload, and ranks them.  ``reproduce_table1`` runs the
 search for the paper's three filter sizes and reports our best
-configuration next to the paper's.  A caller that needs only the winner,
-and only when it comes in under a time limit (the serving dispatcher),
-passes ``limit=`` and gets a branch-and-bound search over the kernels'
-floors instead (docs/SIMULATOR.md, "Floors and the bounded search"),
-which answers the winner with the breakdown and cost that priced it.
-The implicit-GEMM baseline picks its tile with the same search.
+configuration next to the paper's.  A caller that needs only the winner
+passes ``limit=`` (``math.inf`` for no time limit) and gets a
+branch-and-bound search over the kernels' floors instead
+(docs/SIMULATOR.md, "Floors and the bounded search"), which answers the
+winner with the breakdown and cost that priced it.  It is the one way a
+winner is picked: the serving dispatcher, :func:`best_config` and
+``reproduce_table1``, the general kernel's ``auto_config`` and the
+implicit-GEMM baseline's tile choice all run it; the full ranking stays
+for callers whose output is the ranking.
 """
 
 from __future__ import annotations
@@ -336,33 +339,20 @@ def explore_general(
     return _rank(configs, GeneralCaseKernel, problem, arch, "general", limit)
 
 
-def _general_palette(kernel_size: int, n: int) -> List[GeneralCaseConfig]:
-    """The shippable general-case candidates: the Table 1 entry for this
-    filter size (or the conservative fallback), every Table 1 config, and
-    the narrow-block small-image palette, each once.  The Table 1 and
-    small-image configurations are distinct, so only the first entry
-    can repeat one of them: one comparison each, not a scan."""
-    from repro.core.general import SMALL_IMAGE_CONFIGS, default_config_for
-
-    shipped = tuple(TABLE1_CONFIGS.values()) + SMALL_IMAGE_CONFIGS
-    try:
-        first = default_config_for(kernel_size, n)
-    except ConfigurationError:
-        return list(shipped)
-    return [first] + [cfg for cfg in shipped if cfg != first]
-
-
 def best_config(
     problem: ConvProblem,
     arch: GPUArchitecture = KEPLER_K40M,
     case: Optional[str] = None,
     full: bool = False,
 ) -> RankedConfig:
-    """The winning configuration for one concrete problem.
+    """The winning configuration for one concrete problem: the full
+    ranking's first entry (highest GFlop/s, the earliest candidate on a
+    tie), found by the bounded search a serving plan build runs, with no
+    time limit.
 
-    This is the single entry point callers (the serving plan cache, the
-    Table 1 reproduction) should use instead of re-ranking
-    ``explore_special`` / ``explore_general`` results themselves.
+    This is the single entry point callers (the Table 1 reproduction,
+    the tooling) should use instead of re-ranking ``explore_special`` /
+    ``explore_general`` results themselves.
 
     Parameters
     ----------
@@ -373,8 +363,8 @@ def best_config(
         single input channel, and the general case otherwise.
     full:
         For the general case, search the whole Table 1 axis space (the
-        slow path ``reproduce_table1`` uses) instead of the shippable
-        palette of known-good configurations.
+        path ``reproduce_table1`` uses) instead of the shipped palette
+        (:func:`repro.core.general.palette`).
 
     Raises
     ------
@@ -391,12 +381,13 @@ def best_config(
     if case not in ("special", "general", "depthwise"):
         raise ConfigurationError("unknown kernel case %r" % case)
 
-    # The per-case search lives with the backend now: the registry's
-    # "special"/"general"/"depthwise" entries wrap the explorers behind
-    # the ConvBackend DSE hook, and this entry point delegates.
+    # The per-case search lives with the backend: the registry's
+    # "special"/"general"/"depthwise" entries each keep the one search
+    # their ``configure`` runs under a plan build's limit.
     from repro.kernels import default_registry
 
-    return default_registry().get(case).tune(problem, arch, full=full)
+    backend = default_registry().get(case)
+    return backend._explore(problem, arch, math.inf, full).ranked
 
 
 @dataclass(frozen=True)

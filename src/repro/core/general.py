@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -53,7 +53,8 @@ from repro.gpu.trace import (
     prepare_rows,
 )
 
-__all__ = ["GeneralCaseKernel", "default_config_for", "SMALL_IMAGE_CONFIGS"]
+__all__ = ["GeneralCaseKernel", "default_config_for", "SMALL_IMAGE_CONFIGS",
+           "palette"]
 
 
 def default_config_for(kernel_size: int, n: int) -> GeneralCaseConfig:
@@ -78,6 +79,22 @@ SMALL_IMAGE_CONFIGS = (
     GeneralCaseConfig(w=16, h=4, ftb=32, wt=4, ft=8, csh=2),
     GeneralCaseConfig(w=8, h=8, ftb=32, wt=8, ft=8, csh=2),
 )
+
+
+def palette(kernel_size: int, n: int) -> List[GeneralCaseConfig]:
+    """The shipped general-case configurations, in search order: the
+    Table 1 entry for this filter size (or the conservative fallback),
+    every other Table 1 configuration, then :data:`SMALL_IMAGE_CONFIGS`,
+    each once.  Serving's search, ``auto_config`` and ``best_config``
+    all pick from it.  The Table 1 and small-image configurations are
+    distinct, so only the first entry can repeat one of them: one
+    comparison each, not a scan."""
+    shipped = tuple(TABLE1_CONFIGS.values()) + SMALL_IMAGE_CONFIGS
+    try:
+        first = default_config_for(kernel_size, n)
+    except ConfigurationError:
+        return list(shipped)
+    return [first] + [cfg for cfg in shipped if cfg != first]
 
 
 class GeneralCaseKernel(Priced):
@@ -121,53 +138,42 @@ class GeneralCaseKernel(Priced):
         return cfg
 
     def select_config(self, problem: ConvProblem) -> GeneralCaseConfig:
-        """Pick the best-predicted configuration for this problem.
+        """Pick the best-predicted :func:`palette` configuration for this
+        problem: the design-space explorer's bounded search
+        (:mod:`repro.core.dse`) over trial kernels like this one, the
+        same search a serving plan build runs."""
+        from repro.core.dse import _rank
 
-        Candidates are the filter size's Table 1 entry plus the
-        narrow-block fallbacks; each is evaluated with the full traced
-        cost + timing pipeline (the same machinery as
-        :mod:`repro.core.dse`, restricted to a shippable palette).
-        """
-        best_cfg, best_time = None, float("inf")
-        for trial in self._palette(problem):
-            try:
-                t = trial.predict(problem).total
-            except ReproError:
-                continue
-            if t < best_time:
-                best_cfg, best_time = trial._config, t
-        if best_cfg is None:
-            raise self._no_palette_config(problem)
-        return best_cfg
+        try:
+            winner = _rank(palette(problem.as_valid().kernel_size, self.n),
+                           self._trial, problem, self.arch, "general",
+                           math.inf)
+        except ConfigurationError:
+            raise self._no_palette_config(problem) from None
+        return winner.ranked.config
 
     def _check_palette(self, problem: ConvProblem) -> None:
         """What :meth:`select_config` decides about validity, without the
-        ranking: return once some palette configuration's floor
+        search: return once some palette configuration's floor
         evaluates (a floor raises what its price raises), else raise
         what it raises.  :meth:`run` needs no more, since its output
         does not depend on the configuration."""
         model = TimingModel(self.arch)
-        for trial in self._palette(problem):
+        for cfg in palette(problem.as_valid().kernel_size, self.n):
             try:
-                model.evaluate(trial.floor(problem))
+                model.evaluate(self._trial(self.arch, cfg).floor(problem))
             except ReproError:
                 continue
             return
         raise self._no_palette_config(problem)
 
-    def _palette(self, problem: ConvProblem):
-        """A kernel like this one at each palette configuration that
-        validates for the problem's filter size, in palette order."""
-        k = problem.as_valid().kernel_size
-        for cand in (default_config_for(k, self.n),) + SMALL_IMAGE_CONFIGS:
-            try:
-                cand.validate(k, self.n, self.arch.warp_size)
-            except ConfigurationError:
-                continue
-            yield GeneralCaseKernel(
-                arch=self.arch, config=cand, matched=self.matched,
-                bank_policy=self.bank_policy, dtype=self.dtype,
-            )
+    def _trial(self, arch: GPUArchitecture,
+               config: GeneralCaseConfig) -> "GeneralCaseKernel":
+        """A kernel like this one at ``config``."""
+        return GeneralCaseKernel(
+            arch=arch, config=config, matched=self.matched,
+            bank_policy=self.bank_policy, dtype=self.dtype,
+        )
 
     def _no_palette_config(self, problem: ConvProblem) -> ConfigurationError:
         return ConfigurationError(

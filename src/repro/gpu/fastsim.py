@@ -56,7 +56,13 @@ from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.device import _GLOBAL_ALIGN
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.trace import KernelCost, KernelTracer, prepare_batch
+from repro.gpu.trace import (
+    _LEDGER_FIELDS,
+    _SITE_FIELDS,
+    KernelCost,
+    KernelTracer,
+    prepare_batch,
+)
 
 __all__ = [
     "kernel_cost_diffs",
@@ -67,22 +73,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # KernelCost comparison (the audit contract)
 # ----------------------------------------------------------------------
-
-_LEDGER_FIELDS = (
-    "flops",
-    "gmem_read_transactions", "gmem_read_request_bytes",
-    "gmem_read_bytes_moved", "gmem_write_transactions",
-    "gmem_write_request_bytes", "gmem_write_bytes_moved",
-    "gmem_segment_size", "gmem_l2_bytes",
-    "smem_requests", "smem_cycles", "smem_min_cycles",
-    "smem_request_bytes",
-    "cmem_requests", "cmem_cycles", "syncthreads",
-)
-
-_SITE_FIELDS = (
-    "kind", "executions", "cycles", "transactions",
-    "request_bytes", "unique_bytes",
-)
 
 _LAUNCH_FIELDS = ("grid", "block", "registers_per_thread", "smem_per_block")
 

@@ -1,5 +1,6 @@
 """Memory-hierarchy models: shared-memory banks, global-memory
-coalescing, constant-memory broadcast, and register accounting."""
+coalescing and constant-memory broadcast.  Register accounting is the
+occupancy rule's (:mod:`repro.gpu.occupancy`)."""
 
 from repro.gpu.memory.banks import (
     BankConflictPolicy,
@@ -8,7 +9,6 @@ from repro.gpu.memory.banks import (
 )
 from repro.gpu.memory.globalmem import GlobalMemoryModel, GmemAccessResult
 from repro.gpu.memory.constmem import ConstantMemoryModel, CmemAccessResult
-from repro.gpu.memory.registers import RegisterFile
 
 __all__ = [
     "BankConflictPolicy",
@@ -18,5 +18,4 @@ __all__ = [
     "GmemAccessResult",
     "ConstantMemoryModel",
     "CmemAccessResult",
-    "RegisterFile",
 ]

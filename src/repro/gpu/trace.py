@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
 import numpy as np
@@ -314,11 +314,14 @@ class SiteStats:
     def merge_from(self, other: "SiteStats") -> None:
         if other.kind != self.kind:
             raise TraceError("cannot merge site stats of different kinds")
-        self.executions += other.executions
-        self.cycles += other.cycles
-        self.transactions += other.transactions
-        self.request_bytes += other.request_bytes
-        self.unique_bytes += other.unique_bytes
+        for name in _SITE_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+#: Every field of a :class:`SiteStats`, in declaration order, and its
+#: counters (all but ``kind``): each one adds and scales on its own.
+_SITE_FIELDS = tuple(f.name for f in fields(SiteStats))
+_SITE_COUNTERS = _SITE_FIELDS[1:]
 
 
 @dataclass
@@ -381,48 +384,32 @@ class TrafficLedger:
         """Multiply every counter (e.g. to batch identical launches)."""
         if factor < 0:
             raise TraceError("scale factor cannot be negative")
-        for name in (
-            "flops",
-            "gmem_read_transactions", "gmem_read_request_bytes",
-            "gmem_read_bytes_moved", "gmem_write_transactions",
-            "gmem_write_request_bytes", "gmem_write_bytes_moved",
-            "gmem_l2_bytes",
-            "smem_requests", "smem_cycles", "smem_min_cycles",
-            "smem_request_bytes",
-            "cmem_requests", "cmem_cycles", "syncthreads",
-        ):
+        for name in _LEDGER_COUNTERS:
             setattr(self, name, getattr(self, name) * factor)
         for stats in self.sites.values():
-            stats.executions *= factor
-            stats.cycles *= factor
-            stats.transactions *= factor
-            stats.request_bytes *= factor
-            stats.unique_bytes *= factor
+            for name in _SITE_COUNTERS:
+                setattr(stats, name, getattr(stats, name) * factor)
 
     def merge(self, other: "TrafficLedger") -> None:
         """Accumulate another ledger (e.g. a second kernel launch) into this one."""
         if other.gmem_segment_size != self.gmem_segment_size:
             raise TraceError("cannot merge ledgers with different segment sizes")
-        self.flops += other.flops
-        self.gmem_read_transactions += other.gmem_read_transactions
-        self.gmem_read_request_bytes += other.gmem_read_request_bytes
-        self.gmem_read_bytes_moved += other.gmem_read_bytes_moved
-        self.gmem_write_transactions += other.gmem_write_transactions
-        self.gmem_write_request_bytes += other.gmem_write_request_bytes
-        self.gmem_write_bytes_moved += other.gmem_write_bytes_moved
-        self.gmem_l2_bytes += other.gmem_l2_bytes
-        self.smem_requests += other.smem_requests
-        self.smem_cycles += other.smem_cycles
-        self.smem_min_cycles += other.smem_min_cycles
-        self.smem_request_bytes += other.smem_request_bytes
-        self.cmem_requests += other.cmem_requests
-        self.cmem_cycles += other.cmem_cycles
-        self.syncthreads += other.syncthreads
+        for name in _LEDGER_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for name, stats in other.sites.items():
             if name in self.sites:
                 self.sites[name].merge_from(stats)
             else:
                 self.sites[name] = SiteStats(**vars(stats))
+
+
+#: Every scalar field of a :class:`TrafficLedger`, in declaration order,
+#: and its counters (all but the segment size): each one adds and
+#: scales on its own.
+_LEDGER_FIELDS = tuple(f.name for f in fields(TrafficLedger)
+                       if f.name != "sites")
+_LEDGER_COUNTERS = tuple(name for name in _LEDGER_FIELDS
+                         if name != "gmem_segment_size")
 
 
 @dataclass

@@ -59,25 +59,13 @@ class _TunedBackend(ConvBackend):
     #: DSE case label ("special" / "general") — equals the backend name.
     case: str = ""
 
-    def tune(self, problem: ConvProblem,
-             arch: GPUArchitecture = KEPLER_K40M,
-             full: bool = False):
-        """Rank every candidate configuration and return the winning
-        :class:`~repro.core.dse.RankedConfig` (raises
-        :class:`ConfigurationError` when no candidate is valid).
-
-        ``full`` searches the whole Table 1 axis space instead of the
-        shippable palette (general case only).
-        """
-        ranked = self._explore(problem, arch, full, None)
-        if ranked:
-            return ranked[0]
-        raise ConfigurationError(
-            "no valid %s-case configuration for %r on %s"
-            % (self.case, problem, arch.name)
-        )
-
-    def _explore(self, problem, arch, full, limit):
+    def _explore(self, problem, arch, limit, full=False):
+        """The backend's one search: the bounded winner search
+        (:func:`repro.core.dse._rank`) under ``limit`` seconds, which
+        :meth:`configure` runs under a plan build's limit and
+        :func:`~repro.core.dse.best_config` under ``math.inf``.  ``full``
+        searches the whole Table 1 axis space instead of the shipped
+        palette (general case only)."""
         raise NotImplementedError
 
     def configure(self, problem: ConvProblem,
@@ -89,7 +77,7 @@ class _TunedBackend(ConvBackend):
         ``(BOUNDED, None)`` when the winner takes longer than ``limit``
         seconds."""
         try:
-            winner = self._explore(problem, arch, False, limit)
+            winner = self._explore(problem, arch, limit)
         except ConfigurationError:
             return None, None
         if winner is None:
@@ -130,7 +118,7 @@ class SpecialBackend(_TunedBackend):
         cm_bytes = valid.filters * valid.kernel_size ** 2 * FLOAT_BYTES
         return cm_bytes <= arch.const_memory_size
 
-    def _explore(self, problem, arch, full, limit):
+    def _explore(self, problem, arch, limit, full=False):
         from repro.core.dse import explore_special
 
         return explore_special(arch, problem=problem, limit=limit)
@@ -154,14 +142,15 @@ class GeneralBackend(_TunedBackend):
         "layouts": ("nchw",),
     }
 
-    def _explore(self, problem, arch, full, limit):
+    def _explore(self, problem, arch, limit, full=False):
         from repro.core.bankwidth import matched_vector
-        from repro.core.dse import _general_palette, explore_general
+        from repro.core.dse import explore_general
+        from repro.core.general import palette
 
         k = problem.as_valid().kernel_size
         configs = None
         if not full:
-            configs = _general_palette(k, matched_vector(arch).n)
+            configs = palette(k, matched_vector(arch).n)
         return explore_general(k, arch, problem=problem, configs=configs,
                                limit=limit)
 
@@ -193,7 +182,7 @@ class DepthwiseBackend(_TunedBackend):
         cm_bytes = valid.filters * valid.kernel_size ** 2 * FLOAT_BYTES
         return cm_bytes <= arch.const_memory_size
 
-    def _explore(self, problem, arch, full, limit):
+    def _explore(self, problem, arch, limit, full=False):
         from repro.core.dse import explore_special
 
         # The search prices the per-group special problem, not the
@@ -201,7 +190,7 @@ class DepthwiseBackend(_TunedBackend):
         # latter does not bound it: any limit becomes ``math.inf``.
         return explore_special(
             arch, problem=DepthwiseKernel.group_problem(problem),
-            limit=None if limit is None else math.inf)
+            limit=math.inf)
 
     def configure(self, problem, arch=KEPLER_K40M, limit=math.inf):
         # The winner's breakdown prices one group, not the grouped

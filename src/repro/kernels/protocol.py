@@ -20,11 +20,13 @@ configuration, and :meth:`ConvBackend.run` delegates to a fresh build.
 Backends carry no per-problem state, so one instance can serve every
 architecture and every shape concurrently.
 
-``supports`` is a *capability + resource-feasibility* predicate: it must
-be exactly as strong as ``build`` — a backend admitted for a problem
-must construct without raising (the registry parity suite enforces
-this) — and should reject problems whose launch would violate the
-architecture's shared-memory / register / thread budgets.
+``supports`` is a *capability* predicate: it must be exactly as strong
+as ``build`` — a backend admitted for a problem must construct without
+raising (the registry parity suite enforces this).  The architecture's
+shared-memory / register / thread budgets are checked where a launch is
+priced: every floor and price validates its launch, so a paper kernel
+is admitted only when its search finds a candidate within them, and any
+other backend over them raises when it is priced.
 :meth:`ConvBackend.admit` answers the first two questions in one pass,
 ``(ok, config, breakdown)``, so a backend whose feasibility *is* its
 configuration search (the paper kernels) searches once per admission,
@@ -35,7 +37,7 @@ by its kernel's compute-only floor) is left out unpriced.
 Since the problem model grew stride / dilation / groups / layout axes,
 every backend also declares which of those generalized axes it serves
 via the :attr:`ConvBackend.AXES` class attribute; ``supports`` chains
-the :meth:`axes_ok` gate in front of capability and feasibility so a
+the :meth:`axes_ok` gate in front of capability and configuration so a
 backend written for the classic default axes never sees a strided,
 dilated, grouped or NHWC problem.
 """
@@ -88,7 +90,7 @@ class ConvBackend(ABC):
     }
 
     # ------------------------------------------------------------------
-    # Capability + feasibility
+    # Capability
     # ------------------------------------------------------------------
     def supports(self, problem: ConvProblem,
                  arch: GPUArchitecture = KEPLER_K40M) -> bool:
@@ -108,11 +110,14 @@ class ConvBackend(ABC):
         breakdown)``.
 
         The default chains the axis gate (:meth:`axes_ok`) with the
-        cheap structural test (:meth:`capability`) and the resource test
-        (:meth:`feasible`), then asks an admitted backend for its
-        :meth:`configure` answer; a filtered backend answers ``(False,
-        None, None)``.  A :class:`~repro.errors.ReproError` raised by
-        ``configure`` propagates.
+        cheap structural test (:meth:`capability`), then asks an
+        admitted backend for its :meth:`configure` answer; a filtered
+        backend answers ``(False, None, None)``.  Resource budgets need
+        no gate of their own: every floor and price validates its launch
+        (``LaunchConfig.validate``), so a launch over the architecture's
+        budgets raises when the backend is priced.  A
+        :class:`~repro.errors.ReproError` raised by ``configure``
+        propagates.
 
         ``limit`` is the time (seconds) a backend must come in at or
         under to matter to the caller.  ``configure`` bounds its work
@@ -121,8 +126,7 @@ class ConvBackend(ABC):
         unconfigured, under a limit at or below zero; a NaN limit raises
         :class:`~repro.errors.ConfigurationError`.
         """
-        if not (self._gates_ok(problem, arch)
-                and self.feasible(problem, arch)):
+        if not self._gates_ok(problem, arch):
             return False, None, None
         return (True,) + self._configured(problem, arch, limit)
 
@@ -177,30 +181,6 @@ class ConvBackend(ABC):
         Default: every valid problem is structurally acceptable.
         """
         return True
-
-    def feasible(self, problem: ConvProblem,
-                 arch: GPUArchitecture) -> bool:
-        """Resource-feasibility on ``arch`` (smem / register / thread
-        budgets).
-
-        The default builds the kernel with its default configuration
-        and, when the kernel exposes a ``launch_config(problem)`` probe,
-        validates the launch against the architecture's per-block
-        limits.  Backends whose configurations come from the DSE
-        override :meth:`admit` to ask :meth:`configure` instead.
-        """
-        try:
-            kernel = self.build(problem, arch)
-            probe = getattr(kernel, "launch_config", None)
-            if probe is None:
-                return True
-            launch = probe(problem)
-        except ReproError:
-            return False
-        return (launch.threads_per_block <= arch.max_threads_per_block
-                and launch.smem_per_block <= arch.smem_per_block_max
-                and launch.registers_per_thread
-                <= arch.max_registers_per_thread)
 
     # ------------------------------------------------------------------
     # Configuration (the DSE hook)

@@ -133,9 +133,9 @@ class Dispatcher:
                 "unknown backends %s; registered backends: %s"
                 % (sorted(unknown), ", ".join(sorted(self.kernels.names()))))
         self.arch = arch
-        self.cache = cache if cache is not None else PlanCache(
-            registry=registry)
         self.registry = registry if registry is not None else Registry()
+        self.cache = cache if cache is not None else PlanCache(
+            registry=self.registry)
         self.tracer = tracer
         self._planned = self.registry.counter(
             "dispatch_plans_built_total",

@@ -25,7 +25,7 @@ from repro.baselines.im2col import Im2colKernel
 from repro.baselines.implicit_gemm import DEFAULT_TILE_PALETTE, ImplicitGemmKernel
 from repro.baselines.winograd import WinogradConvolution
 from repro.conv.tensors import ConvProblem
-from repro.core.bankwidth import matched_vector
+from repro.core.bankwidth import DataType, matched_vector
 from repro.core.config import GeneralCaseConfig
 from repro.core.depthwise import DepthwiseKernel
 from repro.core.dse import (
@@ -33,18 +33,17 @@ from repro.core.dse import (
     PricedConfig,
     RankedConfig,
     _bounded,
-    _general_palette,
     default_general_problem,
     enumerate_general_configs,
     enumerate_special_configs,
     explore_general,
     explore_special,
 )
-from repro.core.general import GeneralCaseKernel
+from repro.core.general import GeneralCaseKernel, palette
 from repro.core.special import SpecialCaseKernel
 from repro.errors import ConfigurationError, LaunchConfigError, ReproError
 from repro.gpu.arch import ARCHITECTURES, KEPLER_K40M
-from repro.gpu.memory.banks import SharedMemoryModel
+from repro.gpu.memory.banks import BankConflictPolicy, SharedMemoryModel
 from repro.gpu.memory.constmem import ConstantMemoryModel
 from repro.gpu.memory.globalmem import GlobalMemoryModel
 from repro.gpu.timing import TimingModel
@@ -80,7 +79,7 @@ def _churn_style_shapes(count=32, seed=11):
 
 #: Serving shapes (the mixed family includes the classic six), 32
 #: churn-style shapes, and a plain and a strided shape for every filter
-#: size 1-7, so every ``_general_palette(K, n)`` is exercised.
+#: size 1-7, so every ``palette(K, n)`` is exercised.
 SERVING_SHAPES = list(dict.fromkeys(
     list(SHAPE_FAMILIES["mixed"]) + _churn_style_shapes() + [
         ConvProblem.square(24 + 4 * k, k, channels=c, filters=12, **kw)
@@ -97,6 +96,24 @@ TINY_OUTPUT_SHAPES = [
     for out in range(1, 5) for s in (1, 2) for k in (1, 3) for c in (2, 6)]
 
 TABLE1_PROBLEMS = [default_general_problem(k) for k in (3, 5, 7)]
+
+#: The kernel variants the ablations build, which ``auto_config``
+#: searches with: unmatched vectors, the short data types and the
+#: paper's bank policy.
+VARIANTS = {
+    "unmatched": {"matched": False},
+    "half": {"dtype": DataType.HALF},
+    "char": {"dtype": DataType.CHAR},
+    "paper": {"bank_policy": BankConflictPolicy.PAPER},
+}
+
+#: The mixed serving family, a plain and a strided shape for every
+#: filter size 1-7, and the tiny outputs whose writeback lanes alias.
+VARIANT_SHAPES = list(dict.fromkeys(
+    list(SHAPE_FAMILIES["mixed"]) + [
+        ConvProblem.square(24 + 4 * k, k, channels=c, filters=12, **kw)
+        for k in range(1, 8) for c in (1, 6)
+        for kw in ({}, {"stride": 2})] + TINY_OUTPUT_SHAPES))
 
 
 def _special_problem(problem):
@@ -164,12 +181,31 @@ class TestFloorIsALowerBound:
         model = TimingModel(arch)
         outcomes = {True: 0, False: 0}
         for problem in SERVING_SHAPES:
-            for cfg in _general_palette(problem.kernel_size, n):
+            for cfg in palette(problem.kernel_size, n):
                 outcomes[_check_floor(GeneralCaseKernel(arch=arch, config=cfg),
                                       problem, model)] += 1
             for cfg in enumerate_special_configs():
                 outcomes[_check_floor(SpecialCaseKernel(arch=arch, config=cfg),
                                       _special_problem(problem), model)] += 1
+        # Both sides of the raise-alike check are exercised.
+        assert outcomes[True] > 100 and outcomes[False] > 100
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("arch", PRESETS, ids=PRESET_IDS)
+    def test_variant_candidates(self, arch, variant):
+        kwargs = VARIANTS[variant]
+        n = GeneralCaseKernel(arch=arch, **kwargs).n
+        model = TimingModel(arch)
+        outcomes = {True: 0, False: 0}
+        for problem in VARIANT_SHAPES:
+            for cfg in palette(problem.kernel_size, n):
+                outcomes[_check_floor(
+                    GeneralCaseKernel(arch=arch, config=cfg, **kwargs),
+                    problem, model)] += 1
+            for cfg in enumerate_special_configs():
+                outcomes[_check_floor(
+                    SpecialCaseKernel(arch=arch, config=cfg, **kwargs),
+                    _special_problem(problem), model)] += 1
         # Both sides of the raise-alike check are exercised.
         assert outcomes[True] > 100 and outcomes[False] > 100
 
@@ -179,7 +215,7 @@ class TestFloorIsALowerBound:
         model = TimingModel(arch)
         valid = aliased = 0
         for problem in TINY_OUTPUT_SHAPES:
-            for cfg in _general_palette(problem.kernel_size, n):
+            for cfg in palette(problem.kernel_size, n):
                 kernel = GeneralCaseKernel(arch=arch, config=cfg)
                 if _check_floor(kernel, problem, model):
                     valid += 1
@@ -248,7 +284,7 @@ def _paper_candidates(arch):
     for cfg in enumerate_special_configs():
         yield SpecialCaseKernel(arch=arch, config=cfg), DEFAULT_SPECIAL_PROBLEM
     for problem in SERVING_SHAPES + TINY_OUTPUT_SHAPES:
-        for cfg in _general_palette(problem.kernel_size, n):
+        for cfg in palette(problem.kernel_size, n):
             yield GeneralCaseKernel(arch=arch, config=cfg), problem
         for cfg in enumerate_special_configs():
             yield (SpecialCaseKernel(arch=arch, config=cfg),
@@ -338,7 +374,7 @@ class TestBoundedSearchEqualsFullRanking:
         searches = empty = 0
         for problem in SERVING_SHAPES:
             k = problem.kernel_size
-            configs = _general_palette(k, n)
+            configs = palette(k, n)
             if problem.groups == 1 and _outcome(
                     lambda: explore_general(k, arch, problem, configs)) != []:
                 searches += 1
@@ -468,7 +504,7 @@ class TestLimitValues:
 
     def _searches(self):
         arch = KEPLER_K40M
-        configs = _general_palette(3, matched_vector(arch).n)
+        configs = palette(3, matched_vector(arch).n)
         return {
             "special": lambda limit: explore_special(arch, self.SINGLE,
                                                      limit=limit),

@@ -17,12 +17,14 @@ from repro.core.dse import (
     explore_special,
     reproduce_table1,
 )
-from repro.core.general import GeneralCaseKernel
+from repro.core.depthwise import DepthwiseKernel
+from repro.core.general import GeneralCaseKernel, palette
 from repro.core.special import SpecialCaseKernel
 from repro.errors import ConfigurationError, LaunchConfigError, ResourceError
 from repro.gpu.arch import ARCHITECTURES, FERMI_M2090, KEPLER_K40M
 from repro.gpu.timing import TimingModel
 from repro.obs import Registry, Tracer, set_registry, set_tracer
+from repro.serve.trace import SHAPE_FAMILIES
 
 
 @pytest.fixture
@@ -147,6 +149,51 @@ class TestBestConfig:
         p = ConvProblem.square(48, 5, channels=4, filters=8)
         ranked = best_config(p)
         ranked.config.validate(p.kernel_size, 2)
+
+
+def _full_ranking_winner(problem, arch, full):
+    """The first entry of the full ranking ``best_config(problem, arch,
+    full=full)`` picks from (its automatic case), or None when the
+    ranking is empty."""
+    if problem.groups == problem.channels > 1:
+        ranked = explore_special(arch, DepthwiseKernel.group_problem(problem))
+    elif problem.channels == 1:
+        ranked = explore_special(arch, problem)
+    else:
+        k = problem.kernel_size
+        configs = None if full else palette(k, matched_vector(arch).n)
+        ranked = explore_general(k, arch, problem, configs)
+    return ranked[0] if ranked else None
+
+
+class TestBestConfigIsTheFullRankingsWinner:
+    """``best_config`` runs the bounded search, which must answer the
+    full ranking's first entry, field for field, or raise when the
+    ranking is empty."""
+
+    PROBLEMS = ([default_general_problem(k) for k in (3, 5, 7)]
+                + list(SHAPE_FAMILIES["mixed"]))
+
+    @pytest.mark.parametrize("full", [False, True], ids=["palette", "full"])
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
+                             ids=list(ARCHITECTURES))
+    def test_every_field(self, scoped_obs, arch, full):
+        found = 0
+        for problem in self.PROBLEMS:
+            want = _full_ranking_winner(problem, arch, full)
+            if want is None:
+                with pytest.raises(ConfigurationError):
+                    best_config(problem, arch, full=full)
+                continue
+            got = best_config(problem, arch, full=full)
+            assert (type(got.config), got.config, got.gflops.hex(),
+                    got.occupancy.hex(), got.bound_by) == (
+                type(want.config), want.config, want.gflops.hex(),
+                want.occupancy.hex(), want.bound_by), problem.describe()
+            found += 1
+        # Fermi's 63 registers per thread fit no palette configuration,
+        # so there only the five special and depthwise searches find one.
+        assert found == (5 if arch is FERMI_M2090 and not full else 14)
 
 
 def _independent_ranking(kernel_cls, configs, problem, arch):

@@ -4,13 +4,18 @@ adaptive configuration selector."""
 import numpy as np
 import pytest
 
+from repro.baselines.implicit_gemm import ImplicitGemmKernel
 from repro.conv.reference import conv2d_single_channel
 from repro.conv.tensors import ConvProblem
 from repro.core.bankwidth import DataType
 from repro.core.config import TABLE1_CONFIGS
-from repro.core.general import SMALL_IMAGE_CONFIGS, GeneralCaseKernel
+from repro.core.general import SMALL_IMAGE_CONFIGS, GeneralCaseKernel, palette
 from repro.core.special import SpecialCaseKernel
-from repro.gpu.arch import KEPLER_K40M, MAXWELL_GM204
+from repro.errors import ConfigurationError, ReproError
+from repro.gpu.arch import ARCHITECTURES, FERMI_M2090, KEPLER_K40M, MAXWELL_GM204
+from repro.gpu.memory.banks import BankConflictPolicy
+from repro.kernels import default_registry
+from repro.serve.trace import SHAPE_FAMILIES
 
 
 class TestShortDtypeKernels:
@@ -77,6 +82,11 @@ class TestShortDtypeKernels:
                                    rtol=1e-3, atol=1e-3)
 
 
+#: The ``ablation-adaptive-config`` rows: (N, C, F, K).
+ABLATION_ROWS = ((32, 128, 128, 3), (32, 256, 256, 7), (64, 128, 128, 5),
+                 (128, 128, 128, 3))
+
+
 class TestAdaptiveConfig:
     def test_fixed_table1_for_large_images(self):
         kern = GeneralCaseKernel(auto_config=True)
@@ -99,13 +109,14 @@ class TestAdaptiveConfig:
             assert adaptive.gflops(p) >= 0.999 * fixed.gflops(p)
 
     def test_adaptive_fixes_small_image_losses(self):
-        """The paper's 32x32 caveat disappears with per-problem tiles."""
-        from repro.baselines.implicit_gemm import ImplicitGemmKernel
-
+        """The paper's 32x32 caveat disappears with per-problem tiles:
+        on every ablation row the adaptive kernel is at least as fast as
+        cuDNN."""
         cudnn = ImplicitGemmKernel()
         adaptive = GeneralCaseKernel(auto_config=True)
-        p = ConvProblem.square(32, 7, channels=256, filters=256)
-        assert adaptive.gflops(p) > 0.9 * cudnn.gflops(p)
+        for n, c, f, k in ABLATION_ROWS:
+            p = ConvProblem.square(n, k, channels=c, filters=f)
+            assert adaptive.gflops(p) >= cudnn.gflops(p), p.describe()
 
     def test_adaptive_functional_still_correct(self, rng):
         img = rng.standard_normal((3, 20, 20)).astype(np.float32)
@@ -126,3 +137,83 @@ class TestAdaptiveConfig:
         kern = GeneralCaseKernel(config=cfg, auto_config=True)
         p = ConvProblem.square(224, 3, channels=64, filters=128)
         assert kern.config_for(p) == cfg
+
+
+#: Ungrouped multi-channel shapes: the ablation rows, the mixed serving
+#: family's, and a plain and a strided shape for every filter size 1-7.
+PICK_SHAPES = (
+    [ConvProblem.square(n, k, channels=c, filters=f)
+     for n, c, f, k in ABLATION_ROWS]
+    + [p for p in SHAPE_FAMILIES["mixed"]
+       if p.channels > 1 and p.groups == 1]
+    + [ConvProblem.square(24 + 4 * k, k, channels=6, filters=12, **axes)
+       for k in range(1, 8) for axes in ({}, {"stride": 2})])
+
+#: The kernel variants the ablations build: unmatched vectors, the short
+#: data types and the paper's bank policy.
+VARIANTS = {
+    "unmatched": {"matched": False},
+    "half": {"dtype": DataType.HALF},
+    "char": {"dtype": DataType.CHAR},
+    "paper": {"bank_policy": BankConflictPolicy.PAPER},
+}
+
+
+def exhaustive_pick(kernel, problem):
+    """The palette configuration an exhaustive loop picks: every one
+    priced by a kernel like ``kernel`` at it, the highest GFlop/s
+    winning and the earliest on a tie; None when none prices."""
+    best = None
+    for cfg in palette(problem.kernel_size, kernel.n):
+        trial = GeneralCaseKernel(
+            arch=kernel.arch, config=cfg, matched=kernel.matched,
+            bank_policy=kernel.bank_policy, dtype=kernel.dtype)
+        try:
+            gflops = trial.gflops(problem)
+        except ReproError:
+            continue
+        if best is None or gflops > best[0]:
+            best = (gflops, cfg)
+    return None if best is None else best[1]
+
+
+class TestAutoConfigPick:
+    """``auto_config`` picks with the bounded search serving runs, over
+    the same palette, with trial kernels that keep its own vector
+    matching, bank policy and data type."""
+
+    @staticmethod
+    def _assert_picks(kernel, want):
+        """``kernel`` picks ``want(problem)`` for every pick shape, and
+        raises where it is None."""
+        picked = 0
+        for problem in PICK_SHAPES:
+            expected = want(problem)
+            if expected is None:
+                with pytest.raises(ConfigurationError,
+                                   match="no palette configuration is valid"):
+                    kernel.select_config(problem)
+                continue
+            assert kernel.select_config(problem) == expected, \
+                problem.describe()
+            picked += 1
+        # Fermi's 63 registers per thread fit a palette configuration
+        # only at K=1.
+        fits = 1 if kernel.arch is FERMI_M2090 else len(PICK_SHAPES)
+        assert picked == fits
+
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
+                             ids=list(ARCHITECTURES))
+    def test_default_kernel_picks_what_serving_picks(self, arch):
+        backend = default_registry().get("general")
+        self._assert_picks(GeneralCaseKernel(arch=arch, auto_config=True),
+                           lambda problem: backend.configure(problem, arch)[0])
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
+                             ids=list(ARCHITECTURES))
+    def test_variants_pick_the_exhaustive_argmin(self, arch, variant):
+        kernel = GeneralCaseKernel(arch=arch, auto_config=True,
+                                   **VARIANTS[variant])
+        self._assert_picks(kernel,
+                           lambda problem: exhaustive_pick(kernel, problem))

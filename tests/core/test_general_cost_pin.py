@@ -18,12 +18,8 @@ import pytest
 
 from repro.conv.blocking import BlockGrid
 from repro.conv.tensors import ConvProblem, Padding
-from repro.core.dse import (
-    _general_palette,
-    default_general_problem,
-    enumerate_general_configs,
-)
-from repro.core.general import GeneralCaseKernel
+from repro.core.dse import default_general_problem, enumerate_general_configs
+from repro.core.general import GeneralCaseKernel, palette
 from repro.errors import ReproError
 from repro.gpu.arch import FERMI_M2090, KEPLER_K40M
 from repro.gpu.fastsim import kernel_cost_diffs
@@ -246,7 +242,7 @@ def serving_cases(arch):
     return [
         (GeneralCaseKernel(arch=arch, config=cfg), problem)
         for problem in churn_style_shapes()
-        for cfg in _general_palette(problem.kernel_size, n)
+        for cfg in palette(problem.kernel_size, n)
     ]
 
 
@@ -321,7 +317,7 @@ class TestServingPalette:
             (1, 1), (2, 1), (1, 2)}
         assert {p.kernel_size for p in shapes} == {3, 5}
         for k in (3, 5):
-            assert len(_general_palette(k, 2)) == 7
+            assert len(palette(k, 2)) == 7
 
     @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.name)
     def test_palette_matches_frozen_replay(self, arch, lookup_log):

@@ -19,9 +19,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import LaunchConfigError, ReproError
-from repro.gpu.arch import ARCHITECTURES, KEPLER_K40M
-from repro.gpu.memory.registers import RegisterFile
+from repro.errors import LaunchConfigError, ReproError, ResourceError
+from repro.gpu.arch import ARCHITECTURES, KEPLER_K40M, GPUArchitecture
 from repro.gpu.occupancy import OccupancyResult, occupancy
 from repro.gpu.simt import Dim3, LaunchConfig
 from repro.gpu.timing import (
@@ -36,6 +35,48 @@ from repro.gpu.timing import (
     TimingModel,
 )
 from repro.gpu.trace import KernelCost, TrafficLedger
+
+# ``RegisterFile`` as ``repro.gpu.memory.registers`` defined it before the
+# class was deleted (the occupancy rule applies the same rounding in
+# integers): the register limit the frozen references were copied with.
+# Do not edit it: it is part of the reference.
+
+class RegisterFile:
+    """Register allocation rules for one architecture."""
+
+    def __init__(self, arch: GPUArchitecture):
+        self.arch = arch
+
+    def check_thread_demand(self, registers_per_thread: int) -> None:
+        """Raise if a single thread needs more registers than the ISA allows."""
+        if registers_per_thread <= 0:
+            raise ResourceError("registers_per_thread must be positive")
+        if registers_per_thread > self.arch.max_registers_per_thread:
+            raise ResourceError(
+                "kernel needs %d registers/thread, %s allows %d"
+                % (
+                    registers_per_thread,
+                    self.arch.name,
+                    self.arch.max_registers_per_thread,
+                )
+            )
+
+    def block_allocation(self, registers_per_thread: int, threads_per_block: int) -> int:
+        """Registers actually reserved for one block (granularity-rounded)."""
+        self.check_thread_demand(registers_per_thread)
+        if threads_per_block <= 0:
+            raise ResourceError("threads_per_block must be positive")
+        raw = registers_per_thread * threads_per_block
+        unit = self.arch.register_alloc_unit
+        return (raw + unit - 1) // unit * unit
+
+    def max_blocks(self, registers_per_thread: int, threads_per_block: int) -> int:
+        """Blocks per SM permitted by the register file alone."""
+        per_block = self.block_allocation(registers_per_thread, threads_per_block)
+        if per_block > self.arch.registers_per_sm:
+            return 0
+        return self.arch.registers_per_sm // per_block
+
 
 PRESETS = list(ARCHITECTURES.values())
 PRESET_IDS = list(ARCHITECTURES)

@@ -11,8 +11,12 @@ from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem
 from repro.baselines.implicit_gemm import DEFAULT_TILE_PALETTE
 from repro.core.bankwidth import matched_vector
-from repro.core.dse import _general_palette, enumerate_special_configs
-from repro.errors import ReproError, TransientBackendError
+from repro.core.depthwise import DepthwiseKernel
+from repro.core.dse import (
+    enumerate_special_configs, explore_general, explore_special,
+)
+from repro.core.general import palette
+from repro.errors import ConfigurationError, ReproError, TransientBackendError
 from repro.gpu.arch import ARCHITECTURES, KEPLER_K40M
 from repro.kernels import (
     BackendRegistry, NaiveBackend, register_builtin_backends,
@@ -64,6 +68,15 @@ class TestPlanning:
         second = dispatcher.plan(GENERAL)
         assert first is second
         assert cache.hits == 1 and cache.misses == 1
+
+    def test_default_cache_counts_into_the_dispatchers_registry(self):
+        dispatcher = Dispatcher()
+        dispatcher.plan(GENERAL)
+        dispatcher.plan(GENERAL)
+        assert dispatcher.cache.registry is dispatcher.registry
+        assert dispatcher.registry.get("plan_cache_hits_total").total() == 1
+        assert dispatcher.registry.get(
+            "plan_cache_misses_total").total() == 1
 
     def test_naive_backend_always_enabled(self):
         dispatcher = Dispatcher(backends=("general",))
@@ -166,6 +179,22 @@ def _candidate_series():
                   for labels, value in metric.series())
 
 
+def _exhaustive_config(name, problem, arch):
+    """A tuned backend's configuration from its full ranking's first
+    entry: every candidate priced, none bounded out."""
+    if name == "general":
+        k = problem.as_valid().kernel_size
+        ranked = explore_general(k, arch, problem,
+                                 palette(k, matched_vector(arch).n))
+    else:
+        if name == "depthwise":
+            problem = DepthwiseKernel.group_problem(problem)
+        ranked = explore_special(arch, problem)
+    if not ranked:
+        raise ConfigurationError("no valid %s-case configuration" % name)
+    return ranked[0].config
+
+
 def _two_pass_plan(dispatcher, problem):
     """The plan build before admission returned configurations: a
     ``supports`` pass over the portfolio, then ``configure`` again for
@@ -187,9 +216,8 @@ def _two_pass_plan(dispatcher, problem):
     best, candidates = None, {}
     for backend in admitted:
         try:
-            # A tuned backend's configuration from its full ranking.
-            config = (backend.tune(problem, arch).config
-                      if hasattr(backend, "tune")
+            config = (_exhaustive_config(backend.name, problem, arch)
+                      if backend.name in TUNED
                       else backend.configure(problem, arch)[0])
             kernel = backend.build(problem, arch, config)
             breakdown = kernel.predict(problem)
@@ -215,8 +243,8 @@ class TestOnePassAdmission:
     @staticmethod
     def _palette_size(name, problem, arch):
         if name == "general":
-            return len(_general_palette(problem.kernel_size,
-                                        matched_vector(arch).n))
+            return len(palette(problem.kernel_size,
+                               matched_vector(arch).n))
         return len(enumerate_special_configs())
 
     @pytest.mark.parametrize("problem", [SPECIAL, GENERAL, DEPTHWISE],

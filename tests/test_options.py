@@ -19,6 +19,7 @@ from repro.baselines.gemm import TiledGemmKernel
 from repro.baselines.implicit_gemm import ImplicitGemmKernel
 from repro.bench.roofline import roofline_point, roofline_report
 from repro.conv.batching import BatchedKernel
+from repro.core.depthwise import DepthwiseKernel
 from repro.core.dse import explore_general, explore_special
 from repro.errors import ReproError
 from repro.fleet import (
@@ -68,6 +69,8 @@ SIGNATURES = [
     (Histogram, ["name", "help", "labelnames", "buckets"]),
     (Registry.histogram, ["name", "help", "labelnames", "buckets"]),
     (ImplicitGemmKernel, ["arch", "tiling", "bank_policy"]),
+    (DepthwiseKernel, ["arch", "config", "bank_policy"]),
+    (JacobiStencil, ["arch", "points", "matched"]),
     (explore_special, ["arch", "problem", "limit"]),
     (explore_general, ["kernel_size", "arch", "problem", "configs",
                        "limit"]),
