@@ -21,6 +21,7 @@ from repro.conv.gradients import (
     weight_gradient_problem,
 )
 from repro.core.config import SpecialCaseConfig
+from repro.core.dse import best_config
 from repro.core.special import SpecialCaseKernel
 from repro.gpu.simt import Dim3
 from repro.gpu.timing import TimingModel
@@ -56,10 +57,13 @@ def main():
              problem.filters, problem.kernel_size))
     numerically_verify(img, flt, g)
 
-    general = GeneralCaseKernel(auto_config=True)
+    def predict_general(p):
+        """The general kernel at ``p``'s own winning tile configuration."""
+        config = best_config(p, case="general").config
+        return GeneralCaseKernel(config=config).predict(p).total * 1e3
 
-    t_fwd = general.predict(problem).total * 1e3
-    t_dgrad = general.predict(input_gradient_problem(problem)).total * 1e3
+    t_fwd = predict_general(problem)
+    t_dgrad = predict_general(input_gradient_problem(problem))
 
     wg_problem = weight_gradient_problem(problem)
     wg_kernel = SpecialCaseKernel(config=SpecialCaseConfig(block_w=64, block_h=4))

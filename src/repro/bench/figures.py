@@ -32,6 +32,7 @@ from repro.core.bankwidth import (
     matched_pattern,
     smem_bandwidth_gain,
 )
+from repro.core.dse import best_config
 from repro.core.general import GeneralCaseKernel
 from repro.core.special import SpecialCaseKernel
 from repro.gpu.arch import KEPLER_K40M, PASCAL_P100, GPUArchitecture
@@ -478,17 +479,24 @@ def ablation_adaptive_config(arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
     )
     registry = default_registry()
     fixed = registry.get("general").build(None, arch)
-    adaptive = registry.get("general").build(None, arch, auto_config=True)
     cudnn = registry.get("implicit-gemm").build(None, arch)
     for n, c, f, k in ((32, 128, 128, 3), (32, 256, 256, 7),
                        (64, 128, 128, 5), (128, 128, 128, 3)):
         p = ConvProblem.square(n, k, channels=c, filters=f)
         exp.add("N=%d,K=%d,C=%d,F=%d" % (n, k, c, f), {
             "fixed": fixed.gflops(p),
-            "adaptive": adaptive.gflops(p),
+            "adaptive": _adaptive_general(p, arch).gflops(p),
             "cuDNN": cudnn.gflops(p),
         })
     return exp
+
+
+def _adaptive_general(problem: ConvProblem,
+                      arch: GPUArchitecture) -> GeneralCaseKernel:
+    """The general-case kernel at ``problem``'s own winning palette
+    configuration (:func:`~repro.core.dse.best_config`)."""
+    config = best_config(problem, arch, case="general").config
+    return GeneralCaseKernel(arch, config=config)
 
 
 def extension_stencil(arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
@@ -536,7 +544,6 @@ def extension_training(arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
             "gradient maps fit constant memory)"
         ),
     )
-    general = GeneralCaseKernel(arch, auto_config=True)
     # The wgrad-as-special-case mapping needs the gradient map to fit
     # constant memory AND the K x (K+n-1) register window to fit the
     # ISA limit — i.e. OH <= ~14: the deepest CNN layers.
@@ -546,8 +553,9 @@ def extension_training(arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
         ("late 12x12x128", ConvProblem.square(12, 3, channels=128, filters=16)),
     ]
     for label, p in layers:
-        fwd = general.predict(p).total * 1e3
-        dgrad = general.predict(input_gradient_problem(p)).total * 1e3
+        fwd = _adaptive_general(p, arch).predict(p).total * 1e3
+        dp = input_gradient_problem(p)
+        dgrad = _adaptive_general(dp, arch).predict(dp).total * 1e3
         # All C per-channel convolutions batch into one launch (the
         # z grid dimension), exactly as a real wgrad kernel would.
         wg_problem = weight_gradient_problem(p, arch.const_memory_size)

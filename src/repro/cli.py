@@ -242,16 +242,28 @@ def _cmd_run(args) -> int:
         print("unknown experiment %r; try: python -m repro list"
               % args.experiment, file=sys.stderr)
         return 2
+    skipped = 0
     for exp_id in ids:
-        with obs.instrument("experiment." + exp_id, category="experiment"):
-            exp = _build(exp_id, args.arch)
+        # An experiment whose kernels cannot run on the preset (a launch
+        # over its register limit, no valid configuration) is skipped
+        # with one line; the rest still run.
+        try:
+            with obs.instrument("experiment." + exp_id,
+                                category="experiment"):
+                exp = _build(exp_id, args.arch)
+        except ReproError as exc:
+            print("skipped %s on %s: %s: %s"
+                  % (exp_id, args.arch, type(exc).__name__, exc),
+                  file=sys.stderr)
+            skipped += 1
+            continue
         print(format_experiment(exp, precision=args.precision))
         print()
     if args.emit_trace:
         obs.write_chrome_trace(args.emit_trace, obs.get_tracer(),
                                registry=obs.get_registry())
         print("trace written to %s" % args.emit_trace, file=sys.stderr)
-    return 0
+    return 2 if skipped else 0
 
 
 def _summary_entries():

@@ -13,10 +13,10 @@ passes ``limit=`` (``math.inf`` for no time limit) and gets a
 branch-and-bound search over the kernels' floors instead
 (docs/SIMULATOR.md, "Floors and the bounded search"), which answers the
 winner with the breakdown and cost that priced it.  It is the one way a
-winner is picked: the serving dispatcher, :func:`best_config` and
-``reproduce_table1``, the general kernel's ``auto_config`` and the
-implicit-GEMM baseline's tile choice all run it; the full ranking stays
-for callers whose output is the ranking.
+winner is picked: the serving dispatcher, :func:`best_config` (and
+through it ``reproduce_table1`` and the adaptive-tile experiments) and
+the implicit-GEMM baseline's tile choice all run it; the full ranking
+stays for callers whose output is the ranking.
 """
 
 from __future__ import annotations

@@ -37,11 +37,11 @@ from repro.conv.reference import conv2d_taps
 from repro.conv.tensors import ConvProblem, Padding
 from repro.core.bankwidth import DataType, mismatch_factor
 from repro.core.config import TABLE1_CONFIGS, GeneralCaseConfig
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.timing import Priced, TimingModel
+from repro.gpu.timing import Priced
 from repro.gpu.trace import (
     KernelCost,
     KernelTracer,
@@ -85,10 +85,10 @@ def palette(kernel_size: int, n: int) -> List[GeneralCaseConfig]:
     """The shipped general-case configurations, in search order: the
     Table 1 entry for this filter size (or the conservative fallback),
     every other Table 1 configuration, then :data:`SMALL_IMAGE_CONFIGS`,
-    each once.  Serving's search, ``auto_config`` and ``best_config``
-    all pick from it.  The Table 1 and small-image configurations are
-    distinct, so only the first entry can repeat one of them: one
-    comparison each, not a scan."""
+    each once.  Serving's search and ``best_config`` pick from it.  The
+    Table 1 and small-image configurations are distinct, so only the
+    first entry can repeat one of them: one comparison each, not a
+    scan."""
     shipped = tuple(TABLE1_CONFIGS.values()) + SMALL_IMAGE_CONFIGS
     try:
         first = default_config_for(kernel_size, n)
@@ -107,20 +107,18 @@ class GeneralCaseKernel(Priced):
         matched: bool = True,
         bank_policy: BankConflictPolicy = BankConflictPolicy.WORD_MERGE,
         dtype: DataType = DataType.FLOAT,
-        auto_config: bool = False,
     ):
         # ``dtype`` parameterizes the cost model only (paper Sec. 6:
         # short data types raise the mismatch factor); functional
-        # execution stays in float32.  ``auto_config`` extends the
-        # paper's per-filter-size Table 1 with per-problem selection
-        # from a small palette — the natural fix for its 32x32 caveat.
+        # execution stays in float32.  Per-problem selection from the
+        # shipped palette, the fix for the paper's 32x32 caveat, is
+        # ``best_config(problem, arch, case="general").config``.
         self.arch = arch
         self._config = config
         self.matched = matched
         self.bank_policy = bank_policy
         self.dtype = dtype
         self.elem_bytes = dtype.width
-        self.auto_config = auto_config
         # The matched vector's width (``matched_vector(...).n``), without
         # building the VectorSpec: a search builds a kernel per candidate.
         self.n = mismatch_factor(arch, dtype.width) if matched else 1
@@ -128,57 +126,11 @@ class GeneralCaseKernel(Priced):
 
     # ------------------------------------------------------------------
     def config_for(self, problem: ConvProblem) -> GeneralCaseConfig:
-        if self._config is not None:
-            cfg = self._config
-        elif self.auto_config:
-            cfg = self.select_config(problem)
-        else:
+        cfg = self._config
+        if cfg is None:
             cfg = default_config_for(problem.kernel_size, self.n)
         cfg.validate(problem.kernel_size, self.n, self.arch.warp_size)
         return cfg
-
-    def select_config(self, problem: ConvProblem) -> GeneralCaseConfig:
-        """Pick the best-predicted :func:`palette` configuration for this
-        problem: the design-space explorer's bounded search
-        (:mod:`repro.core.dse`) over trial kernels like this one, the
-        same search a serving plan build runs."""
-        from repro.core.dse import _rank
-
-        try:
-            winner = _rank(palette(problem.as_valid().kernel_size, self.n),
-                           self._trial, problem, self.arch, "general",
-                           math.inf)
-        except ConfigurationError:
-            raise self._no_palette_config(problem) from None
-        return winner.ranked.config
-
-    def _check_palette(self, problem: ConvProblem) -> None:
-        """What :meth:`select_config` decides about validity, without the
-        search: return once some palette configuration's floor
-        evaluates (a floor raises what its price raises), else raise
-        what it raises.  :meth:`run` needs no more, since its output
-        does not depend on the configuration."""
-        model = TimingModel(self.arch)
-        for cfg in palette(problem.as_valid().kernel_size, self.n):
-            try:
-                model.evaluate(self._trial(self.arch, cfg).floor(problem))
-            except ReproError:
-                continue
-            return
-        raise self._no_palette_config(problem)
-
-    def _trial(self, arch: GPUArchitecture,
-               config: GeneralCaseConfig) -> "GeneralCaseKernel":
-        """A kernel like this one at ``config``."""
-        return GeneralCaseKernel(
-            arch=arch, config=config, matched=self.matched,
-            bank_policy=self.bank_policy, dtype=self.dtype,
-        )
-
-    def _no_palette_config(self, problem: ConvProblem) -> ConfigurationError:
-        return ConfigurationError(
-            "no palette configuration is valid for K=%d, n=%d"
-            % (problem.as_valid().kernel_size, self.n))
 
     def _check_problem(self, problem: ConvProblem) -> ConvProblem:
         if problem.groups != 1:
@@ -221,9 +173,7 @@ class GeneralCaseKernel(Priced):
         problem: Optional[ConvProblem] = None,
     ) -> np.ndarray:
         """Check the problem and configuration, then return Algorithm
-        2's exact ``(F, OH, OW)`` output (:func:`conv2d_taps`).  With
-        ``auto_config`` the check is only that some palette
-        configuration is valid: the output is the same whichever wins.
+        2's exact ``(F, OH, OW)`` output (:func:`conv2d_taps`).
 
         Without ``problem`` the arrays state it through
         :meth:`ConvProblem.from_arrays`; a full problem brings stride
@@ -232,11 +182,7 @@ class GeneralCaseKernel(Priced):
         """
         if problem is None:
             problem = ConvProblem.from_arrays(image, filters, padding)
-        valid = self._check_problem(problem)
-        if self._config is None and self.auto_config:
-            self._check_palette(valid)
-        else:
-            self.config_for(valid)
+        self.config_for(self._check_problem(problem))
         return conv2d_taps(problem, image, filters)
 
     # ------------------------------------------------------------------

@@ -56,9 +56,6 @@ class _TunedBackend(ConvBackend):
     from the design-space explorer, so feasibility *is* the existence of
     a valid configuration under the architecture's budgets."""
 
-    #: DSE case label ("special" / "general") — equals the backend name.
-    case: str = ""
-
     def _explore(self, problem, arch, limit, full=False):
         """The backend's one search: the bounded winner search
         (:func:`repro.core.dse._rank`) under ``limit`` seconds, which
@@ -91,10 +88,8 @@ class _TunedBackend(ConvBackend):
         # The explorer already enforces the smem/register/thread budgets
         # per candidate, so feasibility is "the search is non-empty" and
         # the one search that decides it also yields the configuration.
-        if not self._gates_ok(problem, arch):
-            return False, None, None
-        config, breakdown = self._configured(problem, arch, limit)
-        return config is not None, config, breakdown
+        ok, config, breakdown = super().admit(problem, arch, limit)
+        return ok and config is not None, config, breakdown
 
 
 class SpecialBackend(_TunedBackend):
@@ -102,7 +97,6 @@ class SpecialBackend(_TunedBackend):
     filters broadcast from constant memory."""
 
     name = "special"
-    case = "special"
     AXES = {
         "stride": True,
         "dilation": True,
@@ -134,7 +128,6 @@ class GeneralBackend(_TunedBackend):
     register-tiled with contiguous-row output pixels."""
 
     name = "general"
-    case = "general"
     AXES = {
         "stride": True,
         "dilation": True,
@@ -166,7 +159,6 @@ class DepthwiseBackend(_TunedBackend):
     :class:`~repro.core.depthwise.DepthwiseKernel`)."""
 
     name = "depthwise"
-    case = "depthwise"
     AXES = {
         "stride": True,
         "dilation": True,

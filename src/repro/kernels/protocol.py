@@ -32,7 +32,8 @@ other backend over them raises when it is priced.
 configuration search (the paper kernels) searches once per admission,
 and a search that priced its winner hands that price back.  Under a
 time limit, a backend that can prove it takes longer (by its search or
-by its kernel's compute-only floor) is left out unpriced.
+by its kernel's compute-only floor) answers :data:`BOUNDED` and is left
+out unpriced.
 
 Since the problem model grew stride / dilation / groups / layout axes,
 every backend also declares which of those generalized axes it serves
@@ -51,7 +52,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.conv.tensors import ConvProblem, Padding
-from repro.errors import ReproError, SearchBounded
+from repro.errors import ReproError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.timing import TimingBreakdown, TimingModel, below_every_price
 
@@ -59,8 +60,8 @@ __all__ = ["ConvBackend", "BOUNDED"]
 
 #: The configuration :meth:`ConvBackend.configure` answers when it
 #: proved that the backend takes longer than the limit (its search, or
-#: its kernel's floor); :meth:`ConvBackend.admit` raises
-#: :class:`~repro.errors.SearchBounded` for it.
+#: its kernel's floor); :meth:`ConvBackend.admit` answers ``(False,
+#: BOUNDED, None)`` for it.
 BOUNDED = "bounded"
 
 
@@ -121,32 +122,18 @@ class ConvBackend(ABC):
 
         ``limit`` is the time (seconds) a backend must come in at or
         under to matter to the caller.  ``configure`` bounds its work
-        with it, and a backend it proves slower raises
-        :class:`~repro.errors.SearchBounded`, as every backend does,
-        unconfigured, under a limit at or below zero; a NaN limit raises
-        :class:`~repro.errors.ConfigurationError`.
+        with it, and a backend it proves slower answers ``(False,
+        BOUNDED, None)``, as every backend does, unconfigured, under a
+        limit at or below zero
+        (:func:`~repro.gpu.timing.below_every_price`); a NaN limit
+        raises :class:`~repro.errors.ConfigurationError`.
         """
         if not self._gates_ok(problem, arch):
             return False, None, None
-        return (True,) + self._configured(problem, arch, limit)
-
-    def _configured(self, problem: ConvProblem, arch: GPUArchitecture,
-                    limit: float) -> Tuple[Optional[object],
-                                           Optional[TimingBreakdown]]:
-        """:meth:`configure`'s answer, or
-        :class:`~repro.errors.SearchBounded` when it is :data:`BOUNDED`
-        or, without asking, when ``limit`` lies below every price
-        (:func:`~repro.gpu.timing.below_every_price`, which raises
-        :class:`~repro.errors.ConfigurationError` for a NaN limit)."""
         if below_every_price(limit):
-            config, breakdown = BOUNDED, None
-        else:
-            config, breakdown = self.configure(problem, arch, limit)
-        if config is BOUNDED:
-            raise SearchBounded(
-                "the %s backend takes longer than %r s for %r on %s"
-                % (self.name, limit, problem, arch.name))
-        return config, breakdown
+            return False, BOUNDED, None
+        config, breakdown = self.configure(problem, arch, limit)
+        return config is not BOUNDED, config, breakdown
 
     def _gates_ok(self, problem: ConvProblem, arch: GPUArchitecture) -> bool:
         """The cheap gates: a valid problem inside :attr:`AXES` that

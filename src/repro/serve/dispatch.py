@@ -4,9 +4,10 @@ For each distinct problem shape the dispatcher builds a
 :class:`KernelPlan`.  It prices the naive fallback first, then walks the
 portfolio in routing order through the kernel-backend registry's
 admission step (``registry.admit_one``), whose ``configure`` autotunes
-each backend.  Each admission is bounded by the lowest price found so
-far: a backend whose search, or whose kernel's compute-only floor,
-proves it takes longer could not win, so it is left out unpriced and
+each backend, and branches on the one outcome it answers.  Each
+admission is bounded by the lowest price found so far: a backend whose
+search, or whose kernel's compute-only floor, proves it takes longer
+could not win, so it is left out unpriced (outcome ``bounded``) and
 listed in :attr:`KernelPlan.bounded`.  The dispatcher builds every
 admitted candidate from its configuration, prices it (a search hands
 back its winner's breakdown; the others are predicted with the traced
@@ -24,8 +25,9 @@ reference; the plan only prices the batch.
 
 Degradation is graceful at plan time: a backend whose ``configure``,
 ``build`` or ``predict`` raises is skipped and counted in
-``dispatch_backend_rejections_total`` by backend and stage, and the
-naive-direct backend always plans.
+``dispatch_backend_rejections_total`` by backend and stage.  The
+naive-direct backend is in every portfolio, and a build in which no
+backend plans degrades to it (``source="degraded"``).
 
 Transient build failures get a distinct treatment: a plan build
 that raises :class:`~repro.errors.TransientBackendError` — a modeled
@@ -47,7 +49,7 @@ import numpy as np
 
 from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem
-from repro.errors import ReproError, SearchBounded, TransientBackendError
+from repro.errors import ReproError, TransientBackendError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.timing import TimingBreakdown
 from repro.kernels import BackendRegistry, default_registry
@@ -154,9 +156,10 @@ class Dispatcher:
             "or predict raised, by backend and stage",
             labelnames=("backend", "stage"))
         self.chaos = chaos       # optional FaultInjector (build-fail hook)
-        # The naive backend is the degradation target; it is always on
-        # (the registry's ``available`` re-appends it when filtered out).
-        self.backends = tuple(backends)
+        # Each name is walked once, at its first place in the routing
+        # order.  The naive backend is the degradation target; it is
+        # always on.
+        self.backends = tuple(dict.fromkeys(backends))
         if self.kernels.fallback not in self.backends:
             self.backends += (self.kernels.fallback,)
         self._naive = self.kernels.get(self.kernels.fallback).build(None, arch)
@@ -187,38 +190,29 @@ class Dispatcher:
         """Yield a ``(name, kernel, config, breakdown)`` for every
         backend that can still win, in routing order.
 
-        The walk: each backend passes the registry's admission step
-        (its counters, rejection reporting and fallback) under the
-        lowest price so far, naive's ``fallback`` first.  A backend
-        proved to take longer is appended to ``bounded``.  An admitted
-        backend is built from the configuration its ``admit`` found and
-        priced by the breakdown that search handed back, or else by its
-        ``predict``; naive's price is ``fallback``.  No per-backend
-        branches live here.
+        The walk: each backend passes the registry's admission step (its
+        counters) under the lowest price so far, naive's ``fallback``
+        first, and the walk branches on the outcome.  A ``bounded``
+        backend, proved to take longer, is appended to ``bounded``; an
+        ``error`` is counted as a ``configure`` rejection; a ``filtered``
+        one is skipped.  An admitted backend is built from the
+        configuration its ``admit`` found and priced by the breakdown
+        that search handed back, or else by its ``predict``; naive's
+        price is ``fallback``.  No per-backend branches live here.
         """
         limit = math.inf if fallback is None else fallback.total
-
-        def left_out(name, err):
-            if isinstance(err, SearchBounded):
-                bounded.append(name)
-            else:
-                self._rejections.inc(backend=name, stage="configure")
-
-        admitted = []
         for name in self.backends:
-            entry = self.kernels.admit_one(name, problem, self.arch, limit,
-                                           left_out)
-            if entry is None:
-                continue
-            admitted.append(entry)
-            candidate = self._priced(problem, fallback, *entry)
-            if candidate is not None:
-                limit = min(limit, candidate[3].total)
-                yield candidate
-        for entry in self.kernels.fallback_for(admitted):
-            candidate = self._priced(problem, fallback, *entry)
-            if candidate is not None:
-                yield candidate
+            outcome, entry = self.kernels.admit_one(name, problem, self.arch,
+                                                    limit)
+            if outcome == "bounded":
+                bounded.append(name)
+            elif outcome == "error":
+                self._rejections.inc(backend=name, stage="configure")
+            elif outcome == "admitted":
+                candidate = self._priced(problem, fallback, *entry)
+                if candidate is not None:
+                    limit = min(limit, candidate[3].total)
+                    yield candidate
 
     def _priced(self, problem, fallback, backend, config, breakdown):
         """``(name, kernel, config, breakdown)`` for one admitted

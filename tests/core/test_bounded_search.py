@@ -97,9 +97,8 @@ TINY_OUTPUT_SHAPES = [
 
 TABLE1_PROBLEMS = [default_general_problem(k) for k in (3, 5, 7)]
 
-#: The kernel variants the ablations build, which ``auto_config``
-#: searches with: unmatched vectors, the short data types and the
-#: paper's bank policy.
+#: The kernel variants the ablations build: unmatched vectors, the
+#: short data types and the paper's bank policy.
 VARIANTS = {
     "unmatched": {"matched": False},
     "half": {"dtype": DataType.HALF},
@@ -543,13 +542,12 @@ class TestLimitValues:
         for name in kernels.names():
             problem = {"special": self.SINGLE,
                        "depthwise": self.DEPTHWISE}.get(name, self.PLAIN)
-            errors = []
-            entry = kernels.admit_one(name, problem, KEPLER_K40M, limit,
-                                      lambda n, err: errors.append(err))
+            answered, entry = kernels.admit_one(name, problem, KEPLER_K40M,
+                                                limit)
+            assert answered == outcome, name
             assert registry.get("kernel_backend_candidates_total").value(
                 backend=name, outcome=outcome) == 1, name
             assert (entry is not None) == (outcome == "admitted"), name
             if outcome == "error":
-                (err,) = errors
-                assert isinstance(err, ConfigurationError), name
-                assert "NaN" in str(err)
+                with pytest.raises(ConfigurationError, match="NaN"):
+                    kernels.get(name).admit(problem, KEPLER_K40M, limit)

@@ -1,5 +1,5 @@
-"""Tests for the Sec. 6 extensions: short-data-type kernels and the
-adaptive configuration selector."""
+"""Tests for the Sec. 6 extensions: short-data-type kernels and
+per-problem (adaptive) configuration selection by ``best_config``."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,11 @@ from repro.conv.reference import conv2d_single_channel
 from repro.conv.tensors import ConvProblem
 from repro.core.bankwidth import DataType
 from repro.core.config import TABLE1_CONFIGS
+from repro.core.dse import best_config
 from repro.core.general import SMALL_IMAGE_CONFIGS, GeneralCaseKernel, palette
 from repro.core.special import SpecialCaseKernel
 from repro.errors import ConfigurationError, ReproError
 from repro.gpu.arch import ARCHITECTURES, FERMI_M2090, KEPLER_K40M, MAXWELL_GM204
-from repro.gpu.memory.banks import BankConflictPolicy
 from repro.kernels import default_registry
 from repro.serve.trace import SHAPE_FAMILIES
 
@@ -87,56 +87,51 @@ ABLATION_ROWS = ((32, 128, 128, 3), (32, 256, 256, 7), (64, 128, 128, 5),
                  (128, 128, 128, 3))
 
 
+def adaptive(problem, arch=KEPLER_K40M):
+    """The general kernel at ``problem``'s own ``best_config`` pick."""
+    return GeneralCaseKernel(
+        arch, config=best_config(problem, arch, case="general").config)
+
+
 class TestAdaptiveConfig:
-    def test_fixed_table1_for_large_images(self):
-        kern = GeneralCaseKernel(auto_config=True)
+    def test_table1_for_large_images(self):
         p = ConvProblem.square(224, 3, channels=64, filters=128)
-        # On big images a wide tile should win — Table 1 or similar width.
-        assert kern.select_config(p).w >= 16
+        assert best_config(p, case="general").config == TABLE1_CONFIGS[3]
 
     def test_narrow_config_chosen_for_tiny_images(self):
-        kern = GeneralCaseKernel(auto_config=True)
         p = ConvProblem.square(32, 7, channels=256, filters=256)
-        cfg = kern.select_config(p)
+        cfg = best_config(p, case="general").config
         assert cfg.w < TABLE1_CONFIGS[7].w
 
     def test_adaptive_never_worse_than_fixed(self):
         fixed = GeneralCaseKernel()
-        adaptive = GeneralCaseKernel(auto_config=True)
         for n, c, f, k in ((32, 128, 128, 3), (32, 256, 256, 7),
                            (64, 128, 128, 5), (128, 64, 128, 3)):
             p = ConvProblem.square(n, k, channels=c, filters=f)
-            assert adaptive.gflops(p) >= 0.999 * fixed.gflops(p)
+            assert adaptive(p).gflops(p) >= 0.999 * fixed.gflops(p)
 
     def test_adaptive_fixes_small_image_losses(self):
         """The paper's 32x32 caveat disappears with per-problem tiles:
         on every ablation row the adaptive kernel is at least as fast as
         cuDNN."""
         cudnn = ImplicitGemmKernel()
-        adaptive = GeneralCaseKernel(auto_config=True)
         for n, c, f, k in ABLATION_ROWS:
             p = ConvProblem.square(n, k, channels=c, filters=f)
-            assert adaptive.gflops(p) >= cudnn.gflops(p), p.describe()
+            assert adaptive(p).gflops(p) >= cudnn.gflops(p), p.describe()
 
     def test_adaptive_functional_still_correct(self, rng):
         img = rng.standard_normal((3, 20, 20)).astype(np.float32)
         flt = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
         from repro.conv.reference import conv2d_reference
 
-        kern = GeneralCaseKernel(auto_config=True)
-        np.testing.assert_allclose(kern.run(img, flt),
+        p = ConvProblem.from_arrays(img, flt)
+        np.testing.assert_allclose(adaptive(p).run(img, flt),
                                    conv2d_reference(img, flt),
                                    rtol=1e-3, atol=1e-3)
 
     def test_palette_configs_all_valid(self):
         for cfg in SMALL_IMAGE_CONFIGS:
             cfg.validate(3, 2, KEPLER_K40M.warp_size)
-
-    def test_explicit_config_overrides_auto(self):
-        cfg = SMALL_IMAGE_CONFIGS[0]
-        kern = GeneralCaseKernel(config=cfg, auto_config=True)
-        p = ConvProblem.square(224, 3, channels=64, filters=128)
-        assert kern.config_for(p) == cfg
 
 
 #: Ungrouped multi-channel shapes: the ablation rows, the mixed serving
@@ -149,27 +144,15 @@ PICK_SHAPES = (
     + [ConvProblem.square(24 + 4 * k, k, channels=6, filters=12, **axes)
        for k in range(1, 8) for axes in ({}, {"stride": 2})])
 
-#: The kernel variants the ablations build: unmatched vectors, the short
-#: data types and the paper's bank policy.
-VARIANTS = {
-    "unmatched": {"matched": False},
-    "half": {"dtype": DataType.HALF},
-    "char": {"dtype": DataType.CHAR},
-    "paper": {"bank_policy": BankConflictPolicy.PAPER},
-}
 
-
-def exhaustive_pick(kernel, problem):
+def exhaustive_pick(arch, problem):
     """The palette configuration an exhaustive loop picks: every one
-    priced by a kernel like ``kernel`` at it, the highest GFlop/s
-    winning and the earliest on a tie; None when none prices."""
+    priced by the general kernel at it, the highest GFlop/s winning and
+    the earliest on a tie; None when none prices."""
     best = None
-    for cfg in palette(problem.kernel_size, kernel.n):
-        trial = GeneralCaseKernel(
-            arch=kernel.arch, config=cfg, matched=kernel.matched,
-            bank_policy=kernel.bank_policy, dtype=kernel.dtype)
+    for cfg in palette(problem.kernel_size, GeneralCaseKernel(arch).n):
         try:
-            gflops = trial.gflops(problem)
+            gflops = GeneralCaseKernel(arch=arch, config=cfg).gflops(problem)
         except ReproError:
             continue
         if best is None or gflops > best[0]:
@@ -177,43 +160,27 @@ def exhaustive_pick(kernel, problem):
     return None if best is None else best[1]
 
 
-class TestAutoConfigPick:
-    """``auto_config`` picks with the bounded search serving runs, over
-    the same palette, with trial kernels that keep its own vector
-    matching, bank policy and data type."""
+class TestBestConfigPick:
+    """``best_config`` picks with the bounded search serving runs, over
+    the same palette, and answers the exhaustive argmin."""
 
-    @staticmethod
-    def _assert_picks(kernel, want):
-        """``kernel`` picks ``want(problem)`` for every pick shape, and
-        raises where it is None."""
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
+                             ids=list(ARCHITECTURES))
+    def test_picks_the_exhaustive_argmin_and_what_serving_picks(self, arch):
+        backend = default_registry().get("general")
         picked = 0
         for problem in PICK_SHAPES:
-            expected = want(problem)
+            expected = exhaustive_pick(arch, problem)
             if expected is None:
                 with pytest.raises(ConfigurationError,
-                                   match="no palette configuration is valid"):
-                    kernel.select_config(problem)
+                                   match="no valid general-case"):
+                    best_config(problem, arch, case="general")
                 continue
-            assert kernel.select_config(problem) == expected, \
+            assert best_config(problem, arch, case="general").config \
+                == expected == backend.configure(problem, arch)[0], \
                 problem.describe()
             picked += 1
         # Fermi's 63 registers per thread fit a palette configuration
         # only at K=1.
-        fits = 1 if kernel.arch is FERMI_M2090 else len(PICK_SHAPES)
+        fits = 1 if arch is FERMI_M2090 else len(PICK_SHAPES)
         assert picked == fits
-
-    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
-                             ids=list(ARCHITECTURES))
-    def test_default_kernel_picks_what_serving_picks(self, arch):
-        backend = default_registry().get("general")
-        self._assert_picks(GeneralCaseKernel(arch=arch, auto_config=True),
-                           lambda problem: backend.configure(problem, arch)[0])
-
-    @pytest.mark.parametrize("variant", list(VARIANTS))
-    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
-                             ids=list(ARCHITECTURES))
-    def test_variants_pick_the_exhaustive_argmin(self, arch, variant):
-        kernel = GeneralCaseKernel(arch=arch, auto_config=True,
-                                   **VARIANTS[variant])
-        self._assert_picks(kernel,
-                           lambda problem: exhaustive_pick(kernel, problem))

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.conv.reference import conv2d_reference, conv2d_taps
+from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem, Padding
 from repro.core.config import TABLE1_CONFIGS, GeneralCaseConfig
 from repro.core.general import GeneralCaseKernel, default_config_for
-from repro.errors import ReproError, ShapeError
+from repro.errors import ShapeError
 from repro.gpu.arch import ARCHITECTURES, FERMI_M2090, KEPLER_K40M
 
 # A small configuration (64 threads = 2 warps) so functional tests cross
@@ -63,6 +63,33 @@ class TestFunctionalCorrectness:
             rtol=1e-3, atol=1e-3,
         )
 
+    #: Plain, strided and dilated shapes for every odd filter size.
+    PRICELESS_SHAPES = [
+        ConvProblem.square(h, k, channels=3, filters=8, **axes)
+        for h in (12, 36) for k in (1, 3, 5, 7)
+        for axes in ({}, {"stride": 2}, {"dilation": 3})
+        if axes.get("dilation", 1) * (k - 1) < h]
+
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
+                             ids=list(ARCHITECTURES))
+    def test_run_prices_nothing(self, arch, rng, monkeypatch):
+        # The output does not depend on the configuration, so ``run``
+        # only checks it, on every preset.
+        def priced(*args, **kwargs):
+            raise AssertionError("run priced a configuration")
+
+        monkeypatch.setattr(GeneralCaseKernel, "cost", priced)
+        monkeypatch.setattr(GeneralCaseKernel, "floor", priced)
+        kernel = GeneralCaseKernel(arch)
+        for problem in self.PRICELESS_SHAPES:
+            img = rng.standard_normal(problem.image_shape).astype(np.float32)
+            flt = rng.standard_normal(problem.filter_shape).astype(
+                np.float32)
+            np.testing.assert_allclose(
+                kernel.run(img, flt, problem=problem),
+                conv2d_reference(img, flt, problem=problem),
+                rtol=1e-3, atol=1e-3, err_msg=problem.describe())
+
     def test_channel_mismatch_rejected(self, rng):
         kern = GeneralCaseKernel(config=SMALL)
         with pytest.raises(ShapeError):
@@ -94,62 +121,6 @@ class TestConfigSelection:
     def test_vector_width_by_architecture(self):
         assert GeneralCaseKernel(KEPLER_K40M).n == 2
         assert GeneralCaseKernel(FERMI_M2090).n == 1
-
-
-def _run_outcome(fn):
-    """``fn()``'s output, or the type and message of the error it raised."""
-    try:
-        return fn()
-    except ReproError as exc:
-        return (type(exc), str(exc))
-
-
-class TestAutoConfigRun:
-    """``run(auto_config=True)`` only checks that some palette
-    configuration is valid: the output does not depend on which one
-    ``select_config`` would rank first, so it prices no ``cost``."""
-
-    SHAPES = [ConvProblem.square(h, k, channels=3, filters=8, **axes)
-              for h in (12, 36) for k in (1, 3, 5, 7)
-              for axes in ({}, {"stride": 2}, {"dilation": 3})
-              if axes.get("dilation", 1) * (k - 1) < h]
-
-    @staticmethod
-    def _ranked_run(kernel, problem, image, filters):
-        """``run`` as it was: the configuration ranked, then the taps."""
-        kernel.config_for(kernel._check_problem(problem))
-        return conv2d_taps(problem, image, filters)
-
-    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
-                             ids=list(ARCHITECTURES))
-    def test_same_outcome_without_pricing(self, arch, rng, monkeypatch):
-        kernel = GeneralCaseKernel(arch=arch, auto_config=True)
-        cases = []
-        for problem in self.SHAPES:
-            image = rng.standard_normal(problem.image_shape).astype(
-                np.float32)
-            filters = rng.standard_normal(problem.filter_shape).astype(
-                np.float32)
-            cases.append((problem, image, filters, _run_outcome(
-                lambda: self._ranked_run(kernel, problem, image, filters))))
-
-        def priced(*args, **kwargs):
-            raise AssertionError("run priced a configuration")
-
-        monkeypatch.setattr(GeneralCaseKernel, "cost", priced)
-        errors = set()
-        for problem, image, filters, want in cases:
-            got = _run_outcome(lambda: kernel.run(image, filters,
-                                                  problem=problem))
-            if isinstance(want, tuple):
-                assert got == want, problem.describe()
-                errors.add(want[1])
-            else:
-                np.testing.assert_array_equal(got, want)
-        assert len(errors) < len(cases)
-        if arch is FERMI_M2090:
-            # No palette configuration fits Fermi's 63 registers at K=3.
-            assert "no palette configuration is valid for K=3, n=1" in errors
 
 
 class TestLaunch:

@@ -207,6 +207,14 @@ class TestSharedCacheTier:
         tokens = {token for token, _ in shared._entries}
         assert len(tokens) == 2
 
+    def test_repeated_backend_names_are_planned_once(self):
+        from repro.fleet import cache_version_token
+
+        engine = fleet(replicas=2, backends=("general", "general"))
+        assert engine._planner.backends == ("general", "naive")
+        assert engine._cache_token == cache_version_token(
+            engine.config.arch, ("general", "naive"))
+
 
 class TestTelemetry:
     def test_per_replica_virtual_tracks_in_export(self, tmp_path):

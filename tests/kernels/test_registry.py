@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.conv.tensors import ConvProblem
-from repro.errors import BackendError, ReproError, SearchBounded
+from repro.errors import BackendError, ConfigurationError, ReproError
 from repro.gpu.arch import KEPLER_K40M, PASCAL_P100
 from repro.kernels import (
     BOUNDED,
@@ -74,57 +74,44 @@ class TestLookup:
             registry.get("nope")
 
 
-class TestAvailable:
+def admitted_names(registry, problem, arch=KEPLER_K40M):
+    """The backends whose ``admit`` accepts ``problem``, in registration
+    order."""
+    return [b.name for b in registry if b.admit(problem, arch)[0]]
+
+
+class TestAdmission:
     def test_multi_channel_excludes_special(self, registry):
         p = ConvProblem.square(32, 3, channels=8, filters=8)
-        names = [b.name for b, _ in registry.available(p, KEPLER_K40M)]
-        assert "special" not in names
-        assert "general" in names and "naive" in names
+        assert not registry.get("special").supports(p, KEPLER_K40M)
+        assert registry.get("general").supports(p, KEPLER_K40M)
+        assert registry.get("naive").supports(p, KEPLER_K40M)
 
     def test_single_channel_admits_special(self, registry):
         p = ConvProblem.square(64, 3, channels=1, filters=4)
-        names = [b.name for b, _ in registry.available(p, KEPLER_K40M)]
-        assert names[0] == "special"
+        assert admitted_names(registry, p)[0] == "special"
 
     def test_winograd_requires_3x3(self, registry):
         p = ConvProblem.square(32, 5, channels=4, filters=8)
-        names = [b.name for b, _ in registry.available(p, KEPLER_K40M)]
-        assert "winograd" not in names
+        assert registry.get("winograd").admit(p, KEPLER_K40M) == (
+            False, None, None)
 
-    def test_fallback_always_appended(self, registry):
-        # A subset that filters to nothing still yields the fallback.
-        p = ConvProblem.square(32, 3, channels=8, filters=8)
-        pairs = registry.available(p, KEPLER_K40M, names=("special",))
-        assert [(b.name, config) for b, config in pairs] == [("naive", None)]
-
-    def test_ensure_fallback_off(self, registry):
-        p = ConvProblem.square(32, 3, channels=8, filters=8)
-        pairs = registry.available(p, KEPLER_K40M, names=("special",),
-                                   ensure_fallback=False)
-        assert pairs == []
-
-    def test_names_subset_preserves_order(self, registry):
+    def test_admission_on_pascal(self, registry):
+        # admit() runs against the non-Kepler preset too.
         p = ConvProblem.square(64, 3, channels=1, filters=4)
-        subset = ("general", "special", "naive")
-        names = [b.name for b, _ in registry.available(p, KEPLER_K40M,
-                                                       names=subset)]
-        assert names == list(subset)
-
-    def test_available_on_pascal(self, registry):
-        # supports() runs against the non-Kepler preset too.
-        p = ConvProblem.square(64, 3, channels=1, filters=4)
-        names = [b.name for b, _ in registry.available(p, PASCAL_P100)]
+        names = admitted_names(registry, p, PASCAL_P100)
         assert "special" in names and "naive" in names
 
-    def test_pairs_carry_the_configure_answer(self, registry):
+    def test_admit_carries_the_configure_answer(self, registry):
         p = ConvProblem.square(64, 3, channels=1, filters=4)
-        configs = {b.name: config
-                   for b, config in registry.available(p, KEPLER_K40M)}
         for name in ("special", "general"):
-            assert configs[name] is not None
-            assert configs[name] == registry.get(name).configure(
-                p, KEPLER_K40M)[0]
-        assert configs["im2col"] is None and configs["naive"] is None
+            backend = registry.get(name)
+            ok, config, _ = backend.admit(p, KEPLER_K40M)
+            assert ok and config is not None
+            assert config == backend.configure(p, KEPLER_K40M)[0]
+        for name in ("im2col", "naive"):
+            assert registry.get(name).admit(p, KEPLER_K40M) == (
+                True, None, None)
 
     def test_admit_matches_supports(self, registry):
         p = ConvProblem.square(32, 3, channels=8, filters=8)
@@ -134,8 +121,22 @@ class TestAvailable:
             if not ok:
                 assert config is None and breakdown is None
 
-    def test_admission_error_is_reported_and_skipped(self, registry):
+    def test_admit_one_answers_the_outcome(self, registry):
+        from repro.obs.metrics import reset_registry
+
+        reset_registry()
+        p = ConvProblem.square(32, 3, channels=8, filters=8)
+        outcome, entry = registry.admit_one("general", p, KEPLER_K40M)
+        backend, config, breakdown = entry
+        assert outcome == "admitted" and backend is registry.get("general")
+        assert (config, breakdown) == backend.configure(p, KEPLER_K40M)
+        assert registry.admit_one("special", p, KEPLER_K40M) == (
+            "filtered", None)
+        reset_registry()
+
+    def test_admission_error_is_counted_and_skipped(self, registry):
         from repro.obs.metrics import get_registry, reset_registry
+        from repro.serve.dispatch import Dispatcher
 
         class RaisesInConfigure(NaiveBackend):
             name = "raises-in-configure"
@@ -145,17 +146,22 @@ class TestAvailable:
 
         registry.register(RaisesInConfigure())
         reset_registry()
-        errors = []
         p = ConvProblem.square(32, 3, channels=8, filters=8)
-        pairs = registry.available(
-            p, KEPLER_K40M, names=("raises-in-configure", "general"),
-            on_error=lambda name, err: errors.append((name, str(err))))
-        assert [b.name for b, _ in pairs] == ["general", "naive"]
-        assert errors == [("raises-in-configure", "configure exploded")]
-        counter = get_registry().counter(
-            "kernel_backend_candidates_total", "", ("backend", "outcome"))
+        assert registry.admit_one("raises-in-configure", p,
+                                  KEPLER_K40M) == ("error", None)
+        dispatcher = Dispatcher(
+            kernels=registry, backends=("raises-in-configure", "general"))
+        plan = dispatcher.build_plan(p)
+        assert plan.source == "cost-model"
+        assert set(plan.candidates) | set(plan.bounded) == {
+            "general", "naive"}
+        counter = get_registry().get("kernel_backend_candidates_total")
         assert counter.value(backend="raises-in-configure",
-                             outcome="error") == 1
+                             outcome="error") == 2
+        assert dispatcher.registry.get(
+            "dispatch_backend_rejections_total").series() == [
+                ({"backend": "raises-in-configure", "stage": "configure"},
+                 1.0)]
         reset_registry()
 
 
@@ -179,8 +185,8 @@ class TestBoundedAdmission:
         below = math.nextafter(seconds, 0.0)
         assert general.configure(self.SHAPE, KEPLER_K40M, below) == (
             BOUNDED, None)
-        with pytest.raises(SearchBounded):
-            general.admit(self.SHAPE, KEPLER_K40M, below)
+        assert general.admit(self.SHAPE, KEPLER_K40M, below) == (
+            False, BOUNDED, None)
 
     def test_implicit_gemm_above_the_limit_is_bounded(self, registry):
         backend = registry.get("implicit-gemm")
@@ -190,28 +196,36 @@ class TestBoundedAdmission:
         # the winning tile's breakdown; the plan's config stays None.
         assert backend.admit(self.SHAPE, KEPLER_K40M, seconds) == (
             True, None, kernel.predict(self.SHAPE))
-        with pytest.raises(SearchBounded):
-            backend.admit(self.SHAPE, KEPLER_K40M,
-                          math.nextafter(seconds, 0.0))
+        assert backend.admit(self.SHAPE, KEPLER_K40M,
+                             math.nextafter(seconds, 0.0)) == (
+                                 False, BOUNDED, None)
 
-    def test_available_counts_and_reports_bounded(self, registry):
+    def test_admit_one_counts_bounded(self, registry):
         from repro.obs.metrics import get_registry, reset_registry
 
         reset_registry()
-        left_out = []
-        pairs = registry.available(
-            self.SHAPE, KEPLER_K40M, names=("general", "im2col"),
-            on_error=lambda name, err: left_out.append((name, type(err))),
-            limit=1e-9)
-        assert [b.name for b, _ in pairs] == ["naive"]
-        assert left_out == [("general", SearchBounded),
-                            ("im2col", SearchBounded)]
+        for name in ("general", "im2col"):
+            assert registry.admit_one(name, self.SHAPE, KEPLER_K40M,
+                                      1e-9) == ("bounded", None)
         counter = get_registry().get("kernel_backend_candidates_total")
         for name in ("general", "im2col"):
             assert counter.value(backend=name, outcome="bounded") == 1
             assert counter.value(backend=name, outcome="error") == 0
-        assert counter.value(backend="naive", outcome="fallback") == 1
+        assert counter.value(backend="naive", outcome="fallback") == 0
         reset_registry()
+
+    def test_limits_below_every_price_bound_without_configuring(
+            self, registry, monkeypatch):
+        for backend in registry:
+            monkeypatch.setattr(backend, "configure", None)
+        for limit in (0.0, -1.0):
+            assert registry.get("general").admit(
+                self.SHAPE, KEPLER_K40M, limit) == (False, BOUNDED, None)
+            assert registry.get("naive").admit(
+                self.SHAPE, KEPLER_K40M, limit) == (False, BOUNDED, None)
+        with pytest.raises(ConfigurationError, match="NaN"):
+            registry.get("general").admit(self.SHAPE, KEPLER_K40M,
+                                          math.nan)
 
     def test_depthwise_and_naive_ignore_the_limit(self, registry):
         depthwise = ConvProblem.square(24, 3, channels=6, filters=12,
@@ -236,8 +250,8 @@ class TestBoundedAdmission:
                 True, None, None)
             assert backend.admit(self.SHAPE, KEPLER_K40M, seconds)[:2] == (
                 True, None)
-            with pytest.raises(SearchBounded):
-                backend.admit(self.SHAPE, KEPLER_K40M, 1e-9)
+            assert backend.admit(self.SHAPE, KEPLER_K40M, 1e-9) == (
+                False, BOUNDED, None)
 
 
 class TestObservability:
@@ -259,7 +273,8 @@ class TestObservability:
 
         reset_registry()
         p = ConvProblem.square(32, 3, channels=8, filters=8)
-        registry.available(p, KEPLER_K40M)
+        for name in registry.names():
+            registry.admit_one(name, p, KEPLER_K40M)
         counter = get_registry().counter(
             "kernel_backend_candidates_total", "", ("backend", "outcome"))
         assert counter.value(backend="special", outcome="filtered") >= 1

@@ -19,7 +19,7 @@ from repro.core.general import palette
 from repro.errors import ConfigurationError, ReproError, TransientBackendError
 from repro.gpu.arch import ARCHITECTURES, KEPLER_K40M
 from repro.kernels import (
-    BackendRegistry, NaiveBackend, register_builtin_backends,
+    BOUNDED, BackendRegistry, NaiveBackend, register_builtin_backends,
 )
 from repro.obs.metrics import get_registry, reset_registry
 from repro.serve import dispatch
@@ -82,9 +82,36 @@ class TestPlanning:
         dispatcher = Dispatcher(backends=("general",))
         assert "naive" in dispatcher.backends
 
+    def test_subset_that_admits_nothing_plans_naive(self, fresh_obs):
+        # Special filters multi-channel problems out; the naive backend
+        # the dispatcher always adds is walked and priced like any other.
+        dispatcher = Dispatcher(backends=("special",))
+        plan = dispatcher.build_plan(GENERAL)
+        assert (plan.backend, plan.source) == ("naive", "cost-model")
+        assert plan.candidates == {
+            "naive": dispatcher._naive.predict(GENERAL).total}
+        assert plan.bounded == ()
+        assert fresh_obs.get("kernel_backend_candidates_total").series() \
+            == [({"backend": "special", "outcome": "filtered"}, 1.0),
+                ({"backend": "naive", "outcome": "admitted"}, 1.0)]
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError):
             Dispatcher(backends=("special", "tensor-core"))
+
+    def test_routing_order_is_kept(self):
+        subset = ("general", "special", "naive")
+        assert Dispatcher(backends=subset).backends == subset
+
+    def test_each_name_is_walked_once(self, fresh_obs):
+        dispatcher = Dispatcher(
+            backends=("general", "general", "im2col", "im2col"))
+        assert dispatcher.backends == ("general", "im2col", "naive")
+        plan = dispatcher.build_plan(GENERAL)
+        assert plan.bounded == ("im2col",)
+        counter = fresh_obs.get("kernel_backend_candidates_total")
+        assert counter.value(backend="general", outcome="admitted") == 1
+        assert counter.value(backend="im2col", outcome="bounded") == 1
 
     def test_degrades_to_naive_when_nothing_plans(self, monkeypatch):
         dispatcher = Dispatcher()
@@ -210,9 +237,6 @@ def _two_pass_plan(dispatcher, problem):
         counter.inc(backend=name, outcome="admitted" if ok else "filtered")
         if ok:
             admitted.append(backend)
-    if all(b.name != kernels.fallback for b in admitted):
-        counter.inc(backend=kernels.fallback, outcome="fallback")
-        admitted.append(kernels.get(kernels.fallback))
     best, candidates = None, {}
     for backend in admitted:
         try:
@@ -400,6 +424,80 @@ class TestGeneralOnEveryFilterSize:
         rejections = dispatcher.registry.get(
             "dispatch_backend_rejections_total")
         assert rejections.value(backend="general", stage="configure") == 0
+
+
+class TestOneOutcomePerBackend:
+    """The walk reads one admission outcome per backend: no ``configure``
+    raises on serving traffic, and the ``bounded`` outcomes are exactly
+    the plan's ``bounded`` backends."""
+
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
+                             ids=list(ARCHITECTURES))
+    def test_churn_style_builds(self, monkeypatch, fresh_obs, arch):
+        kernels = register_builtin_backends(BackendRegistry())
+        raised = []
+        for backend in kernels:
+            def configure(problem, arch=KEPLER_K40M, limit=math.inf,
+                          _real=backend.configure, _name=backend.name):
+                try:
+                    return _real(problem, arch, limit)
+                except Exception as exc:
+                    raised.append((_name, problem, exc))
+                    raise
+            monkeypatch.setattr(backend, "configure", configure)
+        dispatcher = Dispatcher(arch=arch, kernels=kernels)
+        for problem in CHURN_STYLE_SHAPES:
+            before = self._bounded(fresh_obs)
+            plan = dispatcher.build_plan(problem)
+            after = self._bounded(fresh_obs)
+            assert tuple(name for name in dispatcher.backends
+                         if after[name] > before[name]) == plan.bounded, \
+                problem.describe()
+            assert sum(after.values()) - sum(before.values()) == len(
+                plan.bounded)
+        assert raised == []
+
+    @staticmethod
+    def _bounded(registry):
+        """Bounded outcomes counted so far, by backend."""
+        counts = dict.fromkeys(DEFAULT_BACKENDS, 0.0)
+        metric = registry.get("kernel_backend_candidates_total")
+        for labels, value in metric.series() if metric is not None else ():
+            if labels["outcome"] == "bounded":
+                counts[labels["backend"]] += value
+        return counts
+
+
+class _NaiveAdmits(NaiveBackend):
+    """The fallback, with an ``admit`` that raises or bounds."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def admit(self, problem, arch=KEPLER_K40M, limit=math.inf):
+        if self.answer == "raise":
+            raise ReproError("naive admit exploded")
+        return False, BOUNDED, None
+
+
+class TestNaiveLeftOut:
+    """A naive backend that its own ``admit`` leaves out is not priced
+    by the walk; with nothing else to plan, the plan degrades to it."""
+
+    @pytest.mark.parametrize("answer", ["raise", "bound"])
+    def test_plan_degrades_to_naive(self, fresh_obs, answer):
+        kernels = register_builtin_backends(BackendRegistry())
+        kernels.register(_NaiveAdmits(answer), replace=True)
+        dispatcher = Dispatcher(kernels=kernels, backends=("naive",))
+        plan = dispatcher.build_plan(GENERAL)
+        assert plan.source == "degraded"
+        assert plan.backend == "naive" and plan.kernel is dispatcher._naive
+        assert plan.breakdown == dispatcher._naive.predict(GENERAL)
+        assert plan.candidates == {}
+        outcome = "error" if answer == "raise" else "bounded"
+        assert fresh_obs.get("kernel_backend_candidates_total").series() \
+            == [({"backend": "naive", "outcome": outcome}, 1.0)]
+        assert plan.bounded == (("naive",) if answer == "bound" else ())
 
 
 class _RaisingBackend(NaiveBackend):

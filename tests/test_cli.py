@@ -4,6 +4,28 @@ import pytest
 
 from repro.cli import SLOW_EXPERIMENTS, build_parser, main
 
+_FERMI_REGISTERS = ("LaunchConfigError: %d registers/thread exceeds limit "
+                    "63 on Fermi M2090")
+
+#: The experiments whose kernels do not fit the Fermi preset, in
+#: ``ALL_EXPERIMENTS`` order, with the error each one is skipped for.
+FERMI_CANNOT_RUN = {
+    "fig8a": _FERMI_REGISTERS % 113,
+    "fig8b": _FERMI_REGISTERS % 109,
+    "fig8c": _FERMI_REGISTERS % 119,
+    "table1": _FERMI_REGISTERS % 113,
+    "ablation-unmatched": _FERMI_REGISTERS % 113,
+    "ablation-writeback": _FERMI_REGISTERS % 113,
+    "ablation-prefetch": _FERMI_REGISTERS % 113,
+    "ext-all-methods": _FERMI_REGISTERS % 113,
+    "ablation-adaptive-config": _FERMI_REGISTERS % 113,
+    "ext-training": (
+        "ConfigurationError: no valid general-case configuration for "
+        "conv(h=16, w=16, c=512, f=64, k=3, pad=valid, stride=1, "
+        "dilation=1, groups=1, layout=nchw)"),
+    "ext-fft-batch": _FERMI_REGISTERS % 109,
+}
+
 
 class TestList:
     def test_lists_all_experiments(self, capsys):
@@ -38,6 +60,15 @@ class TestRun:
     def test_run_ablation(self, capsys):
         assert main(["run", "ablation-thread-layout"]) == 0
         assert "WT" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("exp_id", list(FERMI_CANNOT_RUN))
+    def test_experiment_the_preset_cannot_run_is_skipped(self, capsys,
+                                                         exp_id):
+        assert main(["run", exp_id, "--arch", "fermi"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "skipped %s on fermi: %s" % (exp_id, FERMI_CANNOT_RUN[exp_id])]
 
 
 class TestSummary:
@@ -450,6 +481,21 @@ class TestRunAll:
         assert "fig1" in out
         assert "ablation-thread-layout" in out
         assert "table1" not in out  # skipped as slow
+
+    def test_run_all_goes_on_past_skipped_experiments(self, capsys):
+        from repro.bench.figures import ALL_EXPERIMENTS
+
+        cannot = [e for e in FERMI_CANNOT_RUN if e not in SLOW_EXPERIMENTS]
+        assert main(["run", "all", "--skip-slow", "--arch", "fermi"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "skipped %s on fermi: %s" % (exp_id, FERMI_CANNOT_RUN[exp_id])
+            for exp_id in cannot]
+        ran =[e for e in ALL_EXPERIMENTS
+               if e not in cannot and e not in SLOW_EXPERIMENTS]
+        assert len(ran) > len(cannot)
+        for exp_id in ran:
+            assert "%s — " % exp_id in captured.out, exp_id
 
 
 class TestAudit:

@@ -21,6 +21,7 @@ from repro.bench.roofline import roofline_point, roofline_report
 from repro.conv.batching import BatchedKernel
 from repro.core.depthwise import DepthwiseKernel
 from repro.core.dse import explore_general, explore_special
+from repro.core.general import GeneralCaseKernel
 from repro.errors import ReproError
 from repro.fleet import (
     AdmissionController,
@@ -75,8 +76,9 @@ SIGNATURES = [
     (explore_general, ["kernel_size", "arch", "problem", "configs",
                        "limit"]),
     (ConvBackend.admit, ["problem", "arch", "limit"]),
-    (BackendRegistry.available, ["problem", "arch", "names",
-                                 "ensure_fallback", "on_error", "limit"]),
+    (BackendRegistry.admit_one, ["name", "problem", "arch", "limit"]),
+    (GeneralCaseKernel, ["arch", "config", "matched", "bank_policy",
+                         "dtype"]),
     (KernelTracer.finish, ["name", "launch", "software_prefetch"]),
     (Priced.predict, ["problem"]),
     (Priced.gflops, ["problem"]),
