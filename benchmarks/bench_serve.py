@@ -12,7 +12,18 @@ tables.
 import pytest
 
 from repro.bench.runner import Experiment
+from repro.fleet import (
+    AdmissionController,
+    FleetConfig,
+    FleetEngine,
+    FleetRouter,
+    SharedPlanCache,
+)
+from repro.fleet.slo import FleetStats
+from repro.gpu.arch import KEPLER_K40M
 from repro.serve import ServeEngine, synthetic_trace
+from repro.serve.batcher import DynamicBatcher
+from repro.serve.request import plan_key
 
 N_REQUESTS = 150
 DEADLINES = (0.0, 2e-4, 1e-3, 5e-3)
@@ -69,3 +80,75 @@ def test_plan_cache_hit_wall_clock(benchmark):
     problem = DEFAULT_SERVING_SHAPES[0]
     engine.dispatcher.plan(problem)          # warm the cache
     benchmark(engine.dispatcher.plan, problem)
+
+
+# ----------------------------------------------------------------------
+# Per-request bookkeeping of the serving and fleet layers.  Each round
+# replays LAYER_REQUESTS arrivals of a mixed-shape trace through a fresh
+# component, so the timings are per-layer costs a fleet pays per request.
+# ----------------------------------------------------------------------
+
+LAYER_REQUESTS = 200
+
+
+@pytest.fixture(scope="module")
+def layer_trace():
+    return synthetic_trace(LAYER_REQUESTS, seed=7, shape_family="mixed",
+                           priority_mix={"critical": 1, "standard": 6,
+                                         "batch": 3},
+                           deadline_budget_s=2e-3)
+
+
+def test_admission_admit_wall_clock(benchmark, layer_trace):
+    """Route + admit: affinity hash, window depths, counters."""
+
+    def admit_all():
+        admission = AdmissionController(FleetRouter(4), queue_depth=64,
+                                        window_s=1e-3)
+        for request in layer_trace:
+            admission.admit(request)
+        return admission
+
+    assert benchmark(admit_all).admitted == LAYER_REQUESTS
+
+
+def test_fleet_record_response_wall_clock(benchmark, layer_trace):
+    """The SLO surface's per-response counters and latency histograms."""
+    responses = ServeEngine().serve_trace(layer_trace)
+    pairs = [(request.req_id % 4, request, response)
+             for request, response in zip(layer_trace, responses)]
+
+    def record_all():
+        stats = FleetStats()
+        for replica, request, response in pairs:
+            stats.record_response(replica, request, response)
+        return stats
+
+    assert benchmark(record_all).served == LAYER_REQUESTS
+
+
+def test_batcher_add_wall_clock(benchmark, layer_trace):
+    """Shape-keyed buffering with the queue gauges."""
+    keyed = [(plan_key(r.problem, KEPLER_K40M), r) for r in layer_trace]
+
+    def add_all():
+        batcher = DynamicBatcher(deadline_s=1e-3, max_batch=32)
+        for key, request in keyed:
+            batcher.add(key, request, request.arrival_s)
+        return batcher
+
+    benchmark(add_all)
+
+
+def test_fleet_serve_trace_wall_clock(benchmark, layer_trace):
+    """A 4-replica replay end to end over a warm shared plan tier: a new
+    fleet per round, as in a fleet generation change."""
+    shared = SharedPlanCache()
+    config = FleetConfig(replicas=4)
+    FleetEngine(config, shared_cache=shared).serve_trace(layer_trace)
+
+    def replay():
+        return FleetEngine(config, shared_cache=shared).serve_trace(
+            layer_trace)
+
+    assert benchmark(replay).served == LAYER_REQUESTS

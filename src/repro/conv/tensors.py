@@ -58,6 +58,13 @@ class ConvProblem:
     partitions channels and filters into independent convolutions;
     ``groups == channels`` is depthwise.  ``layout`` states how the
     *arrays* are ordered — the arithmetic is layout-invariant.
+
+    A problem keys the plan cache, the batcher and the router, so it
+    computes its hash and its :meth:`as_valid` twin once, on first use,
+    and keeps them on the instance.  Neither travels: a pickled problem
+    is rebuilt from its fields (:meth:`__reduce__`), so its bytes do
+    not depend on what was cached, and a process with another hash
+    seed recomputes the hash.
     """
 
     height: int
@@ -70,6 +77,27 @@ class ConvProblem:
     dilation: int = 1
     groups: int = 1
     layout: Layout = Layout.NCHW
+
+    # Per-instance caches (class defaults, not fields): the hash and
+    # the 'valid' twin, filled on first use by __hash__ and as_valid.
+    _hash = None
+    _valid = None
+
+    def _field_values(self) -> tuple:
+        return (self.height, self.width, self.channels, self.filters,
+                self.kernel_size, self.padding, self.stride, self.dilation,
+                self.groups, self.layout)
+
+    def __hash__(self) -> int:
+        # The value the generated dataclass hash gives: the field tuple's.
+        h = self._hash
+        if h is None:
+            h = hash(self._field_values())
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return (ConvProblem, self._field_values())
 
     def __post_init__(self):
         if min(self.height, self.width, self.channels, self.filters) < 1:
@@ -258,15 +286,20 @@ class ConvProblem:
 
         Kernels implement only the valid case; 'same' problems are run
         by padding the image first and converting with this method.
+        Built once per problem; later calls return the same object.
         """
         if self.padding is Padding.VALID:
             return self
-        return replace(
-            self,
-            height=self.height + 2 * self.pad,
-            width=self.width + 2 * self.pad,
-            padding=Padding.VALID,
-        )
+        valid = self._valid
+        if valid is None:
+            valid = replace(
+                self,
+                height=self.height + 2 * self.pad,
+                width=self.width + 2 * self.pad,
+                padding=Padding.VALID,
+            )
+            object.__setattr__(self, "_valid", valid)
+        return valid
 
     # ------------------------------------------------------------------
     def check_image(self, image: np.ndarray) -> np.ndarray:

@@ -95,6 +95,10 @@ class AdmissionController:
             "fleet_queue_depth",
             "Modeled sliding-window queue occupancy, by replica",
             labelnames=("replica",))
+        # Each replica's series key, and whether depths() has written
+        # every replica's depth series yet.
+        self._replica_keys = [(str(r),) for r in range(router.n_replicas)]
+        self._depths_published = False
         # Ring buffer: aggregate counters stay exact; per-request
         # detail is bounded so sustained overload cannot grow memory.
         self.shed_records: Deque[ShedRecord] = deque(
@@ -105,15 +109,23 @@ class AdmissionController:
         """Per-replica modeled occupancy at virtual time ``now``.
 
         Arrivals older than the admission window have flushed to the
-        device and no longer exert backpressure.
+        device and no longer exert backpressure.  A replica's
+        ``fleet_queue_depth`` series is written on the first call and
+        then only when its window lost arrivals: :meth:`admit` writes
+        it after each arrival, so otherwise it already holds the depth.
         """
         horizon = now - self.window_s
+        publish_all = not self._depths_published
+        self._depths_published = True
         out = []
-        for replica, window in enumerate(self._windows):
+        for key, window in zip(self._replica_keys, self._windows):
+            changed = publish_all
             while window and window[0] <= horizon:
                 window.popleft()
+                changed = True
+            if changed:
+                self._depth_gauge.set_key(key, len(window))
             out.append(len(window))
-            self._depth_gauge.set(len(window), replica=replica)
         return out
 
     def admit(self, request: ConvRequest) -> Optional[int]:
@@ -137,9 +149,11 @@ class AdmissionController:
         if replica is None:
             self._record_shed(request, "overload")
             return None
-        self._windows[replica].append(now)
-        self._admitted.inc(replica=replica)
-        self._depth_gauge.set(len(self._windows[replica]), replica=replica)
+        window = self._windows[replica]
+        window.append(now)
+        key = self._replica_keys[replica]
+        self._admitted.inc_key(key)
+        self._depth_gauge.set_key(key, len(window))
         return replica
 
     def record_abandoned(self, request: ConvRequest) -> None:

@@ -23,6 +23,7 @@ Routing degrades under load in priority order (see
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import List, Optional
 
@@ -33,12 +34,19 @@ from repro.obs.metrics import Registry
 __all__ = ["FleetRouter", "shape_hash"]
 
 
+#: Distinct ``(problem, salt)`` pairs :func:`shape_hash` remembers.
+SHAPE_HASH_MEMO = 4096
+
+
+@functools.lru_cache(maxsize=SHAPE_HASH_MEMO)
 def shape_hash(problem: ConvProblem, salt: str = "") -> int:
     """A process-stable 64-bit hash of a problem shape.
 
     Deterministic across processes and Python versions (unlike
     ``hash()`` on anything containing a string), so a trace routes
-    identically in every process and in CI.
+    identically in every process and in CI.  Memoized per
+    ``(problem, salt)``: the router hashes every arrival, and a trace
+    repeats a few shapes.
 
     Generalized axes (stride, dilation, groups, layout) extend the
     hashed blob only when non-default, so every default-axis shape
@@ -98,7 +106,7 @@ class FleetRouter:
                 % (len(depths), self.n_replicas))
         target = self.affinity(problem)
         if priority == "critical" or depths[target] < queue_depth:
-            self._affinity_hits.inc()
+            self._affinity_hits.inc_key(())
             return target
         if priority == "batch":
             # Batch-class work never spills: chasing a cold replica's
@@ -107,7 +115,7 @@ class FleetRouter:
             return None
         spill = min(range(self.n_replicas), key=lambda r: (depths[r], r))
         if depths[spill] < queue_depth:
-            self._spills.inc()
+            self._spills.inc_key(())
             return spill
         return None
 

@@ -63,13 +63,14 @@ class FleetStats:
     # ------------------------------------------------------------------
     def record_response(self, replica: int, request: ConvRequest,
                         response: ConvResponse) -> None:
-        self._served.inc(replica=replica)
-        self._latency.observe(response.latency_s)
-        self._replica_latency.observe(response.latency_s, replica=replica)
+        key = (str(replica),)
+        self._served.inc_key(key)
+        self._latency.observe_key((), response.latency_s)
+        self._replica_latency.observe_key(key, response.latency_s)
         if request.deadline_s is not None:
-            self._with_deadline.inc()
+            self._with_deadline.inc_key(())
             if response.completed_s > request.deadline_s:
-                self._deadline_misses.inc(replica=replica)
+                self._deadline_misses.inc_key(key)
 
     def record_makespan(self, makespan_s: float) -> None:
         self._makespan.set(makespan_s)

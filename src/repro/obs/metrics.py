@@ -86,17 +86,26 @@ class Metric:
     def _key(self, labels: Dict[str, object]) -> Tuple[str, ...]:
         # Equal length plus every expected name present implies the
         # label-name sets match; checked this way (instead of building
-        # two sets) because this runs on every counter increment of the
-        # cost model's hot publishing path.
+        # two sets) because this runs on every labeled write.  Most
+        # metrics take no label or one, so those skip the generator.
         names = self.labelnames
         if len(labels) == len(names):
+            if not names:
+                return ()
             try:
+                if len(names) == 1:
+                    return (str(labels[names[0]]),)
                 return tuple(str(labels[name]) for name in names)
             except KeyError:
                 pass
         raise ObservabilityError(
             "metric %s takes labels %r, got %r"
             % (self.name, self.labelnames, tuple(sorted(labels))))
+
+    def _bad_key(self, key: Tuple[str, ...]) -> ObservabilityError:
+        return ObservabilityError(
+            "metric %s takes labels %r, got key %r"
+            % (self.name, self.labelnames, key))
 
     def series(self) -> "List[Tuple[Dict[str, str], object]]":
         """Every (labels dict, series) pair, in creation order."""
@@ -135,20 +144,19 @@ class Counter(Metric):
 
     def inc_key(self, key: Tuple[str, ...], value: float = 1.0) -> None:
         """Increment by a precomputed series key (label values in
-        ``labelnames`` order).
+        ``labelnames`` order, each a ``str``: ``("1",)``, never
+        ``(1,)``, which would be a second series for the same labels).
 
-        The hot-path twin of :meth:`inc` for publishers that emit many
-        series per event with statically known label structure (the
-        kernel-cost ledger mirror); it skips the kwargs dict and the
-        per-call label-name validation.
+        The hot-path twin of :meth:`inc` for publishers that write
+        with statically known label structure (the kernel-cost ledger
+        mirror, the serving and fleet layers); it skips the kwargs dict
+        and the per-call label-name validation.
         """
         if value < 0:
             raise ObservabilityError(
                 "counter %s cannot decrease (inc %r)" % (self.name, value))
         if len(key) != len(self.labelnames):
-            raise ObservabilityError(
-                "metric %s takes labels %r, got key %r"
-                % (self.name, self.labelnames, key))
+            raise self._bad_key(key)
         self._series[key] = self._series.get(key, 0.0) + value
 
     def value(self, **labels) -> float:
@@ -166,6 +174,13 @@ class Gauge(Metric):
 
     def set(self, value: float, **labels) -> None:
         self._series[self._key(labels)] = float(value)
+
+    def set_key(self, key: Tuple[str, ...], value: float) -> None:
+        """:meth:`set` by a precomputed series key (see
+        :meth:`Counter.inc_key`)."""
+        if len(key) != len(self.labelnames):
+            raise self._bad_key(key)
+        self._series[key] = float(value)
 
     def inc(self, value: float = 1.0, **labels) -> None:
         key = self._key(labels)
@@ -196,8 +211,11 @@ class _HistogramSeries:
         value = float(value)
         self.sum += value
         self.count += 1
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        # What min() and max() would keep, without their calls.
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         # Deterministic reservoir: when full, double the stride and keep
         # every other retained sample, then admit every stride-th new
         # observation.  Quantiles stay unbiased for smooth streams and
@@ -249,6 +267,13 @@ class Histogram(Metric):
 
     def observe(self, value: float, **labels) -> None:
         self._get_key(self._key(labels)).observe(value)
+
+    def observe_key(self, key: Tuple[str, ...], value: float) -> None:
+        """:meth:`observe` by a precomputed series key (see
+        :meth:`Counter.inc_key`)."""
+        if len(key) != len(self.labelnames):
+            raise self._bad_key(key)
+        self._get_key(key).observe(value)
 
     # ------------------------------------------------------------------
     def count(self, **labels) -> int:

@@ -75,8 +75,8 @@ class DynamicBatcher:
         self._pending = 0
 
     def _publish_depth(self) -> None:
-        self._depth.set(self._pending)
-        self._groups_gauge.set(len(self._groups))
+        self._depth.set_key((), self._pending)
+        self._groups_gauge.set_key((), len(self._groups))
 
     # ------------------------------------------------------------------
     @property
@@ -93,7 +93,7 @@ class DynamicBatcher:
             self._groups[key] = group
         group.requests.append(request)
         self._pending += 1
-        self._enqueued.inc()
+        self._enqueued.inc_key(())
         if len(group.requests) >= self.max_batch:
             del self._groups[key]
             self._pending -= len(group.requests)

@@ -102,7 +102,8 @@ def _serve_reference(
     """Serve a same-shape batch with one batched reference call."""
     if not requests:
         return []
-    if any(r.problem != problem for r in requests):
+    if any(r.problem is not problem and r.problem != problem
+           for r in requests):
         raise ReproError(
             "reference batch mixes shapes; every request must be %s"
             % problem.describe())
@@ -320,6 +321,6 @@ class Dispatcher:
         with span as span_args:
             outputs = _serve_reference(plan.problem, requests)
             seconds = plan.batch_seconds(len(requests)) if requests else 0.0
-            self._executions.inc(backend=plan.backend)
+            self._executions.inc_key((plan.backend,))
             span_args["modeled_seconds"] = seconds
         return outputs, seconds

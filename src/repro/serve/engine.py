@@ -95,9 +95,9 @@ class ServeEngine:
         deadline passed); usually empty until ``poll``/``flush``.
         """
         responses = self.poll(request.arrival_s)
-        # Admission-time routing: plan (or recall) the backend for this
-        # shape now, so the request carries its predicted unit cost and
-        # repeated shapes hit the cache once per request, not per batch.
+        # Nothing reads this plan: the lookup builds a new shape's plan
+        # at its first arrival and refreshes the shape's LRU recency on
+        # every request (execute looks the plan up again per batch).
         self.dispatcher.plan(request.problem)
         full = self.batcher.add(
             plan_key(request.problem, self.arch), request, request.arrival_s

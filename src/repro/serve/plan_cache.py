@@ -70,12 +70,14 @@ class PlanCache:
         """Return the cached plan (refreshing recency) or None on a miss."""
         entry = self._entries.get(key)
         if entry is None:
-            self._misses.inc()
-            self._hit_rate_gauge.set(self.hit_rate)
-            return None
-        self._entries.move_to_end(key)
-        self._hits.inc()
-        self._hit_rate_gauge.set(self.hit_rate)
+            self._misses.inc_key(())
+        else:
+            self._entries.move_to_end(key)
+            self._hits.inc_key(())
+        # hit_rate's ratio, read from the two counters' one series: the
+        # counts are whole numbers, which the properties only round.
+        hits = self._hits.value()
+        self._hit_rate_gauge.set_key((), hits / (hits + self._misses.value()))
         return entry
 
     def put(self, key: Tuple, plan: object) -> None:

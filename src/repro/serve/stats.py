@@ -71,15 +71,16 @@ class ServeStats:
     def record_batch(
         self, backend: str, batch_size: int, seconds: float, reason: str
     ) -> None:
-        self._batches.inc(backend=backend)
-        self._requests.inc(batch_size, backend=backend)
-        self._busy.inc(seconds)
-        self._flushes.inc(reason=reason)
-        self._batch_size.observe(batch_size)
-        self._batch_cycles.observe(seconds * self.clock_hz)
+        key = (backend,)
+        self._batches.inc_key(key)
+        self._requests.inc_key(key, batch_size)
+        self._busy.inc_key((), seconds)
+        self._flushes.inc_key((reason,))
+        self._batch_size.observe_key((), batch_size)
+        self._batch_cycles.observe_key((), seconds * self.clock_hz)
 
     def record_latency(self, latency_s: float) -> None:
-        self._latency.observe(latency_s)
+        self._latency.observe_key((), latency_s)
 
     # ------------------------------------------------------------------
     @property

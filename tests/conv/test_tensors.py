@@ -1,10 +1,19 @@
 """Tests for ConvProblem and tensor helpers."""
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.conv.tensors import ConvProblem, Padding
+import repro
+from repro.conv.tensors import ConvProblem, Layout, Padding
 from repro.errors import ShapeError
+from repro.fleet.shared_cache import plan_checksum
+from repro.serve.dispatch import Dispatcher
 
 
 class TestDerivedQuantities:
@@ -47,6 +56,88 @@ class TestDerivedQuantities:
     def test_as_valid_identity_for_valid(self):
         p = ConvProblem.square(32, 3)
         assert p.as_valid() is p
+
+    def test_as_valid_built_once(self):
+        p = ConvProblem.square(30, 5, channels=2, filters=4, dilation=2,
+                               padding=Padding.SAME)
+        v = p.as_valid()
+        assert v is p.as_valid()
+        assert v == ConvProblem(height=38, width=38, channels=2, filters=4,
+                                kernel_size=5, dilation=2)
+
+
+def _field_tuple(p):
+    return tuple(getattr(p, f.name) for f in dataclasses.fields(p))
+
+
+class TestCachedHash:
+    PROBLEMS = [
+        ConvProblem.square(32, 3),
+        ConvProblem.square(28, 5, channels=8, filters=8, groups=8,
+                           padding=Padding.SAME, layout=Layout.NHWC),
+        ConvProblem(height=17, width=23, channels=3, filters=6,
+                    kernel_size=3, stride=2, dilation=2),
+    ]
+
+    @pytest.mark.parametrize("p", PROBLEMS,
+                             ids=["plain", "same-grouped-nhwc", "strided"])
+    def test_hash_is_the_field_tuple_hash(self, p):
+        # The generated dataclass hash, so no dict or set order moves;
+        # the first call computes it, the second reads the cache.
+        assert hash(p) == hash(_field_tuple(p))
+        assert hash(p) == hash(_field_tuple(p))
+
+    def test_caches_stay_out_of_the_pickle(self):
+        p = ConvProblem.square(32, 3, padding=Padding.SAME)
+        before = pickle.dumps(p)
+        hash(p), p.as_valid()
+        assert pickle.dumps(p) == before
+        q = pickle.loads(before)
+        assert q == p and hash(q) == hash(p)
+        assert q.as_valid() == p.as_valid()
+
+    def test_plan_checksum_ignores_first_hash_and_as_valid(self):
+        p = ConvProblem.square(24, 3, channels=4, filters=8,
+                               padding=Padding.SAME)
+        plan = Dispatcher().build_plan(p)
+        # A plan whose problem has not been hashed or converted yet.
+        fresh = dataclasses.replace(plan, problem=ConvProblem(*_field_tuple(p)))
+        before = plan_checksum(fresh)
+        assert before is not None
+        hash(fresh.problem), fresh.problem.as_valid()
+        assert plan_checksum(fresh) == before
+
+    def test_unpickled_under_another_hash_seed(self):
+        # Enum hashes follow the string hash seed, so a hash cached in
+        # one process is wrong in a process with another seed.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        make = (
+            "import pickle, sys\n"
+            "from repro.conv.tensors import ConvProblem, Padding\n"
+            "p = ConvProblem.square(20, 3, channels=2, filters=4,\n"
+            "                       padding=Padding.SAME)\n"
+            "hash(p), p.as_valid()\n"
+            "sys.stdout.write(pickle.dumps(p).hex())\n")
+        check = (
+            "import pickle, sys\n"
+            "from repro.conv.tensors import ConvProblem, Padding\n"
+            "q = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+            "p = ConvProblem.square(20, 3, channels=2, filters=4,\n"
+            "                       padding=Padding.SAME)\n"
+            "assert hash(q) == hash(p) and q == p, (hash(q), hash(p))\n"
+            "assert {p: 1}[q] == 1 and q in {p}\n"
+            "assert q.as_valid() == p.as_valid()\n"
+            "assert hash(q.as_valid()) == hash(p.as_valid())\n"
+            "print('ok')\n")
+
+        def run(code, seed, stdin=None):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            return subprocess.run(
+                [sys.executable, "-c", code], env=env, input=stdin,
+                capture_output=True, text=True, check=True).stdout
+
+        blob = run(make, "0")
+        assert run(check, "1", stdin=blob).strip() == "ok"
 
 
 class TestValidation:

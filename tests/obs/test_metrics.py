@@ -52,6 +52,49 @@ class TestCounter:
             Counter("x", labelnames=("bad-label",))
 
 
+class TestKeyedWrites:
+    """``inc_key`` / ``set_key`` / ``observe_key`` write the series the
+    keyword path writes, keyed by the ``str`` label values."""
+
+    WRITES = [
+        (Counter, lambda m, key: m.inc_key(key, 2.0),
+         lambda m, **labels: m.inc(2.0, **labels)),
+        (Gauge, lambda m, key: m.set_key(key, 2.0),
+         lambda m, **labels: m.set(2.0, **labels)),
+        (Histogram, lambda m, key: m.observe_key(key, 2.0),
+         lambda m, **labels: m.observe(2.0, **labels)),
+    ]
+
+    @pytest.mark.parametrize("cls, keyed, labeled", WRITES,
+                             ids=["counter", "gauge", "histogram"])
+    @pytest.mark.parametrize("labelnames, key, labels", [
+        ((), (), {}),
+        (("replica",), ("1",), {"replica": 1}),
+        (("a", "b"), ("x", "y"), {"b": "y", "a": "x"}),
+    ], ids=["unlabeled", "one-label", "two-labels"])
+    def test_keyed_write_is_the_labeled_write(self, cls, keyed, labeled,
+                                              labelnames, key, labels):
+        by_key = cls("m", labelnames=labelnames)
+        by_labels = cls("m", labelnames=labelnames)
+        keyed(by_key, key)
+        labeled(by_labels, **labels)
+        assert by_key.collect() == by_labels.collect()
+        assert list(by_key._series) == [key]
+
+    @pytest.mark.parametrize("cls, keyed, labeled", WRITES,
+                             ids=["counter", "gauge", "histogram"])
+    def test_keyed_write_rejects_wrong_arity(self, cls, keyed, labeled):
+        metric = cls("m", labelnames=("replica",))
+        for key in ((), ("1", "2")):
+            with pytest.raises(ObservabilityError):
+                keyed(metric, key)
+        assert metric._series == {}
+
+    def test_unlabeled_metric_rejects_labels(self):
+        with pytest.raises(ObservabilityError):
+            Gauge("g").set(1.0, replica=0)
+
+
 class TestGauge:
     def test_set_inc_dec(self):
         g = Gauge("queue_depth")
