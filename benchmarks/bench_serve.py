@@ -23,7 +23,9 @@ from repro.fleet.slo import FleetStats
 from repro.gpu.arch import KEPLER_K40M
 from repro.serve import ServeEngine, synthetic_trace
 from repro.serve.batcher import DynamicBatcher
-from repro.serve.request import plan_key
+from repro.serve.dispatch import Dispatcher, _serve_reference
+from repro.serve.request import ConvRequest, plan_key
+from repro.serve.trace import SHAPE_FAMILIES
 
 N_REQUESTS = 150
 DEADLINES = (0.0, 2e-4, 1e-3, 5e-3)
@@ -152,3 +154,30 @@ def test_fleet_serve_trace_wall_clock(benchmark, layer_trace):
             layer_trace)
 
     assert benchmark(replay).served == LAYER_REQUESTS
+
+
+# ----------------------------------------------------------------------
+# One dispatch: the batched reference call a batch is served by, and a
+# plan build of a depthwise shape.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [1, 9])
+def test_serve_reference_wall_clock(benchmark, size):
+    """One batch of the mixed palette's first shape: the batch's
+    assembly and its one reference call."""
+    problem = SHAPE_FAMILIES["mixed"][0]
+    requests = []
+    for i in range(size):
+        image, filters = problem.random_instance(seed=i)
+        requests.append(ConvRequest(req_id=i, problem=problem, image=image,
+                                    filters=filters))
+    assert len(benchmark(_serve_reference, problem, requests)) == size
+
+
+def test_depthwise_plan_build_wall_clock(benchmark):
+    """A plan build of the mixed palette's first depthwise shape on
+    Kepler: naive's price, the walk, and the depthwise search."""
+    problem = next(p for p in SHAPE_FAMILIES["mixed"] if p.groups > 1)
+    dispatcher = Dispatcher()
+    plan = benchmark(dispatcher.build_plan, problem)
+    assert "depthwise" in plan.candidates

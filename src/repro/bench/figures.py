@@ -485,7 +485,7 @@ def ablation_adaptive_config(arch: GPUArchitecture = KEPLER_K40M) -> Experiment:
         p = ConvProblem.square(n, k, channels=c, filters=f)
         exp.add("N=%d,K=%d,C=%d,F=%d" % (n, k, c, f), {
             "fixed": fixed.gflops(p),
-            "adaptive": _adaptive_general(p, arch).gflops(p),
+            "adaptive": best_config(p, arch, case="general").gflops,
             "cuDNN": cudnn.gflops(p),
         })
     return exp

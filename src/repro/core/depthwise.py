@@ -117,18 +117,29 @@ class DepthwiseKernel(Priced):
     def cost(self, problem: ConvProblem) -> KernelCost:
         """The per-group traced cost scaled to all grid-Z group slices."""
         valid = self._check_problem(problem)
-        g_cost = self.special.cost(self.group_problem(valid))
-        ledger = g_cost.ledger
-        if valid.groups > 1:
-            ledger.scale(float(valid.groups))
-        launch = replace(g_cost.launch,
-                         grid=replace(g_cost.launch.grid, z=valid.groups))
+        return self.grouped(
+            valid, self.special.cost(self.group_problem(valid)))
+
+    def grouped(self, problem: ConvProblem,
+                group_cost: KernelCost) -> KernelCost:
+        """``group_cost``, the special-case cost of ``problem``'s group
+        problem, scaled to all grid-Z group slices: every ledger counter
+        times the group count (in place) on a grid whose Z extent is the
+        group count.  ``problem`` is checked as :meth:`cost` checks it,
+        so a search winner's cost becomes this kernel's cost without
+        tracing the group again."""
+        groups = self._check_problem(problem).groups
+        ledger = group_cost.ledger
+        if groups > 1:
+            ledger.scale(float(groups))
+        launch = replace(group_cost.launch,
+                         grid=replace(group_cost.launch.grid, z=groups))
         return KernelCost(
             name=self.name,
             launch=launch,
             ledger=ledger,
-            software_prefetch=g_cost.software_prefetch,
-            launches=g_cost.launches,
+            software_prefetch=group_cost.software_prefetch,
+            launches=group_cost.launches,
         )
 
     def run_traced(

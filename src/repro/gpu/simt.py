@@ -27,7 +27,10 @@ class Dim3:
 
     Like :class:`LaunchConfig`, it fills its instance dict in one step
     rather than one frozen ``__setattr__`` per field: every priced
-    candidate builds two.
+    candidate builds two.  ``count``, the product of the components as
+    an ``int``, is computed there too, since pricing reads it several
+    times per launch; it is not a field, so equality, hashing and
+    ``repr`` see only ``x, y, z``.
     """
 
     x: int = 1
@@ -37,17 +40,15 @@ class Dim3:
     def __init__(self, x: int = 1, y: int = 1, z: int = 1):
         # Plain positive ints take the fast path; anything else (numpy
         # integers included) gets the full check.
-        if not (type(x) is type(y) is type(z) is int
-                and x > 0 and y > 0 and z > 0):
+        if type(x) is type(y) is type(z) is int and x > 0 and y > 0 and z > 0:
+            count = x * y * z
+        else:
             for axis in (x, y, z):
                 if not isinstance(axis, (int, np.integer)) or axis < 1:
                     raise LaunchConfigError(
                         "Dim3 components must be positive integers")
-        self.__dict__.update(x=x, y=y, z=z)
-
-    @property
-    def count(self) -> int:
-        return int(self.x) * int(self.y) * int(self.z)
+            count = int(x) * int(y) * int(z)
+        self.__dict__.update(x=x, y=y, z=z, count=count)
 
     def __iter__(self):
         return iter((self.x, self.y, self.z))

@@ -34,7 +34,7 @@ from repro.core.general import GeneralCaseKernel
 from repro.core.special import SpecialCaseKernel
 from repro.errors import ConfigurationError, ReproError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
-from repro.gpu.timing import TimingBreakdown
+from repro.gpu.timing import TimingBreakdown, TimingModel
 from repro.kernels.protocol import BOUNDED, ConvBackend
 from repro.kernels.registry import BackendRegistry
 
@@ -79,7 +79,13 @@ class _TunedBackend(ConvBackend):
             return None, None
         if winner is None:
             return BOUNDED, None
-        return winner.ranked.config, winner.breakdown
+        return winner.ranked.config, self._served(problem, arch, winner)
+
+    def _served(self, problem, arch, winner) -> TimingBreakdown:
+        """The breakdown of the launch the plan serves, from the search's
+        winner (a :class:`~repro.core.dse.PricedConfig`): by default the
+        breakdown that priced it."""
+        return winner.breakdown
 
     def admit(self, problem: ConvProblem,
               arch: GPUArchitecture = KEPLER_K40M,
@@ -184,10 +190,13 @@ class DepthwiseBackend(_TunedBackend):
             arch, problem=DepthwiseKernel.group_problem(problem),
             limit=math.inf)
 
-    def configure(self, problem, arch=KEPLER_K40M, limit=math.inf):
-        # The winner's breakdown prices one group, not the grouped
-        # launch, so the caller prices the launch itself.
-        return super().configure(problem, arch, limit)[0], None
+    def _served(self, problem, arch, winner):
+        # The winner's breakdown prices one group; the plan serves the
+        # grouped launch, whose cost is the winner's group cost scaled
+        # to every group, so it is priced here without a second trace.
+        kernel = DepthwiseKernel(arch, config=winner.ranked.config)
+        return TimingModel(arch).evaluate(
+            kernel.grouped(problem, winner.cost))
 
     def build(self, problem, arch=KEPLER_K40M, config=None, **kwargs):
         if config is not None:

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem
-from repro.errors import ReproError, TransientBackendError
+from repro.errors import ReproError, ShapeError, TransientBackendError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.timing import TimingBreakdown
 from repro.kernels import BackendRegistry, default_registry
@@ -99,19 +99,33 @@ class KernelPlan:
 def _serve_reference(
     problem: ConvProblem, requests: Sequence[ConvRequest]
 ) -> List[np.ndarray]:
-    """Serve a same-shape batch with one batched reference call."""
+    """Serve a same-shape batch with one batched reference call.
+
+    Every request's problem and array shapes are checked first, so no
+    array is broadcast into the batch, which is copied into one
+    preallocated C-contiguous ``(B, ...)`` array per operand: the layout
+    an ``np.stack`` copy has, so every output is bit-identical to it.
+    """
     if not requests:
         return []
-    if any(r.problem is not problem and r.problem != problem
-           for r in requests):
-        raise ReproError(
-            "reference batch mixes shapes; every request must be %s"
-            % problem.describe())
-    return list(conv2d_reference(
-        np.stack([r.image for r in requests]),
-        np.stack([r.filters for r in requests]),
-        problem=problem,
-    ))
+    image_shape, filter_shape = problem.image_shape, problem.filter_shape
+    for r in requests:
+        if r.problem is not problem and r.problem != problem:
+            raise ReproError(
+                "reference batch mixes shapes; every request must be %s"
+                % problem.describe())
+        if r.image.shape != image_shape or r.filters.shape != filter_shape:
+            raise ShapeError(
+                "request %s arrays %s and %s do not match the %s image "
+                "and %s filters of %s"
+                % (r.req_id, r.image.shape, r.filters.shape, image_shape,
+                   filter_shape, problem.describe()))
+    images = np.empty((len(requests),) + image_shape, np.float32)
+    filters = np.empty((len(requests),) + filter_shape, np.float32)
+    for i, r in enumerate(requests):
+        images[i] = r.image
+        filters[i] = r.filters
+    return list(conv2d_reference(images, filters, problem=problem))
 
 
 class Dispatcher:

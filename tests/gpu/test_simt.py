@@ -1,5 +1,9 @@
 """Tests for grid/block geometry and launch validation."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -27,6 +31,34 @@ class TestDim3:
     def test_rejects_negative(self):
         with pytest.raises(LaunchConfigError):
             Dim3(4, -1)
+
+    @pytest.mark.parametrize("x, y, z", [
+        (4, 3, 2), (np.int64(7), 3, 1), (np.int32(5), np.int16(6),
+                                         np.uint8(9)),
+        (2 ** 31 - 1, 65535, 64)])
+    def test_count_is_the_int_product(self, x, y, z):
+        dim = Dim3(x, y, z)
+        assert dim.count == int(x) * int(y) * int(z)
+        assert type(dim.count) is int
+
+    def test_count_is_kept_not_a_field(self):
+        dim = Dim3(np.int64(8), 4, 2)
+        assert [f.name for f in dataclasses.fields(dim)] == ["x", "y", "z"]
+        assert dim == Dim3(8, 4, 2)
+        assert hash(dim) == hash(Dim3(8, 4, 2)) == hash((8, 4, 2))
+        assert repr(Dim3(8, 4, 2)) == "Dim3(x=8, y=4, z=2)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dim.count = 1
+        assert dataclasses.replace(dim, z=3).count == 96
+
+    @pytest.mark.parametrize("clone", [
+        lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy,
+        lambda d: dataclasses.replace(d)], ids=["pickle", "copy",
+                                               "deepcopy", "replace"])
+    def test_count_survives_copies(self, clone):
+        dim = Dim3(np.int64(8), 4, 2)
+        twin = clone(dim)
+        assert twin == dim and twin.count == 64
 
 
 class TestWarps:

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.conv.tensors import ConvProblem
+from repro.core.depthwise import DepthwiseKernel
 from repro.errors import BackendError, ConfigurationError, ReproError
 from repro.gpu.arch import KEPLER_K40M, PASCAL_P100
 from repro.kernels import (
@@ -230,11 +231,13 @@ class TestBoundedAdmission:
     def test_depthwise_and_naive_ignore_the_limit(self, registry):
         depthwise = ConvProblem.square(24, 3, channels=6, filters=12,
                                        groups=6)
-        assert registry.get("depthwise").admit(
-            depthwise, KEPLER_K40M, 1e-9) == registry.get("depthwise").admit(
-                depthwise, KEPLER_K40M) == (
-                    True, registry.get("depthwise").configure(
-                        depthwise, KEPLER_K40M)[0], None)
+        backend = registry.get("depthwise")
+        config, breakdown = backend.configure(depthwise, KEPLER_K40M)
+        # The breakdown is the grouped launch's, which the plan serves.
+        assert breakdown == DepthwiseKernel(
+            KEPLER_K40M, config=config).predict(depthwise)
+        assert backend.admit(depthwise, KEPLER_K40M, 1e-9) == backend.admit(
+            depthwise, KEPLER_K40M) == (True, config, breakdown)
         naive = registry.get("naive")
         assert naive.admit(self.SHAPE, KEPLER_K40M, 1e-9) == \
             naive.admit(self.SHAPE, KEPLER_K40M) == (True, None, None)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.chaos import FaultInjector, FaultPlan
 from repro.conv.reference import conv2d_reference
-from repro.conv.tensors import ConvProblem
+from repro.conv.tensors import ConvProblem, Layout, Padding
 from repro.baselines.implicit_gemm import DEFAULT_TILE_PALETTE
 from repro.core.bankwidth import matched_vector
 from repro.core.depthwise import DepthwiseKernel
@@ -16,7 +16,9 @@ from repro.core.dse import (
     enumerate_special_configs, explore_general, explore_special,
 )
 from repro.core.general import palette
-from repro.errors import ConfigurationError, ReproError, TransientBackendError
+from repro.errors import (
+    ConfigurationError, ReproError, ShapeError, TransientBackendError,
+)
 from repro.gpu.arch import ARCHITECTURES, KEPLER_K40M
 from repro.kernels import (
     BOUNDED, BackendRegistry, NaiveBackend, register_builtin_backends,
@@ -167,6 +169,83 @@ class TestExecution:
         dispatcher = Dispatcher()
         plan = dispatcher.plan(GENERAL)
         assert dispatcher.execute(plan, []) == ([], 0.0)
+
+
+#: One filter per group and several channels per group: the reference
+#: reads each tap row of the filters array in place, so the array's
+#: strides reach the product's summation: a batch must hand it the
+#: layout of an ``np.stack`` copy.
+GROUPED = ConvProblem.square(12, 3, channels=8, filters=4, groups=4)
+GENERALIZED = ConvProblem.square(17, 3, channels=3, filters=6, groups=3,
+                                 padding=Padding.SAME, layout=Layout.NHWC)
+
+
+def _stacked(problem, requests):
+    """The batch served from ``np.stack`` copies of the requests'
+    arrays."""
+    return list(conv2d_reference(np.stack([r.image for r in requests]),
+                                 np.stack([r.filters for r in requests]),
+                                 problem=problem))
+
+
+class TestReferenceBatch:
+    """``_serve_reference`` serves a batch without ``np.stack``, from
+    preallocated arrays, as the stacked batch would be served."""
+
+    @pytest.mark.parametrize("size", [1, 9])
+    @pytest.mark.parametrize(
+        "problem", [SPECIAL, GENERAL, DEPTHWISE, GROUPED, GENERALIZED],
+        ids=["special", "general", "depthwise", "grouped", "generalized"])
+    def test_bit_identical_to_the_stacked_batch(self, problem, size):
+        requests = [make_request(problem, i) for i in range(size)]
+        before = [(r.image.copy(), r.filters.copy()) for r in requests]
+        outputs = dispatch._serve_reference(problem, requests)
+        expected = _stacked(problem, requests)
+        assert len(outputs) == size
+        for output, want in zip(outputs, expected):
+            assert output.shape == want.shape == problem.output_shape
+            assert output.dtype == want.dtype == np.float32
+            assert np.array_equal(output.view(np.uint32),
+                                  want.view(np.uint32))
+        for r, (image, filters) in zip(requests, before):
+            assert np.array_equal(r.image.view(np.uint32),
+                                  image.view(np.uint32))
+            assert np.array_equal(r.filters.view(np.uint32),
+                                  filters.view(np.uint32))
+
+    @pytest.mark.parametrize("size", [1, 9])
+    def test_strided_arrays_serve_as_the_stacked_batch(self, size):
+        # A request may hold views; reversed channels change the BLAS
+        # stride of every tap, and the batch must not pass them on.
+        requests = []
+        for i in range(size):
+            image, filters = GROUPED.random_instance(seed=i)
+            requests.append(ConvRequest(
+                req_id=i, problem=GROUPED,
+                image=np.ascontiguousarray(image[::-1])[::-1],
+                filters=np.ascontiguousarray(filters[:, ::-1])[:, ::-1]))
+        assert not requests[0].filters.flags.c_contiguous
+        outputs = dispatch._serve_reference(GROUPED, requests)
+        for output, want in zip(outputs, _stacked(GROUPED, requests)):
+            assert np.array_equal(output.view(np.uint32),
+                                  want.view(np.uint32))
+
+    @pytest.mark.parametrize("size", [1, 9])
+    @pytest.mark.parametrize("operand", ["image", "filters"])
+    def test_broadcastable_wrong_shape_is_refused(self, monkeypatch,
+                                                  operand, size):
+        requests = [make_request(GENERAL, i) for i in range(size)]
+        bad = requests[size // 2]
+        # One channel, where the problem has eight: it would broadcast.
+        setattr(bad, operand, getattr(bad, operand)[
+            (slice(0, 1),) if operand == "image" else (slice(None),
+                                                       slice(0, 1))])
+        calls = []
+        monkeypatch.setattr(dispatch, "conv2d_reference",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ShapeError, match="request %d" % bad.req_id):
+            dispatch._serve_reference(GENERAL, requests)
+        assert calls == []
 
 
 #: The backends whose configuration comes from the design-space search.
@@ -353,6 +432,27 @@ class TestOnePassAdmission:
         assert bounded_out > untuned_out > 0
 
 
+#: Depthwise problems on each axis the backend serves: valid and same
+#: padding, NCHW and NHWC, stride 2 and dilation 2.
+DEPTHWISE_AXES = [
+    ConvProblem.square(20, 3, channels=4, filters=8, groups=4),
+    ConvProblem.square(19, 3, channels=3, filters=6, groups=3,
+                       padding=Padding.SAME),
+    ConvProblem.square(18, 5, channels=4, filters=4, groups=4,
+                       layout=Layout.NHWC),
+    ConvProblem.square(23, 5, channels=5, filters=5, groups=5,
+                       padding=Padding.SAME, layout=Layout.NHWC),
+    ConvProblem.square(24, 3, channels=6, filters=12, groups=6, stride=2),
+    ConvProblem.square(21, 3, channels=2, filters=4, groups=2, dilation=2),
+]
+
+
+def _exact(breakdown):
+    """Every field of a breakdown, floats as ``float.hex``."""
+    return {name: value.hex() if isinstance(value, float) else value
+            for name, value in vars(breakdown).items()}
+
+
 class TestNoRepricing:
     """A search hands its winner's breakdown to the plan, so a plan
     build prices no paper-kernel configuration outside the searches."""
@@ -365,7 +465,7 @@ class TestNoRepricing:
         from repro.core.general import GeneralCaseKernel
         from repro.core.special import SpecialCaseKernel
 
-        inside = {"search": 0, "grouped": 0}
+        inside = {"search": 0}
         outside, grouped = [], []
 
         def within(key, real):
@@ -389,21 +489,41 @@ class TestNoRepricing:
         counted(SpecialCaseKernel)
         counted(GeneralCaseKernel)
         monkeypatch.setattr(dse, "_rank", within("search", dse._rank))
-        real_grouped = within("grouped", DepthwiseKernel.cost)
+        real_grouped = DepthwiseKernel.cost
 
         def grouped_cost(self, problem):
             grouped.append(problem)
             return real_grouped(self, problem)
         monkeypatch.setattr(DepthwiseKernel, "cost", grouped_cost)
+        priced, real_priced = [], Dispatcher._priced
+
+        def recording(self, problem, fallback, backend, config, breakdown):
+            candidate = real_priced(self, problem, fallback, backend,
+                                    config, breakdown)
+            if backend.name == "depthwise" and candidate is not None:
+                priced.append((problem, candidate))
+            return candidate
+        monkeypatch.setattr(Dispatcher, "_priced", recording)
 
         dispatcher = Dispatcher(arch=arch)
-        plans = [dispatcher.build_plan(p) for p in CHURN_STYLE_SHAPES]
+        shapes = CHURN_STYLE_SHAPES + DEPTHWISE_AXES
+        plans = dict(zip(shapes, map(dispatcher.build_plan, shapes)))
         assert outside == []
-        # The grouped depthwise launch is priced once per plan that
-        # admits it: its search ranks one group (ROADMAP item 5).
-        assert grouped == [plan.problem for plan in plans
-                           if "depthwise" in plan.candidates]
-        assert any(plan.backend in TUNED for plan in plans)
+        # The grouped depthwise launch is priced from its search's
+        # winner, the one group it ranks scaled to every group
+        # (``DepthwiseKernel.grouped``), so no plan build traces it.
+        assert grouped == []
+        assert any(plan.backend in TUNED for plan in plans.values())
+        # That breakdown is the built kernel's own ``predict``, field for
+        # field, on every depthwise axis.
+        assert set(DEPTHWISE_AXES) <= {problem for problem, _ in priced}
+        for problem, (_, kernel, config, breakdown) in priced:
+            label = problem.describe()
+            assert isinstance(kernel, DepthwiseKernel), label
+            assert plans[problem].candidates["depthwise"] == (
+                breakdown.total), label
+            assert _exact(breakdown) == _exact(
+                DepthwiseKernel(arch, config=config).predict(problem)), label
 
 
 class TestGeneralOnEveryFilterSize:
