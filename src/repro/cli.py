@@ -16,7 +16,7 @@
     python -m repro backends --arch pascal --json
     python -m repro serve --synthetic 50 --emit-trace out.json   # Perfetto trace
     python -m repro obs --format prometheus  # telemetry registry dump
-    python -m repro audit                    # fastsim vs interpreted oracle
+    python -m repro audit                    # traced costs vs interpreted oracle
     python -m repro audit --arch fermi --case general --trials 8
 
 Tables are printed to stdout (the same renderer the benchmark suite
@@ -188,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="claim ids to check (default: all)")
 
     audit = sub.add_parser(
-        "audit", help="cross-check the fast trace generators "
+        "audit", help="cross-check the analytic special-case and "
+        "depthwise costs and the general case's fast simulator "
         "(repro.gpu.fastsim) against the interpreted SIMT oracle: every "
         "trial must produce a byte-identical KernelCost and output")
     audit.add_argument("--case",

@@ -76,9 +76,11 @@ def conv2d_reference(
         problem = ConvProblem.from_arrays(image, filters, padding)
 
     batched = np.ndim(image) == len(problem.image_shape) + 1
+    # Contiguous filters: a tap row read in place (below) must have one
+    # stride, whatever view of the values the caller holds.
     if batched:
         images = np.asarray(image, dtype=np.float32)
-        filters = np.asarray(filters, dtype=np.float32)
+        filters = np.ascontiguousarray(filters, dtype=np.float32)
         if (images.shape[1:] != problem.image_shape
                 or filters.shape != images.shape[:1] + problem.filter_shape):
             raise ShapeError(
@@ -88,7 +90,8 @@ def conv2d_reference(
                    problem.filter_shape, problem.describe()))
     else:
         images = problem.check_image(image)[np.newaxis]
-        filters = problem.check_filters(filters)[np.newaxis]
+        filters = np.ascontiguousarray(
+            problem.check_filters(filters))[np.newaxis]
 
     # One tap loop over the (B, ...) stacks.  Each tap's float32 products
     # are summed by the BLAS call np.dot makes for one image, with the

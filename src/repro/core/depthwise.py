@@ -14,9 +14,9 @@ model transfers unchanged.
 The traced cost is the per-group special-case cost with every traffic
 counter scaled by ``groups`` (the groups are literally identical
 request streams at different base addresses) under a grid-Z-extended
-launch; :meth:`DepthwiseKernel.run_traced` drives the vectorized fast
-simulator per group so ``repro audit`` can hold the depthwise path to
-the same interpreted-oracle standard as the special case.
+launch; :meth:`DepthwiseKernel.run_traced` returns that cost with the
+output, and with ``audit=True`` holds the group cost and every group's
+output to the interpreted oracle, as ``repro audit`` does.
 """
 
 from __future__ import annotations
@@ -148,39 +148,32 @@ class DepthwiseKernel(Priced):
         filters: np.ndarray,
         audit: bool = False,
     ) -> Tuple[np.ndarray, KernelCost]:
-        """Fast-simulate every group and return (output, executed cost).
+        """Return (output, executed cost) of an aligned problem.
 
-        Each group runs through :class:`repro.gpu.fastsim.FastSpecialKernel`
-        (aligned shapes, unit stride/dilation — the simulator's domain);
-        ``audit=True`` holds every group to the interpreted SIMT oracle.
+        The cost is one group's ``FastSpecialKernel.trace_cost`` (the
+        special-case cost on the simulator's domain: aligned shapes,
+        unit stride and dilation), scaled by :meth:`grouped`;
+        ``audit=True`` holds it and every group's output to the
+        interpreted SIMT oracle.
         """
-        from repro.gpu.fastsim import FastSpecialKernel
+        from repro.core.special_interpreted import InterpretedSpecialKernel
+        from repro.gpu.fastsim import FastSpecialKernel, audit_traced
 
         problem = self._positional(image, filters, Padding.VALID)
         valid = self._check_problem(problem)
-        img = problem.chw_image(image)
-        flt = problem.check_filters(filters)[:, 0]
-        fast = FastSpecialKernel(
-            arch=self.arch, config=self.config, bank_policy=self.bank_policy)
-        fpg = valid.filters_per_group
-        out = np.empty((valid.filters, valid.out_height, valid.out_width),
-                       dtype=np.float32)
-        merged = None
-        for g in range(valid.groups):
-            g_out, g_cost = fast.run_traced(
-                img[g], flt[g * fpg : (g + 1) * fpg], audit=audit,
-            )
-            out[g * fpg : (g + 1) * fpg] = g_out
-            if merged is None:
-                merged = g_cost
-            else:
-                merged.ledger.merge(g_cost.ledger)
-        launch = replace(merged.launch,
-                         grid=replace(merged.launch.grid, z=valid.groups))
-        return out, KernelCost(
-            name=self.name,
-            launch=launch,
-            ledger=merged.ledger,
-            software_prefetch=merged.software_prefetch,
-            launches=merged.launches,
-        )
+        group_cost = FastSpecialKernel(
+            arch=self.arch, config=self.config, bank_policy=self.bank_policy,
+        ).trace_cost(self.group_problem(valid))
+        out = conv2d_taps(problem, image, filters)
+        if audit:
+            img = problem.chw_image(image)
+            flt = problem.check_filters(filters)[:, 0]
+            oracle = InterpretedSpecialKernel(
+                arch=self.arch, config=self.config,
+                bank_policy=self.bank_policy)
+            fpg = valid.filters_per_group
+            for g in range(valid.groups):
+                group = slice(g * fpg, (g + 1) * fpg)
+                audit_traced(self.name, out[group], group_cost, oracle,
+                             img[g], flt[group])
+        return out, self.grouped(valid, group_cost)

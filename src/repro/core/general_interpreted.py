@@ -109,6 +109,7 @@ class InterpretedGeneralKernel:
             registers_per_thread=cfg.registers_per_thread(k, n),
             grid=Dim3(x=fgroups, y=blocks_y * blocks_x),
             software_prefetch=True,
+            block=Dim3(x=cfg.tx, y=cfg.ty),
         )
         return g_out.data.reshape(f_total, oh, ow), cost
 

@@ -14,11 +14,13 @@ Three views of the one algorithm:
 
 * :meth:`SpecialCaseKernel.cost` carries the traffic: it replays every
   memory access site's actual warp address patterns through the
-  bank/coalescing/broadcast models and returns the ledger the timing
-  model consumes;
+  bank/coalescing/broadcast models, each staged image row where it
+  starts, and returns the ledger the timing model consumes;
 * the interpreter (:mod:`repro.core.special_interpreted`) executes the
   dataflow warp by warp — the circular shared-memory window and the
-  register-row rotation — and is the audit oracle;
+  register-row rotation — and is the audit oracle: on every aligned
+  problem whose filters fit the constant cache its executed trace
+  equals the cost field for field;
 * :meth:`SpecialCaseKernel.run` returns the exact float32 output of
   the shared tap loop (:func:`repro.conv.reference.conv2d_taps`), which
   sums each output's taps in the order the kernel's threads do.
@@ -38,6 +40,7 @@ model, the traffic is.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -61,6 +64,35 @@ from repro.gpu.trace import (
 )
 
 __all__ = ["SpecialCaseKernel"]
+
+
+@functools.lru_cache(maxsize=1024)
+def _row_starts(pitch: int, unit: int, mod: int, step: int, rows: int,
+                bands: int) -> tuple:
+    """The staged image rows by where they start, as ascending ``(start
+    byte, rows)`` pairs.
+
+    Each of ``bands`` block rows stages ``rows`` consecutive image rows,
+    band ``b`` from image row ``b * step`` on; image row ``i`` starts at
+    byte ``i * pitch`` modulo ``mod``, rounded down to the vector
+    ``unit``.  Row starts repeat every ``q = mod / gcd(pitch, mod)``
+    rows, so the rows are counted by their index modulo ``q``, in
+    closed form: each band adds ``rows // q`` to every class and one
+    more to the ``rows % q`` classes from its first row's on.
+    """
+    q = mod // math.gcd(pitch, mod)
+    full_bands, part_bands = divmod(bands, q)
+    full_rows, part_rows = divmod(rows, q)
+    starts = {}
+    for j in range(q):
+        count = bands * full_rows
+        for b in range(min(bands, q)):
+            if (j - b * step) % q < part_rows:
+                count += full_bands + (b < part_bands)
+        if count:
+            start = j * pitch % mod // unit * unit
+            starts[start] = starts.get(start, 0) + count
+    return tuple(sorted(starts.items()))
 
 
 class SpecialCaseKernel(Priced):
@@ -163,7 +195,12 @@ class SpecialCaseKernel(Priced):
         ledger = TrafficLedger(
             gmem_segment_size=self.arch.gmem_transaction_size)
         floor = self._floor(valid, ledger)
-        loads, stores = self._gmem_sites(valid, floor.launch.total_blocks,
+        # One row per staged piece: a row's distinct bytes do not depend
+        # on where it starts, so splitting it by start residue, as the
+        # cost does, would add the same integers.
+        grid = floor.launch.grid
+        starts = ((0, self._staged_rows(valid) * grid.y),)
+        loads, stores = self._gmem_sites(valid, grid, starts,
                                          self._staged(valid))
         gmem_floor(ledger, loads + stores)
         return floor
@@ -187,8 +224,10 @@ class SpecialCaseKernel(Priced):
         Each site is a :func:`lane_batch` cached per geometry and folded
         with this problem's count, one fold per request row in the order
         and with the count expressions of a request-by-request replay
-        (docs/SIMULATOR.md).  Every count is a product of positive
-        extents, so no fold is skipped for a zero count.
+        (docs/SIMULATOR.md); a staged image-row piece is one load per
+        start residue of its rows (:func:`_row_starts`).  Every count is
+        a product of positive extents, so no fold is skipped for a zero
+        count.
         """
         valid = self._check_problem(problem)
         tracer = KernelTracer(self.arch, self.bank_policy)
@@ -196,6 +235,7 @@ class SpecialCaseKernel(Priced):
         cfg = self.config
         k = valid.kernel_size
         n = self.n
+        grid = cost.launch.grid
         blocks = cost.launch.total_blocks
         warp_lanes = self.arch.warp_size
         warps = math.ceil(cfg.threads(n) / warp_lanes)
@@ -208,7 +248,13 @@ class SpecialCaseKernel(Priced):
         s, d = valid.stride, valid.dilation
         span = valid.span
         staged = self._staged(valid)
-        loads, stores = self._gmem_sites(valid, blocks, staged)
+        rows = self._staged_rows(valid)
+        mod = KernelTracer.gmem_batch_mod(unit)
+        # Image row i starts i * pitch bytes into the image, and every
+        # block column and the image base are whole periods further on.
+        starts = _row_starts(valid.width * elem % mod, unit, mod,
+                             h * s % mod, rows, grid.y)
+        loads, stores = self._gmem_sites(valid, grid, starts, staged)
 
         # --- global loads of image rows (coalesced vector units) ----------
         tracer.gmem_sites(loads)
@@ -217,7 +263,7 @@ class SpecialCaseKernel(Priced):
         for name, lanes, base, reqs in staged:
             tracer.smem_write_prepared(
                 lane_batch(lanes, unit, smem_mod, base), unit,
-                scale=float(reqs * blocks), site="sm.store_" + name)
+                scale=float(reqs * rows * blocks), site="sm.store_" + name)
 
         # --- per-iteration register loads from shared memory --------------
         # Each thread reads its (n-1)*s + span pixel row slice as vector
@@ -255,23 +301,26 @@ class SpecialCaseKernel(Priced):
         cost.launch.validate(self.arch)
         return cost
 
+    def _staged_rows(self, valid: ConvProblem) -> int:
+        """The image rows a block stages: K initial + (H - 1) prefetched
+        rows at stride 1; strided blocks advance s input rows per output
+        row under the same span window."""
+        return (self.config.block_h - 1) * valid.stride + valid.span
+
     def _staged(self, valid: ConvProblem) -> list:
-        """The image-row pieces a block stages, as (site, lanes, base
-        byte, requests per block), each a coalesced run of vector units."""
+        """The pieces of one staged image row, as (site, lanes, base
+        byte, requests per row), each a coalesced run of vector units."""
         cfg = self.config
         n = self.n
         s, span = valid.stride, valid.span
         warp_lanes = self.arch.warp_size
-        # K initial + (H - 1) prefetched rows at stride 1; strided blocks
-        # advance s input rows per output row under the same span window.
-        rows_per_block = (cfg.block_h - 1) * s + span
         if s == 1:
             warps = math.ceil(cfg.threads(n) / warp_lanes)
-            staged = [("row", warp_lanes, 0, warps * rows_per_block)]
+            staged = [("row", warp_lanes, 0, warps)]
             halo_units = math.ceil((span - 1) / n)
             if halo_units:
                 staged.append(("row_halo", halo_units,
-                               cfg.block_w * self.elem_bytes, rows_per_block))
+                               cfg.block_w * self.elem_bytes, 1))
             return staged
         # Strided blocks still stage their full contiguous footprint row
         # (every s-th pixel plus dilated halo is in range), so the
@@ -280,25 +329,31 @@ class SpecialCaseKernel(Priced):
         full_rounds, tail_units = divmod(math.ceil(footprint / n), warp_lanes)
         staged = []
         if full_rounds:
-            staged.append(("row", warp_lanes, 0, full_rounds * rows_per_block))
+            staged.append(("row", warp_lanes, 0, full_rounds))
         if tail_units:
-            staged.append(("row_halo", tail_units, 0, rows_per_block))
+            staged.append(("row_halo", tail_units, 0, 1))
         return staged
 
-    def _gmem_sites(self, valid: ConvProblem, blocks: int,
+    def _gmem_sites(self, valid: ConvProblem, grid: Dim3, starts,
                     staged: list) -> tuple:
         """The global-memory sites :meth:`cost` folds, as ``(loads,
         stores)`` lists of :meth:`KernelTracer.gmem_sites` tuples; the
-        floor bounds the same ones.  The constant-cache misses
+        floor bounds the same ones.  Each staged piece is one load per
+        ``(start byte, rows)`` of ``starts``: the staged rows of one
+        column of ``grid`` that start at that byte of a sector period,
+        which every column stages alike.  The constant-cache misses
         (``gm.cm_miss``) are left out of both lists: the cost folds
         them between the two, and the floor skips them."""
         n, elem = self.n, self.elem_bytes
         unit = n * elem
         mod = KernelTracer.gmem_batch_mod(unit)
         warp_lanes = self.arch.warp_size
-        loads = [("gm.load_" + name, lane_batch(lanes, unit, mod, base), unit,
-                  float(reqs * blocks), False, 1.0)
-                 for name, lanes, base, reqs in staged]
+        loads = [("gm.load_" + name,
+                  lane_batch(lanes, unit, mod, base + start), unit,
+                  float(reqs * rows * grid.x), False, 1.0)
+                 for name, lanes, base, reqs in staged
+                 for start, rows in starts]
+        blocks = grid.count
         warps = math.ceil(self.config.threads(n) / warp_lanes)
         count = float(warps * self.config.block_h * valid.filters * blocks)
         if (valid.out_width * elem) % self.arch.gmem_transaction_size:

@@ -47,7 +47,7 @@ class TraceError(ReproError):
 
 
 class AuditMismatchError(TraceError):
-    """The fast trace generator disagrees with the interpreted oracle."""
+    """A traced cost or output disagrees with the interpreted oracle."""
 
 
 class ObservabilityError(ReproError):

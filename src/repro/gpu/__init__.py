@@ -15,9 +15,10 @@ It provides:
   traffic ledger into seconds / GFlop/s;
 * :mod:`repro.gpu.device` — the warp-synchronous SIMT interpreter (the
   executable oracle);
-* :mod:`repro.gpu.fastsim` — vectorized whole-warp trace generation,
-  byte-identical to the interpreter and orders of magnitude faster,
-  with the interpreter as its opt-in audit (``run_traced(audit=True)``).
+* :mod:`repro.gpu.fastsim` — traced runs at batch speed (the analytic
+  special-case cost, the general case's vectorized trace generation),
+  byte-identical to the interpreter, with the interpreter as their
+  opt-in audit (``run_traced(audit=True)``).
 """
 
 from repro.gpu.arch import (

@@ -252,13 +252,16 @@ class DeviceExecutor:
 
     def finish(self, name: str, registers_per_thread: int = 32,
                grid: Optional[Dim3] = None,
-               software_prefetch: bool = False) -> KernelCost:
-        """Package the executed trace as a KernelCost."""
+               software_prefetch: bool = False,
+               block: Optional[Dim3] = None) -> KernelCost:
+        """Package the executed trace as a KernelCost.  ``grid`` and
+        ``block`` lay out the blocks run and their threads (default:
+        one row of each)."""
         if self._blocks_run == 0 or self._threads_per_block is None:
             raise TraceError("no blocks were executed")
         launch = LaunchConfig(
             grid=grid or Dim3(x=self._blocks_run),
-            block=Dim3(x=self._threads_per_block),
+            block=block or Dim3(x=self._threads_per_block),
             registers_per_thread=registers_per_thread,
             smem_per_block=self._max_smem,
         )

@@ -1,21 +1,30 @@
-"""Vectorized whole-warp trace generation for the paper's two kernels.
+"""Traced runs of the paper's two kernels, held to the interpreted oracle.
 
 The interpreted executors (:mod:`repro.core.special_interpreted`,
 :mod:`repro.core.general_interpreted`) walk Algorithms 1-2 warp by
 warp in Python, pushing every request through the memory models one at
 a time.  That is the right shape for an *oracle* but far too slow for
-sweeps.  This module generates the same request streams analytically:
-for each access site it enumerates, in numpy, the scalar byte base of
-every (block, iteration) instance plus the per-lane relative pattern
-shared by all of them, folds the bases down to their residues modulo
-the memory structure period (see the canonical-pattern cache notes in
-:mod:`repro.gpu.trace`), and feeds the distinct ``(warps, lanes)``
-residue matrices through :func:`~repro.gpu.trace.prepare_batch` and the
-tracer's prepared folds with summed multiplicities.
+sweeps.  The kernels here return the same ``(output, KernelCost)`` pair
+at batch speed:
 
-The result is a :class:`~repro.gpu.trace.KernelCost` that is
-**byte-identical** to what the interpreter would have produced — same
-ledger, same per-site statistics, same launch — because
+* :class:`FastSpecialKernel` prices the special case with the one cost
+  model that DSE and dispatch use, :meth:`SpecialCaseKernel.cost
+  <repro.core.special.SpecialCaseKernel.cost>`, on the aligned problems
+  the interpreter runs;
+* :class:`FastGeneralKernel` still generates the general case's request
+  streams in closed form: for each access site it enumerates, in numpy,
+  the scalar byte base of every (block, iteration) instance plus the
+  per-lane relative pattern shared by all of them, folds the bases down
+  to their residues modulo the memory structure period (see the
+  canonical-pattern cache notes in :mod:`repro.gpu.trace`), and feeds
+  the distinct ``(warps, lanes)`` residue matrices through
+  :func:`~repro.gpu.trace.prepare_batch` and the tracer's prepared
+  folds with summed multiplicities.  It stays until the general cost
+  model's gaps to the oracle close (ROADMAP item 2).
+
+Both costs are **byte-identical** to what the interpreter produces —
+same ledger, same per-site statistics, same launch (the special one
+while its filters fit the constant cache) — because
 
 * every per-request model outcome (cycles, phases, transactions,
   request/unique bytes, serializations) is an integer, and all counts
@@ -29,17 +38,11 @@ ledger, same per-site statistics, same launch — because
   same canonical row.
 
 The interpreters stay on as the cross-check oracle: pass ``audit=True``
-to ``run_traced`` (or run ``repro audit``) and the fast result is
-compared field-for-field against a full interpreted run — any difference raises
-:class:`~repro.errors.AuditMismatchError`.
-
-For *cost-only* queries, ``trace_cost(problem)`` generates the trace
-without data; it matches the interpreter bit-for-bit but, like the
-interpreter, requires the output to tile the block grid exactly.  The
-analytic closed-form model of Secs. 3-4
-(:class:`~repro.core.special.SpecialCaseKernel` /
-:class:`~repro.core.general.GeneralCaseKernel` ``.cost``) covers
-arbitrary problem shapes.
+to ``run_traced`` (or run ``repro audit``) and the result is compared
+field-for-field against a full interpreted run (:func:`audit_traced`) —
+any difference raises :class:`~repro.errors.AuditMismatchError`.
+``trace_cost(problem)`` gives the cost without data; like the
+interpreter, it requires the output to tile the block grid exactly.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from repro.gpu.trace import (
 
 __all__ = [
     "kernel_cost_diffs",
+    "audit_traced",
     "FastSpecialKernel",
     "FastGeneralKernel",
 ]
@@ -117,13 +121,26 @@ def kernel_cost_diffs(fast: KernelCost, oracle: KernelCost) -> List[str]:
     return diffs
 
 
-def _raise_mismatch(name: str, oracle_name: str, diffs: List[str]) -> None:
+def audit_traced(name: str, out: np.ndarray, cost: KernelCost, oracle,
+                 image: np.ndarray, filters: np.ndarray) -> None:
+    """Hold a traced run's ``(out, cost)`` to the interpreted ``oracle``
+    run on ``image`` and ``filters``: the costs field for field
+    (:func:`kernel_cost_diffs`) and the outputs bit for bit.  Raises
+    :class:`~repro.errors.AuditMismatchError` naming the first
+    differences; returns nothing when they agree."""
+    ref_out, ref_cost = oracle.run_traced(image, filters)
+    diffs = kernel_cost_diffs(cost, ref_cost)
+    if out.shape != ref_out.shape or not np.array_equal(
+            out.view(np.uint32), ref_out.view(np.uint32)):
+        diffs.append("output buffers differ bitwise")
+    if not diffs:
+        return
     shown = "; ".join(diffs[:8])
     if len(diffs) > 8:
         shown += "; ... (%d more)" % (len(diffs) - 8)
     raise AuditMismatchError(
         "audit failed: %s disagrees with the interpreted oracle %s "
-        "in %d field(s): %s" % (name, oracle_name, len(diffs), shown))
+        "in %d field(s): %s" % (name, oracle.name, len(diffs), shown))
 
 
 # ----------------------------------------------------------------------
@@ -155,22 +172,15 @@ def _fold_bases(bases, rels, mod: int) -> Tuple[np.ndarray, np.ndarray]:
     return matrix, counts
 
 
-def _check_global_span(name: str, size_floats: int, lo: int, hi: int,
-                       vector: int, site: str) -> None:
-    """Replicate :meth:`GlobalArray.addresses`' whole-span bounds check."""
+def _check_span(space: str, name: str, size_floats: int, lo: int, hi: int,
+                vector: int, site: str) -> None:
+    """Replicate the whole-span bounds check of
+    :meth:`GlobalArray.addresses` (``space="global"``) or
+    :meth:`SharedArray.addresses` (``space="shared"``)."""
     if lo < 0 or hi + (vector - 1) >= size_floats:
         raise TraceError(
-            "global index out of range in %s (vector=%d) at site %r"
-            % (name, vector, site))
-
-
-def _check_shared_span(name: str, size_floats: int, lo: int, hi: int,
-                       vector: int, site: str) -> None:
-    """Replicate :meth:`SharedArray.addresses`' whole-span bounds check."""
-    if lo < 0 or hi + (vector - 1) >= size_floats:
-        raise TraceError(
-            "shared index out of range in %s (vector=%d) at site %r"
-            % (name, vector, site))
+            "%s index out of range in %s (vector=%d) at site %r"
+            % (space, name, vector, site))
 
 
 def _round_up(value: int, unit: int) -> int:
@@ -182,12 +192,11 @@ def _round_up(value: int, unit: int) -> int:
 # ----------------------------------------------------------------------
 
 class FastSpecialKernel:
-    """Vectorized trace twin of :class:`InterpretedSpecialKernel`.
+    """The traced run of :class:`InterpretedSpecialKernel`'s problems.
 
-    Same thread layout, circular row window, constant-memory broadcasts
-    and prefetch schedule as the interpreter — but the request streams
-    are generated in closed form and folded as prepared batches, with
-    no Python per-warp (or even per-block) loop.
+    Its cost is :class:`~repro.core.special.SpecialCaseKernel`'s, the
+    model the DSE and dispatch price with, after the interpreter's
+    aligned-problem check; its output is the direct kernels' tap loop.
     """
 
     def __init__(
@@ -197,15 +206,17 @@ class FastSpecialKernel:
         matched: bool = True,
         bank_policy: BankConflictPolicy = BankConflictPolicy.WORD_MERGE,
     ):
-        from repro.core.bankwidth import matched_vector
         from repro.core.config import SpecialCaseConfig
+        from repro.core.special import SpecialCaseKernel
 
         self.arch = arch
         self.config = config if config is not None \
             else SpecialCaseConfig(block_w=64, block_h=4)
         self.matched = matched
         self.bank_policy = bank_policy
-        self.n = matched_vector(arch).n if matched else 1
+        self.kernel = SpecialCaseKernel(arch, self.config, matched,
+                                        bank_policy)
+        self.n = self.kernel.n
         self.name = "special-fastsim[%s,n=%d]" % (arch.name, self.n)
 
     # ------------------------------------------------------------------
@@ -219,6 +230,8 @@ class FastSpecialKernel:
         both values, at batch speed.  ``audit=True`` additionally runs
         the interpreter and verifies that claim.
         """
+        from repro.core.special_interpreted import InterpretedSpecialKernel
+
         problem = ConvProblem.from_arrays(image, filters)
         if problem.channels != 1:
             raise ShapeError(
@@ -227,174 +240,31 @@ class FastSpecialKernel:
         cost = self.trace_cost(problem)
         out = conv2d_taps(problem, image, filters)
         if audit:
-            self._audit(problem.chw_image(image)[0],
-                        problem.check_filters(filters)[:, 0], out, cost)
+            audit_traced(
+                self.name, out, cost,
+                InterpretedSpecialKernel(
+                    arch=self.arch, config=self.config, matched=self.matched,
+                    bank_policy=self.bank_policy),
+                problem.chw_image(image)[0],
+                problem.check_filters(filters)[:, 0])
         return out, cost
 
     # ------------------------------------------------------------------
-    def _audit(self, img, flt, out, cost) -> None:
-        from repro.core.special_interpreted import InterpretedSpecialKernel
-
-        oracle = InterpretedSpecialKernel(
-            arch=self.arch, config=self.config, matched=self.matched,
-            bank_policy=self.bank_policy)
-        ref_out, ref_cost = oracle.run_traced(img, flt)
-        diffs = kernel_cost_diffs(cost, ref_cost)
-        if out.shape != ref_out.shape or not np.array_equal(
-                out.view(np.uint32), ref_out.view(np.uint32)):
-            diffs.append("output buffers differ bitwise")
-        if diffs:
-            _raise_mismatch(self.name, oracle.name, diffs)
-
-    # ------------------------------------------------------------------
     def trace_cost(self, problem: ConvProblem) -> KernelCost:
-        """Generate the executed-trace cost for an aligned problem."""
-        cfg, n, arch = self.config, self.n, self.arch
-        ws = arch.warp_size
-        k = problem.kernel_size
-        f_count = problem.filters
-        if problem.channels != 1:
-            raise ConfigurationError(
-                "the special-case kernel handles one input channel, got %d"
-                % problem.channels)
-        cfg.validate(k, n, ws)
+        """The executed-trace cost of an aligned problem:
+        ``SpecialCaseKernel.cost``, which equals the interpreter's on
+        every problem the interpreter runs whose filters fit the
+        constant cache.  Past it the cost adds the constant-cache
+        misses (``gm.cm_miss``), which the interpreter does not model,
+        and an audit reports them."""
+        cfg = self.config
+        cfg.validate(problem.kernel_size, self.n, self.arch.warp_size)
         oh, ow = problem.out_height, problem.out_width
-        w, h = cfg.block_w, cfg.block_h
-        if oh % h or ow % w:
+        if oh % cfg.block_h or ow % cfg.block_w:
             raise ConfigurationError(
                 "the audit kernel needs the %dx%d output to tile the "
-                "%dx%d block exactly" % (oh, ow, h, w))
-        if f_count * k * k * 4 > arch.const_memory_size:
-            raise TraceError("constant allocation exceeds constant memory")
-
-        img_h, img_w = problem.height, problem.width
-        threads = cfg.threads(n)
-        warps = threads // ws
-        row_floats = cfg.smem_row_floats(k, n)
-        halo_units = math.ceil((k - 1) / n)
-        window_units = 1 + halo_units
-        blocks_y, blocks_x = oh // h, ow // w
-        blocks = blocks_y * blocks_x
-        unit = n * 4
-
-        # DeviceExecutor allocation layout: image at 512, output after.
-        g_img_base = _GLOBAL_ALIGN
-        g_out_base = g_img_base + _round_up(img_h * img_w * 4, _GLOBAL_ALIGN)
-        img_size = img_h * img_w
-        out_size = f_count * oh * ow
-
-        tracer = KernelTracer(arch, self.bank_policy)
-        gmod = tracer.gmem_batch_mod(unit)
-        smod = tracer.smem_batch_mod()
-        lane = np.arange(threads, dtype=np.int64).reshape(warps, ws)
-        rel_row = lane * unit            # each warp's slice of one row
-
-        # gm.load_row: every staged input row of every block, once.
-        row_idx = (np.arange(blocks_y, dtype=np.int64)[:, np.newaxis] * h
-                   + np.arange(h + k - 1, dtype=np.int64)[np.newaxis, :])
-        col0 = np.arange(blocks_x, dtype=np.int64) * w
-        base_idx = (row_idx[:, :, np.newaxis] * img_w
-                    + col0[np.newaxis, np.newaxis, :]).reshape(-1)
-        _check_global_span("image", img_size, int(base_idx.min()),
-                           int(base_idx.max()) + (threads - 1) * n,
-                           n, "gm.load_row")
-        matrix, counts = _fold_bases(g_img_base + base_idx * 4, rel_row, gmod)
-        tracer.gmem_read_prepared(prepare_batch(matrix, gmod, counts), unit,
-                                  site="gm.load_row")
-
-        if halo_units:
-            rel_halo = (w + np.arange(halo_units, dtype=np.int64) * n) * 4
-            _check_global_span(
-                "image", img_size, int(base_idx.min()) + w,
-                int(base_idx.max()) + w + (halo_units - 1) * n,
-                n, "gm.load_row_halo")
-            matrix, counts = _fold_bases(g_img_base + base_idx * 4,
-                                         rel_halo, gmod)
-            tracer.gmem_read_prepared(prepare_batch(matrix, gmod, counts),
-                                      unit, site="gm.load_row_halo")
-
-        # sm.store_row: K initial rows plus one prefetch store per
-        # output row but the last; slot multiplicities by circular slot.
-        store_slots = np.concatenate([
-            np.arange(k, dtype=np.int64),
-            np.arange(h - 1, dtype=np.int64) % k,
-        ])
-        smem_size = k * row_floats
-        _check_shared_span("rows", smem_size,
-                           int(store_slots.min()) * row_floats,
-                           int(store_slots.max()) * row_floats
-                           + (threads - 1) * n, n, "sm.store_row")
-        matrix, counts = _fold_bases(store_slots * (row_floats * 4),
-                                     rel_row, smod)
-        tracer.smem_write_prepared(
-            prepare_batch(matrix, smod, counts * float(blocks)), unit,
-            site="sm.store_row")
-        if halo_units:
-            rel_halo_s = (w + np.arange(halo_units, dtype=np.int64) * n) * 4
-            _check_shared_span("rows", smem_size,
-                               int(store_slots.min()) * row_floats + w,
-                               int(store_slots.max()) * row_floats + w
-                               + (halo_units - 1) * n, n, "sm.store_row_halo")
-            matrix, counts = _fold_bases(store_slots * (row_floats * 4),
-                                         rel_halo_s, smod)
-            tracer.smem_write_prepared(
-                prepare_batch(matrix, smod, counts * float(blocks)), unit,
-                site="sm.store_row_halo")
-
-        # sm.load_window: K-1 priming rows plus one refresh per output
-        # row, each read as window_units overlapping vector slices.
-        win_slots = np.concatenate([
-            np.arange(k - 1, dtype=np.int64),
-            (np.arange(h, dtype=np.int64) + k - 1) % k,
-        ])
-        rel_win = ((lane[np.newaxis, :, :]
-                    + np.arange(window_units,
-                                dtype=np.int64)[:, np.newaxis, np.newaxis])
-                   * unit).reshape(window_units * warps, ws)
-        _check_shared_span("rows", smem_size,
-                           int(win_slots.min()) * row_floats,
-                           int(win_slots.max()) * row_floats
-                           + (threads - 1 + window_units - 1) * n,
-                           n, "sm.load_window")
-        matrix, counts = _fold_bases(win_slots * (row_floats * 4),
-                                     rel_win, smod)
-        tracer.smem_read_prepared(
-            prepare_batch(matrix, smod, counts * float(blocks)), unit,
-            site="sm.load_window")
-
-        # cm.filter_tap: every tap is a full-warp broadcast; all of them
-        # share the canonical all-zero pattern.
-        tap_requests = float(h * f_count * k * k * warps * blocks)
-        tracer.cmem_read(np.zeros(ws, dtype=np.int64), count=tap_requests,
-                         site="cm.filter_tap")
-
-        # FMA rounds: 2 flops per lane per vector element.
-        tracer.flops(2.0 * ws * n * float(k * k * f_count * h * warps * blocks))
-
-        # gm.store_out: one vector store per (output row, filter, warp).
-        out_base_idx = (
-            np.arange(f_count, dtype=np.int64)[:, np.newaxis, np.newaxis]
-            * (oh * ow)
-            + np.arange(oh, dtype=np.int64)[np.newaxis, :, np.newaxis] * ow
-            + col0[np.newaxis, np.newaxis, :]).reshape(-1)
-        _check_global_span("out", out_size, int(out_base_idx.min()),
-                           int(out_base_idx.max()) + (threads - 1) * n,
-                           n, "gm.store_out")
-        matrix, counts = _fold_bases(g_out_base + out_base_idx * 4,
-                                     rel_row, gmod)
-        tracer.gmem_write_prepared(prepare_batch(matrix, gmod, counts), unit,
-                                   site="gm.store_out")
-
-        tracer.sync(float((1 + 2 * h) * blocks))
-
-        launch = LaunchConfig(
-            grid=Dim3(x=blocks_x, y=blocks_y),
-            block=Dim3(x=threads),
-            registers_per_thread=cfg.registers_per_thread(k, n),
-            smem_per_block=smem_size * 4,
-        )
-        return tracer.finish(name=self.name, launch=launch,
-                             software_prefetch=True)
+                "%dx%d block exactly" % (oh, ow, cfg.block_h, cfg.block_w))
+        return self.kernel.cost(problem)
 
 
 # ----------------------------------------------------------------------
@@ -429,28 +299,19 @@ class FastGeneralKernel:
     ) -> Tuple[np.ndarray, KernelCost]:
         """Convolve and return ``(output, executed-trace cost)``,
         bit-identical to ``InterpretedGeneralKernel.run_traced``."""
+        from repro.core.general_interpreted import InterpretedGeneralKernel
+
         problem = ConvProblem.from_arrays(image, filters)
         cost = self.trace_cost(problem)
         out = conv2d_taps(problem, image, filters)
         if audit:
-            self._audit(problem.chw_image(image),
-                        problem.check_filters(filters), out, cost)
+            audit_traced(
+                self.name, out, cost,
+                InterpretedGeneralKernel(
+                    arch=self.arch, config=self.config, matched=self.matched,
+                    bank_policy=self.bank_policy),
+                problem.chw_image(image), problem.check_filters(filters))
         return out, cost
-
-    # ------------------------------------------------------------------
-    def _audit(self, img, flt, out, cost) -> None:
-        from repro.core.general_interpreted import InterpretedGeneralKernel
-
-        oracle = InterpretedGeneralKernel(
-            arch=self.arch, config=self.config, matched=self.matched,
-            bank_policy=self.bank_policy)
-        ref_out, ref_cost = oracle.run_traced(img, flt)
-        diffs = kernel_cost_diffs(cost, ref_cost)
-        if out.shape != ref_out.shape or not np.array_equal(
-                out.view(np.uint32), ref_out.view(np.uint32)):
-            diffs.append("output buffers differ bitwise")
-        if diffs:
-            _raise_mismatch(self.name, oracle.name, diffs)
 
     # ------------------------------------------------------------------
     def trace_cost(self, problem: ConvProblem) -> KernelCost:
@@ -519,9 +380,9 @@ class FastGeneralKernel:
             * (img_h * img_w)
             + row_abs[np.newaxis, :, :, np.newaxis] * img_w
             + col0[np.newaxis, np.newaxis, np.newaxis, :]).reshape(-1)
-        _check_global_span("image", img_size, int(gbase_idx.min()),
-                           int(gbase_idx.max()) + (units_per_row - 1) * n,
-                           n, "gm.load_image")
+        _check_span("global", "image", img_size, int(gbase_idx.min()),
+                    int(gbase_idx.max()) + (units_per_row - 1) * n,
+                    n, "gm.load_image")
         bases_img = g_img_base + gbase_idx * 4
         for piece in pieces:
             matrix, counts = _fold_bases(bases_img, piece * unit, gmod)
@@ -532,9 +393,9 @@ class FastGeneralKernel:
         # sm.store_image: the same pieces against the staged rows.
         sm_rows = np.arange(cfg.csh * img_rows, dtype=np.int64) \
             * (row_floats * 4)
-        _check_shared_span("shImg", sh_img_size, 0,
-                           (cfg.csh * img_rows - 1) * row_floats
-                           + (units_per_row - 1) * n, n, "sm.store_image")
+        _check_span("shared", "shImg", sh_img_size, 0,
+                    (cfg.csh * img_rows - 1) * row_floats
+                    + (units_per_row - 1) * n, n, "sm.store_image")
         store_scale = float(chunks * total_blocks)
         for piece in pieces:
             matrix, counts = _fold_bases(sm_rows, piece * unit, smod)
@@ -550,9 +411,9 @@ class FastGeneralKernel:
                       + np.arange(0, c_total, cfg.csh,
                                   dtype=np.int64)[np.newaxis, :])
                      * taps).reshape(-1)
-        _check_global_span("filters", flt_size, int(flt_gbase.min()),
-                           int(flt_gbase.max()) + run - 1, 1,
-                           "gm.load_filter")
+        _check_span("global", "filters", flt_size, int(flt_gbase.min()),
+                    int(flt_gbase.max()) + run - 1, 1,
+                    "gm.load_filter")
         bases_flt = g_flt_base + flt_gbase * 4
         fmod = tracer.gmem_batch_mod(4)
         for done in range(0, run, ws):
@@ -564,9 +425,9 @@ class FastGeneralKernel:
 
         # sm.store_filter: the transposed+padded scalar store pieces.
         total = cfg.ftb * run
-        _check_shared_span("shFlt", sh_flt_size, 0,
-                           (run - 1) * flt_row + cfg.ftb - 1, 1,
-                           "sm.store_filter")
+        _check_span("shared", "shFlt", sh_flt_size, 0,
+                    (run - 1) * flt_row + cfg.ftb - 1, 1,
+                    "sm.store_filter")
         for done in range(0, total, ws):
             l = np.arange(done, min(done + ws, total), dtype=np.int64)
             row = ((l // cfg.ftb) * flt_row + l % cfg.ftb) * 4
@@ -587,8 +448,8 @@ class FastGeneralKernel:
             + np.arange(k, dtype=np.int64)[np.newaxis, :, np.newaxis]
             * row_floats
             + offs[np.newaxis, np.newaxis, :]).reshape(-1)
-        _check_shared_span(
-            "shImg", sh_img_size, 0,
+        _check_span(
+            "shared", "shImg", sh_img_size, 0,
             int(img_row_sc.max()) + int(rel_ty.max()) // 4, n,
             "sm.load_image_row")
         matrix, counts = _fold_bases(img_row_sc * 4, rel_ty, smod)
@@ -602,8 +463,8 @@ class FastGeneralKernel:
         flt_row_sc = (
             np.arange(cfg.csh * taps, dtype=np.int64)[:, np.newaxis] * flt_row
             + np.arange(u_flt, dtype=np.int64)[np.newaxis, :] * n).reshape(-1)
-        _check_shared_span(
-            "shFlt", sh_flt_size, 0,
+        _check_span(
+            "shared", "shFlt", sh_flt_size, 0,
             int(flt_row_sc.max()) + int(rel_tx.max()) // 4, n,
             "sm.load_filter_row")
         matrix, counts = _fold_bases(flt_row_sc * 4, rel_tx, smod)
@@ -633,9 +494,9 @@ class FastGeneralKernel:
             + (np.arange(u_out, dtype=np.int64) * wide)[
                 np.newaxis, np.newaxis, np.newaxis, np.newaxis, :]
         ).reshape(-1)
-        _check_global_span("out", out_size, int(out_sc.min()),
-                           int(out_sc.max()) + int(rel_out.max()) // 4,
-                           wide, "gm.store_out")
+        _check_span("global", "out", out_size, int(out_sc.min()),
+                    int(out_sc.max()) + int(rel_out.max()) // 4,
+                    wide, "gm.store_out")
         omod = tracer.gmem_batch_mod(wide * 4)
         matrix, counts = _fold_bases(g_out_base + out_sc * 4, rel_out, omod)
         tracer.gmem_write_prepared(prepare_batch(matrix, omod, counts),
@@ -645,7 +506,7 @@ class FastGeneralKernel:
 
         launch = LaunchConfig(
             grid=Dim3(x=fgroups, y=sblocks),
-            block=Dim3(x=threads),
+            block=Dim3(x=cfg.tx, y=cfg.ty),
             registers_per_thread=cfg.registers_per_thread(k, n),
             smem_per_block=(sh_img_size + sh_flt_size) * 4,
         )

@@ -128,7 +128,7 @@ class PreparedBatch:
     serialized cache keys, ``mults`` their integer row multiplicities.
     A prepared batch captures only a batch's *geometry* — callers that
     replay the same address structure under many different execution
-    counts (a config sweep, the fast trace generators) build it once,
+    counts (a config sweep, the general fast simulator) build it once,
     cache it, and fold it repeatedly through the ``*_prepared`` tracer
     methods with a per-use uniform scale.
     """
@@ -650,8 +650,8 @@ class KernelTracer:
     # times, one model lookup per distinct row.  Because per-request
     # model outcomes are integers, folding a :func:`prepare_batch` of
     # integer counts with ``scale=1`` is bit-identical to issuing every
-    # row individually — the fast trace generators in
-    # :mod:`repro.gpu.fastsim` rely on exactly that.
+    # row individually — the general fast simulator in
+    # :mod:`repro.gpu.fastsim` relies on exactly that.
 
     def smem_batch_mod(self) -> int:
         """The period to :func:`prepare_batch` shared-memory batches with."""

@@ -196,6 +196,20 @@ class TestBatchedBitIdentity:
         assert np.array_equal(singles.view(np.uint32),
                               batched.view(np.uint32))
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_filter_strides_do_not_change_the_bits(self, batched):
+        """One filter per group reads its tap row in place: a negatively
+        strided view of the same filter values gives the contiguous
+        array's bits, in a single call and in a batch."""
+        problem = ConvProblem.square(12, 3, channels=32, filters=4, groups=4)
+        image, filters = problem.random_instance(0)
+        view = np.ascontiguousarray(filters[:, ::-1])[:, ::-1]
+        if batched:
+            image, filters, view = image[None], filters[None], view[None]
+        want = conv2d_reference(image, filters, problem=problem)
+        got = conv2d_reference(image, view, problem=problem)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
     @pytest.mark.parametrize("name", ["classic0", "classic2",
                                       "depth-multiplier2", "f1"])
     def test_zero_image_with_negative_filters_gives_positive_zero(

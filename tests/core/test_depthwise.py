@@ -3,9 +3,9 @@
 Depthwise convolution is the special-case kernel applied once per
 channel under a grid-Z-extended launch, so the contracts are: reference
 parity across the generalized axes, a traced cost equal to the
-per-group special-case cost scaled by the group count, and fast-sim
-execution that survives the interpreted-oracle audit on both
-bank-conflict policies.
+per-group special-case cost scaled by the group count, and a traced
+run, priced by that same cost, that survives the interpreted-oracle
+audit on both bank-conflict policies.
 """
 
 import numpy as np
@@ -13,10 +13,12 @@ import pytest
 
 from repro.conv.reference import conv2d_reference
 from repro.conv.tensors import ConvProblem, Layout, Padding
+from repro.core import depthwise
 from repro.core.depthwise import DepthwiseKernel
 from repro.core.dse import best_config
 from repro.core.special import SpecialCaseKernel
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import AuditMismatchError, ConfigurationError, ShapeError
+from repro.gpu.fastsim import kernel_cost_diffs
 from repro.gpu.memory.banks import BankConflictPolicy
 
 POLICIES = (BankConflictPolicy.WORD_MERGE, BankConflictPolicy.PAPER)
@@ -122,6 +124,28 @@ class TestFastsimAudit:
             out, conv2d_reference(image, filters, problem=problem),
             rtol=1e-4, atol=1e-4)
         assert cost.launch.grid.z == 3
+        # One cost model: the traced run's cost is the kernel's own.
+        assert kernel_cost_diffs(cost, kernel.cost(problem)) == []
+
+    def test_audit_checks_every_group_output(self, monkeypatch):
+        """One ulp in the last group's output trips the audit."""
+        real = depthwise.conv2d_taps
+
+        def skewed(*args):
+            out = real(*args)
+            out.flat[-1] = np.nextafter(out.flat[-1], np.float32(np.inf))
+            return out
+
+        monkeypatch.setattr(depthwise, "conv2d_taps", skewed)
+        kernel = DepthwiseKernel()
+        cfg = kernel.config
+        rng = np.random.default_rng(17)
+        image = rng.standard_normal(
+            (3, cfg.block_h + 2, cfg.block_w + 2)).astype(np.float32)
+        filters = rng.standard_normal((3, 1, 3, 3)).astype(np.float32)
+        with pytest.raises(AuditMismatchError,
+                           match="output buffers differ bitwise"):
+            kernel.run_traced(image, filters, audit=True)
 
 
 class TestDseIntegration:

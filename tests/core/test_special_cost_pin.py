@@ -5,6 +5,9 @@ both special-case searches) folds every access site from
 geometry-cached prepared batches.  ``frozen_special_cost`` below is a
 copy of the replay it replaced (comments dropped), which traced every
 site from fresh address patterns, one tracer call per warp request.
+Its image-row loads issue one request per start residue of the staged
+rows, in ascending order: ``frozen_row_starts`` walks every staged row
+of every block row, where the cost counts them in closed form.
 Both must produce the same ``KernelCost`` field for field (exact
 ``==``, so a one-ulp drift in any counter fails), the same site
 insertion order and the same sequence of canonical-pattern lookups.
@@ -23,13 +26,13 @@ from repro.core.bankwidth import DataType
 from repro.core.config import SpecialCaseConfig
 from repro.core.depthwise import DepthwiseKernel
 from repro.core.dse import enumerate_special_configs
-from repro.core.special import SpecialCaseKernel
+from repro.core.special import SpecialCaseKernel, _row_starts
 from repro.errors import ReproError
 from repro.gpu.arch import ARCHITECTURES
 from repro.gpu.fastsim import kernel_cost_diffs
 from repro.gpu.memory.banks import BankConflictPolicy
 from repro.gpu.simt import Dim3, LaunchConfig
-from repro.gpu.trace import KernelCost, KernelTracer
+from repro.gpu.trace import KernelCost, KernelTracer, TrafficLedger, gmem_floor
 
 
 # ----------------------------------------------------------------------
@@ -49,6 +52,23 @@ def frozen_launch_config(kernel, problem):
         smem_per_block=kernel.config.smem_bytes(
             k, kernel.n, kernel.elem_bytes, s, d),
     )
+
+
+def frozen_row_starts(kernel, valid, grid):
+    """Every staged image row of one column of blocks, counted by its
+    start byte modulo the global batch period, rounded down to the
+    vector unit: ascending ``(start, rows)`` pairs, by brute force."""
+    unit = kernel.n * kernel.elem_bytes
+    period = math.lcm(unit, 32)
+    h, s = kernel.config.block_h, valid.stride
+    counts = {}
+    for band in range(grid.blocks_y):
+        for r in range((h - 1) * s + valid.span):
+            row = band * h * s + r
+            start = row * valid.width * kernel.elem_bytes % period
+            start = start // unit * unit
+            counts[start] = counts.get(start, 0) + 1
+    return sorted(counts.items())
 
 
 def frozen_special_cost(kernel, problem):
@@ -73,34 +93,40 @@ def frozen_special_cost(kernel, problem):
     rows_per_block = (h - 1) * s + span
     footprint = (cfg.block_w - 1) * s + span
     row_pattern = lanes * unit
+    starts = frozen_row_starts(kernel, valid,
+                               BlockGrid(valid, cfg.block_spec()))
+    blocks_x = launch.grid.x
     if s == 1:
-        tracer.gmem_read(
-            row_pattern, unit, count=float(warps * rows_per_block * blocks),
-            site="gm.load_row",
-        )
+        for start, rows in starts:
+            tracer.gmem_read(
+                row_pattern + start, unit,
+                count=float(warps * rows * blocks_x), site="gm.load_row",
+            )
         halo_units = math.ceil((span - 1) / n)
         if halo_units:
             halo_pattern = cfg.block_w * elem + np.arange(halo_units) * unit
-            tracer.gmem_read(
-                halo_pattern, unit, count=float(rows_per_block * blocks),
-                site="gm.load_row_halo",
-            )
+            for start, rows in starts:
+                tracer.gmem_read(
+                    halo_pattern + start, unit, count=float(rows * blocks_x),
+                    site="gm.load_row_halo",
+                )
     else:
         total_units = math.ceil(footprint / n)
         full_rounds = total_units // kernel.arch.warp_size
         tail_units = total_units % kernel.arch.warp_size
         if full_rounds:
-            tracer.gmem_read(
-                row_pattern, unit,
-                count=float(full_rounds * rows_per_block * blocks),
-                site="gm.load_row",
-            )
+            for start, rows in starts:
+                tracer.gmem_read(
+                    row_pattern + start, unit,
+                    count=float(full_rounds * rows * blocks_x),
+                    site="gm.load_row",
+                )
         if tail_units:
-            tracer.gmem_read(
-                lanes[:tail_units] * unit, unit,
-                count=float(rows_per_block * blocks),
-                site="gm.load_row_halo",
-            )
+            for start, rows in starts:
+                tracer.gmem_read(
+                    lanes[:tail_units] * unit + start, unit,
+                    count=float(rows * blocks_x), site="gm.load_row_halo",
+                )
 
     if s == 1:
         tracer.smem_write(
@@ -371,6 +397,50 @@ class TestChurnShapes:
             for problem in churn_style_shapes():
                 costed += assert_special(kernel, problem, lookup_log)
         assert costed > 100
+
+
+class TestRowStarts:
+    def test_closed_form_counts_every_staged_row(self):
+        """``_row_starts`` against a walk over every staged row, for
+        every pitch residue and vector unit, with fewer and more bands
+        and rows than a period."""
+        for unit in (1, 2, 4, 8):
+            for pitch in range(0, 32, unit):
+                for step, rows, bands in ((1, 3, 1), (4, 6, 5), (8, 18, 40),
+                                          (6, 5, 9), (3, 40, 2)):
+                    counts = {}
+                    for row in (band * step + r for band in range(bands)
+                                for r in range(rows)):
+                        start = row * pitch % 32 // unit * unit
+                        counts[start] = counts.get(start, 0) + 1
+                    assert _row_starts(pitch, unit, 32, step, rows, bands) \
+                        == tuple(sorted(counts.items()))
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.name)
+    def test_floor_equals_the_split_rows_floor(self, arch):
+        """The floor keeps one row per staged piece; split by start
+        residue, as the cost folds them, the rows give the same bits."""
+        checked = 0
+        for cfg in enumerate_special_configs():
+            kernel = SpecialCaseKernel(arch=arch, config=cfg)
+            for problem in churn_style_shapes():
+                try:
+                    floor = kernel.floor(problem)
+                except ReproError:
+                    continue
+                valid = problem.as_valid()
+                ledger = TrafficLedger(
+                    gmem_segment_size=arch.gmem_transaction_size)
+                split = kernel._floor(valid, ledger)
+                starts = frozen_row_starts(
+                    kernel, valid, BlockGrid(valid, cfg.block_spec()))
+                loads, stores = kernel._gmem_sites(
+                    valid, split.launch.grid, starts, kernel._staged(valid))
+                gmem_floor(ledger, loads + stores)
+                assert kernel_cost_diffs(split, floor) == [], \
+                    (cfg, problem.describe())
+                checked += len(starts) > 1
+        assert checked > 100
 
 
 class TestValidation:

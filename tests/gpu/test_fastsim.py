@@ -1,19 +1,23 @@
-"""Byte-identity audit of the vectorized trace generators.
+"""Byte-identity audit of the traced runs.
 
-``repro.gpu.fastsim`` replaces the per-warp interpreter loop with
-whole-block address matrices folded through the same bank/coalescing
-models.  The contract is *byte identity*: every ledger counter, every
-per-site row, the launch geometry and the functional output must equal
-the interpreted executor's exactly — not approximately.  These tests
-sweep randomized aligned shapes across both kernels, both bank-conflict
-policies and several architectures, and additionally prove the audit
-machinery itself fails loudly when the two paths are forced apart.
+``repro.gpu.fastsim`` replaces the per-warp interpreter loop: the
+special case with the analytic ``SpecialCaseKernel.cost``, the general
+case with whole-block address matrices folded through the same
+bank/coalescing models.  The contract is *byte identity*: every ledger
+counter, every per-site row, the launch geometry and the functional
+output must equal the interpreted executor's exactly — not
+approximately.  These tests sweep randomized aligned shapes across both
+kernels, both bank-conflict policies and several architectures, and
+additionally prove the audit machinery itself fails loudly when the two
+paths are forced apart.
 """
 
 import numpy as np
 import pytest
 
+from repro.conv.tensors import ConvProblem
 from repro.core.config import GeneralCaseConfig, SpecialCaseConfig
+from repro.core.general import GeneralCaseKernel
 from repro.core.general_interpreted import InterpretedGeneralKernel
 from repro.core.special_interpreted import InterpretedSpecialKernel
 from repro.errors import (
@@ -21,6 +25,7 @@ from repro.errors import (
     ConfigurationError,
     TraceError,
 )
+from repro.gpu import fastsim
 from repro.gpu.arch import (
     FERMI_M2090,
     KEPLER_K40M,
@@ -126,6 +131,26 @@ class TestGeneralByteIdentity:
             assert_pair_identical(fast, oracle, img, flt)
 
 
+class TestGeneralLaunchLayout:
+    @pytest.mark.parametrize(
+        "arch", (KEPLER_K40M, FERMI_M2090, MAXWELL_GM204, PASCAL_P100),
+        ids=lambda a: a.name)
+    def test_one_block_layout(self, arch):
+        """The analytic cost and the executed trace launch the paper's
+        TX x TY thread block alike (the rest of the general cost's gaps
+        to the trace are ROADMAP item 2's)."""
+        rng = np.random.default_rng(19)
+        analytic = GeneralCaseKernel(arch, config=SMALL_GENERAL)
+        fast = FastGeneralKernel(arch, config=SMALL_GENERAL)
+        for k in (3, 5):
+            for img, flt in general_shapes(rng, SMALL_GENERAL, k, trials=2):
+                problem = ConvProblem.from_arrays(img, flt)
+                executed = fast.trace_cost(problem)
+                diffs = kernel_cost_diffs(analytic.cost(problem), executed)
+                assert [d for d in diffs if d.startswith("launch.")] == []
+                assert executed.launch.block.y == SMALL_GENERAL.ty
+
+
 class TestErrorParity:
     """Both paths must reject bad inputs with the same exception text."""
 
@@ -152,6 +177,18 @@ class TestErrorParity:
         oracle = self._error(InterpretedGeneralKernel(config=cfg), img, flt)
         assert fast == oracle
         assert fast[0] is ConfigurationError
+
+    @pytest.mark.parametrize("space", ("global", "shared"))
+    def test_span_check_messages_are_the_interpreters(self, space):
+        from repro.gpu.device import DeviceExecutor, SharedArray
+
+        arr = (DeviceExecutor(KEPLER_K40M).alloc_global(np.zeros(8), "a")
+               if space == "global" else SharedArray(8, "a"))
+        with pytest.raises(TraceError) as oracle:
+            arr.addresses(np.array([6]), vector=4, site="s")
+        with pytest.raises(TraceError) as fast:
+            fastsim._check_span(space, "a", 8, 6, 6, 4, "s")
+        assert str(fast.value) == str(oracle.value)
 
     def test_fermi_register_pressure_rejected_identically(self):
         # The Kepler-tuned default exceeds Fermi's 63-register limit;
@@ -191,6 +228,23 @@ class TestAuditMachinery:
             kern.run_traced(img, flt, audit=True)
         assert "flops" in str(info.value)
 
+    def test_injected_output_skew_trips_audit(self, monkeypatch):
+        # One ulp in one output: the outputs are compared bit for bit.
+        real = fastsim.conv2d_taps
+
+        def skewed(*args):
+            out = real(*args)
+            out.flat[-1] = np.nextafter(out.flat[-1], np.float32(np.inf))
+            return out
+
+        monkeypatch.setattr(fastsim, "conv2d_taps", skewed)
+        rng = np.random.default_rng(4)
+        img = rng.standard_normal((6, 66)).astype(np.float32)
+        flt = rng.standard_normal((2, 3, 3)).astype(np.float32)
+        with pytest.raises(AuditMismatchError,
+                           match="output buffers differ bitwise"):
+            FastSpecialKernel().run_traced(img, flt, audit=True)
+
     def test_injected_site_skew_trips_audit(self, monkeypatch):
         kern = FastGeneralKernel(config=SMALL_GENERAL)
         real = FastGeneralKernel.trace_cost
@@ -220,8 +274,6 @@ class TestAuditMachinery:
 
 class TestTraceCost:
     def test_trace_cost_matches_run_traced(self):
-        from repro.conv.tensors import ConvProblem
-
         fast = FastSpecialKernel()
         rng = np.random.default_rng(5)
         img = rng.standard_normal((10, 130)).astype(np.float32)

@@ -1,14 +1,16 @@
 """The cost-model audit: Algorithm 1 executed on the SIMT interpreter
 versus the analytic site-replay cost model.
 
-``SpecialCaseKernel.cost()`` derives traffic by replaying one
-representative warp pattern per access site and scaling;
+``SpecialCaseKernel.cost()`` derives traffic by replaying each access
+site's warp patterns, one per staged-row start residue, and scaling;
 ``InterpretedSpecialKernel`` *executes* the same algorithm with every
-access observed.  On aligned problems the two must agree exactly on all
-compute and on-chip counters; DRAM sector counts may differ by a few
-percent because the analytic model idealizes row-base alignment (the
-executed trace sees the true, occasionally sector-straddling, bases).
+access observed.  On every aligned problem the two must agree exactly:
+launch, every ledger counter and every per-site row
+(``kernel_cost_diffs(analytic, executed) == []``).  So must
+``DepthwiseKernel.cost`` against one interpreted run per group.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,42 +18,39 @@ import pytest
 from repro.conv.reference import conv2d_single_channel
 from repro.conv.tensors import ConvProblem
 from repro.core.config import SpecialCaseConfig
+from repro.core.depthwise import DepthwiseKernel
 from repro.core.special import SpecialCaseKernel
 from repro.core.special_interpreted import InterpretedSpecialKernel
-from repro.errors import ConfigurationError
-from repro.gpu.arch import FERMI_M2090, KEPLER_K40M
+from repro.errors import ConfigurationError, ReproError
+from repro.gpu.arch import ARCHITECTURES, FERMI_M2090, KEPLER_K40M
+from repro.gpu.fastsim import kernel_cost_diffs
 from repro.gpu.memory.banks import BankConflictPolicy
+from repro.gpu.trace import KernelCost
 
 CFG = SpecialCaseConfig(block_w=64, block_h=4)
-
-EXACT_COUNTERS = (
-    "flops",
-    "smem_requests",
-    "smem_cycles",
-    "smem_request_bytes",
-    "cmem_requests",
-    "cmem_cycles",
-    "syncthreads",
-    "gmem_read_request_bytes",
-    "gmem_write_request_bytes",
-    "gmem_write_transactions",
-)
+POLICIES = (BankConflictPolicy.WORD_MERGE, BankConflictPolicy.PAPER)
 
 
 def run_pair(k=3, f=2, height=10, width=130, arch=KEPLER_K40M,
-             policy=BankConflictPolicy.WORD_MERGE, matched=True, seed=0):
+             policy=BankConflictPolicy.WORD_MERGE, matched=True, seed=0,
+             config=CFG):
     rng = np.random.default_rng(seed)
     img = rng.standard_normal((height, width)).astype(np.float32)
     flt = rng.standard_normal((f, k, k)).astype(np.float32)
-    interp = InterpretedSpecialKernel(arch=arch, config=CFG,
+    interp = InterpretedSpecialKernel(arch=arch, config=config,
                                       matched=matched, bank_policy=policy)
     out, executed = interp.run_traced(img, flt)
-    analytic_kernel = SpecialCaseKernel(arch=arch, config=CFG,
+    analytic_kernel = SpecialCaseKernel(arch=arch, config=config,
                                         matched=matched, bank_policy=policy)
     problem = ConvProblem(height=height, width=width, channels=1,
                           filters=f, kernel_size=k)
     analytic = analytic_kernel.cost(problem)
     return img, flt, out, executed, analytic
+
+
+def assert_exact(executed, analytic):
+    diffs = kernel_cost_diffs(analytic, executed)
+    assert diffs == [], "\n".join(diffs)
 
 
 class TestFunctional:
@@ -70,34 +69,33 @@ class TestFunctional:
 
 class TestAudit:
     @pytest.mark.parametrize("k,width,height", [(3, 130, 10), (5, 132, 12)])
-    def test_on_chip_counters_exact(self, k, width, height):
+    def test_cost_equals_executed_trace(self, k, width, height):
         _, _, _, executed, analytic = run_pair(k=k, width=width, height=height)
-        for counter in EXACT_COUNTERS:
-            assert getattr(executed.ledger, counter) == pytest.approx(
-                getattr(analytic.ledger, counter)
-            ), counter
+        assert_exact(executed, analytic)
 
-    def test_dram_sectors_within_alignment_slack(self):
-        _, _, _, executed, analytic = run_pair()
-        a = analytic.ledger.gmem_read_transactions
-        e = executed.ledger.gmem_read_transactions
-        # The analytic model assumes sector-aligned row bases; the
-        # executed trace sees the true bases.
-        assert a <= e <= 1.15 * a
-
-    def test_launch_geometry_matches(self):
-        _, _, _, executed, analytic = run_pair()
-        assert executed.launch.total_blocks == analytic.launch.total_blocks
-        assert executed.launch.threads_per_block == \
-            analytic.launch.threads_per_block
-        assert executed.launch.smem_per_block == analytic.launch.smem_per_block
+    @pytest.mark.parametrize("k,height,width,f,row_tx,halo_tx", [
+        (3, 18, 130, 32, 416, None),
+        (7, 14, 134, 1, None, 60),
+    ])
+    def test_row_loads_priced_where_each_row_starts(self, k, height, width,
+                                                    f, row_tx, halo_tx):
+        """The image pitch moves most staged rows off a sector boundary,
+        where a row costs one more transaction: 416 `gm.load_row`
+        transactions on an 18x130, F=32 problem (384 if every row
+        started aligned), and 60 halo ones on a 14x134 one at K=7
+        (40)."""
+        _, _, _, executed, analytic = run_pair(k=k, f=f, height=height,
+                                               width=width)
+        assert_exact(executed, analytic)
+        sites = analytic.ledger.sites
+        if row_tx is not None:
+            assert sites["gm.load_row[gmem.read]"].transactions == row_tx
+        if halo_tx is not None:
+            assert sites["gm.load_row_halo[gmem.read]"].transactions == halo_tx
 
     def test_unmatched_variant_agrees_too(self):
         _, _, _, executed, analytic = run_pair(matched=False)
-        for counter in ("flops", "smem_cycles", "cmem_cycles", "syncthreads"):
-            assert getattr(executed.ledger, counter) == pytest.approx(
-                getattr(analytic.ledger, counter)
-            ), counter
+        assert_exact(executed, analytic)
 
     def test_paper_policy_serialization_agrees(self):
         """Under the paper's policy the executed unmatched kernel shows
@@ -105,25 +103,92 @@ class TestAudit:
         _, _, _, exec_m, anal_m = run_pair(policy=BankConflictPolicy.PAPER)
         _, _, _, exec_u, anal_u = run_pair(policy=BankConflictPolicy.PAPER,
                                            matched=False)
-        assert exec_u.ledger.smem_conflict_overhead == pytest.approx(
-            anal_u.ledger.smem_conflict_overhead)
-        assert exec_u.ledger.smem_conflict_overhead == pytest.approx(2.0)
-        assert exec_m.ledger.smem_conflict_overhead == pytest.approx(1.0)
+        assert_exact(exec_m, anal_m)
+        assert_exact(exec_u, anal_u)
+        assert exec_u.ledger.smem_conflict_overhead == 2.0
+        assert exec_m.ledger.smem_conflict_overhead == 1.0
 
     def test_fermi_scalar_kernel_agrees(self):
         _, _, _, executed, analytic = run_pair(arch=FERMI_M2090)
-        for counter in ("flops", "smem_cycles", "cmem_cycles"):
-            assert getattr(executed.ledger, counter) == pytest.approx(
-                getattr(analytic.ledger, counter)
-            ), counter
+        assert_exact(executed, analytic)
 
-    def test_timing_predictions_close(self):
-        """End to end, the executed trace and the analytic model land on
-        the same modeled time (within the DRAM alignment slack)."""
-        from repro.gpu.timing import TimingModel
 
-        _, _, _, executed, analytic = run_pair()
-        model = TimingModel(KEPLER_K40M)
-        t_exec = model.evaluate(executed).total
-        t_anal = model.evaluate(analytic).total
-        assert t_exec == pytest.approx(t_anal, rel=0.15)
+def _outcome(fn):
+    """The cost, or the (type, message) of the error it raised."""
+    try:
+        return fn()
+    except ReproError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _sweep():
+    """Every preset, K 1/3/5/7 (and K 2/4 where the vector is scalar),
+    matched and unmatched, on a problem of two 64x4 blocks, one above
+    the other, whose 64- to 70-float image rows start at up to eight
+    residues of a sector period."""
+    for arch in ARCHITECTURES.values():
+        n = SpecialCaseKernel(arch).n
+        for k in (1, 3, 5, 7) + ((2, 4) if n == 1 else ()):
+            for matched in (True, False):
+                yield pytest.param(arch, k, matched,
+                                   id="%s-k%d-%s" % (arch.name.split()[0], k,
+                                                     "matched" if matched
+                                                     else "unmatched"))
+
+
+class TestSweep:
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    @pytest.mark.parametrize("arch,k,matched", list(_sweep()))
+    def test_special_cost_is_the_executed_trace(self, arch, k, matched,
+                                                policy):
+        rng = np.random.default_rng(k)
+        img = rng.standard_normal((8 + k - 1, 64 + k - 1)).astype(np.float32)
+        flt = rng.standard_normal((2, k, k)).astype(np.float32)
+        problem = ConvProblem.from_arrays(img, flt)
+        executed = _outcome(lambda: InterpretedSpecialKernel(
+            arch=arch, config=CFG, matched=matched,
+            bank_policy=policy).run_traced(img, flt)[1])
+        analytic = _outcome(lambda: SpecialCaseKernel(
+            arch=arch, config=CFG, matched=matched,
+            bank_policy=policy).cost(problem))
+        if isinstance(executed, tuple):
+            # A launch the preset cannot run (K=7 needs 66 registers per
+            # thread on Fermi) is refused alike.
+            assert analytic == executed
+            return
+        assert_exact(executed, analytic)
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES.values()),
+                             ids=lambda a: a.name)
+    def test_depthwise_cost_is_the_executed_groups(self, arch, policy):
+        """``DepthwiseKernel.cost`` equals one interpreted run per group,
+        merged onto a grid whose Z extent is the group count."""
+        cfg = SpecialCaseConfig(block_w=64, block_h=2)
+        k, channels, mult = 3, 3, 2
+        rng = np.random.default_rng(3)
+        img = rng.standard_normal(
+            (channels, 4 + k - 1, 128 + k - 1)).astype(np.float32)
+        flt = rng.standard_normal(
+            (channels * mult, 1, k, k)).astype(np.float32)
+        problem = ConvProblem(height=img.shape[1], width=img.shape[2],
+                              channels=channels, filters=channels * mult,
+                              kernel_size=k, groups=channels)
+        interp = InterpretedSpecialKernel(arch=arch, config=cfg,
+                                          bank_policy=policy)
+        merged = None
+        for g in range(channels):
+            _, cost = interp.run_traced(img[g],
+                                        flt[g * mult:(g + 1) * mult, 0])
+            if merged is None:
+                merged = cost
+            else:
+                merged.ledger.merge(cost.ledger)
+        executed = KernelCost(
+            name=merged.name,
+            launch=replace(merged.launch,
+                           grid=replace(merged.launch.grid, z=channels)),
+            ledger=merged.ledger, software_prefetch=merged.software_prefetch)
+        analytic = DepthwiseKernel(arch=arch, config=cfg,
+                                   bank_policy=policy).cost(problem)
+        assert_exact(executed, analytic)
